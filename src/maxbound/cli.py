@@ -159,10 +159,13 @@ def _write_reports(out, cfg, report, theorem):
         },
         "rows": rows,
     }
+    try:
+        text = json.dumps(doc, indent=1, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise MaxboundError(f"report is not strict JSON: {exc}") from None
     json_path = os.path.join(out, "report.json")
     with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
     columns = ["t", "bound_b", "bound_B"]
     if report.trueN is not None:
@@ -429,8 +432,6 @@ def build_parser():
     common.add_argument("--config", help="JSON configuration file")
     common.add_argument("--snapshot", help="field snapshot archive path")
     common.add_argument("--out", help="output directory (default: current)")
-    common.add_argument("--threads", type=int, default=None,
-                        help="worker thread hint for numerical kernels")
     common.add_argument("--theorem", choices=["T1", "T3", "T4", "T5"], default=None)
     common.add_argument("--optimize", choices=["none", "params", "full"], default=None)
 
@@ -452,8 +453,6 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads is not None:
-        os.environ["OMP_NUM_THREADS"] = str(max(1, args.threads))
     if args.command in ("solve", "certify", "verify") and not args.config:
         print("error: --config is required", file=sys.stderr)
         return EXIT_CONFIG

@@ -220,6 +220,14 @@ class FieldTrajectory:
     def components(self):
         return (self.x, self.y, self.z)
 
+    def check_extents(self, grid):
+        for c, arr in zip(_COMPONENTS, self.components()):
+            if arr.shape[1:] != grid.shape(self.kind, c):
+                raise DimensionError(
+                    f"trajectory {self.kind} component {c}: shape {arr.shape[1:]} "
+                    f"does not match grid layout {grid.shape(self.kind, c)}"
+                )
+
     def copy(self):
         return FieldTrajectory(self.kind, self.grid, self.x.copy(), self.y.copy(), self.z.copy())
 
@@ -256,6 +264,8 @@ class MaterialField:
     values: np.ndarray
     lambda_min: float = field(init=False)
     lambda_max: float = field(init=False)
+    # dof-located coefficients by (field kind, component), filled on first use
+    dof_cache: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)

@@ -19,7 +19,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import ParameterError, PreconditionError, GridMismatchError
+from .errors import GridMismatchError, MaxboundError, ParameterError, PreconditionError
 from .fields import FACE, FieldTrajectory, StaggeredField
 from .operators import (
     apply_material_staggered,
@@ -223,19 +223,12 @@ def zero_term(p, approx, Y, variant="z_hat", use_Etilde_t=True):
 # the functional f per theorem
 
 
-def f_first_form(p, approx, params, res=None):
-    """High-regularity functional with constant weights:
-
-    f(t) = gamma^-1 int ||Khat||^2_{eps^-1} + (gamma rho)^-1 int ||dKtilde/dt||^2_mu
-           + (1-rho)^-1 ||Ktilde||^2_mu(t) + z.
-    """
-    if not params.is_constant():
-        raise ParameterError("first-form functional requires constant rho and gamma")
-    return f_refined(p, approx, params, res)
-
-
 def f_refined(p, approx, params, res=None):
-    """Time-dependent-weight variant; reduces to f_first_form for constants."""
+    """High-regularity functional; rho and gamma may be nodal trajectories:
+
+    f(t) = int ||Khat||^2_{eps^-1} / gamma + int ||dKtilde/dt||^2_mu / (gamma rho)
+           + ||Ktilde||^2_mu(t) / (1-rho) + z.
+    """
     g = p.grid
     if g.nt < 5:
         raise PreconditionError("high-regularity path needs nt >= 5 for second differences")
@@ -385,6 +378,8 @@ def certify(p, approx, params, theorem="T5", exact=None):
         z = zero_term(p, approx, params.Y, params.zero_variant, use_Etilde_t=True)
     gamma_weighted = theorem in ("T3", "T4")
     b, B = bound_b_and_B(f, params.gamma_nodes(g.nt), g.dt, gamma_weighted_N=gamma_weighted)
+    if not np.isfinite(b).all():
+        raise MaxboundError(f"{theorem} bound is not finite; no bound was certified")
 
     report = MajorantReport(
         theorem=theorem,

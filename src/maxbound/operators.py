@@ -21,6 +21,19 @@ _COMPONENTS = ("x", "y", "z")
 # spatial difference operators
 
 
+def _field(grid, kind, comps):
+    """Wrap component arrays: spatial ones in a StaggeredField, (nt, ...) ones
+    in a FieldTrajectory."""
+    if comps[0].ndim == 3:
+        return StaggeredField(kind, *comps)
+    return FieldTrajectory(kind, grid, *comps)
+
+
+# The kernels below index the three spatial axes from the right, so each
+# accepts a StaggeredField or a whole FieldTrajectory and returns the same
+# type; every element sees the same operations in both cases.
+
+
 def curl_edge_to_face(e, grid):
     """Circulation differences of an edge field, living on cell faces."""
     if e.kind != EDGE:
@@ -28,10 +41,10 @@ def curl_edge_to_face(e, grid):
     e.check_extents(grid)
     hx, hy, hz = grid.hx, grid.hy, grid.hz
     ex, ey, ez = e.x, e.y, e.z
-    fx = (ez[:, 1:, :] - ez[:, :-1, :]) / hy - (ey[:, :, 1:] - ey[:, :, :-1]) / hz
-    fy = (ex[:, :, 1:] - ex[:, :, :-1]) / hz - (ez[1:, :, :] - ez[:-1, :, :]) / hx
-    fz = (ey[1:, :, :] - ey[:-1, :, :]) / hx - (ex[:, 1:, :] - ex[:, :-1, :]) / hy
-    return StaggeredField(FACE, fx, fy, fz)
+    fx = (ez[..., 1:, :] - ez[..., :-1, :]) / hy - (ey[..., 1:] - ey[..., :-1]) / hz
+    fy = (ex[..., 1:] - ex[..., :-1]) / hz - (ez[..., 1:, :, :] - ez[..., :-1, :, :]) / hx
+    fz = (ey[..., 1:, :, :] - ey[..., :-1, :, :]) / hx - (ex[..., 1:, :] - ex[..., :-1, :]) / hy
+    return _field(grid, FACE, (fx, fy, fz))
 
 
 def curl_face_to_edge(h, grid):
@@ -45,20 +58,21 @@ def curl_face_to_edge(h, grid):
     h.check_extents(grid)
     hx, hy, hz = grid.hx, grid.hy, grid.hz
     hxc, hyc, hzc = h.x, h.y, h.z
-    out = StaggeredField.zeros(grid, EDGE)
-    out.x[:, 1:-1, 1:-1] = (
-        (hzc[:, 1:, 1:-1] - hzc[:, :-1, 1:-1]) / hy
-        - (hyc[:, 1:-1, 1:] - hyc[:, 1:-1, :-1]) / hz
+    lead = hxc.shape[:-3]
+    ox, oy, oz = (np.zeros(lead + grid.shape(EDGE, c)) for c in _COMPONENTS)
+    ox[..., 1:-1, 1:-1] = (
+        (hzc[..., 1:, 1:-1] - hzc[..., :-1, 1:-1]) / hy
+        - (hyc[..., 1:-1, 1:] - hyc[..., 1:-1, :-1]) / hz
     )
-    out.y[1:-1, :, 1:-1] = (
-        (hxc[1:-1, :, 1:] - hxc[1:-1, :, :-1]) / hz
-        - (hzc[1:, :, 1:-1] - hzc[:-1, :, 1:-1]) / hx
+    oy[..., 1:-1, :, 1:-1] = (
+        (hxc[..., 1:-1, :, 1:] - hxc[..., 1:-1, :, :-1]) / hz
+        - (hzc[..., 1:, :, 1:-1] - hzc[..., :-1, :, 1:-1]) / hx
     )
-    out.z[1:-1, 1:-1, :] = (
-        (hyc[1:, 1:-1, :] - hyc[:-1, 1:-1, :]) / hx
-        - (hxc[1:-1, 1:, :] - hxc[1:-1, :-1, :]) / hy
+    oz[..., 1:-1, 1:-1, :] = (
+        (hyc[..., 1:, 1:-1, :] - hyc[..., :-1, 1:-1, :]) / hx
+        - (hxc[..., 1:-1, 1:, :] - hxc[..., 1:-1, :-1, :]) / hy
     )
-    return out
+    return _field(grid, EDGE, (ox, oy, oz))
 
 
 def gradient_node_to_edge(phi, grid):
@@ -75,18 +89,18 @@ def gradient_node_to_edge(phi, grid):
 def zero_tangential(e):
     """Copy of an edge field with tangential boundary components zeroed."""
     out = e.copy()
-    out.x[:, 0, :] = 0.0
-    out.x[:, -1, :] = 0.0
-    out.x[:, :, 0] = 0.0
-    out.x[:, :, -1] = 0.0
-    out.y[0, :, :] = 0.0
-    out.y[-1, :, :] = 0.0
-    out.y[:, :, 0] = 0.0
-    out.y[:, :, -1] = 0.0
-    out.z[0, :, :] = 0.0
-    out.z[-1, :, :] = 0.0
-    out.z[:, 0, :] = 0.0
-    out.z[:, -1, :] = 0.0
+    out.x[..., 0, :] = 0.0
+    out.x[..., -1, :] = 0.0
+    out.x[..., 0] = 0.0
+    out.x[..., -1] = 0.0
+    out.y[..., 0, :, :] = 0.0
+    out.y[..., -1, :, :] = 0.0
+    out.y[..., 0] = 0.0
+    out.y[..., -1] = 0.0
+    out.z[..., 0, :, :] = 0.0
+    out.z[..., -1, :, :] = 0.0
+    out.z[..., 0, :] = 0.0
+    out.z[..., -1, :] = 0.0
     return out
 
 
@@ -114,47 +128,53 @@ def tangential_trace_max(e):
 
 
 def cell_average(f, grid):
-    """Average staggered components to cell centers; returns (nx, ny, nz, 3)."""
+    """Average staggered components to cell centers; returns (..., nx, ny, nz, 3)."""
     f.check_extents(grid)
-    out = np.empty((grid.nx, grid.ny, grid.nz, 3))
+    out = np.empty(f.x.shape[:-3] + (grid.nx, grid.ny, grid.nz, 3))
     if f.kind == EDGE:
         out[..., 0] = 0.25 * (
-            f.x[:, :-1, :-1] + f.x[:, 1:, :-1] + f.x[:, :-1, 1:] + f.x[:, 1:, 1:]
+            f.x[..., :-1, :-1] + f.x[..., 1:, :-1] + f.x[..., :-1, 1:] + f.x[..., 1:, 1:]
         )
         out[..., 1] = 0.25 * (
-            f.y[:-1, :, :-1] + f.y[1:, :, :-1] + f.y[:-1, :, 1:] + f.y[1:, :, 1:]
+            f.y[..., :-1, :, :-1] + f.y[..., 1:, :, :-1]
+            + f.y[..., :-1, :, 1:] + f.y[..., 1:, :, 1:]
         )
         out[..., 2] = 0.25 * (
-            f.z[:-1, :-1, :] + f.z[1:, :-1, :] + f.z[:-1, 1:, :] + f.z[1:, 1:, :]
+            f.z[..., :-1, :-1, :] + f.z[..., 1:, :-1, :]
+            + f.z[..., :-1, 1:, :] + f.z[..., 1:, 1:, :]
         )
     else:
-        out[..., 0] = 0.5 * (f.x[:-1, :, :] + f.x[1:, :, :])
-        out[..., 1] = 0.5 * (f.y[:, :-1, :] + f.y[:, 1:, :])
-        out[..., 2] = 0.5 * (f.z[:, :, :-1] + f.z[:, :, 1:])
+        out[..., 0] = 0.5 * (f.x[..., :-1, :, :] + f.x[..., 1:, :, :])
+        out[..., 1] = 0.5 * (f.y[..., :-1, :] + f.y[..., 1:, :])
+        out[..., 2] = 0.5 * (f.z[..., :-1] + f.z[..., 1:])
     return out
 
 
 def cell_average_adjoint(v, grid, kind):
     """Euclidean adjoint of cell_average: scatter cell values back to dofs."""
-    out = StaggeredField.zeros(grid, kind)
+    lead = v.shape[:-4]
+    ox, oy, oz = (np.zeros(lead + grid.shape(kind, c)) for c in _COMPONENTS)
+    nx, ny, nz = grid.nx, grid.ny, grid.nz
     if kind == EDGE:
+        vx, vy, vz = (0.25 * v[..., i] for i in range(3))
         for dy in (0, 1):
             for dz in (0, 1):
-                out.x[:, dy : grid.ny + dy, dz : grid.nz + dz] += 0.25 * v[..., 0]
+                ox[..., dy : ny + dy, dz : nz + dz] += vx
         for dx in (0, 1):
             for dz in (0, 1):
-                out.y[dx : grid.nx + dx, :, dz : grid.nz + dz] += 0.25 * v[..., 1]
+                oy[..., dx : nx + dx, :, dz : nz + dz] += vy
         for dx in (0, 1):
             for dy in (0, 1):
-                out.z[dx : grid.nx + dx, dy : grid.ny + dy, :] += 0.25 * v[..., 2]
+                oz[..., dx : nx + dx, dy : ny + dy, :] += vz
     else:
+        vx, vy, vz = (0.5 * v[..., i] for i in range(3))
         for dx in (0, 1):
-            out.x[dx : grid.nx + dx, :, :] += 0.5 * v[..., 0]
+            ox[..., dx : nx + dx, :, :] += vx
         for dy in (0, 1):
-            out.y[:, dy : grid.ny + dy, :] += 0.5 * v[..., 1]
+            oy[..., dy : ny + dy, :] += vy
         for dz in (0, 1):
-            out.z[:, :, dz : grid.nz + dz] += 0.5 * v[..., 2]
-    return out
+            oz[..., dz : nz + dz] += vz
+    return _field(grid, kind, (ox, oy, oz))
 
 
 def weighted_inner(u, v, w, grid):
@@ -203,13 +223,18 @@ def apply_material_staggered(f, w, grid):
     """Apply a scalar/diagonal material to a staggered field in place of its dofs.
 
     Cell coefficients are averaged to the dof locations (replicated at the
-    boundary); exact for spatially constant materials.
+    boundary); exact for spatially constant materials.  The averaged
+    coefficients are kept on the material, once per (kind, component).
     """
     comps = []
     for c, arr in zip(_COMPONENTS, f.components()):
-        coeff = w.component_values(c)
-        comps.append(arr * _cell_coeff_to_dofs(coeff, grid, f.kind, c))
-    return StaggeredField(f.kind, *comps)
+        key = (f.kind, c)
+        coeff = w.dof_cache.get(key)
+        if coeff is None:
+            coeff = _cell_coeff_to_dofs(w.component_values(c), grid, f.kind, c)
+            w.dof_cache[key] = coeff
+        comps.append(arr * coeff)
+    return _field(grid, f.kind, comps)
 
 
 def _cell_coeff_to_dofs(c, grid, kind, comp):
@@ -236,19 +261,6 @@ def _cell_coeff_to_dofs(c, grid, kind, comp):
     s0[own] = slice(0, c.shape[own] + 1)
     s1[own] = slice(1, c.shape[own] + 2)
     return 0.5 * (cp[tuple(s0)] + cp[tuple(s1)])
-
-
-def energy_norm_n(dt_phi, curl_phi, eps, mu_inv, rho, grid):
-    """Weighted energy combination at a single time:
-
-    ||dt_phi||^2_eps + rho * ||curl_phi||^2_{mu^-1}.
-
-    The first slot may independently be a separate time-derivative
-    approximation (two-argument form).
-    """
-    if not 0.0 < rho < 1.0:
-        raise ParameterError(f"rho must lie in (0, 1), got {rho}")
-    return weighted_norm_sq(dt_phi, eps, grid) + rho * weighted_norm_sq(curl_phi, mu_inv, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -289,16 +301,6 @@ def exp_weighted_cumulative(f, gamma, dt):
     big_gamma = cumulative_trapezoid(g, dt)
     inner = cumulative_trapezoid(np.exp(-big_gamma) * g * f, dt)
     return np.exp(big_gamma) * inner
-
-
-def exp_weighted_integral(f, gamma, dt, up_to=None):
-    """Scalar value of exp_weighted_cumulative at one node (default: final)."""
-    vals = exp_weighted_cumulative(f, gamma, dt)
-    if up_to is None:
-        up_to = len(vals) - 1
-    if not 0 <= up_to < len(vals):
-        raise ParameterError(f"time index {up_to} out of range [0, {len(vals) - 1}]")
-    return float(vals[up_to])
 
 
 def ddt_matrix(nt, dt):

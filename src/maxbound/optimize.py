@@ -255,6 +255,11 @@ def _refine_gamma_pieces(series, rho, gamma0, variant, cfg, grid):
 # conjugate gradients on the quadratic-in-Y bound
 
 
+def _per_node(w):
+    """Nodal weights shaped to scale every dof of a trajectory component."""
+    return w[:, None, None, None]
+
+
 def _flatten(traj):
     return np.concatenate([c.ravel() for c in traj.components()])
 
@@ -297,34 +302,6 @@ class BoundQuadratic:
         if np.any(self.rho_n <= 0) or np.any(self.rho_n >= 1) or np.any(self.gam_n <= 0):
             raise ParameterError("need rho in (0,1) and gamma > 0 on all nodes")
 
-        self.D = ddt_matrix(nt, g.dt)
-        self.M = default_Y(p, approx)
-        if theorem in ("T1", "T3"):
-            self.coupling = None
-        else:
-            dE = trajectory_derivative(approx.Etilde, self.D)
-            self.coupling = FieldTrajectory.from_fields(
-                g,
-                [
-                    curl_edge_to_face((approx.Etilde_t - dE).node(k), g)
-                    for k in range(nt)
-                ],
-            )
-
-        if theorem in ("T1", "T3"):
-            self.face_const = None  # residual is D applied to (M - Y) directly
-        else:
-            self.face_const = FieldTrajectory.from_fields(
-                g,
-                [
-                    apply_material_staggered(
-                        curl_edge_to_face(approx.Etilde_t.node(k), g), p.mu_inv, g
-                    )
-                    for k in range(nt)
-                ],
-            )
-        self.curl_e0 = curl_edge_to_face(p.E0 - approx.Etilde.node(0), g)
-
         # Gronwall quadrature collapsed to per-node weights.
         tau = trapezoid_weights(nt, g.dt)
         big_gamma = cumulative_trapezoid(self.gam_n, g.dt)
@@ -339,6 +316,30 @@ class BoundQuadratic:
         self.w_face = w_int / (self.gam_n * self.rho_n)
         self.w_coup = w_int
 
+        # The Y-independent pieces of the residuals and of the gradient.  K is
+        # not folded into edge_base: gradient() subtracts it after adding
+        # curl Y, the order that rounds like the per-node residual.
+        self.D = ddt_matrix(nt, g.dt)
+        self.M = apply_material_staggered(curl_edge_to_face(approx.Etilde, g), p.mu_inv, g)
+        dE = trajectory_derivative(approx.Etilde, self.D)
+        if theorem in ("T1", "T3"):
+            self.edge_base = apply_material_staggered(
+                trajectory_derivative(dE, self.D), p.eps, g
+            )
+            self.face_const = None  # residual is D applied to (M - Y) directly
+            self.coupling_grad = None
+        else:
+            self.edge_base = apply_material_staggered(
+                trajectory_derivative(approx.Etilde_t, self.D), p.eps, g
+            )
+            self.face_const = apply_material_staggered(
+                curl_edge_to_face(approx.Etilde_t, g), p.mu_inv, g
+            )
+            coupling = curl_edge_to_face(approx.Etilde_t - dE, g)
+            self.coupling_grad = gram_apply(coupling, None, g) * _per_node(2.0 * self.w_coup)
+        curl_e0 = curl_edge_to_face(p.E0 - approx.Etilde.node(0), g)
+        self.zero_grad = (2.0 * self.Cz) * gram_apply(curl_e0, None, g)
+
     def value(self, Y):
         series = _theorem_series(self.p, self.approx, Y, self.theorem)
         return _bound_from_series(series, self.rho_n, self.gam_n, self.variant, self.grid.dt)
@@ -348,66 +349,29 @@ class BoundQuadratic:
             return trajectory_derivative(self.M - Y, self.D)
         return self.face_const - trajectory_derivative(Y, self.D)
 
-    def _edge_residual_node(self, Y, k):
-        if self.theorem in ("T1", "T3"):
-            if not hasattr(self, "_edge_base"):
-                dE = trajectory_derivative(self.approx.Etilde, self.D)
-                ddE = trajectory_derivative(dE, self.D)
-                self._edge_base = FieldTrajectory.from_fields(
-                    self.grid,
-                    [
-                        apply_material_staggered(ddE.node(j), self.p.eps, self.grid)
-                        for j in range(self.grid.nt)
-                    ],
-                )
-        else:
-            if not hasattr(self, "_edge_base"):
-                dEt = trajectory_derivative(self.approx.Etilde_t, self.D)
-                self._edge_base = FieldTrajectory.from_fields(
-                    self.grid,
-                    [
-                        apply_material_staggered(dEt.node(j), self.p.eps, self.grid)
-                        for j in range(self.grid.nt)
-                    ],
-                )
-        return (
-            self._edge_base.node(k)
-            + curl_face_to_edge(Y.node(k), self.grid)
-            - self.p.K.node(k)
-        )
-
     def gradient(self, Y):
-        """Euclidean gradient of value() with respect to the Y dof values."""
+        """Euclidean gradient of value() with respect to the Y dof values.
+
+        One pass over whole trajectories; each node gets the same operations,
+        in the same order, as a loop over the nodes would apply.
+        """
         g = self.grid
         p = self.p
-        nt = g.nt
-        face_res = self._face_residual(Y)
-        scaled = FieldTrajectory.from_fields(
-            g,
-            [
-                gram_apply(face_res.node(k), p.mu, g) * self.w_face[k]
-                for k in range(nt)
-            ],
+        mass = gram_apply(self.M - Y, p.mu, g)
+        scaled = gram_apply(self._face_residual(Y), p.mu, g) * _per_node(self.w_face)
+        e_res = self.edge_base + curl_face_to_edge(Y, g) - p.K
+        ge = gram_apply(e_res, p.eps_inv, g)
+        grad = (
+            mass * _per_node(-2.0 * self.w_pt)
+            + curl_edge_to_face(zero_tangential(ge), g) * _per_node(2.0 * self.w_edge)
+            - 2.0 * trajectory_derivative(scaled, self.D.T)
         )
-        face_part = trajectory_derivative(scaled, self.D.T)
-
-        fields = []
-        for k in range(nt):
-            gk = gram_apply(self.M.node(k) - Y.node(k), p.mu, g) * (-2.0 * self.w_pt[k])
-            e_res = self._edge_residual_node(Y, k)
-            ge = gram_apply(e_res, p.eps_inv, g)
-            gk = gk + (2.0 * self.w_edge[k]) * curl_edge_to_face(zero_tangential(ge), g)
-            gk = gk - 2.0 * face_part.node(k)
-            if self.coupling is not None:
-                gk = gk - (2.0 * self.w_coup[k]) * gram_apply(self.coupling.node(k), None, g)
-            fields.append(gk)
-        if self.variant == "z":
-            fields[0] = fields[0] - (2.0 * self.Cz) * gram_apply(self.curl_e0, None, g)
-        else:
-            fields[0] = fields[0] - (2.0 * self.Cz) * gram_apply(
-                self.M.node(0) - Y.node(0), p.mu, g
-            )
-        return FieldTrajectory.from_fields(g, fields)
+        if self.coupling_grad is not None:
+            grad = grad - self.coupling_grad
+        zero = self.zero_grad if self.variant == "z" else (2.0 * self.Cz) * mass.node(0)
+        for comp, z in zip(grad.components(), zero.components()):
+            comp[0] -= z
+        return grad
 
     def gradient_flat(self, y_vec):
         return _flatten(self.gradient(_unflatten(y_vec, self.grid)))

@@ -10,6 +10,7 @@ solution residual-free at the discrete level as well.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict
@@ -233,7 +234,12 @@ def get_case(name, **parameters):
         raise UnsupportedCaseError(
             f"unknown catalog case {name!r}; known: {sorted(_CASE_BUILDERS)}"
         )
-    return _CASE_BUILDERS[name](**parameters)
+    builder = _CASE_BUILDERS[name]
+    try:
+        inspect.signature(builder).bind(**parameters)
+    except TypeError as exc:
+        raise UnsupportedCaseError(f"catalog case {name!r}: {exc}") from None
+    return builder(**parameters)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import struct
 
 import numpy as np
 
-from .errors import GridMismatchError
+from .errors import GridMismatchError, ParameterError
 from .fields import EDGE, FACE, FieldTrajectory, GridSpec
 from .solver import SolveOutput
 
@@ -63,12 +63,34 @@ def save_snapshot(path, grid, output):
 def load_snapshot(path, grid=None):
     """Read an archive; returns (GridSpec, SolveOutput).
 
-    When a grid is supplied it must match the archived one exactly.
+    When a grid is supplied it must match the archived one exactly.  An
+    unreadable, truncated or corrupt archive, or one holding non-finite
+    values, raises GridMismatchError.
     """
-    with open(path, "rb") as fh:
-        magic = fh.read(len(MAGIC))
-        if magic != MAGIC:
-            raise GridMismatchError(f"{path}: not a field snapshot archive")
+    try:
+        with open(path, "rb") as fh:
+            stored, fields = _read_archive(fh, path, grid)
+    except OSError as exc:
+        raise GridMismatchError(f"{path}: cannot read snapshot: {exc.strerror}") from None
+
+    trajs = {}
+    for name, kind in _FIELDS:
+        comps = fields.get(name)
+        if comps is not None and len(comps) != len(_COMPONENTS):
+            raise GridMismatchError(f"{path}: {name} lacks components")
+        trajs[name] = None if comps is None else FieldTrajectory(
+            kind, stored, comps["x"], comps["y"], comps["z"])
+    if trajs["Etilde"] is None or trajs["Htilde"] is None or trajs["Etilde_t"] is None:
+        raise GridMismatchError(f"{path}: archive is missing required field trajectories")
+    return stored, SolveOutput(trajs["Etilde"], trajs["Htilde"], trajs["Etilde_t"],
+                               trajs["Htilde_t"])
+
+
+def _read_archive(fh, path, grid):
+    """Header grid and {field: {component: array}} of an open archive."""
+    if fh.read(len(MAGIC)) != MAGIC:
+        raise GridMismatchError(f"{path}: not a field snapshot archive")
+    try:
         (hlen,) = struct.unpack("<I", fh.read(4))
         header = json.loads(fh.read(hlen).decode("utf-8"))
         if header.get("version") != FORMAT_VERSION:
@@ -78,33 +100,27 @@ def load_snapshot(path, grid=None):
         gd = header["grid"]
         stored = GridSpec(gd["nx"], gd["ny"], gd["nz"], gd["lx"], gd["ly"], gd["lz"],
                           gd["nt"], gd["T"])
-        if grid is not None and _grid_dict(grid) != _grid_dict(stored):
-            raise GridMismatchError(
-                f"snapshot grid {_grid_dict(stored)} does not match configured "
-                f"grid {_grid_dict(grid)}"
-            )
-        fields = {}
-        for entry in header["arrays"]:
-            shape = tuple(entry["shape"])
-            count = int(np.prod(shape))
-            data = np.frombuffer(fh.read(count * 8), dtype="<f8").reshape(shape)
-            fields.setdefault(entry["field"], {})[entry["component"]] = data.copy()
-
-    trajs = {}
-    for name, kind in _FIELDS:
-        comps = fields.get(name)
-        if comps is None:
-            trajs[name] = None
-            continue
-        want_nt = stored.nt
-        for comp in _COMPONENTS:
-            expect = (want_nt,) + stored.shape(kind, comp)
-            if comps[comp].shape != expect:
-                raise GridMismatchError(
-                    f"{name}.{comp} has shape {comps[comp].shape}, expected {expect}"
-                )
-        trajs[name] = FieldTrajectory(kind, stored, comps["x"], comps["y"], comps["z"])
-    if trajs["Etilde"] is None or trajs["Htilde"] is None or trajs["Etilde_t"] is None:
-        raise GridMismatchError(f"{path}: archive is missing required field trajectories")
-    return stored, SolveOutput(trajs["Etilde"], trajs["Htilde"], trajs["Etilde_t"],
-                               trajs["Htilde_t"])
+        entries = [(e["field"], e["component"], tuple(e["shape"])) for e in header["arrays"]]
+    except (struct.error, ValueError, KeyError, TypeError, AttributeError,
+            ParameterError) as exc:
+        raise GridMismatchError(f"{path}: corrupt snapshot header ({exc})") from None
+    if grid is not None and _grid_dict(grid) != _grid_dict(stored):
+        raise GridMismatchError(
+            f"snapshot grid {_grid_dict(stored)} does not match configured "
+            f"grid {_grid_dict(grid)}"
+        )
+    kinds = dict(_FIELDS)
+    fields = {}
+    for name, comp, shape in entries:
+        if name not in kinds or comp not in _COMPONENTS:
+            raise GridMismatchError(f"{path}: unknown array {name}.{comp}")
+        expect = (stored.nt,) + stored.shape(kinds[name], comp)
+        if shape != expect:
+            raise GridMismatchError(f"{path}: {name}.{comp} has shape {shape}, expected {expect}")
+        data = np.empty(expect, dtype="<f8")
+        if fh.readinto(data) != data.nbytes:
+            raise GridMismatchError(f"{path}: truncated snapshot, {name}.{comp} is incomplete")
+        if not np.isfinite(data).all():
+            raise GridMismatchError(f"{path}: {name}.{comp} holds non-finite values")
+        fields.setdefault(name, {})[comp] = data
+    return stored, fields

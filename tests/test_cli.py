@@ -174,3 +174,81 @@ def test_gronwall_subcommand_detects_injected_violations(tmp_path, capsys):
     assert main(["gronwall", "--config", path]) == EXIT_VERIFY_FAIL
     captured = capsys.readouterr().out
     assert "FAIL broken" in captured
+
+
+# ---------------------------------------------------------------------------
+# failures that must exit with a one-line message and no report
+
+
+def _small_snapshot(tmp_path):
+    cfg = _write(tmp_path, "small.json", _cavity_cfg(n=4, nt=9))
+    out = str(tmp_path / "out")
+    assert main(["solve", "--config", cfg, "--out", out]) == EXIT_OK
+    return cfg, out, os.path.join(out, "snapshot.bin")
+
+
+def _certify_fails(cfg, snap, out, capsys, code):
+    capsys.readouterr()
+    assert main(["certify", "--config", cfg, "--snapshot", snap, "--out", out]) == code
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+    assert not os.path.exists(os.path.join(out, "report.json"))
+
+
+def test_truncated_snapshot_exits_with_mismatch(tmp_path, capsys):
+    cfg, out, snap = _small_snapshot(tmp_path)
+    with open(snap, "rb") as fh:
+        blob = fh.read()
+    with open(snap, "wb") as fh:
+        fh.write(blob[: len(blob) // 2])
+    _certify_fails(cfg, snap, out, capsys, EXIT_MISMATCH)
+
+
+def test_corrupt_snapshot_header_exits_with_mismatch(tmp_path, capsys):
+    cfg, out, snap = _small_snapshot(tmp_path)
+    with open(snap, "r+b") as fh:
+        fh.seek(12)
+        fh.write(b"{not json")
+    _certify_fails(cfg, snap, out, capsys, EXIT_MISMATCH)
+
+
+def test_missing_snapshot_file_exits_with_mismatch(tmp_path, capsys):
+    cfg = _write(tmp_path, "small.json", _cavity_cfg(n=4, nt=9))
+    out = str(tmp_path / "out")
+    _certify_fails(cfg, str(tmp_path / "absent.bin"), out, capsys, EXIT_MISMATCH)
+
+
+def test_snapshot_with_a_nan_is_refused(tmp_path, capsys):
+    cfg, out, snap = _small_snapshot(tmp_path)
+    with open(snap, "r+b") as fh:
+        fh.seek(8)
+        (hlen,) = np.frombuffer(fh.read(4), dtype="<u4")
+        fh.seek(12 + int(hlen) + 8 * 17)
+        fh.write(np.array([np.nan], dtype="<f8").tobytes())
+    _certify_fails(cfg, snap, out, capsys, EXIT_MISMATCH)
+
+
+def test_non_finite_bound_is_an_error_not_a_report(tmp_path, capsys, monkeypatch):
+    import maxbound.majorant as majorant
+
+    cfg, out, snap = _small_snapshot(tmp_path)
+    bound_b_and_B = majorant.bound_b_and_B
+
+    def poisoned(*args, **kwargs):
+        b, B = bound_b_and_B(*args, **kwargs)
+        b[-1] = np.inf
+        return b, B
+
+    monkeypatch.setattr(majorant, "bound_b_and_B", poisoned)
+    _certify_fails(cfg, snap, out, capsys, EXIT_VERIFY_FAIL)
+
+
+def test_unknown_case_parameter_is_a_config_error(tmp_path, capsys):
+    doc = _cavity_cfg(n=4, nt=9)
+    doc["case"]["parameters"] = {"bogus": 1}
+    cfg = _write(tmp_path, "bogus.json", doc)
+    capsys.readouterr()
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "bogus" in err and "Traceback" not in err
