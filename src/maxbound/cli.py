@@ -24,7 +24,7 @@ from .errors import (
 )
 from .fields import EDGE, FieldTrajectory, GridSpec
 from .gronwall import _rk4, gronwall_differential
-from .majorant import MajorantParams, certify, default_Y
+from .majorant import MajorantParams, certify
 from .operators import weighted_norm_sq
 from .optimize import OptimizeConfig, optimize_all, optimize_gamma_rho
 from .problem import assemble_problem, bump_field, bump_field_dt
@@ -201,9 +201,8 @@ def cmd_certify(args):
         report = certify(p, approx, params, theorem=theorem, exact=exact)
     elif mode == "params":
         ocfg = _optimize_config(maj)
-        Y = default_Y(p, approx)
-        gamma, rho, _ = optimize_gamma_rho(p, approx, Y, ocfg, theorem, variant)
-        params = MajorantParams(rho=rho, gamma=gamma, Y=Y, zero_variant=variant)
+        gamma, rho, _ = optimize_gamma_rho(p, approx, None, ocfg, theorem, variant)
+        params = MajorantParams(rho=rho, gamma=gamma, zero_variant=variant)
         report = certify(p, approx, params, theorem=theorem, exact=exact)
     else:
         ocfg = _optimize_config(maj)

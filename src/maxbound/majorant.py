@@ -27,6 +27,7 @@ from .operators import (
     curl_face_to_edge,
     cumulative_trapezoid,
     ddt_matrix,
+    ddt_stencil,
     exp_weighted_cumulative,
     trajectory_derivative,
     weighted_inner,
@@ -100,63 +101,42 @@ class Residuals:
 def default_Y(p, approx):
     """The natural free-field choice mu^-1 curl(Etilde)."""
     g = p.grid
-    return FieldTrajectory.from_fields(
-        g,
-        [
-            apply_material_staggered(curl_edge_to_face(approx.Etilde.node(k), g), p.mu_inv, g)
-            for k in range(g.nt)
-        ],
-    )
+    return apply_material_staggered(curl_edge_to_face(approx.Etilde, g), p.mu_inv, g)
 
 
-def _curl_traj_e2f(traj, grid):
-    return FieldTrajectory.from_fields(
-        grid, [curl_edge_to_face(traj.node(k), grid) for k in range(grid.nt)]
-    )
-
-
-def _curl_traj_f2e(traj, grid):
-    return FieldTrajectory.from_fields(
-        grid, [curl_face_to_edge(traj.node(k), grid) for k in range(grid.nt)]
-    )
-
-
-def _mat_traj(traj, w, grid):
-    return FieldTrajectory.from_fields(
-        grid, [apply_material_staggered(traj.node(k), w, grid) for k in range(grid.nt)]
-    )
+def _check_Y(Y, grid):
+    if Y.kind != FACE:
+        raise GridMismatchError("Y must be a face-type trajectory")
+    if Y.grid.nt != grid.nt:
+        raise GridMismatchError(f"Y has {Y.grid.nt} nodes, problem has {grid.nt}")
 
 
 def residuals(p, approx, Y):
     """All residual trajectories for the given free field Y."""
     g = p.grid
-    if Y.kind != FACE:
-        raise GridMismatchError("Y must be a face-type trajectory")
-    if Y.grid.nt != g.nt:
-        raise GridMismatchError(f"Y has {Y.grid.nt} nodes, problem has {g.nt}")
+    _check_Y(Y, g)
     D = ddt_matrix(g.nt, g.dt)
 
-    curl_E = _curl_traj_e2f(approx.Etilde, g)
-    Ktilde = _mat_traj(curl_E, p.mu_inv, g) - Y
+    Ktilde = apply_material_staggered(curl_edge_to_face(approx.Etilde, g), p.mu_inv, g) - Y
     dt_Ktilde = trajectory_derivative(Ktilde, D)
-    curl_Y = _curl_traj_f2e(Y, g)
+    curl_Y = curl_face_to_edge(Y, g)
 
     dE = trajectory_derivative(approx.Etilde, D)
 
     Khat = None
     if g.nt >= 5:
         ddE = trajectory_derivative(dE, D)
-        Khat = _mat_traj(ddE, p.eps, g) + curl_Y - p.K
+        Khat = apply_material_staggered(ddE, p.eps, g) + curl_Y - p.K
 
     Kcheck = None
     Rt = None
     coupling_curl = None
     if approx.Etilde_t is not None:
         dEt = trajectory_derivative(approx.Etilde_t, D)
-        Kcheck = _mat_traj(dEt, p.eps, g) + curl_Y - p.K
-        curl_Et = _curl_traj_e2f(approx.Etilde_t, g)
-        Rt = _mat_traj(curl_Et, p.mu_inv, g) - trajectory_derivative(Y, D)
-        coupling_curl = _curl_traj_e2f(approx.Etilde_t - dE, g)
+        Kcheck = apply_material_staggered(dEt, p.eps, g) + curl_Y - p.K
+        curl_Et = curl_edge_to_face(approx.Etilde_t, g)
+        Rt = apply_material_staggered(curl_Et, p.mu_inv, g) - trajectory_derivative(Y, D)
+        coupling_curl = curl_edge_to_face(approx.Etilde_t - dE, g)
     return Residuals(Khat, Ktilde, Kcheck, Rt, dt_Ktilde, coupling_curl)
 
 
@@ -196,17 +176,17 @@ def zero_term_parts(p, approx, Y, use_Etilde_t=True):
 
     curl e(0) = curl E0 - curl Etilde(0); the first slot error uses
     E0' - Etilde_t(0) (or E0' - dEtilde/dt(0) on the high-regularity path).
+    Y None stands for the default free field, for which Ktilde(0) = 0.
     """
     g = p.grid
     if use_Etilde_t:
         first0 = approx.Etilde_t.node(0)
     else:
-        first0 = trajectory_derivative(approx.Etilde).node(0)
+        first0 = _ddt_node(approx.Etilde.node, 0, g)
     et0_err = p.E0prime - first0
     curl_e0 = curl_edge_to_face(p.E0 - approx.Etilde.node(0), g)
-    ktilde0 = apply_material_staggered(
-        curl_edge_to_face(approx.Etilde.node(0), g), p.mu_inv, g
-    ) - Y.node(0)
+    m0 = apply_material_staggered(curl_edge_to_face(approx.Etilde.node(0), g), p.mu_inv, g)
+    ktilde0 = m0 - (m0 if Y is None else Y.node(0))
     return ZeroTermParts(
         et0_sq=weighted_norm_sq(et0_err, p.eps, g),
         curl_e0_sq=weighted_norm_sq(curl_e0, p.mu_inv, g),
@@ -220,61 +200,125 @@ def zero_term(p, approx, Y, variant="z_hat", use_Etilde_t=True):
 
 
 # ---------------------------------------------------------------------------
-# the functional f per theorem
+# the per-node series, in one pass over the time nodes
 
 
-def f_refined(p, approx, params, res=None):
-    """High-regularity functional; rho and gamma may be nodal trajectories:
+class _Window:
+    """Node fields made on first use and kept by node index until dropped."""
 
-    f(t) = int ||Khat||^2_{eps^-1} / gamma + int ||dKtilde/dt||^2_mu / (gamma rho)
-           + ||Ktilde||^2_mu(t) / (1-rho) + z.
+    def __init__(self, make):
+        self._make = make
+        self._nodes = {}
+
+    def __call__(self, j):
+        node = self._nodes.get(j)
+        if node is None:
+            node = self._nodes[j] = self._make(j)
+        return node
+
+    def drop_before(self, k):
+        self._nodes = {j: node for j, node in self._nodes.items() if j >= k}
+
+
+def _ddt_node(node, k, grid):
+    """Row k of the time-derivative matrix applied to the fields node(j)."""
+    lo, w = ddt_stencil(grid.nt, grid.dt, k)
+    out = None
+    for j, wj in zip(range(lo, lo + 3), w):
+        if wj != 0.0:
+            term = node(j) * wj
+            out = term if out is None else out + term
+    return out
+
+
+@dataclass
+class NodeSeries:
+    """Per-node residual norms whose weighted combination is the functional f.
+
+    edge_sq is ||Khat||^2_{eps^-1} (T1/T3) or ||Kcheck||^2_{eps^-1} (T4/T5);
+    face_sq is ||dKtilde/dt||^2_mu (T1/T3) or ||Rt||^2_mu (T4/T5); coup is
+    <Ktilde, curl(Etilde_t - dEtilde/dt)> on T4/T5 and None otherwise.
+    """
+
+    kt_sq: np.ndarray
+    edge_sq: np.ndarray
+    face_sq: np.ndarray
+    coup: Optional[np.ndarray]
+    zp: ZeroTermParts
+
+
+def _check_theorem(theorem, grid, approx):
+    if theorem not in THEOREMS:
+        raise ParameterError(f"unknown theorem {theorem!r}; choose from {THEOREMS}")
+    if theorem in ("T1", "T3") and grid.nt < 5:
+        raise PreconditionError(f"{theorem} needs nt >= 5 for second time differences")
+    if theorem in ("T4", "T5") and approx.Etilde_t is None:
+        raise PreconditionError(f"{theorem} requires the Etilde_t trajectory")
+
+
+def series(p, approx, Y, theorem):
+    """The theorem's per-node series in one pass over the time nodes.
+
+    Every node sees the operations of `residuals` followed by a spatial
+    norm, but only a window of node fields is held: the free field Y, the
+    curl mismatch Ktilde and (T1/T3) the derivative dEtilde/dt, each kept
+    from node k-2 on.  Y None stands for the default free field
+    mu^-1 curl Etilde, built node by node.
     """
     g = p.grid
-    if g.nt < 5:
-        raise PreconditionError("high-regularity path needs nt >= 5 for second differences")
-    Y = params.Y if params.Y is not None else default_Y(p, approx)
-    if res is None:
-        res = residuals(p, approx, Y)
-    rho = params.rho_nodes(g.nt)
-    gam = params.gamma_nodes(g.nt)
-    z = zero_term(p, approx, Y, params.zero_variant, use_Etilde_t=False)
-
-    khat_sq = norm_sq_trajectory(res.Khat, p.eps_inv, g)
-    dkt_sq = norm_sq_trajectory(res.dt_Ktilde, p.mu, g)
-    kt_sq = norm_sq_trajectory(res.Ktilde, p.mu, g)
-    point = kt_sq / (1.0 - rho)
-    integ = cumulative_trapezoid(khat_sq / gam + dkt_sq / (gam * rho), g.dt)
-    return point + integ + z
-
-
-def f_second_form(p, approx, params, res=None):
-    """Weak-regularity functional using the separate approximation Etilde_t.
-
-    Adds the signed coupling term 2 int <Ktilde, curl(Etilde_t - dEtilde/dt)>
-    (absolute-valued when params.absolute_coupling) and replaces the
-    second-derivative residual by Kcheck and the Rt residual.
-    """
-    g = p.grid
-    if approx.Etilde_t is None:
-        raise PreconditionError("second-form functional requires Etilde_t")
-    Y = params.Y if params.Y is not None else default_Y(p, approx)
-    if res is None:
-        res = residuals(p, approx, Y)
-    rho = params.rho_nodes(g.nt)
-    gam = params.gamma_nodes(g.nt)
-    z = zero_term(p, approx, Y, params.zero_variant, use_Etilde_t=True)
-
-    kcheck_sq = norm_sq_trajectory(res.Kcheck, p.eps_inv, g)
-    rt_sq = norm_sq_trajectory(res.Rt, p.mu, g)
-    kt_sq = norm_sq_trajectory(res.Ktilde, p.mu, g)
-    coup = inner_trajectory(res.Ktilde, res.coupling_curl, g)
-    if params.absolute_coupling:
-        coup = np.abs(coup)
-    point = kt_sq / (1.0 - rho)
-    integ = cumulative_trapezoid(
-        kcheck_sq / gam + rt_sq / (gam * rho) + 2.0 * coup, g.dt
+    _check_theorem(theorem, g, approx)
+    if Y is not None:
+        _check_Y(Y, g)
+    nt = g.nt
+    E, Et = approx.Etilde, approx.Etilde_t
+    M = _Window(
+        lambda j: apply_material_staggered(curl_edge_to_face(E.node(j), g), p.mu_inv, g)
     )
-    return point + integ + z
+    Yw = M if Y is None else _Window(Y.node)
+    Kt = _Window(lambda j: M(j) - Yw(j))
+    dE = _Window(lambda j: _ddt_node(E.node, j, g))
+    high = theorem in ("T1", "T3")
+
+    kt_sq, edge_sq, face_sq = np.empty(nt), np.empty(nt), np.empty(nt)
+    coup = None if high else np.empty(nt)
+    for k in range(nt):
+        kt_sq[k] = weighted_norm_sq(Kt(k), p.mu, g)
+        curl_Y = curl_face_to_edge(Yw(k), g)
+        if high:
+            d2E = apply_material_staggered(_ddt_node(dE, k, g), p.eps, g)
+            edge = d2E + curl_Y - p.K.node(k)
+            face = _ddt_node(Kt, k, g)
+        else:
+            dEt = apply_material_staggered(_ddt_node(Et.node, k, g), p.eps, g)
+            edge = dEt + curl_Y - p.K.node(k)
+            curl_Et = curl_edge_to_face(Et.node(k), g)
+            face = apply_material_staggered(curl_Et, p.mu_inv, g) - _ddt_node(Yw, k, g)
+            coupling_curl = curl_edge_to_face(Et.node(k) - dE(k), g)
+            coup[k] = weighted_inner(Kt(k), coupling_curl, None, g)
+        edge_sq[k] = weighted_norm_sq(edge, p.eps_inv, g)
+        face_sq[k] = weighted_norm_sq(face, p.mu, g)
+        for w in (M, Yw, Kt, dE):
+            w.drop_before(k - 1)
+    zp = zero_term_parts(p, approx, Y, use_Etilde_t=not high)
+    return NodeSeries(kt_sq, edge_sq, face_sq, coup, zp)
+
+
+# ---------------------------------------------------------------------------
+# the functional f and its Gronwall transform
+
+
+def functional(s, rho, gamma, variant, dt, absolute_coupling=False):
+    """The functional f at every node from a NodeSeries and nodal rho, gamma:
+
+    f(t) = ||Ktilde||^2_mu(t) / (1-rho) + int (edge / gamma + face / (gamma rho)
+           [+ 2 coup]) + z,
+    with the coupling absolute-valued when absolute_coupling is set.
+    """
+    integrand = s.edge_sq / gamma + s.face_sq / (gamma * rho)
+    if s.coup is not None:
+        coup = np.abs(s.coup) if absolute_coupling else s.coup
+        integrand = integrand + 2.0 * coup
+    return s.kt_sq / (1.0 - rho) + cumulative_trapezoid(integrand, dt) + s.zp.value(variant)
 
 
 def bound_b_and_B(f, gamma, dt, gamma_weighted_N=False):
@@ -302,24 +346,23 @@ def true_error_norms(exact, approx, p, params, theorem="T5"):
 
     For T1/T3 the first slot is the discrete time derivative of the error;
     for T4/T5 it is the Etilde_t error.  N is gamma-weighted exactly when
-    the theorem uses trajectory weights (T3/T4).
+    the theorem uses trajectory weights (T3/T4).  Streams over the nodes.
     """
     g = p.grid
     rho = params.rho_nodes(g.nt)
     gam = params.gamma_nodes(g.nt)
     if theorem in ("T1", "T3"):
-        first_approx = trajectory_derivative(approx.Etilde)
+        first_approx = lambda k: _ddt_node(approx.Etilde.node, k, g)
     else:
-        first_approx = approx.Etilde_t
-    first_err = exact.Etilde_t - first_approx
-    curl_err = _curl_traj_e2f(exact.Etilde - approx.Etilde, g)
-    n = np.array(
-        [
-            weighted_norm_sq(first_err.node(k), p.eps, g)
-            + rho[k] * weighted_norm_sq(curl_err.node(k), p.mu_inv, g)
-            for k in range(g.nt)
-        ]
-    )
+        first_approx = approx.Etilde_t.node
+    n = np.empty(g.nt)
+    for k in range(g.nt):
+        first_err = exact.Etilde_t.node(k) - first_approx(k)
+        curl_err = curl_edge_to_face(exact.Etilde.node(k) - approx.Etilde.node(k), g)
+        n[k] = (
+            weighted_norm_sq(first_err, p.eps, g)
+            + rho[k] * weighted_norm_sq(curl_err, p.mu_inv, g)
+        )
     weight = gam if theorem in ("T3", "T4") else np.ones_like(gam)
     N = cumulative_trapezoid(weight * n, g.dt)
     return n, N
@@ -357,27 +400,18 @@ def certify(p, approx, params, theorem="T5", exact=None):
     T3: trajectory weights, high-regularity.
     T4: trajectory weights, weak regularity (needs Etilde_t).
     T5: constant weights, weak regularity.
+
+    The working memory beyond the inputs is a few node fields, whatever nt.
     """
     g = p.grid
-    if theorem not in THEOREMS:
-        raise ParameterError(f"unknown theorem {theorem!r}; choose from {THEOREMS}")
     if theorem in ("T1", "T5") and not params.is_constant():
         raise PreconditionError(f"{theorem} requires constant rho and gamma")
-    if theorem in ("T1", "T3") and g.nt < 5:
-        raise PreconditionError(f"{theorem} needs nt >= 5 for second time differences")
-    if theorem in ("T4", "T5") and approx.Etilde_t is None:
-        raise PreconditionError(f"{theorem} requires the Etilde_t trajectory")
-
-    params = _with_default_Y(p, approx, params)
-    res = residuals(p, approx, params.Y)
-    if theorem in ("T1", "T3"):
-        f = f_refined(p, approx, params, res)
-        z = zero_term(p, approx, params.Y, params.zero_variant, use_Etilde_t=False)
-    else:
-        f = f_second_form(p, approx, params, res)
-        z = zero_term(p, approx, params.Y, params.zero_variant, use_Etilde_t=True)
+    rho = params.rho_nodes(g.nt)
+    gam = params.gamma_nodes(g.nt)
+    s = series(p, approx, params.Y, theorem)
+    f = functional(s, rho, gam, params.zero_variant, g.dt, params.absolute_coupling)
     gamma_weighted = theorem in ("T3", "T4")
-    b, B = bound_b_and_B(f, params.gamma_nodes(g.nt), g.dt, gamma_weighted_N=gamma_weighted)
+    b, B = bound_b_and_B(f, gam, g.dt, gamma_weighted_N=gamma_weighted)
     if not np.isfinite(b).all():
         raise MaxboundError(f"{theorem} bound is not finite; no bound was certified")
 
@@ -387,9 +421,9 @@ def certify(p, approx, params, theorem="T5", exact=None):
         f=f,
         bound_b=b,
         bound_B=B,
-        zero_value=z,
-        rho=params.rho_nodes(g.nt),
-        gamma=params.gamma_nodes(g.nt),
+        zero_value=s.zp.value(params.zero_variant),
+        rho=rho,
+        gamma=gam,
         zero_variant=params.zero_variant,
     )
     if exact is not None:
@@ -402,18 +436,6 @@ def certify(p, approx, params, theorem="T5", exact=None):
         eff[ok] = b[ok] / n[ok]
         report.efficiency = eff
     return report
-
-
-def _with_default_Y(p, approx, params):
-    if params.Y is not None:
-        return params
-    return MajorantParams(
-        rho=params.rho,
-        gamma=params.gamma,
-        Y=default_Y(p, approx),
-        zero_variant=params.zero_variant,
-        absolute_coupling=params.absolute_coupling,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -449,10 +471,9 @@ def combined_estimate(p, approx, params, exact=None, theorem="T5"):
 
     report = certify(p, approx, params, theorem=theorem, exact=None)
 
-    curl_H = _curl_traj_f2e(approx.Htilde, g)
-    f_res = p.F - approx.Etilde_t + _mat_traj(curl_H, p.eps_inv, g)
-    curl_E = _curl_traj_e2f(approx.Etilde, g)
-    g_res = p.G - Htilde_t - _mat_traj(curl_E, p.mu_inv, g)
+    curl_H = curl_face_to_edge(approx.Htilde, g)
+    f_res = p.F - approx.Etilde_t + apply_material_staggered(curl_H, p.eps_inv, g)
+    g_res = p.G - Htilde_t - default_Y(p, approx)
     f_sq = norm_sq_trajectory(f_res, p.eps, g)
     g_sq = norm_sq_trajectory(g_res, p.mu, g)
     bound = 3.0 * report.bound_b + 2.0 * f_sq + 2.0 * g_sq
@@ -466,14 +487,8 @@ def combined_estimate(p, approx, params, exact=None, theorem="T5"):
         if exact_Ht is None:
             exact_Ht = trajectory_derivative(exact.Htilde)
         ht_err = exact_Ht - Htilde_t
-        curl_h = _curl_traj_f2e(h_err, g)
-        n_h = np.array(
-            [
-                rho[k] * weighted_norm_sq(ht_err.node(k), p.mu, g)
-                + weighted_norm_sq(curl_h.node(k), p.eps_inv, g)
-                for k in range(g.nt)
-            ]
-        )
+        curl_h = curl_face_to_edge(h_err, g)
+        n_h = rho * norm_sq_trajectory(ht_err, p.mu, g) + norm_sq_trajectory(curl_h, p.eps_inv, g)
         true_combined = n_e + n_h
     return CombinedReport(
         times=g.times,

@@ -291,28 +291,45 @@ def time_integral(values, dt, up_to=None):
 def exp_weighted_cumulative(f, gamma, dt):
     """exp(Gamma(t)) * int_0^t exp(-Gamma(s)) gamma(s) f(s) ds at every node.
 
-    Gamma is the trapezoid cumulative integral of gamma; gamma must be
-    positive on all nodes.
+    Gamma is the trapezoid cumulative integral of gamma > 0.  The recursion
+    E_k = q_k (E_{k-1} + dt/2 gamma_{k-1} f_{k-1}) + dt/2 gamma_k f_k with
+    q_k = exp(Gamma_k - Gamma_{k-1}) never forms exp(+-Gamma): a node is +inf
+    only when its true value is out of range, and 0 while f has been 0.
     """
     f = np.asarray(f, dtype=float)
     g = np.broadcast_to(np.asarray(gamma, dtype=float), f.shape)
     if np.any(g <= 0.0):
         raise ParameterError("gamma must be positive on all nodes")
-    big_gamma = cumulative_trapezoid(g, dt)
-    inner = cumulative_trapezoid(np.exp(-big_gamma) * g * f, dt)
-    return np.exp(big_gamma) * inner
+    with np.errstate(over="ignore"):
+        q = np.exp(np.diff(cumulative_trapezoid(g, dt)))
+        half = 0.5 * dt * g * f
+    e = 0.0
+    out = [e]
+    for qk, h_prev, h in zip(q.tolist(), half[:-1].tolist(), half[1:].tolist()):
+        s = e + h_prev
+        e = (qk * s if s else 0.0) + h
+        out.append(e)
+    return np.array(out)
+
+
+def ddt_stencil(nt, dt, k):
+    """Row k of the time-derivative matrix as (first node, three weights):
+    centered in the interior, second-order one-sided at both ends."""
+    if nt < 3:
+        raise ParameterError(f"time derivative needs nt >= 3, got {nt}")
+    if k == 0:
+        return 0, np.array([-1.5, 2.0, -0.5]) / dt
+    if k == nt - 1:
+        return nt - 3, np.array([0.5, -2.0, 1.5]) / dt
+    return k - 1, np.array([-0.5, 0.0, 0.5]) / dt
 
 
 def ddt_matrix(nt, dt):
-    """Dense first time-derivative matrix: centered interior, one-sided ends."""
-    if nt < 3:
-        raise ParameterError(f"time derivative needs nt >= 3, got {nt}")
+    """Dense first time-derivative matrix with the rows of ddt_stencil."""
     D = np.zeros((nt, nt))
-    for k in range(1, nt - 1):
-        D[k, k - 1] = -0.5 / dt
-        D[k, k + 1] = 0.5 / dt
-    D[0, 0:3] = np.array([-1.5, 2.0, -0.5]) / dt
-    D[-1, -3:] = np.array([0.5, -2.0, 1.5]) / dt
+    for k in range(nt):
+        lo, w = ddt_stencil(nt, dt, k)
+        D[k, lo : lo + 3] = w
     return D
 
 

@@ -22,12 +22,11 @@ from .errors import MaxboundError, ParameterError, PreconditionError
 from .fields import FACE, FieldTrajectory
 from .majorant import (
     MajorantParams,
+    bound_b_and_B,
     certify,
     default_Y,
-    inner_trajectory,
-    norm_sq_trajectory,
-    residuals,
-    zero_term_parts,
+    functional,
+    series,
 )
 from .operators import (
     apply_material_staggered,
@@ -35,7 +34,6 @@ from .operators import (
     curl_edge_to_face,
     curl_face_to_edge,
     ddt_matrix,
-    exp_weighted_cumulative,
     gram_apply,
     trajectory_derivative,
     trapezoid_weights,
@@ -93,40 +91,9 @@ class OptimizeConfig:
 # scalar series: bound evaluation with Y fixed
 
 
-def _theorem_series(p, approx, Y, theorem):
-    """Per-node residual norms whose weighted combination is the functional f."""
-    g = p.grid
-    if theorem in ("T1", "T3") and g.nt < 5:
-        raise PreconditionError(f"{theorem} needs nt >= 5")
-    if theorem in ("T4", "T5") and approx.Etilde_t is None:
-        raise PreconditionError(f"{theorem} requires Etilde_t")
-    res = residuals(p, approx, Y)
-    kt_sq = norm_sq_trajectory(res.Ktilde, p.mu, g)
-    if theorem in ("T1", "T3"):
-        edge_sq = norm_sq_trajectory(res.Khat, p.eps_inv, g)
-        face_sq = norm_sq_trajectory(res.dt_Ktilde, p.mu, g)
-        coup = None
-        use_Et = False
-    else:
-        edge_sq = norm_sq_trajectory(res.Kcheck, p.eps_inv, g)
-        face_sq = norm_sq_trajectory(res.Rt, p.mu, g)
-        coup = inner_trajectory(res.Ktilde, res.coupling_curl, g)
-        use_Et = True
-    zp = zero_term_parts(p, approx, Y, use_Etilde_t=use_Et)
-    return {"kt_sq": kt_sq, "edge_sq": edge_sq, "face_sq": face_sq, "coup": coup, "zp": zp}
-
-
-def _bound_from_series(series, rho, gamma, variant, dt):
-    """Final-node bound b(T) for the precomputed residual series."""
-    nt = len(series["kt_sq"])
-    rho_n = np.full(nt, float(rho)) if np.ndim(rho) == 0 else np.asarray(rho, float)
-    gam_n = np.full(nt, float(gamma)) if np.ndim(gamma) == 0 else np.asarray(gamma, float)
-    z = series["zp"].value(variant)
-    integrand = series["edge_sq"] / gam_n + series["face_sq"] / (gam_n * rho_n)
-    if series["coup"] is not None:
-        integrand = integrand + 2.0 * series["coup"]
-    f = series["kt_sq"] / (1.0 - rho_n) + cumulative_trapezoid(integrand, dt) + z
-    b = exp_weighted_cumulative(f, gam_n, dt) + f
+def _bound_from_series(s, rho, gamma, variant, dt):
+    """Final-node bound b(T) of a NodeSeries; the same assembly as certify."""
+    b, _ = bound_b_and_B(functional(s, rho, gamma, variant, dt), gamma, dt)
     return float(b[-1])
 
 
@@ -189,18 +156,18 @@ def optimize_gamma_rho(p, approx, Y, cfg=None, theorem="T5", zero_variant="z_hat
     """Minimize the final-time bound over (gamma, rho) with Y fixed.
 
     Golden-section on log(gamma) nested in an ascending scan of the rho
-    grid; ties resolve to the smallest gamma, then the smallest rho.
-    Returns (gamma, rho, bound value).
+    grid; ties resolve to the smallest gamma, then the smallest rho.  Y None
+    stands for the default free field.  Returns (gamma, rho, bound value).
     """
     cfg = cfg if cfg is not None else OptimizeConfig()
-    series = _theorem_series(p, approx, Y, theorem)
+    s = series(p, approx, Y, theorem)
     dt = p.grid.dt
 
     best = None
     best_edge = False
     for rho in cfg.rho_grid:
         g, v, edge = _search_gamma(
-            lambda gam: _bound_from_series(series, rho, gam, zero_variant, dt), cfg
+            lambda gam: _bound_from_series(s, rho, gam, zero_variant, dt), cfg
         )
         if best is None or v < best[2]:
             best = (g, rho, v)
@@ -213,11 +180,11 @@ def optimize_gamma_rho(p, approx, Y, cfg=None, theorem="T5", zero_variant="z_hat
         )
     gamma, rho, value = best
     if cfg.gamma_pieces > 1 and theorem in ("T3", "T4"):
-        gamma, value = _refine_gamma_pieces(series, rho, gamma, zero_variant, cfg, p.grid)
+        gamma, value = _refine_gamma_pieces(s, rho, gamma, zero_variant, cfg, p.grid)
     return gamma, rho, value
 
 
-def _refine_gamma_pieces(series, rho, gamma0, variant, cfg, grid):
+def _refine_gamma_pieces(s, rho, gamma0, variant, cfg, grid):
     """Coordinate descent over a piecewise-constant gamma trajectory.
 
     Only meaningful for the theorems that admit time-dependent weights.
@@ -235,13 +202,13 @@ def _refine_gamma_pieces(series, rho, gamma0, variant, cfg, grid):
             gam[edges[i] : edges[i + 1]] = v[i]
         return gam
 
-    best_val = _bound_from_series(series, rho, assemble(vals), variant, grid.dt)
+    best_val = _bound_from_series(s, rho, assemble(vals), variant, grid.dt)
     for _ in range(2):
         for i in range(pieces):
             def obj(u, i=i):
                 trial = vals.copy()
                 trial[i] = math.exp(u)
-                return _bound_from_series(series, rho, assemble(trial), variant, grid.dt)
+                return _bound_from_series(s, rho, assemble(trial), variant, grid.dt)
 
             llo, lhi = math.log(cfg.gamma_bracket[0]), math.log(cfg.gamma_bracket[-1])
             x, v = golden_section(obj, llo, lhi, tol=cfg.gamma_tol)
@@ -341,8 +308,8 @@ class BoundQuadratic:
         self.zero_grad = (2.0 * self.Cz) * gram_apply(curl_e0, None, g)
 
     def value(self, Y):
-        series = _theorem_series(self.p, self.approx, Y, self.theorem)
-        return _bound_from_series(series, self.rho_n, self.gam_n, self.variant, self.grid.dt)
+        s = series(self.p, self.approx, Y, self.theorem)
+        return _bound_from_series(s, self.rho_n, self.gam_n, self.variant, self.grid.dt)
 
     def _face_residual(self, Y):
         if self.face_const is None:
@@ -475,8 +442,7 @@ def optimize_all(p, approx, cfg=None, theorem="T5", zero_variant="z_hat",
     gamma, rho = float(gamma0), float(rho0)
 
     def bound_at(Y, gamma, rho):
-        series = _theorem_series(p, approx, Y, theorem)
-        return _bound_from_series(series, rho, gamma, zero_variant, g.dt)
+        return _bound_from_series(series(p, approx, Y, theorem), rho, gamma, zero_variant, g.dt)
 
     current = bound_at(Y, gamma, rho)
     history = [current]

@@ -64,8 +64,8 @@ def load_snapshot(path, grid=None):
     """Read an archive; returns (GridSpec, SolveOutput).
 
     When a grid is supplied it must match the archived one exactly.  An
-    unreadable, truncated or corrupt archive, or one holding non-finite
-    values, raises GridMismatchError.
+    unreadable, truncated or corrupt archive, one with bytes after its last
+    array, or one holding non-finite values, raises GridMismatchError.
     """
     try:
         with open(path, "rb") as fh:
@@ -123,4 +123,6 @@ def _read_archive(fh, path, grid):
         if not np.isfinite(data).all():
             raise GridMismatchError(f"{path}: {name}.{comp} holds non-finite values")
         fields.setdefault(name, {})[comp] = data
+    if fh.read(1):
+        raise GridMismatchError(f"{path}: trailing bytes after the last array")
     return stored, fields

@@ -205,6 +205,13 @@ def test_truncated_snapshot_exits_with_mismatch(tmp_path, capsys):
     _certify_fails(cfg, snap, out, capsys, EXIT_MISMATCH)
 
 
+def test_snapshot_with_trailing_bytes_exits_with_mismatch(tmp_path, capsys):
+    cfg, out, snap = _small_snapshot(tmp_path)
+    with open(snap, "ab") as fh:
+        fh.write(b"\x00\x01\x02")
+    _certify_fails(cfg, snap, out, capsys, EXIT_MISMATCH)
+
+
 def test_corrupt_snapshot_header_exits_with_mismatch(tmp_path, capsys):
     cfg, out, snap = _small_snapshot(tmp_path)
     with open(snap, "r+b") as fh:

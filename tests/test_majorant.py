@@ -10,7 +10,6 @@ from maxbound.errors import ParameterError, PreconditionError
 from maxbound.fields import EDGE, FACE, FieldTrajectory
 from maxbound.majorant import (
     bound_b_and_B,
-    f_second_form,
     inner_trajectory,
     norm_sq_trajectory,
 )

@@ -295,6 +295,44 @@ def test_exp_weighted_cumulative_rejects_nonpositive_gamma():
         exp_weighted_cumulative(np.ones(5), 0.0, 0.1)
 
 
+@pytest.mark.filterwarnings("error")
+def test_exp_weighted_cumulative_is_exactly_zero_for_zero_input_at_large_gamma():
+    got = exp_weighted_cumulative(np.zeros(33), 1000.0, 1.0 / 32)
+    assert np.array_equal(got, np.zeros(33))
+
+
+@pytest.mark.filterwarnings("error")
+def test_exp_weighted_cumulative_is_infinite_only_where_the_true_value_overflows():
+    nt, gamma, f = 33, 1000.0, 0.7
+    dt = 1.0 / (nt - 1)
+    got = exp_weighted_cumulative(np.full(nt, f), gamma, dt)
+    # trapezoid closed form for constant inputs: E_k = h (q + 1) (q^k - 1) / (q - 1)
+    # with h = dt gamma f / 2 and q = exp(gamma dt), taken in logarithms
+    a = gamma * dt
+    log_h = math.log(0.5 * dt * gamma * f)
+    log_max = math.log(np.finfo(float).max)
+    assert got[0] == 0.0
+    for k in range(1, nt):
+        log_true = log_h + a + math.log1p(math.exp(-a)) + k * a \
+            + math.log1p(-math.exp(-k * a)) - a - math.log1p(-math.exp(-a))
+        if log_true < log_max - 1.0:
+            assert math.log(got[k]) == pytest.approx(log_true, rel=1e-12)
+        else:
+            assert log_true > log_max + 1.0
+            assert got[k] == math.inf
+
+
+def test_exp_weighted_cumulative_matches_the_direct_exponential_form():
+    rng = np.random.default_rng(23)
+    nt, dt = 33, 1.0 / 32
+    f = rng.uniform(0.1, 2.0, nt)
+    for gamma in (1e-3, 1.0, 10.0, 100.0, rng.uniform(0.5, 20.0, nt)):
+        g = np.broadcast_to(gamma, (nt,))
+        big = cumulative_trapezoid(g, dt)
+        direct = np.exp(big) * cumulative_trapezoid(np.exp(-big) * g * f, dt)
+        np.testing.assert_allclose(exp_weighted_cumulative(f, gamma, dt), direct, rtol=1e-13)
+
+
 def test_time_derivative_matrix_exact_on_quadratics():
     nt, dt = 7, 0.25
     D = ddt_matrix(nt, dt)

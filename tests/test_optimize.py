@@ -9,11 +9,11 @@ import pytest
 import maxbound as mb
 from maxbound.errors import MaxboundError, ParameterError
 from maxbound.fields import EDGE, FieldTrajectory
+from maxbound.majorant import series as node_series
 from maxbound.optimize import (
     BoundQuadratic,
     _bound_from_series,
     _flatten,
-    _theorem_series,
     _unflatten,
     conjugate_gradient,
     golden_section,
@@ -67,7 +67,7 @@ def test_parameter_search_never_worse_than_the_default_point():
     p, exact = polynomial_setup(5, 9)
     approx = _perturbed(p, exact)
     Y = mb.default_Y(p, approx)
-    series = _theorem_series(p, approx, Y, "T5")
+    series = node_series(p, approx, Y, "T5")
     base = _bound_from_series(series, 0.5, 1.0, "z_hat", p.grid.dt)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
