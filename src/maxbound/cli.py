@@ -12,7 +12,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .config import load_config, problem_from_config, grid_from_config, materials_from_config, case_from_config
+from .config import (CHECK_SPEC_SCHEMA, case_from_config, grid_from_config, load_config,
+                     materials_from_config, problem_from_config)
 from .errors import (
     ConfigError,
     GridMismatchError,
@@ -23,7 +24,7 @@ from .errors import (
     UnsupportedCaseError,
 )
 from .fields import EDGE, FieldTrajectory, GridSpec
-from .gronwall import _rk4, gronwall_differential
+from .gronwall import gronwall_differential, gronwall_oracle_check, oracle_report
 from .majorant import MajorantParams, certify
 from .operators import weighted_norm_sq
 from .optimize import OptimizeConfig, optimize_all, optimize_gamma_rho
@@ -316,24 +317,19 @@ def _order(coarse, fine):
 # gronwall
 
 
-def _builtin_gronwall_suite():
-    return [
-        {"name": "constant-phi-constant-psi", "phi": {"kind": "constant", "value": 1.5},
-         "psi": {"kind": "constant", "value": 0.7}, "u0": 0.3, "T": 1.0, "nt": 1001},
-        {"name": "zero-phi-constant-psi", "phi": {"kind": "constant", "value": 0.0},
-         "psi": {"kind": "constant", "value": 1.0}, "u0": 1.0, "T": 1.0, "nt": 1001},
-        {"name": "linear-phi-constant-psi", "phi": {"kind": "linear", "slope": 2.0, "offset": 0.5},
-         "psi": {"kind": "constant", "value": 0.2}, "u0": 0.1, "T": 1.0, "nt": 1001},
-        {"name": "constant-phi-sin-psi", "phi": {"kind": "constant", "value": 1.0},
-         "psi": {"kind": "sin", "amplitude": 1.0, "frequency": 3.0, "offset": 1.5},
-         "u0": 0.0, "T": 1.0, "nt": 1001},
-        {"name": "zero-phi-sin-psi", "phi": {"kind": "constant", "value": 0.0},
-         "psi": {"kind": "sin", "amplitude": 0.5, "frequency": 5.0, "offset": 1.0},
-         "u0": 2.0, "T": 1.0, "nt": 1001},
-        {"name": "linear-phi-sin-psi", "phi": {"kind": "linear", "slope": 1.0, "offset": 0.0},
-         "psi": {"kind": "sin", "amplitude": 1.0, "frequency": 2.0, "offset": 2.0},
-         "u0": 0.5, "T": 1.0, "nt": 1001},
-    ]
+# the six cases of acceptance criterion 5, on [0, 1] with 1001 nodes
+_BUILTIN_GRONWALL_SUITE = [
+    {"name": "constant-phi-constant-psi", "phi": {"value": 1.5}, "psi": {"value": 0.7}, "u0": 0.3},
+    {"name": "zero-phi-constant-psi", "phi": {"value": 0.0}, "psi": {"value": 1.0}, "u0": 1.0},
+    {"name": "linear-phi-constant-psi", "phi": {"kind": "linear", "slope": 2.0, "offset": 0.5},
+     "psi": {"value": 0.2}, "u0": 0.1},
+    {"name": "constant-phi-sin-psi", "phi": {"value": 1.0},
+     "psi": {"kind": "sin", "amplitude": 1.0, "frequency": 3.0, "offset": 1.5}},
+    {"name": "zero-phi-sin-psi", "phi": {"value": 0.0},
+     "psi": {"kind": "sin", "amplitude": 0.5, "frequency": 5.0, "offset": 1.0}, "u0": 2.0},
+    {"name": "linear-phi-sin-psi", "phi": {"kind": "linear", "slope": 1.0},
+     "psi": {"kind": "sin", "amplitude": 1.0, "frequency": 2.0, "offset": 2.0}, "u0": 0.5},
+]
 
 
 def _coeff_fn(spec):
@@ -345,73 +341,45 @@ def _coeff_fn(spec):
         a = float(spec.get("slope", 1.0))
         b = float(spec.get("offset", 0.0))
         return lambda t: a * t + b
-    if kind == "sin":
-        amp = float(spec.get("amplitude", 1.0))
-        freq = float(spec.get("frequency", 1.0))
-        off = float(spec.get("offset", 0.0))
-        return lambda t: off + amp * math.sin(freq * t)
-    raise ConfigError(f"unknown coefficient kind {kind!r}", "$['cases']")
+    amp = float(spec.get("amplitude", 1.0))
+    freq = float(spec.get("frequency", 1.0))
+    off = float(spec.get("offset", 0.0))
+    return lambda t: off + amp * math.sin(freq * t)
 
 
 def _run_gronwall_case(case):
-    name = case.get("name", "unnamed")
+    """The oracle check of one validated case; injectViolation compares the
+    oracle solution with the bound computed for -psi instead."""
     phi = _coeff_fn(case["phi"])
     psi = _coeff_fn(case["psi"])
     u0 = float(case.get("u0", 0.0))
     T = float(case.get("T", 1.0))
     nt = int(case.get("nt", 1001))
     tol = float(case.get("tol", 1e-6))
-    inject = bool(case.get("injectViolation", False))
-
-    dt = T / (nt - 1)
-    t_nodes = np.linspace(0.0, T, nt)
-    phi_nodes = np.array([phi(t) for t in t_nodes])
-    psi_nodes = np.array([psi(t) for t in t_nodes])
-    bound_psi = -psi_nodes if inject else psi_nodes
-    bound = gronwall_differential(u0, phi_nodes, bound_psi, dt)
-    refine = 8
-    t_fine = np.linspace(0.0, T, (nt - 1) * refine + 1)
-    u_fine = _rk4(u0, lambda t, u: phi(t) * u + psi(t), t_fine)
-    u_nodes = u_fine[::refine]
-    scale = max(np.abs(u_nodes).max(), np.abs(bound).max(), 1.0)
-    gap = bound - u_nodes
-    max_violation = float(max(0.0, -gap.min()))
-    max_rel_gap = float(np.abs(gap).max() / scale)
-    passed = max_violation <= tol * scale and max_rel_gap <= tol
-    return name, passed, max_violation, max_rel_gap
+    report = gronwall_oracle_check(phi, psi, u0, T, nt, tol=tol)
+    if case.get("injectViolation", False):
+        t_nodes = np.linspace(0.0, T, nt)
+        wrong = gronwall_differential(
+            u0, [phi(t) for t in t_nodes], [-psi(t) for t in t_nodes], T / (nt - 1)
+        )
+        report = oracle_report(wrong, report.solution, tol)
+    return report
 
 
 def cmd_gronwall(args):
-    if args.config:
-        spec = load_config_gronwall(args.config)
-        cases = spec.get("cases") or _builtin_gronwall_suite()
-    else:
-        cases = _builtin_gronwall_suite()
+    spec = load_config(args.config, CHECK_SPEC_SCHEMA) if args.config else {}
     all_ok = True
-    for case in cases:
-        name, ok, viol, gap = _run_gronwall_case(case)
-        status = "PASS" if ok else "FAIL"
-        print(f"{status} {name} (max_violation={viol:.3e}, max_rel_gap={gap:.3e})")
-        all_ok = all_ok and ok
+    for case in spec.get("cases") or _BUILTIN_GRONWALL_SUITE:
+        rep = _run_gronwall_case(case)
+        status = "PASS" if rep.passed else "FAIL"
+        print(f"{status} {case.get('name', 'unnamed')} "
+              f"(max_violation={rep.max_violation:.3e}, max_rel_gap={rep.max_rel_gap:.3e})")
+        all_ok = all_ok and rep.passed
     if not all_ok:
         print("gronwall suite FAILED")
         return EXIT_VERIFY_FAIL
     print("gronwall suite passed")
     return EXIT_OK
-
-
-def load_config_gronwall(path):
-    """Read the (loosely structured) gronwall check specification."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read check spec: {exc}", str(path))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid JSON: {exc}", str(path))
-    if not isinstance(doc, dict):
-        raise ConfigError("check spec must be a JSON object", str(path))
-    return doc
 
 
 # ---------------------------------------------------------------------------

@@ -112,11 +112,50 @@ CONFIG_SCHEMA = {
 }
 
 
-def load_config(source):
-    """Read and schema-validate a config from a path, JSON string, or dict."""
+_NUMBER = {"type": "number"}
+_POSITIVE = {"type": "number", "exclusiveMinimum": 0}
+
+_COEFFICIENT_SCHEMA = {
+    "type": "object",
+    "additionalProperties": False,
+    "properties": dict(
+        {key: _NUMBER for key in ("value", "slope", "offset", "amplitude", "frequency")},
+        kind={"enum": ["constant", "linear", "sin"]},
+    ),
+}
+
+CHECK_SPEC_SCHEMA = {
+    "type": "object",
+    "additionalProperties": False,
+    "properties": {
+        "cases": {
+            "type": "array",
+            "items": {
+                "type": "object",
+                "additionalProperties": False,
+                "required": ["phi", "psi"],
+                "properties": {
+                    "name": {"type": "string"},
+                    "phi": _COEFFICIENT_SCHEMA,
+                    "psi": _COEFFICIENT_SCHEMA,
+                    "u0": _NUMBER,
+                    "T": _POSITIVE,
+                    "nt": {"type": "integer", "minimum": 2},
+                    "tol": _POSITIVE,
+                    "injectViolation": {"type": "boolean"},
+                },
+            },
+        },
+    },
+}
+
+
+def load_config(source, schema=CONFIG_SCHEMA):
+    """Read a JSON document from a path (or take a dict) and validate it
+    against schema, the run config by default or CHECK_SPEC_SCHEMA; the first
+    violation is a ConfigError at its JSON path."""
     if isinstance(source, dict):
         doc = source
-        origin = "<dict>"
     else:
         origin = str(source)
         try:
@@ -128,7 +167,7 @@ def load_config(source):
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"invalid JSON: {exc}", origin)
-    validator = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
+    validator = jsonschema.Draft202012Validator(schema)
     errors = sorted(validator.iter_errors(doc), key=lambda e: list(e.absolute_path))
     if errors:
         err = errors[0]

@@ -208,8 +208,12 @@ class FieldTrajectory:
 
     @classmethod
     def sample(cls, grid, kind, sampler):
-        """Build from a callable sampler(t) -> StaggeredField."""
-        return cls.from_fields(grid, [sampler(t) for t in grid.times])
+        """Build from a callable sampler(t) -> StaggeredField, node by node."""
+        traj = cls.zeros(grid, kind)
+        for k, t in enumerate(grid.times):
+            for dst, src in zip(traj.components(), sampler(t).components()):
+                dst[k] = src
+        return traj
 
     def __len__(self):
         return self.grid.nt

@@ -1,9 +1,8 @@
 """Gronwall bounds in differential and integral form, with an ODE oracle.
 
-Both forms share the trapezoid cumulative-integral kernel of the
-operators module so that bound assembly elsewhere agrees bit-for-bit on
-common inputs.  A constant-coefficient fast path mirrors the specialized
-closed-form expressions and is cross-checked against the general path.
+Both forms are thin callers of operators.gronwall_recursion, the one
+overflow-free kernel that also turns the majorant's functional into its
+bound, so bound assembly elsewhere agrees bit-for-bit on common inputs.
 """
 
 from __future__ import annotations
@@ -13,59 +12,43 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError
-from .operators import cumulative_trapezoid
+from .operators import gronwall_recursion
 
 
 def _as_nodes(v, nt):
     arr = np.asarray(v, dtype=float)
     if arr.ndim == 0:
-        return np.full(nt, float(arr)), True
+        return np.full(nt, float(arr))
     if arr.shape != (nt,):
         raise ParameterError(f"trajectory length {arr.shape} does not match nt={nt}")
-    return arr, False
+    return arr
 
 
-def gronwall_differential(u0, phi, psi, dt, nt=None):
-    """Bound t -> exp(Phi(t)) (u0 + int_0^t exp(-Phi(s)) psi(s) ds).
-
-    Valid for u with u' <= phi u + psi, phi >= 0.  phi may be a scalar
-    (constant-coefficient branch) or a nodal trajectory.
-    """
-    if nt is None:
-        nt = len(np.atleast_1d(psi))
-    psi_arr, _ = _as_nodes(psi, nt)
-    phi_arr, phi_const = _as_nodes(phi, nt)
+def _growth_and_source(phi, psi):
+    nt = len(np.atleast_1d(psi))
+    phi_arr = _as_nodes(phi, nt)
     if np.any(phi_arr < 0.0):
         raise ParameterError("phi must be nonnegative on all nodes")
-    t = np.arange(nt) * dt
-    if phi_const:
-        big_phi = phi_arr[0] * t
-    else:
-        big_phi = cumulative_trapezoid(phi_arr, dt)
-    inner = cumulative_trapezoid(np.exp(-big_phi) * psi_arr, dt)
-    return np.exp(big_phi) * (u0 + inner)
+    return phi_arr, _as_nodes(psi, nt)
 
 
-def gronwall_integral(phi, psi, dt, nt=None):
+def gronwall_differential(u0, phi, psi, dt):
+    """Bound t -> exp(Phi(t)) (u0 + int_0^t exp(-Phi(s)) psi(s) ds).
+
+    Valid for u with u' <= phi u + psi, phi >= 0.  phi and psi may be
+    scalars or nodal trajectories.
+    """
+    phi_arr, psi_arr = _growth_and_source(phi, psi)
+    return gronwall_recursion(u0, phi_arr, 0.5 * dt * psi_arr, dt)
+
+
+def gronwall_integral(phi, psi, dt):
     """Bound t -> exp(Phi(t)) int_0^t exp(-Phi(s)) phi(s) psi(s) ds + psi(t).
 
     Valid for u with u(t) <= int_0^t phi u ds + psi(t), phi >= 0.
     """
-    if nt is None:
-        nt = len(np.atleast_1d(psi))
-    psi_arr, _ = _as_nodes(psi, nt)
-    phi_arr, phi_const = _as_nodes(phi, nt)
-    if np.any(phi_arr < 0.0):
-        raise ParameterError("phi must be nonnegative on all nodes")
-    t = np.arange(nt) * dt
-    if phi_const:
-        c = phi_arr[0]
-        big_phi = c * t
-        inner = cumulative_trapezoid(np.exp(-big_phi) * psi_arr, dt)
-        return c * np.exp(big_phi) * inner + psi_arr
-    big_phi = cumulative_trapezoid(phi_arr, dt)
-    inner = cumulative_trapezoid(np.exp(-big_phi) * phi_arr * psi_arr, dt)
-    return np.exp(big_phi) * inner + psi_arr
+    phi_arr, psi_arr = _growth_and_source(phi, psi)
+    return gronwall_recursion(0.0, phi_arr, 0.5 * dt * phi_arr * psi_arr, dt) + psi_arr
 
 
 @dataclass
@@ -100,29 +83,28 @@ def gronwall_oracle_check(phi, psi, u0, T, nt, refine=8, tol=1e-6):
     equality, so the bound must dominate the solution everywhere and be
     tight up to quadrature error.
     """
-    dt = T / (nt - 1)
     t_nodes = np.linspace(0.0, T, nt)
-    if callable(phi):
-        phi_nodes = np.array([phi(t) for t in t_nodes])
-        phi_fn = phi
-    else:
-        phi_nodes, _ = _as_nodes(phi, nt)
-        phi_fn = lambda t: np.interp(t, t_nodes, phi_nodes)
-    if callable(psi):
-        psi_nodes = np.array([psi(t) for t in t_nodes])
-        psi_fn = psi
-    else:
-        psi_nodes, _ = _as_nodes(psi, nt)
-        psi_fn = lambda t: np.interp(t, t_nodes, psi_nodes)
 
-    bound = gronwall_differential(u0, phi_nodes, psi_nodes, dt)
+    def fn_and_nodes(v):
+        if callable(v):
+            return v, np.array([v(t) for t in t_nodes])
+        nodes = _as_nodes(v, nt)
+        return (lambda t: np.interp(t, t_nodes, nodes)), nodes
+
+    phi_fn, phi_nodes = fn_and_nodes(phi)
+    psi_fn, psi_nodes = fn_and_nodes(psi)
+    bound = gronwall_differential(u0, phi_nodes, psi_nodes, T / (nt - 1))
     t_fine = np.linspace(0.0, T, (nt - 1) * refine + 1)
     u_fine = _rk4(u0, lambda t, u: phi_fn(t) * u + psi_fn(t), t_fine)
-    u_nodes = u_fine[::refine]
+    return oracle_report(bound, u_fine[::refine], tol)
 
-    scale = max(np.abs(u_nodes).max(), np.abs(bound).max(), 1.0)
-    gap = bound - u_nodes
+
+def oracle_report(bound, solution, tol):
+    """Compare a nodal bound with the oracle solution: the bound must
+    dominate it and be tight to tol, both relative to their common scale."""
+    scale = max(np.abs(solution).max(), np.abs(bound).max(), 1.0)
+    gap = bound - solution
     max_violation = float(max(0.0, -(gap.min())))
     max_rel_gap = float(np.abs(gap).max() / scale)
     passed = max_violation <= tol * scale and max_rel_gap <= tol
-    return OracleReport(passed, max_violation, max_rel_gap, bound, u_nodes)
+    return OracleReport(passed, max_violation, max_rel_gap, bound, solution)

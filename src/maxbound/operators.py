@@ -288,28 +288,36 @@ def time_integral(values, dt, up_to=None):
     return float(np.trapezoid(v[: up_to + 1], dx=dt))
 
 
-def exp_weighted_cumulative(f, gamma, dt):
-    """exp(Gamma(t)) * int_0^t exp(-Gamma(s)) gamma(s) f(s) ds at every node.
+def gronwall_recursion(u0, rate, half, dt):
+    """exp(R(t)) * (u0 + int_0^t exp(-R(s)) g(s) ds) at every node.
 
-    Gamma is the trapezoid cumulative integral of gamma > 0.  The recursion
-    E_k = q_k (E_{k-1} + dt/2 gamma_{k-1} f_{k-1}) + dt/2 gamma_k f_k with
-    q_k = exp(Gamma_k - Gamma_{k-1}) never forms exp(+-Gamma): a node is +inf
-    only when its true value is out of range, and 0 while f has been 0.
+    R is the trapezoid cumulative integral of rate >= 0 and half = dt/2 * g
+    is the half-step source.  The recursion E_k = q_k (E_{k-1} + half_{k-1})
+    + half_k with q_k = exp(R_k - R_{k-1}) never forms exp(+-R): a node is
+    +inf only when its true value is out of range, and 0 while u0 and the
+    source have been 0.  Every Gronwall bound of the package runs through it.
     """
-    f = np.asarray(f, dtype=float)
-    g = np.broadcast_to(np.asarray(gamma, dtype=float), f.shape)
-    if np.any(g <= 0.0):
-        raise ParameterError("gamma must be positive on all nodes")
     with np.errstate(over="ignore"):
-        q = np.exp(np.diff(cumulative_trapezoid(g, dt)))
-        half = 0.5 * dt * g * f
-    e = 0.0
+        q = np.exp(np.diff(cumulative_trapezoid(rate, dt)))
+    e = float(u0)
     out = [e]
     for qk, h_prev, h in zip(q.tolist(), half[:-1].tolist(), half[1:].tolist()):
         s = e + h_prev
         e = (qk * s if s else 0.0) + h
         out.append(e)
     return np.array(out)
+
+
+def exp_weighted_cumulative(f, gamma, dt):
+    """exp(Gamma(t)) * int_0^t exp(-Gamma(s)) gamma(s) f(s) ds at every node,
+    with Gamma the trapezoid cumulative integral of gamma > 0."""
+    f = np.asarray(f, dtype=float)
+    g = np.broadcast_to(np.asarray(gamma, dtype=float), f.shape)
+    if np.any(g <= 0.0):
+        raise ParameterError("gamma must be positive on all nodes")
+    with np.errstate(over="ignore"):
+        half = 0.5 * dt * g * f
+    return gronwall_recursion(0.0, g, half, dt)
 
 
 def ddt_stencil(nt, dt, k):

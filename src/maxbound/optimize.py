@@ -18,10 +18,12 @@ from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import MaxboundError, ParameterError, PreconditionError
+from .errors import MaxboundError, ParameterError
 from .fields import FACE, FieldTrajectory
 from .majorant import (
     MajorantParams,
+    _check_theorem,
+    _nodes_in_range,
     bound_b_and_B,
     certify,
     default_Y,
@@ -255,24 +257,23 @@ class BoundQuadratic:
             )
         g = p.grid
         nt = g.nt
-        if theorem in ("T1", "T3") and nt < 5:
-            raise PreconditionError(f"{theorem} needs nt >= 5")
-        if theorem in ("T4", "T5") and approx.Etilde_t is None:
-            raise PreconditionError(f"{theorem} requires Etilde_t")
+        _check_theorem(theorem, g, approx)
         self.p = p
         self.approx = approx
         self.grid = g
         self.theorem = theorem
         self.variant = zero_variant
-        self.rho_n = np.full(nt, float(rho)) if np.ndim(rho) == 0 else np.asarray(rho, float)
-        self.gam_n = np.full(nt, float(gamma)) if np.ndim(gamma) == 0 else np.asarray(gamma, float)
-        if np.any(self.rho_n <= 0) or np.any(self.rho_n >= 1) or np.any(self.gam_n <= 0):
-            raise ParameterError("need rho in (0,1) and gamma > 0 on all nodes")
+        self.rho_n = _nodes_in_range(rho, nt, "rho", 0.0, 1.0)
+        self.gam_n = _nodes_in_range(gamma, nt, "gamma", 0.0, np.inf)
 
         # Gronwall quadrature collapsed to per-node weights.
         tau = trapezoid_weights(nt, g.dt)
         big_gamma = cumulative_trapezoid(self.gam_n, g.dt)
-        c = tau * np.exp(big_gamma[-1] - big_gamma) * self.gam_n
+        with np.errstate(over="ignore"):
+            c = tau * np.exp(big_gamma[-1] - big_gamma) * self.gam_n
+        if not np.all(np.isfinite(c)):
+            raise MaxboundError(f"Gronwall weight exp(Gamma(T) - Gamma) overflows at "
+                                f"Gamma(T) = {big_gamma[-1]:.6g}: the bound is not finite")
         c[-1] += 1.0
         self.Cz = float(c.sum())
         self.w_pt = c / (1.0 - self.rho_n)
@@ -448,13 +449,16 @@ def optimize_all(p, approx, cfg=None, theorem="T5", zero_variant="z_hat",
     history = [current]
     cg_iters = 0
     for _ in range(cfg.sweeps):
-        info = {}
-        Y_new = optimize_Y(p, approx, gamma, rho, cfg, theorem, zero_variant,
-                           Y0=Y, info=info)
-        v_new = bound_at(Y_new, gamma, rho)
-        if v_new <= current:
-            Y, current = Y_new, v_new
-            cg_iters += info.get("iterations", 0)
+        # at parameters where the bound overflows the quadratic in Y has no
+        # finite weights; the (gamma, rho) step below moves away from them
+        if math.isfinite(current):
+            info = {}
+            Y_new = optimize_Y(p, approx, gamma, rho, cfg, theorem, zero_variant,
+                               Y0=Y, info=info)
+            v_new = bound_at(Y_new, gamma, rho)
+            if v_new <= current:
+                Y, current = Y_new, v_new
+                cg_iters += info.get("iterations", 0)
         g_new, r_new, v_par = optimize_gamma_rho(p, approx, Y, cfg, theorem, zero_variant)
         if v_par <= current:
             gamma, rho, current = g_new, r_new, v_par

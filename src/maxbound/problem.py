@@ -173,9 +173,6 @@ def polynomial_source(amplitude=1.0):
     def _dq(grid, t):
         return (1.0 + t / grid.T) / grid.T
 
-    def _ddq(grid, t):
-        return 1.0 / grid.T**2
-
     def sample_E(grid, t):
         X, _, Y, _ = _xy(grid)
         q = _q(grid, t)
@@ -322,12 +319,6 @@ def assemble_problem(grid, eps=None, mu=None, case=None, F=None, G=None, E0=None
     eps_inv = eps.inverse()
     mu_inv = mu.inverse()
 
-    dF = trajectory_derivative(F)
-    curl_G = [curl_face_to_edge(G.node(k), grid) for k in range(grid.nt)]
-    K_fields = [
-        apply_material_staggered(dF.node(k), eps, grid) + curl_G[k]
-        for k in range(grid.nt)
-    ]
-    K = FieldTrajectory.from_fields(grid, K_fields)
+    K = apply_material_staggered(trajectory_derivative(F), eps, grid) + curl_face_to_edge(G, grid)
     E0prime = apply_material_staggered(curl_face_to_edge(H0, grid), eps_inv, grid) + F.node(0)
     return ProblemData(grid, eps, mu, eps_inv, mu_inv, F, G, E0, H0, K, E0prime)

@@ -176,6 +176,24 @@ def test_gronwall_subcommand_detects_injected_violations(tmp_path, capsys):
     assert "FAIL broken" in captured
 
 
+_CONSTANT = {"kind": "constant", "value": 1.0}
+
+
+@pytest.mark.parametrize("spec", [
+    {"cases": [{"name": "x"}]},
+    {"cases": [{"phi": _CONSTANT, "psi": _CONSTANT, "nt": 1}]},
+    {"cases": [{"phi": {"kind": "constant", "value": "a"}, "psi": _CONSTANT}]},
+    {"cases": "abc"},
+], ids=["missing-phi", "one-node", "string-value", "cases-not-a-list"])
+def test_malformed_gronwall_spec_is_a_config_error(tmp_path, capsys, spec):
+    path = _write(tmp_path, "check.json", spec)
+    capsys.readouterr()
+    assert main(["gronwall", "--config", path]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # failures that must exit with a one-line message and no report
 

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maxbound.errors import ParameterError
 from maxbound.gronwall import (
@@ -137,3 +139,58 @@ def test_oracle_tightness_improves_at_second_order():
         gaps.append(report.max_rel_gap)
     orders = [math.log2(a / b) for a, b in zip(gaps[:-1], gaps[1:])]
     assert all(o >= 1.9 for o in orders), orders
+
+
+# ---------------------------------------------------------------------------
+# the shared overflow-free recursion
+
+
+def _direct_forms(u0, phi, psi, dt):
+    """The two bounds through exp(+-Phi) formed directly."""
+    big = cumulative_trapezoid(phi, dt)
+    diff = np.exp(big) * (u0 + cumulative_trapezoid(np.exp(-big) * psi, dt))
+    integ = np.exp(big) * cumulative_trapezoid(np.exp(-big) * phi * psi, dt) + psi
+    return diff, integ
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    nt=st.integers(3, 200),
+    growth=st.floats(0.0, 50.0),
+    nodal=st.booleans(),
+    u0=st.floats(-5.0, 5.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_both_forms_match_the_direct_exponential_formula(nt, growth, nodal, u0, seed):
+    # Phi(T) <= 50 keeps exp(+-Phi) in range; the error is measured against
+    # the same bound taken with |u0| and |psi|, which has no cancellation
+    rng = np.random.default_rng(seed)
+    dt = 1.0 / (nt - 1)
+    phi = rng.uniform(0.0, 2.0 * growth, nt) if nodal else np.full(nt, growth)
+    phi *= min(1.0, 50.0 / max(cumulative_trapezoid(phi, dt)[-1], 1e-300))
+    psi = rng.standard_normal(nt) * 10.0 ** rng.uniform(-3, 3)
+    diff, integ = _direct_forms(u0, phi, psi, dt)
+    diff_abs, integ_abs = _direct_forms(abs(u0), phi, np.abs(psi), dt)
+    assert np.all(
+        np.abs(gronwall_differential(u0, phi, psi, dt) - diff) <= 1e-12 * diff_abs
+    )
+    assert np.all(np.abs(gronwall_integral(phi, psi, dt) - integ) <= 1e-12 * integ_abs)
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_late_source_under_fast_growth_gives_a_finite_bound():
+    # exp(Phi(T)) = exp(1000) overflows, but the source only acts on the last
+    # 1% of [0, 1], so both bounds are finite: at T each is a trapezoid sum of
+    # exp(Phi(T) - Phi(t_j)) psi_j over the nodes t_j >= 0.99 only
+    nt, c = 1001, 1000.0
+    t, dt = _nodes(1.0, nt)
+    psi = np.where(t >= 0.99, 1.0, 0.0)
+    b_diff = gronwall_differential(0.0, c, psi, dt)
+    b_int = gronwall_integral(c, psi, dt)
+    assert np.all(np.isfinite(b_diff)) and np.all(np.isfinite(b_int))
+    assert np.all(b_diff[psi == 0.0] == 0.0)
+    lag = np.arange(nt)[::-1][psi > 0.0]
+    w = np.where(lag == 0, 0.5 * dt, dt)
+    expect = float(np.sum(w * np.exp(c * dt * lag)))
+    assert b_diff[-1] == pytest.approx(expect, rel=1e-12)
+    assert b_int[-1] == pytest.approx(c * expect + 1.0, rel=1e-12)

@@ -166,6 +166,40 @@ def test_quadratic_requires_a_smooth_zero_variant():
         BoundQuadratic(p, approx, rho=0.5, gamma=1.0, zero_variant="z_tilde")
 
 
+@pytest.mark.filterwarnings("error")
+def test_quadratic_rejects_an_unknown_theorem():
+    p, approx, _ = cavity_setup(4, 9)
+    with pytest.raises(ParameterError):
+        mb.optimize_Y(p, approx, gamma=1.0, rho=0.5, theorem="T2")
+
+
+@pytest.mark.filterwarnings("error")
+def test_quadratic_refuses_gronwall_weights_that_overflow():
+    # exp(Gamma(T)) = exp(1000) is out of the float range
+    p, approx, _ = cavity_setup(4, 9)
+    info = {}
+    with pytest.raises(MaxboundError):
+        mb.optimize_Y(p, approx, gamma=1000.0, rho=0.5, info=info)
+    assert info == {}
+
+
+@pytest.mark.filterwarnings("error")
+def test_alternating_driver_recovers_from_an_infinite_starting_bound():
+    # at gamma0 = 1000 the bound is +inf, so the first sweep skips the Y step
+    # and its (gamma, rho) step alone moves to finite parameters
+    p, exact = polynomial_setup(4, 9)
+    grid = p.grid
+    shift = FieldTrajectory.sample(grid, EDGE, lambda t: bump_field("poly_t2", grid, t))
+    approx = SolveOutput(exact.Etilde + 1e-2 * shift, exact.Htilde, exact.Etilde_t)
+    rep, params = mb.optimize_all(p, approx, mb.OptimizeConfig(sweeps=2), gamma0=1000.0)
+    hist = rep.optimize_history
+    assert hist[0] == math.inf
+    assert hist[1] == pytest.approx(1.544e-3, rel=1e-3)
+    assert hist[2] == pytest.approx(8.604e-4, rel=1e-3)
+    assert rep.bound_b[-1] == pytest.approx(hist[-1], rel=1e-12)
+    assert params.gamma < 1000.0
+
+
 def test_free_field_minimization_reduces_the_bound():
     p, exact = polynomial_setup(5, 9)
     rng = np.random.default_rng(111)
