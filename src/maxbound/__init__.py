@@ -68,4 +68,4 @@ from .problem import (
     polynomial_source,
 )
 from .snapshot import load_snapshot, save_snapshot
-from .solver import SolveOutput, cfl_limit, leapfrog_solve, project_exact
+from .solver import SolveOutput, cfl_limit, exact_reference, leapfrog_solve, project_exact

@@ -30,7 +30,7 @@ from .operators import weighted_norm_sq
 from .optimize import OptimizeConfig, optimize_all, optimize_gamma_rho
 from .problem import assemble_problem, bump_field, bump_field_dt
 from .snapshot import load_snapshot, save_snapshot
-from .solver import leapfrog_solve, project_exact
+from .solver import exact_reference, leapfrog_solve, project_exact
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -196,7 +196,7 @@ def cmd_certify(args):
         rho=maj.get("rho", 0.5), gamma=maj.get("gamma", 1.0), zero_variant=variant
     )
     mode = args.optimize or maj.get("optimize", "none")
-    exact = project_exact(case, p.grid) if case is not None else None
+    exact = exact_reference(case, p.grid) if case is not None else None
 
     if mode == "none":
         report = certify(p, approx, params, theorem=theorem, exact=exact)
@@ -249,7 +249,7 @@ def cmd_verify(args):
         p = assemble_problem(grid, eps=eps, mu=mu, case=case)
         # refinement studies measure discretization error, not injected bumps
         approx = _build_approx(p, case, {k: v for k, v in cfg.items() if k != "perturbation"})
-        exact = project_exact(case, grid)
+        exact = exact_reference(case, grid)
         params = MajorantParams(
             rho=maj.get("rho", 0.5), gamma=maj.get("gamma", 1.0), zero_variant=variant
         )

@@ -153,7 +153,8 @@ CHECK_SPEC_SCHEMA = {
 def load_config(source, schema=CONFIG_SCHEMA):
     """Read a JSON document from a path (or take a dict) and validate it
     against schema, the run config by default or CHECK_SPEC_SCHEMA; the first
-    violation is a ConfigError at its JSON path."""
+    violation is a ConfigError at its JSON path.  The literals NaN, Infinity
+    and -Infinity are refused."""
     if isinstance(source, dict):
         doc = source
     else:
@@ -163,8 +164,12 @@ def load_config(source, schema=CONFIG_SCHEMA):
                 text = fh.read()
         except OSError as exc:
             raise ConfigError(f"cannot read config: {exc}", origin)
+
+        def refuse(literal):
+            raise ConfigError(f"invalid JSON: {literal} is not a finite number", origin)
+
         try:
-            doc = json.loads(text)
+            doc = json.loads(text, parse_constant=refuse)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"invalid JSON: {exc}", origin)
     validator = jsonschema.Draft202012Validator(schema)

@@ -211,8 +211,7 @@ class FieldTrajectory:
         """Build from a callable sampler(t) -> StaggeredField, node by node."""
         traj = cls.zeros(grid, kind)
         for k, t in enumerate(grid.times):
-            for dst, src in zip(traj.components(), sampler(t).components()):
-                dst[k] = src
+            traj.set_node(k, sampler(t))
         return traj
 
     def __len__(self):
@@ -220,6 +219,11 @@ class FieldTrajectory:
 
     def node(self, k):
         return StaggeredField(self.kind, self.x[k], self.y[k], self.z[k])
+
+    def set_node(self, k, f):
+        """Copy the StaggeredField f into node k."""
+        for dst, src in zip(self.components(), f.components()):
+            dst[k] = src
 
     def components(self):
         return (self.x, self.y, self.z)

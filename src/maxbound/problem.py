@@ -13,7 +13,7 @@ from __future__ import annotations
 import inspect
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
@@ -36,8 +36,9 @@ class ManufacturedCase:
     sample_H: Callable[[GridSpec, float], StaggeredField]
     sample_dtE: Callable[[GridSpec, float], StaggeredField]
     sample_dtH: Callable[[GridSpec, float], StaggeredField]
-    sample_F: Callable[[GridSpec, float], StaggeredField]
-    sample_G: Callable[[GridSpec, float], StaggeredField]
+    # None declares a source-free case
+    sample_F: Optional[Callable[[GridSpec, float], StaggeredField]]
+    sample_G: Optional[Callable[[GridSpec, float], StaggeredField]]
     requires_unit_materials: bool = True
 
 
@@ -135,8 +136,8 @@ def cavity_mode(m=1, n=1, amplitude=1.0):
         sample_H=sample_H,
         sample_dtE=sample_dtE,
         sample_dtH=sample_dtH,
-        sample_F=_zero(None, EDGE),
-        sample_G=_zero(None, FACE),
+        sample_F=None,
+        sample_G=None,
     )
 
 
@@ -289,12 +290,22 @@ def perturb(traj, delta, bump):
 # problem assembly
 
 
+def _no_source(grid, kind):
+    """All-zero read-only trajectory holding one node of memory (zero stride)."""
+    node = StaggeredField.zeros(grid, kind)
+    return FieldTrajectory(
+        kind, grid, *(np.broadcast_to(a, (grid.nt,) + a.shape) for a in node.components())
+    )
+
+
 def assemble_problem(grid, eps=None, mu=None, case=None, F=None, G=None, E0=None, H0=None):
     """Build ProblemData with the derived second-order source and initial slope.
 
     K_k = eps * (dF/dt)_k + curl(G_k) on every node and
     E0' = eps^-1 curl(H0) + F(0); dF/dt uses centered differences with
-    second-order one-sided stencils at the endpoints.
+    second-order one-sided stencils at the endpoints.  A missing F or G
+    (none passed, or none declared by the case) is a zero-stride zero
+    trajectory, and a source-free problem's K is that same F.
     """
     eps = eps if eps is not None else MaterialField.identity(grid)
     mu = mu if mu is not None else MaterialField.identity(grid)
@@ -303,12 +314,15 @@ def assemble_problem(grid, eps=None, mu=None, case=None, F=None, G=None, E0=None
             raise UnsupportedCaseError(
                 f"case {case.name!r} requires unit materials"
             )
-        F = FieldTrajectory.sample(grid, EDGE, lambda t: case.sample_F(grid, t))
-        G = FieldTrajectory.sample(grid, FACE, lambda t: case.sample_G(grid, t))
+        F = None if case.sample_F is None else FieldTrajectory.sample(
+            grid, EDGE, lambda t: case.sample_F(grid, t))
+        G = None if case.sample_G is None else FieldTrajectory.sample(
+            grid, FACE, lambda t: case.sample_G(grid, t))
         E0 = case.sample_E(grid, 0.0)
         H0 = case.sample_H(grid, 0.0)
-    F = F if F is not None else FieldTrajectory.zeros(grid, EDGE)
-    G = G if G is not None else FieldTrajectory.zeros(grid, FACE)
+    source_free = F is None and G is None
+    F = F if F is not None else _no_source(grid, EDGE)
+    G = G if G is not None else _no_source(grid, FACE)
     E0 = E0 if E0 is not None else StaggeredField.zeros(grid, EDGE)
     H0 = H0 if H0 is not None else StaggeredField.zeros(grid, FACE)
     if F.kind != EDGE or G.kind != FACE or E0.kind != EDGE or H0.kind != FACE:
@@ -319,6 +333,10 @@ def assemble_problem(grid, eps=None, mu=None, case=None, F=None, G=None, E0=None
     eps_inv = eps.inverse()
     mu_inv = mu.inverse()
 
-    K = apply_material_staggered(trajectory_derivative(F), eps, grid) + curl_face_to_edge(G, grid)
+    if source_free:
+        K = F
+    else:
+        K = (apply_material_staggered(trajectory_derivative(F), eps, grid)
+             + curl_face_to_edge(G, grid))
     E0prime = apply_material_staggered(curl_face_to_edge(H0, grid), eps_inv, grid) + F.node(0)
     return ProblemData(grid, eps, mu, eps_inv, mu_inv, F, G, E0, H0, K, E0prime)

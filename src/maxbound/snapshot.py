@@ -57,7 +57,7 @@ def save_snapshot(path, grid, output):
         fh.write(struct.pack("<I", len(raw)))
         fh.write(raw)
         for blob in blobs:
-            fh.write(blob.tobytes())
+            fh.write(blob)  # the buffer itself, no bytes copy
 
 
 def load_snapshot(path, grid=None):

@@ -6,10 +6,21 @@ trajectory builds a fresh object from arithmetic on the cached ones.
 """
 
 import functools
+import tracemalloc
 
 import numpy as np
 
 import maxbound as mb
+
+
+def traced_peak(fn):
+    """Peak tracemalloc size, in bytes, of what one call fn() allocates."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @functools.lru_cache(maxsize=None)

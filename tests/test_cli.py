@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+import maxbound as mb
 from maxbound.cli import (
     EXIT_CONFIG,
     EXIT_MISMATCH,
@@ -16,6 +17,8 @@ from maxbound.cli import (
     EXIT_VERIFY_FAIL,
     main,
 )
+
+from conftest import traced_peak
 
 
 def _write(tmp_path, name, doc):
@@ -277,3 +280,63 @@ def test_unknown_case_parameter_is_a_config_error(tmp_path, capsys):
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "bogus" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("certify", _cavity_cfg(n=4, nt=9, extra={"majorant": {"gamma": float("nan")}})),
+    ("gronwall", {"cases": [{"phi": {"value": float("inf")}, "psi": _CONSTANT}]}),
+], ids=["run-config-nan", "check-spec-infinity"])
+def test_non_finite_json_literals_are_config_errors(tmp_path, capsys, command, doc):
+    path = _write(tmp_path, "doc.json", doc)
+    text = (tmp_path / "doc.json").read_text()
+    assert "NaN" in text or "Infinity" in text
+    argv = [command, "--config", path]
+    if command == "certify":
+        _, out, snap = _small_snapshot(tmp_path)
+        argv += ["--snapshot", snap, "--out", out]
+    capsys.readouterr()
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# memory: the CLI holds its output (solve) or its input (certify), and little else
+
+
+def _cavity_run(tmp_path, n, nt):
+    """solve and certify argv of an n^3 x nt cavity, each run once already,
+    so that lazy imports and caches are settled before anything is traced;
+    and the bytes of one edge trajectory and of the four solver outputs."""
+    cfg = _write(tmp_path, "run.json", _cavity_cfg(n=n, nt=nt))
+    out = str(tmp_path / "out")
+    solve = ["solve", "--config", cfg, "--out", out]
+    cert = ["certify", "--config", cfg, "--snapshot", os.path.join(out, "snapshot.bin"),
+            "--out", out]
+    assert main(solve) == EXIT_OK and main(cert) == EXIT_OK
+    grid = mb.GridSpec(n, n, n, 1.0, 1.0, 1.0, nt, 1.0)
+    edge, face = (8 * nt * sum(int(np.prod(grid.shape(kind, c))) for c in "xyz")
+                  for kind in (mb.EDGE, mb.FACE))
+    return solve, cert, edge, 2 * edge + 2 * face
+
+
+def _traced_exit(argv):
+    codes = []
+    peak = traced_peak(lambda: codes.append(main(argv)))
+    assert codes == [EXIT_OK]
+    return peak
+
+
+def test_solve_peak_is_its_output_plus_less_than_one_edge_trajectory(tmp_path, capsys):
+    solve, _, edge, outputs = _cavity_run(tmp_path, 8, 33)
+    peak = _traced_exit(solve)
+    capsys.readouterr()
+    assert peak < outputs + edge
+
+
+def test_certify_peak_is_its_snapshot_plus_less_than_one_edge_trajectory(tmp_path, capsys):
+    _, cert, edge, snapshot = _cavity_run(tmp_path, 8, 33)
+    peak = _traced_exit(cert)
+    capsys.readouterr()
+    assert peak < snapshot + edge

@@ -95,6 +95,27 @@ def test_bound_dominates_error_for_perturbed_exact_samples():
     assert np.all(rep.bound_B >= rep.trueBigN - 1e-18)
 
 
+@pytest.mark.parametrize("theorem", ["T1", "T5"])
+@pytest.mark.parametrize("case_name", ["cavity_mode", "polynomial_source"])
+def test_node_sampled_reference_gives_the_projected_true_error(case_name, theorem):
+    if case_name == "cavity_mode":
+        p, approx, exact = cavity_setup(6, 13)
+        case = mb.cavity_mode()
+    else:
+        p, exact = polynomial_setup(5, 9)
+        approx = _perturbed_exact(p, exact, 1e-2)
+        case = mb.polynomial_source()
+    reference = mb.exact_reference(case, p.grid)
+    assert reference.Htilde is None and reference.Htilde_t is None
+    params = mb.MajorantParams()
+    want = mb.certify(p, approx, params, theorem=theorem, exact=exact)
+    got = mb.certify(p, approx, params, theorem=theorem, exact=reference)
+    assert np.array_equal(got.trueN, want.trueN)
+    assert np.array_equal(got.trueBigN, want.trueBigN)
+    assert np.array_equal(got.efficiency, want.efficiency, equal_nan=True)
+    assert np.isfinite(got.efficiency).any()
+
+
 # ---------------------------------------------------------------------------
 # independent reassembly of the bound formula
 

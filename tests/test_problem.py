@@ -18,6 +18,8 @@ from maxbound.operators import (
 )
 from maxbound.problem import bump_field, bump_field_dt
 
+from conftest import smooth_edge
+
 
 def _grid(n=8, nt=9, T=1.0):
     return mb.GridSpec(n, n, n, 1.0, 1.0, 1.0, nt, T)
@@ -136,3 +138,51 @@ def test_assemble_problem_defaults_to_zero_sources():
     p = mb.assemble_problem(grid)
     assert max(np.abs(c).max() for c in p.K.node(2).components()) == 0.0
     assert p.eps.is_identity() and p.mu.is_identity()
+
+
+# ---------------------------------------------------------------------------
+# source-free problems hold no source trajectories
+
+
+_SOURCE_FREE = {
+    "cavity_mode": lambda grid: mb.assemble_problem(grid, case=mb.cavity_mode(m=1, n=2)),
+    "no_sources": lambda grid: mb.assemble_problem(grid),
+    # no sources either, but a start for the solver to propagate
+    "initial_data_only": lambda grid: mb.assemble_problem(grid, E0=smooth_edge(grid)),
+}
+
+
+def _dense_zero_sources_twin(p):
+    """The same problem assembled with explicit dense all-zero F and G."""
+    grid = p.grid
+    return mb.assemble_problem(grid, F=FieldTrajectory.zeros(grid, EDGE),
+                               G=FieldTrajectory.zeros(grid, FACE), E0=p.E0, H0=p.H0)
+
+
+@pytest.mark.parametrize("build", sorted(_SOURCE_FREE))
+def test_source_free_problem_stores_one_read_only_node_per_source(build):
+    grid = _grid(5, 9)
+    p = _SOURCE_FREE[build](grid)
+    for traj in (p.F, p.G, p.K):
+        for c in traj.components():
+            assert c.shape[0] == grid.nt and c.strides[0] == 0
+            assert not c.any()
+            with pytest.raises(ValueError):
+                c[1] = 1.0
+    dense = _dense_zero_sources_twin(p)
+    assert dense.K.x.strides[0] != 0
+    for a, b in zip(p.K.components(), dense.K.components()):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("build", ["cavity_mode", "initial_data_only"])
+def test_solve_of_a_source_free_problem_equals_the_dense_zero_source_solve(build):
+    grid = _grid(6, 17)
+    p = _SOURCE_FREE[build](grid)
+    got = mb.leapfrog_solve(p, track_energy=True)
+    want = mb.leapfrog_solve(_dense_zero_sources_twin(p), track_energy=True)
+    for name in ("Etilde", "Htilde", "Etilde_t", "Htilde_t"):
+        for a, b in zip(getattr(got, name).components(), getattr(want, name).components()):
+            assert np.array_equal(a, b)
+    assert np.array_equal(got.energy_trace, want.energy_trace)
+    assert max(np.abs(c).max() for c in got.Etilde.components()) > 0.1
