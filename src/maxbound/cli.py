@@ -61,11 +61,7 @@ def _build_approx(p, case, cfg):
             raise ConfigError("solver method 'exact' needs a case block", "$['solver']['method']")
         approx = project_exact(case, p.grid)
     else:
-        approx = leapfrog_solve(
-            p,
-            cfl=solver_block.get("cfl", 0.9),
-            track_energy=solver_block.get("trackEnergy", False),
-        )
+        approx = leapfrog_solve(p, cfl=solver_block.get("cfl", 0.9))
     pert = cfg.get("perturbation")
     if pert is not None and pert["delta"] != 0.0:
         grid = p.grid

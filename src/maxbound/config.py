@@ -86,7 +86,6 @@ CONFIG_SCHEMA = {
             "properties": {
                 "method": {"enum": ["leapfrog", "exact"]},
                 "cfl": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
-                "trackEnergy": {"type": "boolean"},
             },
         },
         "majorant": {

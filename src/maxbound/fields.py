@@ -8,7 +8,7 @@ t_k = k * dt over [0, T].
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -86,7 +86,7 @@ class GridSpec:
         return self.edge_shape(comp) if kind == EDGE else self.face_shape(comp)
 
     def component_coords(self, kind, comp):
-        """Physical coordinates (meshgrids, ij indexing) of the dofs of one component."""
+        """Physical coordinates (sparse meshgrids, ij indexing) of the dofs of one component."""
         h = (self.hx, self.hy, self.hz)
         n = (self.nx, self.ny, self.nz)
         # Edge components are staggered along their own axis, face components
@@ -99,11 +99,62 @@ class GridSpec:
                 axes.append((np.arange(n[d]) + 0.5) * h[d])
             else:
                 axes.append(np.arange(n[d] + 1) * h[d])
-        return np.meshgrid(*axes, indexing="ij")
+        return np.meshgrid(*axes, indexing="ij", sparse=True)
+
+
+class _Components:
+    """Elementwise arithmetic of a field kind with component arrays x, y, z.
+
+    Results are rebuilt through dataclasses.replace, so they keep every
+    other attribute and pass the constructor's shape check.  _LEAD is the
+    number of axes ahead of the three spatial ones.
+    """
+
+    _LEAD = 0
+
+    def components(self):
+        return (self.x, self.y, self.z)
+
+    def _map(self, fn):
+        return replace(self, x=fn(self.x), y=fn(self.y), z=fn(self.z))
+
+    def check_extents(self, grid):
+        for c, arr in zip(_COMPONENTS, self.components()):
+            shape = arr.shape[self._LEAD:]
+            if shape != grid.shape(self.kind, c):
+                raise DimensionError(
+                    f"{type(self).__name__} {self.kind} component {c}: shape {shape} "
+                    f"does not match grid layout {grid.shape(self.kind, c)}"
+                )
+
+    def copy(self):
+        return self._map(np.ndarray.copy)
+
+    def _binary(self, other, op):
+        if isinstance(other, type(self)):
+            if other.kind != self.kind:
+                raise DimensionError(f"kind mismatch: {self.kind} vs {other.kind}")
+            return replace(self, x=op(self.x, other.x), y=op(self.y, other.y),
+                           z=op(self.z, other.z))
+        return self._map(lambda a: op(a, other))
+
+    def __add__(self, other):
+        return self._binary(other, np.add)
+
+    def __sub__(self, other):
+        return self._binary(other, np.subtract)
+
+    def __mul__(self, scalar):
+        return self._map(lambda a: a * scalar)
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return self * (-1.0)
 
 
 @dataclass
-class StaggeredField:
+class StaggeredField(_Components):
     """Three component arrays on Yee edge or face locations."""
 
     kind: str
@@ -125,52 +176,13 @@ class StaggeredField:
         comps = []
         for c, f in zip(_COMPONENTS, (fx, fy, fz)):
             X, Y, Z = grid.component_coords(kind, c)
-            comps.append(np.asarray(f(X, Y, Z), dtype=float) + np.zeros(X.shape))
+            # f may not read all three sparse axes; adding zeros fills the rest
+            comps.append(np.asarray(f(X, Y, Z), dtype=float) + np.zeros(grid.shape(kind, c)))
         return cls(kind, *comps)
-
-    def components(self):
-        return (self.x, self.y, self.z)
-
-    def check_extents(self, grid):
-        for c, arr in zip(_COMPONENTS, self.components()):
-            if arr.shape != grid.shape(self.kind, c):
-                raise DimensionError(
-                    f"{self.kind} component {c}: shape {arr.shape} does not "
-                    f"match grid layout {grid.shape(self.kind, c)}"
-                )
-
-    def copy(self):
-        return StaggeredField(self.kind, self.x.copy(), self.y.copy(), self.z.copy())
-
-    def _binary(self, other, op):
-        if isinstance(other, StaggeredField):
-            if other.kind != self.kind:
-                raise DimensionError(f"kind mismatch: {self.kind} vs {other.kind}")
-            return StaggeredField(
-                self.kind,
-                op(self.x, other.x),
-                op(self.y, other.y),
-                op(self.z, other.z),
-            )
-        return StaggeredField(self.kind, op(self.x, other), op(self.y, other), op(self.z, other))
-
-    def __add__(self, other):
-        return self._binary(other, np.add)
-
-    def __sub__(self, other):
-        return self._binary(other, np.subtract)
-
-    def __mul__(self, scalar):
-        return StaggeredField(self.kind, self.x * scalar, self.y * scalar, self.z * scalar)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self * (-1.0)
 
 
 @dataclass
-class FieldTrajectory:
+class FieldTrajectory(_Components):
     """Time-indexed staggered field: component arrays with a leading time axis."""
 
     kind: str
@@ -179,9 +191,11 @@ class FieldTrajectory:
     y: np.ndarray
     z: np.ndarray
 
+    _LEAD = 1
+
     def __post_init__(self):
         nt = self.grid.nt
-        for c, arr in zip(_COMPONENTS, (self.x, self.y, self.z)):
+        for c, arr in zip(_COMPONENTS, self.components()):
             want = (nt,) + self.grid.shape(self.kind, c)
             if arr.shape != want:
                 raise DimensionError(
@@ -225,40 +239,6 @@ class FieldTrajectory:
         for dst, src in zip(self.components(), f.components()):
             dst[k] = src
 
-    def components(self):
-        return (self.x, self.y, self.z)
-
-    def check_extents(self, grid):
-        for c, arr in zip(_COMPONENTS, self.components()):
-            if arr.shape[1:] != grid.shape(self.kind, c):
-                raise DimensionError(
-                    f"trajectory {self.kind} component {c}: shape {arr.shape[1:]} "
-                    f"does not match grid layout {grid.shape(self.kind, c)}"
-                )
-
-    def copy(self):
-        return FieldTrajectory(self.kind, self.grid, self.x.copy(), self.y.copy(), self.z.copy())
-
-    def _binary(self, other, op):
-        if isinstance(other, FieldTrajectory):
-            if other.kind != self.kind:
-                raise DimensionError(f"kind mismatch: {self.kind} vs {other.kind}")
-            return FieldTrajectory(
-                self.kind, self.grid, op(self.x, other.x), op(self.y, other.y), op(self.z, other.z)
-            )
-        return FieldTrajectory(self.kind, self.grid, op(self.x, other), op(self.y, other), op(self.z, other))
-
-    def __add__(self, other):
-        return self._binary(other, np.add)
-
-    def __sub__(self, other):
-        return self._binary(other, np.subtract)
-
-    def __mul__(self, scalar):
-        return FieldTrajectory(self.kind, self.grid, self.x * scalar, self.y * scalar, self.z * scalar)
-
-    __rmul__ = __mul__
-
 
 @dataclass
 class MaterialField:
@@ -278,9 +258,7 @@ class MaterialField:
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", v)
-        if self.kind == "scalar":
-            lam_min, lam_max = float(v.min()), float(v.max())
-        elif self.kind == "diagonal":
+        if self.kind in ("scalar", "diagonal"):
             lam_min, lam_max = float(v.min()), float(v.max())
         elif self.kind == "full":
             asym = np.abs(v - np.swapaxes(v, -1, -2)).max()
@@ -324,9 +302,7 @@ class MaterialField:
         return MaterialField(self.kind, 1.0 / self.values)
 
     def is_identity(self):
-        if self.kind == "scalar":
-            return bool(np.all(self.values == 1.0))
-        if self.kind == "diagonal":
+        if self.kind in ("scalar", "diagonal"):
             return bool(np.all(self.values == 1.0))
         eye = np.eye(3)
         return bool(np.all(self.values == eye))

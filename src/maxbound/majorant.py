@@ -98,10 +98,14 @@ class Residuals:
     coupling_curl: Optional[FieldTrajectory] = None  # curl(Etilde_t - dEtilde/dt)
 
 
+def mu_inv_curl(p, e):
+    """mu^-1 curl e of an edge field or a whole edge trajectory."""
+    return apply_material_staggered(curl_edge_to_face(e, p.grid), p.mu_inv, p.grid)
+
+
 def default_Y(p, approx):
     """The natural free-field choice mu^-1 curl(Etilde)."""
-    g = p.grid
-    return apply_material_staggered(curl_edge_to_face(approx.Etilde, g), p.mu_inv, g)
+    return mu_inv_curl(p, approx.Etilde)
 
 
 def _check_Y(Y, grid):
@@ -117,7 +121,7 @@ def residuals(p, approx, Y):
     _check_Y(Y, g)
     D = ddt_matrix(g.nt, g.dt)
 
-    Ktilde = apply_material_staggered(curl_edge_to_face(approx.Etilde, g), p.mu_inv, g) - Y
+    Ktilde = mu_inv_curl(p, approx.Etilde) - Y
     dt_Ktilde = trajectory_derivative(Ktilde, D)
     curl_Y = curl_face_to_edge(Y, g)
 
@@ -134,8 +138,7 @@ def residuals(p, approx, Y):
     if approx.Etilde_t is not None:
         dEt = trajectory_derivative(approx.Etilde_t, D)
         Kcheck = apply_material_staggered(dEt, p.eps, g) + curl_Y - p.K
-        curl_Et = curl_edge_to_face(approx.Etilde_t, g)
-        Rt = apply_material_staggered(curl_Et, p.mu_inv, g) - trajectory_derivative(Y, D)
+        Rt = mu_inv_curl(p, approx.Etilde_t) - trajectory_derivative(Y, D)
         coupling_curl = curl_edge_to_face(approx.Etilde_t - dE, g)
     return Residuals(Khat, Ktilde, Kcheck, Rt, dt_Ktilde, coupling_curl)
 
@@ -185,7 +188,7 @@ def zero_term_parts(p, approx, Y, use_Etilde_t=True):
         first0 = _ddt_node(approx.Etilde.node, 0, g)
     et0_err = p.E0prime - first0
     curl_e0 = curl_edge_to_face(p.E0 - approx.Etilde.node(0), g)
-    m0 = apply_material_staggered(curl_edge_to_face(approx.Etilde.node(0), g), p.mu_inv, g)
+    m0 = mu_inv_curl(p, approx.Etilde.node(0))
     ktilde0 = m0 - (m0 if Y is None else Y.node(0))
     return ZeroTermParts(
         et0_sq=weighted_norm_sq(et0_err, p.eps, g),
@@ -271,9 +274,7 @@ def series(p, approx, Y, theorem):
         _check_Y(Y, g)
     nt = g.nt
     E, Et = approx.Etilde, approx.Etilde_t
-    M = _Window(
-        lambda j: apply_material_staggered(curl_edge_to_face(E.node(j), g), p.mu_inv, g)
-    )
+    M = _Window(lambda j: mu_inv_curl(p, E.node(j)))
     Yw = M if Y is None else _Window(Y.node)
     Kt = _Window(lambda j: M(j) - Yw(j))
     dE = _Window(lambda j: _ddt_node(E.node, j, g))
@@ -291,8 +292,7 @@ def series(p, approx, Y, theorem):
         else:
             dEt = apply_material_staggered(_ddt_node(Et.node, k, g), p.eps, g)
             edge = dEt + curl_Y - p.K.node(k)
-            curl_Et = curl_edge_to_face(Et.node(k), g)
-            face = apply_material_staggered(curl_Et, p.mu_inv, g) - _ddt_node(Yw, k, g)
+            face = mu_inv_curl(p, Et.node(k)) - _ddt_node(Yw, k, g)
             coupling_curl = curl_edge_to_face(Et.node(k) - dE(k), g)
             coup[k] = weighted_inner(Kt(k), coupling_curl, None, g)
         edge_sq[k] = weighted_norm_sq(edge, p.eps_inv, g)

@@ -194,7 +194,10 @@ def weighted_inner(u, v, w, grid):
 
 
 def weighted_norm_sq(u, w, grid):
-    return weighted_inner(u, u, w, grid)
+    """weighted_inner(u, u, w, grid), with u averaged to cell centers once."""
+    ub = cell_average(u, grid)
+    wb = ub if w is None else w.apply_cells(ub)
+    return float(np.sum(wb * ub) * grid.cell_volume)
 
 
 def gram_apply(u, w, grid):

@@ -28,6 +28,7 @@ from .majorant import (
     certify,
     default_Y,
     functional,
+    mu_inv_curl,
     series,
 )
 from .operators import (
@@ -288,7 +289,7 @@ class BoundQuadratic:
         # not folded into edge_base: gradient() subtracts it after adding
         # curl Y, the order that rounds like the per-node residual.
         self.D = ddt_matrix(nt, g.dt)
-        self.M = apply_material_staggered(curl_edge_to_face(approx.Etilde, g), p.mu_inv, g)
+        self.M = mu_inv_curl(p, approx.Etilde)
         dE = trajectory_derivative(approx.Etilde, self.D)
         if theorem in ("T1", "T3"):
             self.edge_base = apply_material_staggered(
@@ -300,9 +301,7 @@ class BoundQuadratic:
             self.edge_base = apply_material_staggered(
                 trajectory_derivative(approx.Etilde_t, self.D), p.eps, g
             )
-            self.face_const = apply_material_staggered(
-                curl_edge_to_face(approx.Etilde_t, g), p.mu_inv, g
-            )
+            self.face_const = mu_inv_curl(p, approx.Etilde_t)
             coupling = curl_edge_to_face(approx.Etilde_t - dE, g)
             self.coupling_grad = gram_apply(coupling, None, g) * _per_node(2.0 * self.w_coup)
         curl_e0 = curl_edge_to_face(p.E0 - approx.Etilde.node(0), g)

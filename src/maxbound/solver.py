@@ -26,7 +26,9 @@ class SolveOutput:
 
     Etilde_t approximates dE/dt; for the leapfrog solver it is the centered
     difference of Etilde on the report grid and therefore differs from the
-    derivative of any smooth interpolant.
+    derivative of any smooth interpolant.  Htilde_t is optional: the
+    leapfrog solver leaves it None, and combined_estimate, its one reader,
+    then differentiates Htilde.
     """
 
     Etilde: FieldTrajectory
@@ -48,8 +50,8 @@ def leapfrog_solve(p, cfl=0.9, track_energy=False):
 
     E lives on the report nodes, H on half steps (averaged back to nodes
     for the output); each node is written into the preallocated output
-    trajectories as it is computed.  Refuses to run when dt exceeds cfl
-    times the stability limit.
+    trajectories as it is computed; Htilde_t is left None.  Refuses to run
+    when dt exceeds cfl times the stability limit.
     """
     g = p.grid
     if not 0.0 < cfl <= 1.0:
@@ -105,10 +107,8 @@ def leapfrog_solve(p, cfl=0.9, track_energy=False):
             Htilde.set_node(k + 1, next_half)
         prev_half = next_half
 
-    Etilde_t = trajectory_derivative(Etilde)
-    Htilde_t = trajectory_derivative(Htilde)
     trace = np.asarray(energies) if track_energy else None
-    return SolveOutput(Etilde, Htilde, Etilde_t, Htilde_t, energy_trace=trace)
+    return SolveOutput(Etilde, Htilde, trajectory_derivative(Etilde), energy_trace=trace)
 
 
 def _staggered_energy(p, E, H_lo, H_hi):

@@ -25,6 +25,8 @@ from maxbound.operators import (
     dof_inner,
     gram_apply,
     trajectory_derivative,
+    weighted_inner,
+    weighted_norm_sq,
     zero_tangential,
 )
 from maxbound.optimize import BoundQuadratic
@@ -82,7 +84,21 @@ def test_kernels_on_a_trajectory_equal_their_nodes(grid, seed):
     _same_field(curl_edge_to_face(e, grid), _per_node(lambda f: curl_edge_to_face(f, grid), e))
     _same_field(curl_face_to_edge(h, grid), _per_node(lambda f: curl_face_to_edge(f, grid), h))
     _same_field(zero_tangential(e), _per_node(zero_tangential, e))
+    weights = rng.uniform(0.5, 2.0, grid.nt)
     for traj in (e, h):
+        other = _random_traj(grid, traj.kind, rng)
+        pairs = lambda op: [op(traj.node(k), other.node(k)) for k in range(grid.nt)]
+        _same_field(traj + other, pairs(lambda a, b: a + b))
+        _same_field(traj - other, pairs(lambda a, b: a - b))
+        _same_field(traj * 2.5, _per_node(lambda f: f * 2.5, traj))
+        _same_field(2.5 * traj, _per_node(lambda f: 2.5 * f, traj))
+        _same_field(traj * weights[:, None, None, None],
+                    [traj.node(k) * weights[k] for k in range(grid.nt)])
+        _same_field(-traj, _per_node(lambda f: -f, traj))
+        copied = traj.copy()
+        _same_field(copied, _per_node(lambda f: f.copy(), traj))
+        assert not any(np.shares_memory(a, b)
+                       for a, b in zip(copied.components(), traj.components()))
         cells = cell_average(traj, grid)
         assert cells.shape == (grid.nt, grid.nx, grid.ny, grid.nz, 3)
         for k in range(grid.nt):
@@ -92,6 +108,9 @@ def test_kernels_on_a_trajectory_equal_their_nodes(grid, seed):
             [cell_average_adjoint(c, grid, traj.kind) for c in cells],
         )
         for w in _materials(grid, rng):
+            for k in range(grid.nt):
+                u = traj.node(k)
+                assert weighted_norm_sq(u, w, grid) == weighted_inner(u, u, w, grid)
             _same_field(gram_apply(traj, w, grid),
                         _per_node(lambda f: gram_apply(f, w, grid), traj))
             if w is not None and w.kind != "full":

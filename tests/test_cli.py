@@ -282,6 +282,17 @@ def test_unknown_case_parameter_is_a_config_error(tmp_path, capsys):
     assert "bogus" in err and "Traceback" not in err
 
 
+def test_the_removed_track_energy_key_is_a_config_error(tmp_path, capsys):
+    doc = _cavity_cfg(n=4, nt=9, extra={"solver": {"method": "leapfrog", "trackEnergy": True}})
+    cfg = _write(tmp_path, "energy.json", doc)
+    capsys.readouterr()
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "trackEnergy" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command, doc", [
     ("certify", _cavity_cfg(n=4, nt=9, extra={"majorant": {"gamma": float("nan")}})),
     ("gronwall", {"cases": [{"phi": {"value": float("inf")}, "psi": _CONSTANT}]}),
@@ -308,7 +319,8 @@ def test_non_finite_json_literals_are_config_errors(tmp_path, capsys, command, d
 def _cavity_run(tmp_path, n, nt):
     """solve and certify argv of an n^3 x nt cavity, each run once already,
     so that lazy imports and caches are settled before anything is traced;
-    and the bytes of one edge trajectory and of the four solver outputs."""
+    and the bytes of one edge trajectory and of the three solver outputs
+    (Etilde, Htilde, Etilde_t)."""
     cfg = _write(tmp_path, "run.json", _cavity_cfg(n=n, nt=nt))
     out = str(tmp_path / "out")
     solve = ["solve", "--config", cfg, "--out", out]
@@ -318,7 +330,7 @@ def _cavity_run(tmp_path, n, nt):
     grid = mb.GridSpec(n, n, n, 1.0, 1.0, 1.0, nt, 1.0)
     edge, face = (8 * nt * sum(int(np.prod(grid.shape(kind, c))) for c in "xyz")
                   for kind in (mb.EDGE, mb.FACE))
-    return solve, cert, edge, 2 * edge + 2 * face
+    return solve, cert, edge, 2 * edge + face
 
 
 def _traced_exit(argv):

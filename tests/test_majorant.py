@@ -308,6 +308,17 @@ def test_combined_estimate_dominates_the_two_field_error():
     assert np.all(rep.true_combined <= rep.bound)
 
 
+def test_combined_estimate_derives_the_magnetic_derivative_the_solver_leaves_out():
+    p, approx, exact = cavity_setup(6, 13)
+    assert approx.Htilde_t is None
+    given = SolveOutput(approx.Etilde, approx.Htilde, approx.Etilde_t,
+                        trajectory_derivative(approx.Htilde))
+    got = mb.combined_estimate(p, approx, mb.MajorantParams(), exact=exact)
+    want = mb.combined_estimate(p, given, mb.MajorantParams(), exact=exact)
+    for name in ("times", "bound", "electric_bound", "f_res_sq", "g_res_sq", "true_combined"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+
+
 def test_combined_estimate_requires_weak_regularity_theorems():
     p, approx, _ = cavity_setup(6, 13)
     with pytest.raises(ParameterError):
