@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
 import os
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -23,13 +25,13 @@ from .errors import (
     StabilityError,
     UnsupportedCaseError,
 )
-from .fields import EDGE, FieldTrajectory, GridSpec
+from .fields import GridSpec
 from .gronwall import gronwall_differential, gronwall_oracle_check, oracle_report
 from .majorant import MajorantParams, certify
 from .operators import weighted_norm_sq
 from .optimize import OptimizeConfig, optimize_all, optimize_gamma_rho
 from .problem import assemble_problem, bump_field, bump_field_dt
-from .snapshot import load_snapshot, save_snapshot
+from .snapshot import load_snapshot, snapshot_reader, snapshot_writer
 from .solver import exact_reference, leapfrog_solve, project_exact
 
 EXIT_OK = 0
@@ -53,25 +55,17 @@ def _round17(v):
 # shared pipeline pieces
 
 
-def _build_approx(p, case, cfg):
-    solver_block = cfg.get("solver", {})
-    method = solver_block.get("method", "leapfrog")
-    if method == "exact":
-        if case is None:
-            raise ConfigError("solver method 'exact' needs a case block", "$['solver']['method']")
-        approx = project_exact(case, p.grid)
-    else:
-        approx = leapfrog_solve(p, cfl=solver_block.get("cfl", 0.9))
-    pert = cfg.get("perturbation")
-    if pert is not None and pert["delta"] != 0.0:
-        grid = p.grid
-        delta = float(pert["delta"])
-        key = pert["bump"]
-        shift = FieldTrajectory.sample(grid, EDGE, lambda t: bump_field(key, grid, t))
-        shift_dt = FieldTrajectory.sample(grid, EDGE, lambda t: bump_field_dt(key, grid, t))
-        approx.Etilde = approx.Etilde + delta * shift
-        approx.Etilde_t = approx.Etilde_t + delta * shift_dt
-    return approx
+def _solve(p, case, solver_block, out=None):
+    """Run the configured solver into out (in-memory trajectories when None)."""
+    if solver_block.get("method") == "exact":
+        return project_exact(case, p.grid, out)
+    return leapfrog_solve(p, cfl=solver_block.get("cfl", 0.9), out=out)
+
+
+def _shifted(sink, bump, key, delta, grid):
+    """Node sink that adds delta * bump(t_k) to node k before passing it on."""
+    return SimpleNamespace(
+        set_node=lambda k, f: sink.set_node(k, f + bump(key, grid, grid.times[k]) * delta))
 
 
 def _optimize_config(maj_block):
@@ -110,10 +104,20 @@ def _out_dir(args):
 def cmd_solve(args):
     cfg = load_config(args.config)
     p, case = problem_from_config(cfg)
-    approx = _build_approx(p, case, cfg)
+    solver_block = cfg.get("solver", {})
+    exact = solver_block.get("method") == "exact"
+    if exact and case is None:
+        raise ConfigError("solver method 'exact' needs a case block", "$['solver']['method']")
+    names = ("Etilde", "Htilde", "Etilde_t") + (("Htilde_t",) if exact else ())
     out = _out_dir(args)
     snap_path = args.snapshot or os.path.join(out, "snapshot.bin")
-    save_snapshot(snap_path, p.grid, approx)
+    with snapshot_writer(snap_path, p.grid, names) as sinks:
+        pert = cfg.get("perturbation")
+        if pert is not None and pert["delta"] != 0.0:
+            delta, key = float(pert["delta"]), pert["bump"]
+            sinks.Etilde = _shifted(sinks.Etilde, bump_field, key, delta, p.grid)
+            sinks.Etilde_t = _shifted(sinks.Etilde_t, bump_field_dt, key, delta, p.grid)
+        _solve(p, case, solver_block, sinks)
     print(f"snapshot written: {snap_path}")
     return EXIT_OK
 
@@ -183,30 +187,33 @@ def cmd_certify(args):
     if not args.snapshot:
         raise ConfigError("certify needs --snapshot", "--snapshot")
     p, case = problem_from_config(cfg)
-    _, approx = load_snapshot(args.snapshot, p.grid)
-
     maj = cfg.get("majorant", {})
-    theorem = args.theorem or maj.get("theorem", "T5")
-    variant = maj.get("zeroTermVariant", "z_hat")
-    params = MajorantParams(
-        rho=maj.get("rho", 0.5), gamma=maj.get("gamma", 1.0), zero_variant=variant
-    )
     mode = args.optimize or maj.get("optimize", "none")
-    exact = exact_reference(case, p.grid) if case is not None else None
-
-    if mode == "none":
-        report = certify(p, approx, params, theorem=theorem, exact=exact)
-    elif mode == "params":
-        ocfg = _optimize_config(maj)
-        gamma, rho, _ = optimize_gamma_rho(p, approx, None, ocfg, theorem, variant)
-        params = MajorantParams(rho=rho, gamma=gamma, zero_variant=variant)
-        report = certify(p, approx, params, theorem=theorem, exact=exact)
+    if mode == "full":  # the Y-optimizer works on whole trajectories
+        snapshot = contextlib.nullcontext(load_snapshot(args.snapshot, p.grid))
     else:
-        ocfg = _optimize_config(maj)
-        report, _ = optimize_all(
-            p, approx, ocfg, theorem=theorem, zero_variant=variant,
-            rho0=maj.get("rho", 0.5), gamma0=maj.get("gamma", 1.0), exact=exact,
-        )
+        snapshot = snapshot_reader(args.snapshot, p.grid)
+    # a huge but finite stored value overflows into a non-finite bound, which
+    # certify refuses in one error line; numpy's warnings would add more lines
+    with snapshot as (_, approx), np.errstate(over="ignore", invalid="ignore"):
+        theorem = args.theorem or maj.get("theorem", "T5")
+        variant = maj.get("zeroTermVariant", "z_hat")
+        params = MajorantParams(rho=maj.get("rho", 0.5), gamma=maj.get("gamma", 1.0),
+                                zero_variant=variant)
+        exact = exact_reference(case, p.grid) if case is not None else None
+
+        if mode == "none":
+            report = certify(p, approx, params, theorem=theorem, exact=exact)
+        elif mode == "params":
+            ocfg = _optimize_config(maj)
+            gamma, rho, _ = optimize_gamma_rho(p, approx, None, ocfg, theorem, variant)
+            params = MajorantParams(rho=rho, gamma=gamma, zero_variant=variant)
+            report = certify(p, approx, params, theorem=theorem, exact=exact)
+        else:
+            ocfg = _optimize_config(maj)
+            report, _ = optimize_all(p, approx, ocfg, theorem=theorem, zero_variant=variant,
+                                     rho0=maj.get("rho", 0.5), gamma0=maj.get("gamma", 1.0),
+                                     exact=exact)
 
     out = _out_dir(args)
     json_path, csv_path = _write_reports(out, cfg, report, theorem)
@@ -244,7 +251,7 @@ def cmd_verify(args):
         eps, mu = materials_from_config(cfg, grid)
         p = assemble_problem(grid, eps=eps, mu=mu, case=case)
         # refinement studies measure discretization error, not injected bumps
-        approx = _build_approx(p, case, {k: v for k, v in cfg.items() if k != "perturbation"})
+        approx = _solve(p, case, cfg.get("solver", {}))
         exact = exact_reference(case, grid)
         params = MajorantParams(
             rho=maj.get("rho", 0.5), gamma=maj.get("gamma", 1.0), zero_variant=variant

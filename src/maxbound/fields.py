@@ -252,6 +252,8 @@ class MaterialField:
     values: np.ndarray
     lambda_min: float = field(init=False)
     lambda_max: float = field(init=False)
+    # whether values are all ones (all identity matrices), set once from values
+    _identity: bool = field(init=False, repr=False, compare=False)
     # dof-located coefficients by (field kind, component), filled on first use
     dof_cache: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
@@ -260,12 +262,14 @@ class MaterialField:
         object.__setattr__(self, "values", v)
         if self.kind in ("scalar", "diagonal"):
             lam_min, lam_max = float(v.min()), float(v.max())
+            self._identity = lam_min == lam_max == 1.0
         elif self.kind == "full":
             asym = np.abs(v - np.swapaxes(v, -1, -2)).max()
             if asym > 0:
                 raise ParameterError(f"material tensor not symmetric (max |a_ij - a_ji| = {asym})")
             eig = np.linalg.eigvalsh(v)
             lam_min, lam_max = float(eig.min()), float(eig.max())
+            self._identity = bool(np.all(v == np.eye(3)))
         else:
             raise ParameterError(f"unknown material kind {self.kind!r}")
         if lam_min <= 0:
@@ -302,17 +306,15 @@ class MaterialField:
         return MaterialField(self.kind, 1.0 / self.values)
 
     def is_identity(self):
-        if self.kind in ("scalar", "diagonal"):
-            return bool(np.all(self.values == 1.0))
-        eye = np.eye(3)
-        return bool(np.all(self.values == eye))
+        return self._identity
 
     def apply_cells(self, v):
-        """Apply the tensor to a cell-centered vector array of shape (..., 3)."""
+        """Apply the tensor to a cell-centered vector array of shape (..., 3);
+        a scalar or diagonal identity returns v itself (x * 1.0 == x)."""
         if self.kind == "scalar":
-            return v * self.values[..., None]
+            return v if self._identity else v * self.values[..., None]
         if self.kind == "diagonal":
-            return v * self.values
+            return v if self._identity else v * self.values
         return np.einsum("...ij,...j->...i", self.values, v)
 
     def component_values(self, comp):

@@ -27,7 +27,7 @@ from .operators import (
     curl_face_to_edge,
     cumulative_trapezoid,
     ddt_matrix,
-    ddt_stencil,
+    ddt_node,
     exp_weighted_cumulative,
     trajectory_derivative,
     weighted_inner,
@@ -185,7 +185,7 @@ def zero_term_parts(p, approx, Y, use_Etilde_t=True):
     if use_Etilde_t:
         first0 = approx.Etilde_t.node(0)
     else:
-        first0 = _ddt_node(approx.Etilde.node, 0, g)
+        first0 = ddt_node(approx.Etilde.node, 0, g)
     et0_err = p.E0prime - first0
     curl_e0 = curl_edge_to_face(p.E0 - approx.Etilde.node(0), g)
     m0 = mu_inv_curl(p, approx.Etilde.node(0))
@@ -223,17 +223,6 @@ class _Window:
         self._nodes = {j: node for j, node in self._nodes.items() if j >= k}
 
 
-def _ddt_node(node, k, grid):
-    """Row k of the time-derivative matrix applied to the fields node(j)."""
-    lo, w = ddt_stencil(grid.nt, grid.dt, k)
-    out = None
-    for j, wj in zip(range(lo, lo + 3), w):
-        if wj != 0.0:
-            term = node(j) * wj
-            out = term if out is None else out + term
-    return out
-
-
 @dataclass
 class NodeSeries:
     """Per-node residual norms whose weighted combination is the functional f.
@@ -264,40 +253,45 @@ def series(p, approx, Y, theorem):
 
     Every node sees the operations of `residuals` followed by a spatial
     norm, but only a window of node fields is held: the free field Y, the
-    curl mismatch Ktilde and (T1/T3) the derivative dEtilde/dt, each kept
-    from node k-2 on.  Y None stands for the default free field
-    mu^-1 curl Etilde, built node by node.
+    curl mismatch Ktilde, Etilde_t and (T1/T3) the derivative dEtilde/dt,
+    each kept from node k-2 on.  Y None stands for the default free field
+    mu^-1 curl Etilde, built node by node; Ktilde is then zero, and kt_sq,
+    the T4/T5 coupling and the T1/T3 face term are left at 0.0 uncomputed.
     """
     g = p.grid
     _check_theorem(theorem, g, approx)
     if Y is not None:
         _check_Y(Y, g)
     nt = g.nt
-    E, Et = approx.Etilde, approx.Etilde_t
+    E = approx.Etilde
     M = _Window(lambda j: mu_inv_curl(p, E.node(j)))
     Yw = M if Y is None else _Window(Y.node)
     Kt = _Window(lambda j: M(j) - Yw(j))
-    dE = _Window(lambda j: _ddt_node(E.node, j, g))
+    dE = _Window(lambda j: ddt_node(E.node, j, g))
+    Et = _Window(lambda j: approx.Etilde_t.node(j))
     high = theorem in ("T1", "T3")
 
-    kt_sq, edge_sq, face_sq = np.empty(nt), np.empty(nt), np.empty(nt)
-    coup = None if high else np.empty(nt)
+    kt_sq, edge_sq, face_sq = np.zeros(nt), np.zeros(nt), np.zeros(nt)
+    coup = None if high else np.zeros(nt)
     for k in range(nt):
-        kt_sq[k] = weighted_norm_sq(Kt(k), p.mu, g)
         curl_Y = curl_face_to_edge(Yw(k), g)
         if high:
-            d2E = apply_material_staggered(_ddt_node(dE, k, g), p.eps, g)
+            d2E = apply_material_staggered(ddt_node(dE, k, g), p.eps, g)
             edge = d2E + curl_Y - p.K.node(k)
-            face = _ddt_node(Kt, k, g)
         else:
-            dEt = apply_material_staggered(_ddt_node(Et.node, k, g), p.eps, g)
+            dEt = apply_material_staggered(ddt_node(Et, k, g), p.eps, g)
             edge = dEt + curl_Y - p.K.node(k)
-            face = mu_inv_curl(p, Et.node(k)) - _ddt_node(Yw, k, g)
-            coupling_curl = curl_edge_to_face(Et.node(k) - dE(k), g)
-            coup[k] = weighted_inner(Kt(k), coupling_curl, None, g)
+            face = mu_inv_curl(p, Et(k)) - ddt_node(Yw, k, g)
+            face_sq[k] = weighted_norm_sq(face, p.mu, g)
         edge_sq[k] = weighted_norm_sq(edge, p.eps_inv, g)
-        face_sq[k] = weighted_norm_sq(face, p.mu, g)
-        for w in (M, Yw, Kt, dE):
+        if Y is not None:
+            kt_sq[k] = weighted_norm_sq(Kt(k), p.mu, g)
+            if high:
+                face_sq[k] = weighted_norm_sq(ddt_node(Kt, k, g), p.mu, g)
+            else:
+                coupling_curl = curl_edge_to_face(Et(k) - dE(k), g)
+                coup[k] = weighted_inner(Kt(k), coupling_curl, None, g)
+        for w in (M, Yw, Kt, dE, Et):
             w.drop_before(k - 1)
     zp = zero_term_parts(p, approx, Y, use_Etilde_t=not high)
     return NodeSeries(kt_sq, edge_sq, face_sq, coup, zp)
@@ -352,7 +346,7 @@ def true_error_norms(exact, approx, p, params, theorem="T5"):
     rho = params.rho_nodes(g.nt)
     gam = params.gamma_nodes(g.nt)
     if theorem in ("T1", "T3"):
-        first_approx = lambda k: _ddt_node(approx.Etilde.node, k, g)
+        first_approx = lambda k: ddt_node(approx.Etilde.node, k, g)
     else:
         first_approx = approx.Etilde_t.node
     n = np.empty(g.nt)

@@ -236,7 +236,8 @@ def apply_material_staggered(f, w, grid):
         if coeff is None:
             coeff = _cell_coeff_to_dofs(w.component_values(c), grid, f.kind, c)
             w.dof_cache[key] = coeff
-        comps.append(arr * coeff)
+        # an identity's coefficient is exactly 1.0: keep f's own arrays
+        comps.append(arr if w.is_identity() else arr * coeff)
     return _field(grid, f.kind, comps)
 
 
@@ -333,6 +334,17 @@ def ddt_stencil(nt, dt, k):
     if k == nt - 1:
         return nt - 3, np.array([0.5, -2.0, 1.5]) / dt
     return k - 1, np.array([-0.5, 0.0, 0.5]) / dt
+
+
+def ddt_node(node, k, grid):
+    """Row k of the time-derivative matrix applied to the fields node(j)."""
+    lo, w = ddt_stencil(grid.nt, grid.dt, k)
+    out = None
+    for j, wj in zip(range(lo, lo + 3), w):
+        if wj != 0.0:
+            term = node(j) * wj
+            out = term if out is None else out + term
+    return out
 
 
 def ddt_matrix(nt, dt):

@@ -14,8 +14,9 @@ from .operators import (
     apply_material_staggered,
     curl_edge_to_face,
     curl_face_to_edge,
+    ddt_node,
+    ddt_stencil,
     dof_inner,
-    trajectory_derivative,
     zero_tangential,
 )
 
@@ -45,13 +46,14 @@ def cfl_limit(p):
     return 1.0 / (c_max * math.sqrt(g.hx**-2 + g.hy**-2 + g.hz**-2))
 
 
-def leapfrog_solve(p, cfl=0.9, track_energy=False):
+def leapfrog_solve(p, cfl=0.9, track_energy=False, out=None):
     """Staggered-in-time leapfrog update of (E, H) for the given problem.
 
     E lives on the report nodes, H on half steps (averaged back to nodes
-    for the output); each node is written into the preallocated output
-    trajectories as it is computed; Htilde_t is left None.  Refuses to run
-    when dt exceeds cfl times the stability limit.
+    for the output).  Node k goes to out.Etilde, .Htilde and .Etilde_t by
+    set_node(k, field) once known, Etilde_t(k) being row k of ddt_stencil
+    on a window of three E nodes; out (in-memory trajectories by default)
+    is returned, Htilde_t left None.  Refuses dt > cfl * stability limit.
     """
     g = p.grid
     if not 0.0 < cfl <= 1.0:
@@ -63,6 +65,21 @@ def leapfrog_solve(p, cfl=0.9, track_energy=False):
             f"dt = {dt:.6g} exceeds cfl * stability limit = {cfl * limit:.6g}; "
             f"increase nt or coarsen the grid"
         )
+    if out is None:
+        out = SolveOutput(FieldTrajectory.zeros(g, EDGE), FieldTrajectory.zeros(g, FACE),
+                          FieldTrajectory.zeros(g, EDGE))
+    window = {}
+    pending = 0  # the first node whose Etilde_t is not yet written
+
+    def emit(j, E, H):
+        nonlocal pending
+        out.Etilde.set_node(j, E)
+        out.Htilde.set_node(j, H)
+        window[j] = E
+        while pending < g.nt and ddt_stencil(g.nt, dt, pending)[0] + 2 <= j:
+            out.Etilde_t.set_node(pending, ddt_node(window.__getitem__, pending, g))
+            pending += 1
+        window.pop(j - 2, None)
 
     E = zero_tangential(p.E0)
     # Start H at t = dt/2 with a Taylor half step.
@@ -71,10 +88,7 @@ def leapfrog_solve(p, cfl=0.9, track_energy=False):
         apply_material_staggered(H_rhs0, p.mu_inv, g) + p.G.node(0)
     )
 
-    Etilde = FieldTrajectory.zeros(g, EDGE)
-    Htilde = FieldTrajectory.zeros(g, FACE)
-    Etilde.set_node(0, E)
-    Htilde.set_node(0, p.H0)
+    emit(0, E, p.H0)
     energies = []
     if track_energy:
         energies.append(_staggered_energy(p, E, p.H0, H_half))
@@ -87,28 +101,25 @@ def leapfrog_solve(p, cfl=0.9, track_energy=False):
             + F_half
         )
         E = zero_tangential(E)
-        Etilde.set_node(k + 1, E)
         if k < g.nt - 2:
             next_half = prev_half + dt * (
                 apply_material_staggered(curl_edge_to_face(E, g) * (-1.0), p.mu_inv, g)
                 + p.G.node(k + 1)
             )
+            emit(k + 1, E, 0.5 * (prev_half + next_half))
+            if track_energy:
+                energies.append(_staggered_energy(p, E, prev_half, next_half))
         else:
             # closing half step to land H exactly on the final node
             next_half = prev_half + 0.5 * dt * (
                 apply_material_staggered(curl_edge_to_face(E, g) * (-1.0), p.mu_inv, g)
                 + p.G.node(k + 1)
             )
-        if k < g.nt - 2:
-            Htilde.set_node(k + 1, 0.5 * (prev_half + next_half))
-            if track_energy:
-                energies.append(_staggered_energy(p, E, prev_half, next_half))
-        else:
-            Htilde.set_node(k + 1, next_half)
+            emit(k + 1, E, next_half)
         prev_half = next_half
 
-    trace = np.asarray(energies) if track_energy else None
-    return SolveOutput(Etilde, Htilde, trajectory_derivative(Etilde), energy_trace=trace)
+    out.energy_trace = np.asarray(energies) if track_energy else None
+    return out
 
 
 def _staggered_energy(p, E, H_lo, H_hi):
@@ -119,17 +130,21 @@ def _staggered_energy(p, E, H_lo, H_hi):
     return dof_inner(eE, E, g) + dof_inner(muH, H_hi, g)
 
 
-def project_exact(case, grid):
+def project_exact(case, grid, out=None):
     """Sample an exact catalog solution as if it were an approximation.
 
     Etilde_t carries the analytic time derivative, not a finite
-    difference.
+    difference.  Node k of each field goes to out by set_node(k, field);
+    out (in-memory trajectories by default) is returned.
     """
-    Etilde = FieldTrajectory.sample(grid, EDGE, lambda t: case.sample_E(grid, t))
-    Htilde = FieldTrajectory.sample(grid, FACE, lambda t: case.sample_H(grid, t))
-    Etilde_t = FieldTrajectory.sample(grid, EDGE, lambda t: case.sample_dtE(grid, t))
-    Htilde_t = FieldTrajectory.sample(grid, FACE, lambda t: case.sample_dtH(grid, t))
-    return SolveOutput(Etilde, Htilde, Etilde_t, Htilde_t)
+    if out is None:
+        out = SolveOutput(*(FieldTrajectory.zeros(grid, kind) for kind in (EDGE, FACE, EDGE, FACE)))
+    for k, t in enumerate(grid.times):
+        out.Etilde.set_node(k, case.sample_E(grid, t))
+        out.Htilde.set_node(k, case.sample_H(grid, t))
+        out.Etilde_t.set_node(k, case.sample_dtE(grid, t))
+        out.Htilde_t.set_node(k, case.sample_dtH(grid, t))
+    return out
 
 
 class _NodeSampler:

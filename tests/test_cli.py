@@ -3,9 +3,12 @@
 import csv
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import maxbound as mb
 from maxbound.cli import (
@@ -257,6 +260,107 @@ def test_snapshot_with_a_nan_is_refused(tmp_path, capsys):
     _certify_fails(cfg, snap, out, capsys, EXIT_MISMATCH)
 
 
+def _value_offset(snap, field, comp, index):
+    """Byte offset of value `index` of one archived array, from the header."""
+    with open(snap, "rb") as fh:
+        fh.seek(8)
+        (hlen,) = np.frombuffer(fh.read(4), dtype="<u4")
+        header = json.loads(fh.read(int(hlen)))
+    offset = 12 + int(hlen)
+    for entry in header["arrays"]:
+        if (entry["field"], entry["component"]) == (field, comp):
+            return offset + 8 * index
+        offset += 8 * int(np.prod(entry["shape"]))
+    raise KeyError((field, comp))
+
+
+@pytest.mark.parametrize("field, comp, node", [("Htilde", "y", 4), ("Etilde_t", "x", -1),
+                                               ("Etilde_t", "z", -1)])
+def test_a_nan_in_any_node_of_any_field_is_refused_before_a_report(tmp_path, capsys, field,
+                                                                 comp, node):
+    # T5 never reads Htilde, and the last node of Etilde_t is the last one read
+    cfg, out, snap = _small_snapshot(tmp_path)
+    grid = mb.GridSpec(4, 4, 4, 1.0, 1.0, 1.0, 9, 1.0)
+    kind = mb.FACE if field == "Htilde" else mb.EDGE
+    node_values = int(np.prod(grid.shape(kind, comp)))
+    index = (node % grid.nt) * node_values + node_values // 2
+    with open(snap, "r+b") as fh:
+        fh.seek(_value_offset(snap, field, comp, index))
+        fh.write(np.array([np.nan], dtype="<f8").tobytes())
+    _certify_fails(cfg, snap, out, capsys, EXIT_MISMATCH)
+
+
+@pytest.fixture(scope="module")
+def small_archive(tmp_path_factory):
+    """A valid 4^3 x 9 cavity archive: (config path, archive bytes, header end)."""
+    work = tmp_path_factory.mktemp("archive")
+    cfg = _write(work, "small.json", _cavity_cfg(n=4, nt=9))
+    assert main(["solve", "--config", cfg, "--out", str(work)]) == EXIT_OK
+    blob = (work / "snapshot.bin").read_bytes()
+    return cfg, blob, 12 + int(np.frombuffer(blob[8:12], dtype="<u4")[0])
+
+
+def _certify_damaged(cfg, damaged, tmp_path, capsys):
+    """Exit code, whether a report was written, and stderr of certify on an archive."""
+    work = tempfile.mkdtemp(dir=tmp_path)
+    snap, out = os.path.join(work, "snapshot.bin"), os.path.join(work, "out")
+    with open(snap, "wb") as fh:
+        fh.write(damaged)
+    capsys.readouterr()
+    code = main(["certify", "--config", cfg, "--snapshot", snap, "--out", out])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return code, os.path.exists(os.path.join(out, "report.json")), err
+
+
+def _check_outcome(outcome, value=None):
+    """Exit 4 in one line with no report, unless `value`, the changed body
+    value, is finite: then the archive is valid and is certified, or, when
+    the value is so large that the bound overflows, refused with exit 1."""
+    code, reported, err = outcome
+    if value is None or not np.isfinite(value):
+        assert (code, reported, len(err.strip().splitlines())) == (EXIT_MISMATCH, False, 1)
+    elif code == EXIT_OK or abs(value) < 1e100:
+        assert (code, reported, err) == (EXIT_OK, True, "")
+    else:
+        assert (code, reported) == (EXIT_VERIFY_FAIL, False)
+        assert len(err.strip().splitlines()) == 1 and "not finite" in err
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(damage=st.sampled_from(("truncate", "header", "body", "append")), data=st.data())
+def test_a_damaged_snapshot_is_refused_in_one_line_or_certified(small_archive, tmp_path,
+                                                                 capsys, damage, data):
+    cfg, blob, body = small_archive
+    damaged = bytearray(blob)
+    value = None
+    if damage == "truncate":
+        del damaged[data.draw(st.integers(0, len(blob) - 1)):]
+    elif damage == "append":
+        damaged += data.draw(st.binary(min_size=1, max_size=64))
+    else:
+        lo, hi = (0, body) if damage == "header" else (body, len(blob))
+        at = data.draw(st.integers(lo, hi - 1))
+        damaged[at] ^= data.draw(st.integers(1, 255))
+        if damage == "body":
+            word = at - (at - body) % 8
+            value = float(np.frombuffer(bytes(damaged[word:word + 8]), dtype="<f8")[0])
+    _check_outcome(_certify_damaged(cfg, bytes(damaged), tmp_path, capsys), value)
+
+
+def test_damage_that_leaves_valid_json_or_finite_values_is_handled(small_archive, tmp_path,
+                                                                   capsys):
+    cfg, blob, body = small_archive
+    # a tab for a space leaves the header valid JSON with the same contents
+    retabbed = blob[:body].replace(b": ", b":\t", 1) + blob[body:]
+    _check_outcome(_certify_damaged(cfg, retabbed, tmp_path, capsys))
+    for value in (3.5, 1e300):
+        damaged = bytearray(blob)
+        damaged[body + 800:body + 808] = np.array([value], dtype="<f8").tobytes()
+        _check_outcome(_certify_damaged(cfg, bytes(damaged), tmp_path, capsys), value)
+
+
 def test_non_finite_bound_is_an_error_not_a_report(tmp_path, capsys, monkeypatch):
     import maxbound.majorant as majorant
 
@@ -291,6 +395,14 @@ def test_the_removed_track_energy_key_is_a_config_error(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
     assert "trackEnergy" in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+def test_a_failed_solve_leaves_neither_a_snapshot_nor_a_temporary_file(tmp_path, capsys):
+    cfg = _write(tmp_path, "unstable.json", _cavity_cfg(n=16, nt=5))
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == EXIT_STABILITY
+    capsys.readouterr()
+    assert not out.exists() or not os.listdir(out)
 
 
 @pytest.mark.parametrize("command, doc", [
@@ -352,3 +464,16 @@ def test_certify_peak_is_its_snapshot_plus_less_than_one_edge_trajectory(tmp_pat
     peak = _traced_exit(cert)
     capsys.readouterr()
     assert peak < snapshot + edge
+
+
+@pytest.mark.parametrize("command", ["solve", "certify"])
+def test_cli_peak_does_not_grow_with_the_time_nodes(tmp_path, capsys, command):
+    peaks = []
+    for nt in (17, 129):
+        work = tmp_path / f"nt{nt}"
+        work.mkdir()
+        solve, cert, edge, _ = _cavity_run(work, 8, nt)
+        peaks.append(_traced_exit(solve if command == "solve" else cert))
+    capsys.readouterr()
+    # edge is the bytes of one edge trajectory at nt = 129
+    assert peaks[1] - peaks[0] < edge / 4

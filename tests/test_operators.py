@@ -9,6 +9,7 @@ import maxbound as mb
 from maxbound.errors import DimensionError, ParameterError
 from maxbound.fields import EDGE, FACE, StaggeredField
 from maxbound.operators import (
+    apply_material_staggered,
     cell_average,
     cell_average_adjoint,
     cumulative_trapezoid,
@@ -155,6 +156,41 @@ def test_material_validation_rejects_indefinite_and_asymmetric_tensors():
         mb.MaterialField.full(grid, [[1.0, 0.5, 0.0], [0.4, 1.0, 0.0], [0.0, 0.0, 1.0]])
     with pytest.raises(ParameterError):
         mb.MaterialField.full(grid, np.diag([1.0, 1.0, -2.0]))
+
+
+def _special_values(rng, shape):
+    """Random values with signed zeros, subnormals, huge values and infinities."""
+    v = rng.standard_normal(shape)
+    flat = v.reshape(-1)
+    picks = rng.choice(flat.size, size=6 * 4, replace=False).reshape(6, 4)
+    for idx, val in zip(picks, (-0.0, 0.0, 5e-324, -1e308, np.inf, -np.inf)):
+        flat[idx] = val
+    return v
+
+
+@pytest.mark.parametrize("material", ["scalar", "diagonal"])
+def test_the_identity_shortcut_equals_the_multiply_by_ones_bit_for_bit(material):
+    grid = _grid(4, 3)
+    rng = np.random.default_rng(37)
+    ones = (mb.MaterialField.identity(grid) if material == "scalar"
+            else mb.MaterialField.diagonal(grid, 1.0, 1.0, 1.0))
+    assert ones.is_identity()
+    assert not mb.MaterialField.diagonal(grid, 1.0, 1.0, 1.0 + 2**-52).is_identity()
+
+    def same_bits(got, want):
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert np.array_equal(np.ascontiguousarray(got).view(np.uint64),
+                              np.ascontiguousarray(want).view(np.uint64))
+
+    for kind in (EDGE, FACE):
+        f = StaggeredField(kind, *(_special_values(rng, grid.shape(kind, c)) for c in "xyz"))
+        got = apply_material_staggered(f, ones, grid)
+        for c, a, b in zip("xyz", got.components(), f.components()):
+            assert (ones.dof_cache[(kind, c)] == 1.0).all()
+            same_bits(a, b * ones.dof_cache[(kind, c)])
+    v = _special_values(rng, (grid.nx, grid.ny, grid.nz, 3))
+    want = v * (ones.values[..., None] if material == "scalar" else ones.values)
+    same_bits(ones.apply_cells(v), want)
 
 
 def test_gram_apply_represents_the_weighted_norm():

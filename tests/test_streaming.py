@@ -122,6 +122,29 @@ def test_series_equals_the_whole_trajectory_reference(theorem, nt, explicit_Y, d
         assert not s.kt_sq.any()
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    theorem=st.sampled_from(("T1", "T3", "T4", "T5")),
+    nt=st.sampled_from((5, 6, 9)),
+    material=st.sampled_from(("identity", "scalar", "diagonal")),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_the_default_free_field_skips_only_terms_that_are_zero(theorem, nt, material, seed):
+    rng = np.random.default_rng(seed)
+    grid = mb.GridSpec(3, 2, 3, 1.0, 0.7, 1.3, nt, 0.8)
+    p, approx = _random_inputs(grid, rng, material == "diagonal")
+    if material == "identity":
+        p = mb.assemble_problem(grid, eps=MaterialField.identity(grid),
+                                mu=MaterialField.identity(grid), F=p.F, G=p.G, E0=p.E0, H0=p.H0)
+
+    skipped = series(p, approx, None, theorem)
+    computed = series(p, approx, mb.default_Y(p, approx), theorem)
+    for name in ("kt_sq", "edge_sq", "face_sq", "coup"):
+        a, b = getattr(skipped, name), getattr(computed, name)
+        assert (a is None and b is None) or np.array_equal(a, b)
+    assert skipped.zp == computed.zp
+
+
 def _certify_peak(nt, theorem):
     p, approx, exact = cavity_setup(8, nt)
     params = mb.MajorantParams()
