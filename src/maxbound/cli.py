@@ -193,9 +193,7 @@ def cmd_certify(args):
         snapshot = contextlib.nullcontext(load_snapshot(args.snapshot, p.grid))
     else:
         snapshot = snapshot_reader(args.snapshot, p.grid)
-    # a huge but finite stored value overflows into a non-finite bound, which
-    # certify refuses in one error line; numpy's warnings would add more lines
-    with snapshot as (_, approx), np.errstate(over="ignore", invalid="ignore"):
+    with snapshot as (_, approx):
         theorem = args.theorem or maj.get("theorem", "T5")
         variant = maj.get("zeroTermVariant", "z_hat")
         params = MajorantParams(rho=maj.get("rho", 0.5), gamma=maj.get("gamma", 1.0),
@@ -427,7 +425,9 @@ def main(argv=None):
         print("error: --config is required", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        return args.func(args)
+        # overflows end in a refused bound or snapshot: one error line, no warnings
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except ConfigError as exc:
         loc = f" at {exc.path}" if exc.path else ""
         print(f"config error{loc}: {exc}", file=sys.stderr)

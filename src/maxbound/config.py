@@ -149,6 +149,13 @@ CHECK_SPEC_SCHEMA = {
 }
 
 
+# JSON Schema counts 9.0 as an integer; a grid size or an iteration count must be 9
+_Validator = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator,
+    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
+        "integer", lambda _, v: isinstance(v, int) and not isinstance(v, bool)))
+
+
 def load_config(source, schema=CONFIG_SCHEMA):
     """Read a JSON document from a path (or take a dict) and validate it
     against schema, the run config by default or CHECK_SPEC_SCHEMA; the first
@@ -171,7 +178,7 @@ def load_config(source, schema=CONFIG_SCHEMA):
             doc = json.loads(text, parse_constant=refuse)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"invalid JSON: {exc}", origin)
-    validator = jsonschema.Draft202012Validator(schema)
+    validator = _Validator(schema)
     errors = sorted(validator.iter_errors(doc), key=lambda e: list(e.absolute_path))
     if errors:
         err = errors[0]

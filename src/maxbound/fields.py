@@ -41,6 +41,8 @@ class GridSpec:
         for name in ("lx", "ly", "lz", "T"):
             if not getattr(self, name) > 0:
                 raise ParameterError(f"{name} must be > 0, got {getattr(self, name)}")
+        if not min(self.hx, self.hy, self.hz, self.dt) > 0:
+            raise ParameterError("a cell size or the time step underflows to 0")
 
     @property
     def hx(self):
@@ -106,17 +108,15 @@ class _Components:
     """Elementwise arithmetic of a field kind with component arrays x, y, z.
 
     Results are rebuilt through dataclasses.replace, so they keep every
-    other attribute and pass the constructor's shape check.  _LEAD is the
-    number of axes ahead of the three spatial ones.
+    other attribute and pass the constructor's shape check; the augmented
+    operators (+=, -=, *=) write into the left operand's own arrays.
+    _LEAD is the number of axes ahead of the three spatial ones.
     """
 
     _LEAD = 0
 
     def components(self):
         return (self.x, self.y, self.z)
-
-    def _map(self, fn):
-        return replace(self, x=fn(self.x), y=fn(self.y), z=fn(self.z))
 
     def check_extents(self, grid):
         for c, arr in zip(_COMPONENTS, self.components()):
@@ -128,29 +128,43 @@ class _Components:
                 )
 
     def copy(self):
-        return self._map(np.ndarray.copy)
+        return replace(self, x=self.x.copy(), y=self.y.copy(), z=self.z.copy())
 
-    def _binary(self, other, op):
-        if isinstance(other, type(self)):
-            if other.kind != self.kind:
-                raise DimensionError(f"kind mismatch: {self.kind} vs {other.kind}")
-            return replace(self, x=op(self.x, other.x), y=op(self.y, other.y),
-                           z=op(self.z, other.z))
-        return self._map(lambda a: op(a, other))
+    def apply(self, op, other, out=None):
+        """The ufunc op of this field and other (a field of the same kind or a
+        scalar) componentwise: into new arrays, or into the field out."""
+        is_field = isinstance(other, _Components)
+        if is_field and other.kind != self.kind:
+            raise DimensionError(f"kind mismatch: {self.kind} vs {other.kind}")
+        pairs = zip(self.components(), other.components() if is_field else (other,) * 3)
+        if out is None:
+            return replace(self, **{c: op(a, b) for c, (a, b) in zip(_COMPONENTS, pairs)})
+        for (a, b), o in zip(pairs, out.components()):
+            op(a, b, out=o)
+        return out
 
     def __add__(self, other):
-        return self._binary(other, np.add)
+        return self.apply(np.add, other)
 
     def __sub__(self, other):
-        return self._binary(other, np.subtract)
+        return self.apply(np.subtract, other)
 
     def __mul__(self, scalar):
-        return self._map(lambda a: a * scalar)
+        return self.apply(np.multiply, scalar)
 
     __rmul__ = __mul__
 
     def __neg__(self):
         return self * (-1.0)
+
+    def __iadd__(self, other):
+        return self.apply(np.add, other, self)
+
+    def __isub__(self, other):
+        return self.apply(np.subtract, other, self)
+
+    def __imul__(self, scalar):
+        return self.apply(np.multiply, scalar, self)
 
 
 @dataclass

@@ -20,7 +20,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import GridMismatchError, MaxboundError, ParameterError, PreconditionError
-from .fields import FACE, FieldTrajectory, StaggeredField
+from .fields import EDGE, FACE, FieldTrajectory, StaggeredField
 from .operators import (
     apply_material_staggered,
     curl_edge_to_face,
@@ -98,9 +98,11 @@ class Residuals:
     coupling_curl: Optional[FieldTrajectory] = None  # curl(Etilde_t - dEtilde/dt)
 
 
-def mu_inv_curl(p, e):
-    """mu^-1 curl e of an edge field or a whole edge trajectory."""
-    return apply_material_staggered(curl_edge_to_face(e, p.grid), p.mu_inv, p.grid)
+def mu_inv_curl(p, e, out=None):
+    """mu^-1 curl e of an edge field or a whole edge trajectory, into out
+    when it is given."""
+    curl = curl_edge_to_face(e, p.grid, out)
+    return apply_material_staggered(curl, p.mu_inv, p.grid, curl)
 
 
 def default_Y(p, approx):
@@ -146,11 +148,6 @@ def residuals(p, approx, Y):
 def norm_sq_trajectory(traj, w, grid):
     """Spatial weighted squared norm at each time node."""
     return np.array([weighted_norm_sq(traj.node(k), w, grid) for k in range(grid.nt)])
-
-
-def inner_trajectory(a, b, grid):
-    """Plain (unweighted) cell-centered inner product at each time node."""
-    return np.array([weighted_inner(a.node(k), b.node(k), None, grid) for k in range(grid.nt)])
 
 
 # ---------------------------------------------------------------------------
@@ -207,20 +204,24 @@ def zero_term(p, approx, Y, variant="z_hat", use_Etilde_t=True):
 
 
 class _Window:
-    """Node fields made on first use and kept by node index until dropped."""
+    """The fields of the last three nodes, each made on first use.
+
+    Node j is held in slot j % 3 until node j + 3 takes the slot.
+    make(j, out) makes it, out being the field the slot held (None at
+    first): a derived field is written into it, an input node ignores it.
+    """
 
     def __init__(self, make):
         self._make = make
-        self._nodes = {}
+        self._held = [None] * 3
+        self._fields = [None] * 3
 
     def __call__(self, j):
-        node = self._nodes.get(j)
-        if node is None:
-            node = self._nodes[j] = self._make(j)
-        return node
-
-    def drop_before(self, k):
-        self._nodes = {j: node for j, node in self._nodes.items() if j >= k}
+        i = j % 3
+        if self._held[i] != j:
+            self._fields[i] = self._make(j, self._fields[i])
+            self._held[i] = j
+        return self._fields[i]
 
 
 @dataclass
@@ -230,6 +231,8 @@ class NodeSeries:
     edge_sq is ||Khat||^2_{eps^-1} (T1/T3) or ||Kcheck||^2_{eps^-1} (T4/T5);
     face_sq is ||dKtilde/dt||^2_mu (T1/T3) or ||Rt||^2_mu (T4/T5); coup is
     <Ktilde, curl(Etilde_t - dEtilde/dt)> on T4/T5 and None otherwise.
+    error_sq, given an exact reference, holds ||e_t||^2_eps and
+    ||curl e||^2_{mu^-1} at every node (see true_error_norms), else None.
     """
 
     kt_sq: np.ndarray
@@ -237,6 +240,7 @@ class NodeSeries:
     face_sq: np.ndarray
     coup: Optional[np.ndarray]
     zp: ZeroTermParts
+    error_sq: Optional[tuple] = None
 
 
 def _check_theorem(theorem, grid, approx):
@@ -248,53 +252,75 @@ def _check_theorem(theorem, grid, approx):
         raise PreconditionError(f"{theorem} requires the Etilde_t trajectory")
 
 
-def series(p, approx, Y, theorem):
+class _Work:
+    """The node buffers of one pass: two edge and two face fields, a cell array."""
+
+    def __init__(self, grid):
+        self.edge, self.edge2 = (StaggeredField.zeros(grid, EDGE) for _ in range(2))
+        self.face, self.face2 = (StaggeredField.zeros(grid, FACE) for _ in range(2))
+        self.cells = np.zeros((grid.nx, grid.ny, grid.nz, 3))
+
+
+def series(p, approx, Y, theorem, exact=None):
     """The theorem's per-node series in one pass over the time nodes.
 
     Every node sees the operations of `residuals` followed by a spatial
-    norm, but only a window of node fields is held: the free field Y, the
-    curl mismatch Ktilde, Etilde_t and (T1/T3) the derivative dEtilde/dt,
-    each kept from node k-2 on.  Y None stands for the default free field
-    mu^-1 curl Etilde, built node by node; Ktilde is then zero, and kt_sq,
-    the T4/T5 coupling and the T1/T3 face term are left at 0.0 uncomputed.
+    norm, but only three nodes of Etilde, Y, Ktilde, Etilde_t and (T1/T3)
+    dEtilde/dt are held, each input node is read once, and the residuals
+    go into buffers made once per call.  Y None stands for the default free
+    field mu^-1 curl Etilde, built node by node; Ktilde is then zero, and
+    kt_sq, the T4/T5 coupling and the T1/T3 face term are left at 0.0
+    uncomputed.  Given an exact reference, the pass takes the true-error
+    norms of every node too.
     """
     g = p.grid
     _check_theorem(theorem, g, approx)
     if Y is not None:
         _check_Y(Y, g)
     nt = g.nt
-    E = approx.Etilde
-    M = _Window(lambda j: mu_inv_curl(p, E.node(j)))
-    Yw = M if Y is None else _Window(Y.node)
-    Kt = _Window(lambda j: M(j) - Yw(j))
-    dE = _Window(lambda j: ddt_node(E.node, j, g))
-    Et = _Window(lambda j: approx.Etilde_t.node(j))
+    work = _Work(g)
+    E = _Window(lambda j, _: approx.Etilde.node(j))
+    M = _Window(lambda j, out: mu_inv_curl(p, E(j), out))
+    Yw = M if Y is None else _Window(lambda j, _: Y.node(j))
+    Kt = _Window(lambda j, out: M(j).apply(np.subtract, Yw(j), out))
+    dE = _Window(lambda j, out: ddt_node(E, j, g, out))
+    Et = _Window(lambda j, _: approx.Etilde_t.node(j))
     high = theorem in ("T1", "T3")
 
     kt_sq, edge_sq, face_sq = np.zeros(nt), np.zeros(nt), np.zeros(nt)
     coup = None if high else np.zeros(nt)
+    error_sq = None if exact is None else (np.zeros(nt), np.zeros(nt))
     for k in range(nt):
-        curl_Y = curl_face_to_edge(Yw(k), g)
-        if high:
-            d2E = apply_material_staggered(ddt_node(dE, k, g), p.eps, g)
-            edge = d2E + curl_Y - p.K.node(k)
-        else:
-            dEt = apply_material_staggered(ddt_node(Et, k, g), p.eps, g)
-            edge = dEt + curl_Y - p.K.node(k)
-            face = mu_inv_curl(p, Et(k)) - ddt_node(Yw, k, g)
-            face_sq[k] = weighted_norm_sq(face, p.mu, g)
-        edge_sq[k] = weighted_norm_sq(edge, p.eps_inv, g)
+        # the true error first: its node k of Etilde has not yet left the window
+        if exact is not None:
+            first = exact.Etilde_t.node(k).apply(np.subtract, dE(k) if high else Et(k), work.edge)
+            error_sq[0][k] = weighted_norm_sq(first, p.eps, g, work.cells)
+            diff = exact.Etilde.node(k).apply(np.subtract, E(k), work.edge)
+            curl_err = curl_edge_to_face(diff, g, work.face)
+            error_sq[1][k] = weighted_norm_sq(curl_err, p.mu_inv, g, work.cells)
         if Y is not None:
-            kt_sq[k] = weighted_norm_sq(Kt(k), p.mu, g)
-            if high:
-                face_sq[k] = weighted_norm_sq(ddt_node(Kt, k, g), p.mu, g)
-            else:
-                coupling_curl = curl_edge_to_face(Et(k) - dE(k), g)
-                coup[k] = weighted_inner(Kt(k), coupling_curl, None, g)
-        for w in (M, Yw, Kt, dE, Et):
-            w.drop_before(k - 1)
+            kt_sq[k] = weighted_norm_sq(Kt(k), p.mu, g, work.cells)
+        Yk = Yw(k)  # made before the derivatives below move the Etilde window on
+        edge = ddt_node(dE if high else Et, k, g, work.edge, work.edge2)
+        apply_material_staggered(edge, p.eps, g, edge)
+        edge += curl_face_to_edge(Yk, g, work.edge2)
+        edge -= p.K.node(k)
+        edge_sq[k] = weighted_norm_sq(edge, p.eps_inv, g, work.cells)
+        if high:
+            if Y is not None:
+                face = ddt_node(Kt, k, g, work.face, work.face2)
+                face_sq[k] = weighted_norm_sq(face, p.mu, g, work.cells)
+        else:
+            dY = ddt_node(Yw, k, g, work.face2, work.face)
+            face = mu_inv_curl(p, Et(k), work.face)
+            face -= dY
+            face_sq[k] = weighted_norm_sq(face, p.mu, g, work.cells)
+            if Y is not None:
+                diff = Et(k).apply(np.subtract, dE(k), work.edge)
+                coupling_curl = curl_edge_to_face(diff, g, work.face)
+                coup[k] = weighted_inner(Kt(k), coupling_curl, None, g, work.cells)
     zp = zero_term_parts(p, approx, Y, use_Etilde_t=not high)
-    return NodeSeries(kt_sq, edge_sq, face_sq, coup, zp)
+    return NodeSeries(kt_sq, edge_sq, face_sq, coup, zp, error_sq)
 
 
 # ---------------------------------------------------------------------------
@@ -340,26 +366,21 @@ def true_error_norms(exact, approx, p, params, theorem="T5"):
 
     For T1/T3 the first slot is the discrete time derivative of the error;
     for T4/T5 it is the Etilde_t error.  N is gamma-weighted exactly when
-    the theorem uses trajectory weights (T3/T4).  Streams over the nodes.
+    the theorem uses trajectory weights (T3/T4).  The norms are taken in
+    the one pass of series, the pass certify makes.
     """
-    g = p.grid
-    rho = params.rho_nodes(g.nt)
-    gam = params.gamma_nodes(g.nt)
-    if theorem in ("T1", "T3"):
-        first_approx = lambda k: ddt_node(approx.Etilde.node, k, g)
-    else:
-        first_approx = approx.Etilde_t.node
-    n = np.empty(g.nt)
-    for k in range(g.nt):
-        first_err = exact.Etilde_t.node(k) - first_approx(k)
-        curl_err = curl_edge_to_face(exact.Etilde.node(k) - approx.Etilde.node(k), g)
-        n[k] = (
-            weighted_norm_sq(first_err, p.eps, g)
-            + rho[k] * weighted_norm_sq(curl_err, p.mu_inv, g)
-        )
+    s = series(p, approx, None, theorem, exact)
+    return _error_norms(s.error_sq, params, theorem, p.grid)
+
+
+def _error_norms(error_sq, params, theorem, grid):
+    """n = ||e_t||^2_eps + rho ||curl e||^2_{mu^-1} per node from the two
+    norms of NodeSeries.error_sq, and N."""
+    first_sq, curl_sq = error_sq
+    n = first_sq + params.rho_nodes(grid.nt) * curl_sq
+    gam = params.gamma_nodes(grid.nt)
     weight = gam if theorem in ("T3", "T4") else np.ones_like(gam)
-    N = cumulative_trapezoid(weight * n, g.dt)
-    return n, N
+    return n, cumulative_trapezoid(weight * n, grid.dt)
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +423,7 @@ def certify(p, approx, params, theorem="T5", exact=None):
         raise PreconditionError(f"{theorem} requires constant rho and gamma")
     rho = params.rho_nodes(g.nt)
     gam = params.gamma_nodes(g.nt)
-    s = series(p, approx, params.Y, theorem)
+    s = series(p, approx, params.Y, theorem, exact)
     f = functional(s, rho, gam, params.zero_variant, g.dt, params.absolute_coupling)
     gamma_weighted = theorem in ("T3", "T4")
     b, B = bound_b_and_B(f, gam, g.dt, gamma_weighted_N=gamma_weighted)
@@ -421,7 +442,7 @@ def certify(p, approx, params, theorem="T5", exact=None):
         zero_variant=params.zero_variant,
     )
     if exact is not None:
-        n, N = true_error_norms(exact, approx, p, params, theorem)
+        n, N = _error_norms(s.error_sq, params, theorem, g)
         report.trueN = n
         report.trueBigN = N
         scale = max(float(np.max(n)), float(np.max(b)), 1e-300)
@@ -463,7 +484,7 @@ def combined_estimate(p, approx, params, exact=None, theorem="T5"):
     if Htilde_t is None:
         Htilde_t = trajectory_derivative(approx.Htilde)
 
-    report = certify(p, approx, params, theorem=theorem, exact=None)
+    report = certify(p, approx, params, theorem=theorem, exact=exact)
 
     curl_H = curl_face_to_edge(approx.Htilde, g)
     f_res = p.F - approx.Etilde_t + apply_material_staggered(curl_H, p.eps_inv, g)
@@ -475,7 +496,7 @@ def combined_estimate(p, approx, params, exact=None, theorem="T5"):
     true_combined = None
     if exact is not None:
         rho = params.rho_nodes(g.nt)
-        n_e, _ = true_error_norms(exact, approx, p, params, theorem)
+        n_e = report.trueN
         h_err = exact.Htilde - approx.Htilde
         exact_Ht = exact.Htilde_t
         if exact_Ht is None:

@@ -34,20 +34,53 @@ def _field(grid, kind, comps):
 # type; every element sees the same operations in both cases.
 
 
-def curl_edge_to_face(e, grid):
+def _lower_upper(a, axis):
+    """The views a[:-1] and a[1:] along one axis."""
+    lo = [slice(None)] * a.ndim
+    hi = list(lo)
+    lo[axis], hi[axis] = slice(None, -1), slice(1, None)
+    return a[tuple(lo)], a[tuple(hi)]
+
+
+def _curl_rows(terms):
+    """out = diff(a)/ha - diff(b)/hb along the given axes for each
+    (out, a, axis_a, ha, b, axis_b, hb); the subtrahends share one scratch."""
+    scratch = np.empty(max(t[0].size for t in terms))
+    for out, a, axis_a, ha, b, axis_b, hb in terms:
+        tmp = scratch[: out.size].reshape(out.shape)
+        lo, hi = _lower_upper(a, axis_a)
+        np.subtract(hi, lo, out=out)
+        out /= ha
+        lo, hi = _lower_upper(b, axis_b)
+        np.subtract(hi, lo, out=tmp)
+        tmp /= hb
+        out -= tmp
+
+
+# The curls and cell_average write into out, a field of the result's kind and
+# type, when it is given, and into new arrays otherwise: the same code and
+# the same operations either way.
+
+
+def curl_edge_to_face(e, grid, out=None):
     """Circulation differences of an edge field, living on cell faces."""
     if e.kind != EDGE:
         raise DimensionError(f"curl_edge_to_face expects an edge field, got {e.kind}")
     e.check_extents(grid)
     hx, hy, hz = grid.hx, grid.hy, grid.hz
     ex, ey, ez = e.x, e.y, e.z
-    fx = (ez[..., 1:, :] - ez[..., :-1, :]) / hy - (ey[..., 1:] - ey[..., :-1]) / hz
-    fy = (ex[..., 1:] - ex[..., :-1]) / hz - (ez[..., 1:, :, :] - ez[..., :-1, :, :]) / hx
-    fz = (ey[..., 1:, :, :] - ey[..., :-1, :, :]) / hx - (ex[..., 1:, :] - ex[..., :-1, :]) / hy
-    return _field(grid, FACE, (fx, fy, fz))
+    if out is None:
+        out = _field(grid, FACE, [np.empty(ex.shape[:-3] + grid.shape(FACE, c))
+                                  for c in _COMPONENTS])
+    _curl_rows([
+        (out.x, ez, -2, hy, ey, -1, hz),
+        (out.y, ex, -1, hz, ez, -3, hx),
+        (out.z, ey, -3, hx, ex, -2, hy),
+    ])
+    return out
 
 
-def curl_face_to_edge(h, grid):
+def curl_face_to_edge(h, grid, out=None):
     """Adjoint circulation differences of a face field, living on edges.
 
     Boundary-tangential edge values are set to zero; they pair against edge
@@ -58,21 +91,16 @@ def curl_face_to_edge(h, grid):
     h.check_extents(grid)
     hx, hy, hz = grid.hx, grid.hy, grid.hz
     hxc, hyc, hzc = h.x, h.y, h.z
-    lead = hxc.shape[:-3]
-    ox, oy, oz = (np.zeros(lead + grid.shape(EDGE, c)) for c in _COMPONENTS)
-    ox[..., 1:-1, 1:-1] = (
-        (hzc[..., 1:, 1:-1] - hzc[..., :-1, 1:-1]) / hy
-        - (hyc[..., 1:-1, 1:] - hyc[..., 1:-1, :-1]) / hz
-    )
-    oy[..., 1:-1, :, 1:-1] = (
-        (hxc[..., 1:-1, :, 1:] - hxc[..., 1:-1, :, :-1]) / hz
-        - (hzc[..., 1:, :, 1:-1] - hzc[..., :-1, :, 1:-1]) / hx
-    )
-    oz[..., 1:-1, 1:-1, :] = (
-        (hyc[..., 1:, 1:-1, :] - hyc[..., :-1, 1:-1, :]) / hx
-        - (hxc[..., 1:-1, 1:, :] - hxc[..., 1:-1, :-1, :]) / hy
-    )
-    return _field(grid, EDGE, (ox, oy, oz))
+    if out is None:
+        out = _field(grid, EDGE, [np.empty(hxc.shape[:-3] + grid.shape(EDGE, c))
+                                  for c in _COMPONENTS])
+    _curl_rows([
+        (out.x[..., 1:-1, 1:-1], hzc[..., 1:-1], -2, hy, hyc[..., 1:-1, :], -1, hz),
+        (out.y[..., 1:-1, :, 1:-1], hxc[..., 1:-1, :, :], -1, hz, hzc[..., 1:-1], -3, hx),
+        (out.z[..., 1:-1, 1:-1, :], hyc[..., 1:-1, :], -3, hx, hxc[..., 1:-1, :, :], -2, hy),
+    ])
+    # the rows left out above are exactly the tangential boundary values
+    return zero_tangential(out)
 
 
 def gradient_node_to_edge(phi, grid):
@@ -87,66 +115,42 @@ def gradient_node_to_edge(phi, grid):
 
 
 def zero_tangential(e):
-    """Copy of an edge field with tangential boundary components zeroed."""
-    out = e.copy()
-    out.x[..., 0, :] = 0.0
-    out.x[..., -1, :] = 0.0
-    out.x[..., 0] = 0.0
-    out.x[..., -1] = 0.0
-    out.y[..., 0, :, :] = 0.0
-    out.y[..., -1, :, :] = 0.0
-    out.y[..., 0] = 0.0
-    out.y[..., -1] = 0.0
-    out.z[..., 0, :, :] = 0.0
-    out.z[..., -1, :, :] = 0.0
-    out.z[..., 0, :] = 0.0
-    out.z[..., -1, :] = 0.0
-    return out
-
-
-def tangential_trace_max(e):
-    """Largest absolute tangential boundary value of an edge field."""
-    vals = [
-        np.abs(e.x[:, 0, :]).max(initial=0.0),
-        np.abs(e.x[:, -1, :]).max(initial=0.0),
-        np.abs(e.x[:, :, 0]).max(initial=0.0),
-        np.abs(e.x[:, :, -1]).max(initial=0.0),
-        np.abs(e.y[0, :, :]).max(initial=0.0),
-        np.abs(e.y[-1, :, :]).max(initial=0.0),
-        np.abs(e.y[:, :, 0]).max(initial=0.0),
-        np.abs(e.y[:, :, -1]).max(initial=0.0),
-        np.abs(e.z[0, :, :]).max(initial=0.0),
-        np.abs(e.z[-1, :, :]).max(initial=0.0),
-        np.abs(e.z[:, 0, :]).max(initial=0.0),
-        np.abs(e.z[:, -1, :]).max(initial=0.0),
-    ]
-    return max(vals)
+    """Zero the tangential boundary components of an edge field in place;
+    returns the field."""
+    for own, comp in zip((-3, -2, -1), e.components()):
+        # a component is tangential on both ends of the two other axes
+        for axis in (-3, -2, -1):
+            if axis != own:
+                index = [slice(None)] * comp.ndim
+                for end in (0, -1):
+                    index[axis] = end
+                    comp[tuple(index)] = 0.0
+    return e
 
 
 # ---------------------------------------------------------------------------
 # cell-centered averaging and weighted inner products
 
 
-def cell_average(f, grid):
+def cell_average(f, grid, out=None):
     """Average staggered components to cell centers; returns (..., nx, ny, nz, 3)."""
     f.check_extents(grid)
-    out = np.empty(f.x.shape[:-3] + (grid.nx, grid.ny, grid.nz, 3))
-    if f.kind == EDGE:
-        out[..., 0] = 0.25 * (
-            f.x[..., :-1, :-1] + f.x[..., 1:, :-1] + f.x[..., :-1, 1:] + f.x[..., 1:, 1:]
-        )
-        out[..., 1] = 0.25 * (
-            f.y[..., :-1, :, :-1] + f.y[..., 1:, :, :-1]
-            + f.y[..., :-1, :, 1:] + f.y[..., 1:, :, 1:]
-        )
-        out[..., 2] = 0.25 * (
-            f.z[..., :-1, :-1, :] + f.z[..., 1:, :-1, :]
-            + f.z[..., :-1, 1:, :] + f.z[..., 1:, 1:, :]
-        )
-    else:
-        out[..., 0] = 0.5 * (f.x[..., :-1, :, :] + f.x[..., 1:, :, :])
-        out[..., 1] = 0.5 * (f.y[..., :-1, :] + f.y[..., 1:, :])
-        out[..., 2] = 0.5 * (f.z[..., :-1] + f.z[..., 1:])
+    if out is None:
+        out = np.empty(f.x.shape[:-3] + (grid.nx, grid.ny, grid.nz, 3))
+    weight = 0.25 if f.kind == EDGE else 0.5
+    scratch = np.empty(out.shape[:-1])
+    for i, comp in enumerate(f.components()):
+        # an edge component's 4 dofs around the cell on its transverse axes, a
+        # face component's 2 on its own axis, summed with the first axis fastest
+        axes = [d for d in (-3, -2, -1) if (d == i - 3) != (f.kind == EDGE)]
+        terms = [comp]
+        for axis in reversed(axes):
+            terms = [t for base in terms for t in _lower_upper(base, axis)]
+        np.add(terms[0], terms[1], out=scratch)
+        for term in terms[2:]:
+            scratch += term
+        scratch *= weight
+        out[..., i] = scratch  # summing in contiguous memory is faster
     return out
 
 
@@ -177,27 +181,29 @@ def cell_average_adjoint(v, grid, kind):
     return _field(grid, kind, (ox, oy, oz))
 
 
-def weighted_inner(u, v, w, grid):
+def weighted_inner(u, v, w, grid, out=None):
     """Weighted inner product of two staggered fields of the same kind.
 
     Both fields are averaged to cell centers, the weight (a MaterialField
     or None for the identity) is applied there, and the result is summed
-    with the uniform cell volume: sum_cells (w u_bar) . v_bar * dV.
+    with the uniform cell volume: sum_cells (w u_bar) . v_bar * dV.  out,
+    a cell array, takes the average of u in place of a new array.
     """
     if u.kind != v.kind:
         raise DimensionError(f"kind mismatch: {u.kind} vs {v.kind}")
-    ub = cell_average(u, grid)
+    ub = cell_average(u, grid, out)
     vb = cell_average(v, grid)
     if w is not None:
         ub = w.apply_cells(ub)
-    return float(np.sum(ub * vb) * grid.cell_volume)
+    return float(np.sum(np.multiply(ub, vb, out=vb)) * grid.cell_volume)
 
 
-def weighted_norm_sq(u, w, grid):
-    """weighted_inner(u, u, w, grid), with u averaged to cell centers once."""
-    ub = cell_average(u, grid)
+def weighted_norm_sq(u, w, grid, out=None):
+    """weighted_inner(u, u, w, grid, out), with u averaged to cell centers once."""
+    ub = cell_average(u, grid, out)
     wb = ub if w is None else w.apply_cells(ub)
-    return float(np.sum(wb * ub) * grid.cell_volume)
+    # wb is new or ub itself, so the square can take its place
+    return float(np.sum(np.multiply(wb, ub, out=wb)) * grid.cell_volume)
 
 
 def gram_apply(u, w, grid):
@@ -222,23 +228,31 @@ def dof_inner(u, v, grid):
     return float(s * grid.cell_volume)
 
 
-def apply_material_staggered(f, w, grid):
+def apply_material_staggered(f, w, grid, out=None):
     """Apply a scalar/diagonal material to a staggered field in place of its dofs.
 
     Cell coefficients are averaged to the dof locations (replicated at the
     boundary); exact for spatially constant materials.  The averaged
     coefficients are kept on the material, once per (kind, component).
+    The result goes into out (f itself, say) when it is given.
     """
     comps = []
-    for c, arr in zip(_COMPONENTS, f.components()):
-        key = (f.kind, c)
-        coeff = w.dof_cache.get(key)
-        if coeff is None:
-            coeff = _cell_coeff_to_dofs(w.component_values(c), grid, f.kind, c)
-            w.dof_cache[key] = coeff
-        # an identity's coefficient is exactly 1.0: keep f's own arrays
-        comps.append(arr if w.is_identity() else arr * coeff)
-    return _field(grid, f.kind, comps)
+    outs = (None,) * 3 if out is None else out.components()
+    for c, arr, o in zip(_COMPONENTS, f.components(), outs):
+        if w.is_identity() and w.kind != "full":
+            # the coefficient is exactly 1.0: keep f's own values
+            if o is not None and o is not arr:
+                np.copyto(o, arr)
+                arr = o
+        else:
+            key = (f.kind, c)
+            coeff = w.dof_cache.get(key)
+            if coeff is None:
+                coeff = _cell_coeff_to_dofs(w.component_values(c), grid, f.kind, c)
+                w.dof_cache[key] = coeff
+            arr = np.multiply(arr, coeff, out=o)
+        comps.append(arr)
+    return _field(grid, f.kind, comps) if out is None else out
 
 
 def _cell_coeff_to_dofs(c, grid, kind, comp):
@@ -278,18 +292,6 @@ def cumulative_trapezoid(values, dt):
     out[0] = 0.0
     np.cumsum(0.5 * dt * (v[1:] + v[:-1]), out=out[1:])
     return out
-
-
-def time_integral(values, dt, up_to=None):
-    """Trapezoid integral of nodal samples from node 0 up to node `up_to`."""
-    v = np.asarray(values, dtype=float)
-    if up_to is None:
-        up_to = len(v) - 1
-    if not 0 <= up_to < len(v):
-        raise ParameterError(f"time index {up_to} out of range [0, {len(v) - 1}]")
-    if up_to == 0:
-        return 0.0
-    return float(np.trapezoid(v[: up_to + 1], dx=dt))
 
 
 def gronwall_recursion(u0, rate, half, dt):
@@ -336,14 +338,16 @@ def ddt_stencil(nt, dt, k):
     return k - 1, np.array([-0.5, 0.0, 0.5]) / dt
 
 
-def ddt_node(node, k, grid):
-    """Row k of the time-derivative matrix applied to the fields node(j)."""
+def ddt_node(node, k, grid, out=None, work=None):
+    """Row k of the time-derivative matrix applied to the fields node(j),
+    into out when it is given; work, a field of their kind too, then takes
+    the products after the first in place of a new field."""
     lo, w = ddt_stencil(grid.nt, grid.dt, k)
-    out = None
-    for j, wj in zip(range(lo, lo + 3), w):
-        if wj != 0.0:
-            term = node(j) * wj
-            out = term if out is None else out + term
+    (j0, w0), *rest = [(j, wj) for j, wj in zip(range(lo, lo + 3), w) if wj != 0.0]
+    out = node(j0).apply(np.multiply, w0, out)
+    for j, wj in rest:
+        work = node(j).apply(np.multiply, wj, work)
+        out += work
     return out
 
 

@@ -63,6 +63,30 @@ def _zero(grid, kind):
     return lambda g, t: StaggeredField.zeros(g, kind)
 
 
+def _profile_sampler(profiles):
+    """sample(grid, name, factor): the named time-free profile times factor.
+    profiles(grid) gives {name: (kind, fx, fy, fz)}, f(X, Y, Z) on the sparse
+    dof coordinates or None for zero; they are evaluated once per grid.  The
+    sample (f * factor) + 0.0 is StaggeredField.sample's, signed zeros included."""
+    kept = {}
+
+    def sample(grid, name, factor):
+        if grid not in kept:
+            kept[grid] = {
+                key: (kind, [None if f is None
+                             else np.asarray(f(*grid.component_coords(kind, c)), dtype=float)
+                             for c, f in zip("xyz", fs)])
+                for key, (kind, *fs) in profiles(grid).items()
+            }
+        kind, comps = kept[grid][name]
+        return StaggeredField(kind, *(
+            np.zeros(grid.shape(kind, c)) if prof is None
+            else np.add(prof * factor, 0.0, out=np.empty(grid.shape(kind, c)))
+            for c, prof in zip("xyz", comps)))
+
+    return sample
+
+
 def cavity_mode(m=1, n=1, amplitude=1.0):
     """Source-free TM standing mode of the unit-material box cavity.
 
@@ -70,64 +94,38 @@ def cavity_mode(m=1, n=1, amplitude=1.0):
     w = pi sqrt((m / lx)^2 + (n / ly)^2); H follows from the magnetic
     equation with G = 0.  Requires eps = mu = identity.
     """
-    if m < 1 or n < 1:
-        raise UnsupportedCaseError(f"cavity mode indices must be positive, got ({m}, {n})")
+    if not all(isinstance(i, int) and i >= 1 for i in (m, n)):
+        raise UnsupportedCaseError(f"cavity mode indices must be positive integers, "
+                                   f"got ({m!r}, {n!r})")
     A = float(amplitude)
 
     def _omega(grid):
         return math.pi * math.hypot(m / grid.lx, n / grid.ly)
 
-    def _bx(grid):
-        return m * math.pi / grid.lx
+    def _profiles(grid):
+        w = _omega(grid)
+        bx, by = m * math.pi / grid.lx, n * math.pi / grid.ly
+        return {
+            "E": (EDGE, None, None, lambda X, Y, Z: A * np.sin(bx * X) * np.sin(by * Y)),
+            "dtE": (EDGE, None, None, lambda X, Y, Z: -A * w * np.sin(bx * X) * np.sin(by * Y)),
+            "H": (FACE, lambda X, Y, Z: -A * by * np.sin(bx * X) * np.cos(by * Y),
+                  lambda X, Y, Z: A * bx * np.cos(bx * X) * np.sin(by * Y), None),
+        }
 
-    def _by(grid):
-        return n * math.pi / grid.ly
+    sample = _profile_sampler(_profiles)
 
     def sample_E(grid, t):
-        w = _omega(grid)
-        bx, by = _bx(grid), _by(grid)
-        return StaggeredField.sample(
-            grid,
-            EDGE,
-            lambda X, Y, Z: 0.0 * X,
-            lambda X, Y, Z: 0.0 * X,
-            lambda X, Y, Z: A * np.sin(bx * X) * np.sin(by * Y) * math.cos(w * t),
-        )
+        return sample(grid, "E", math.cos(_omega(grid) * t))
 
     def sample_dtE(grid, t):
-        w = _omega(grid)
-        bx, by = _bx(grid), _by(grid)
-        return StaggeredField.sample(
-            grid,
-            EDGE,
-            lambda X, Y, Z: 0.0 * X,
-            lambda X, Y, Z: 0.0 * X,
-            lambda X, Y, Z: -A * w * np.sin(bx * X) * np.sin(by * Y) * math.sin(w * t),
-        )
+        return sample(grid, "dtE", math.sin(_omega(grid) * t))
 
     def sample_H(grid, t):
         w = _omega(grid)
-        bx, by = _bx(grid), _by(grid)
-        s = math.sin(w * t) / w
-        return StaggeredField.sample(
-            grid,
-            FACE,
-            lambda X, Y, Z: -A * by * np.sin(bx * X) * np.cos(by * Y) * s,
-            lambda X, Y, Z: A * bx * np.cos(bx * X) * np.sin(by * Y) * s,
-            lambda X, Y, Z: 0.0 * X,
-        )
+        return sample(grid, "H", math.sin(w * t) / w)
 
     def sample_dtH(grid, t):
-        w = _omega(grid)
-        bx, by = _bx(grid), _by(grid)
-        c = math.cos(w * t)
-        return StaggeredField.sample(
-            grid,
-            FACE,
-            lambda X, Y, Z: -A * by * np.sin(bx * X) * np.cos(by * Y) * c,
-            lambda X, Y, Z: A * bx * np.cos(bx * X) * np.sin(by * Y) * c,
-            lambda X, Y, Z: 0.0 * X,
-        )
+        return sample(grid, "H", math.cos(_omega(grid) * t))
 
     return ManufacturedCase(
         name="cavity_mode",
@@ -152,20 +150,28 @@ def polynomial_source(amplitude=1.0):
     """
     A = float(amplitude)
 
-    def _xy(grid):
+    def _profiles(grid):
+        lx, ly = grid.lx, grid.ly
+
         def X(x):
-            return 4.0 * x * (grid.lx - x) / grid.lx**2
+            return 4.0 * x * (lx - x) / lx**2
 
         def dX(x):
-            return 4.0 * (grid.lx - 2.0 * x) / grid.lx**2
+            return 4.0 * (lx - 2.0 * x) / lx**2
 
         def Y(y):
-            return 4.0 * y * (grid.ly - y) / grid.ly**2
+            return 4.0 * y * (ly - y) / ly**2
 
         def dY(y):
-            return 4.0 * (grid.ly - 2.0 * y) / grid.ly**2
+            return 4.0 * (ly - 2.0 * y) / ly**2
 
-        return X, dX, Y, dY
+        return {
+            "E": (EDGE, None, None, lambda Xc, Yc, Zc: A * X(Xc) * Y(Yc)),
+            "curlE": (FACE, lambda Xc, Yc, Zc: A * X(Xc) * dY(Yc),
+                      lambda Xc, Yc, Zc: -A * dX(Xc) * Y(Yc), None),
+        }
+
+    sample = _profile_sampler(_profiles)
 
     def _q(grid, t):
         s = t / grid.T
@@ -175,39 +181,13 @@ def polynomial_source(amplitude=1.0):
         return (1.0 + t / grid.T) / grid.T
 
     def sample_E(grid, t):
-        X, _, Y, _ = _xy(grid)
-        q = _q(grid, t)
-        return StaggeredField.sample(
-            grid,
-            EDGE,
-            lambda Xc, Yc, Zc: 0.0 * Xc,
-            lambda Xc, Yc, Zc: 0.0 * Xc,
-            lambda Xc, Yc, Zc: A * X(Xc) * Y(Yc) * q,
-        )
+        return sample(grid, "E", _q(grid, t))
 
     def sample_dtE(grid, t):
-        X, _, Y, _ = _xy(grid)
-        dq = _dq(grid, t)
-        return StaggeredField.sample(
-            grid,
-            EDGE,
-            lambda Xc, Yc, Zc: 0.0 * Xc,
-            lambda Xc, Yc, Zc: 0.0 * Xc,
-            lambda Xc, Yc, Zc: A * X(Xc) * Y(Yc) * dq,
-        )
-
-    def _curl_E_spatial(grid, scale):
-        X, dX, Y, dY = _xy(grid)
-        return StaggeredField.sample(
-            grid,
-            FACE,
-            lambda Xc, Yc, Zc: A * X(Xc) * dY(Yc) * scale,
-            lambda Xc, Yc, Zc: -A * dX(Xc) * Y(Yc) * scale,
-            lambda Xc, Yc, Zc: 0.0 * Xc,
-        )
+        return sample(grid, "E", _dq(grid, t))
 
     def sample_G(grid, t):
-        return _curl_E_spatial(grid, _q(grid, t))
+        return sample(grid, "curlE", _q(grid, t))
 
     return ManufacturedCase(
         name="polynomial_source",
@@ -235,9 +215,9 @@ def get_case(name, **parameters):
     builder = _CASE_BUILDERS[name]
     try:
         inspect.signature(builder).bind(**parameters)
-    except TypeError as exc:
+        return builder(**parameters)
+    except (TypeError, ValueError) as exc:  # an unknown parameter or a bad value
         raise UnsupportedCaseError(f"catalog case {name!r}: {exc}") from None
-    return builder(**parameters)
 
 
 # ---------------------------------------------------------------------------

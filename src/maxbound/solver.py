@@ -43,7 +43,10 @@ def cfl_limit(p):
     """Conservative stable time step from material eigenvalue bounds."""
     g = p.grid
     c_max = math.sqrt(p.eps_inv.lambda_max * p.mu_inv.lambda_max)
-    return 1.0 / (c_max * math.sqrt(g.hx**-2 + g.hy**-2 + g.hz**-2))
+    try:
+        return 1.0 / (c_max * math.sqrt(g.hx**-2 + g.hy**-2 + g.hz**-2))
+    except OverflowError:  # cells too small for any time step
+        return 0.0
 
 
 def leapfrog_solve(p, cfl=0.9, track_energy=False, out=None):
@@ -54,6 +57,9 @@ def leapfrog_solve(p, cfl=0.9, track_energy=False, out=None):
     set_node(k, field) once known, Etilde_t(k) being row k of ddt_stencil
     on a window of three E nodes; out (in-memory trajectories by default)
     is returned, Htilde_t left None.  Refuses dt > cfl * stability limit.
+    The node fields are buffers made once per call and updated in place by
+    the allocating update's operations in its order, bit for bit the same;
+    so set_node must copy the field it is given, which is overwritten later.
     """
     g = p.grid
     if not 0.0 < cfl <= 1.0:
@@ -68,54 +74,60 @@ def leapfrog_solve(p, cfl=0.9, track_energy=False, out=None):
     if out is None:
         out = SolveOutput(FieldTrajectory.zeros(g, EDGE), FieldTrajectory.zeros(g, FACE),
                           FieldTrajectory.zeros(g, EDGE))
-    window = {}
+    # E(j) in ring[j % 3], H half steps in half[0] and half[1] by turns; e_step
+    # is free whenever a node is emitted, so it is ddt_node's work field too
+    ring = [p.E0.copy()] + [StaggeredField.zeros(g, EDGE) for _ in range(2)]
+    half = [StaggeredField.zeros(g, FACE) for _ in range(2)]
+    e_step, f_half, e_t = (StaggeredField.zeros(g, EDGE) for _ in range(3))
+    h_step, h_node = (StaggeredField.zeros(g, FACE) for _ in range(2))
     pending = 0  # the first node whose Etilde_t is not yet written
 
     def emit(j, E, H):
         nonlocal pending
         out.Etilde.set_node(j, E)
         out.Htilde.set_node(j, H)
-        window[j] = E
         while pending < g.nt and ddt_stencil(g.nt, dt, pending)[0] + 2 <= j:
-            out.Etilde_t.set_node(pending, ddt_node(window.__getitem__, pending, g))
+            row = ddt_node(lambda i: ring[i % 3], pending, g, e_t, e_step)
+            out.Etilde_t.set_node(pending, row)
             pending += 1
-        window.pop(j - 2, None)
 
-    E = zero_tangential(p.E0)
+    def h_increment(E, G, scale):
+        """scale * (mu^-1 (curl E * (-1)) + G) in h_step."""
+        rhs = curl_edge_to_face(E, g, h_step)
+        rhs *= -1.0
+        apply_material_staggered(rhs, p.mu_inv, g, rhs)
+        rhs += G
+        rhs *= scale
+        return rhs
+
+    E = zero_tangential(ring[0])
     # Start H at t = dt/2 with a Taylor half step.
-    H_rhs0 = curl_edge_to_face(E, g) * (-1.0)
-    H_half = p.H0 + 0.5 * dt * (
-        apply_material_staggered(H_rhs0, p.mu_inv, g) + p.G.node(0)
-    )
+    prev_half = p.H0.apply(np.add, h_increment(E, p.G.node(0), 0.5 * dt), half[0])
 
     emit(0, E, p.H0)
     energies = []
     if track_energy:
-        energies.append(_staggered_energy(p, E, p.H0, H_half))
+        energies.append(_staggered_energy(p, E, p.H0, prev_half))
 
-    prev_half = H_half
     for k in range(g.nt - 1):
-        F_half = 0.5 * (p.F.node(k) + p.F.node(k + 1))
-        E = E + dt * (
-            apply_material_staggered(curl_face_to_edge(prev_half, g), p.eps_inv, g)
-            + F_half
-        )
-        E = zero_tangential(E)
-        if k < g.nt - 2:
-            next_half = prev_half + dt * (
-                apply_material_staggered(curl_edge_to_face(E, g) * (-1.0), p.mu_inv, g)
-                + p.G.node(k + 1)
-            )
-            emit(k + 1, E, 0.5 * (prev_half + next_half))
+        p.F.node(k).apply(np.add, p.F.node(k + 1), f_half)
+        f_half *= 0.5
+        inc = curl_face_to_edge(prev_half, g, e_step)
+        apply_material_staggered(inc, p.eps_inv, g, inc)
+        inc += f_half
+        inc *= dt
+        E = zero_tangential(E.apply(np.add, inc, ring[(k + 1) % 3]))
+        closing = k == g.nt - 2  # a half step lands H exactly on the final node
+        rhs = h_increment(E, p.G.node(k + 1), 0.5 * dt if closing else dt)
+        next_half = prev_half.apply(np.add, rhs, half[(k + 1) % 2])
+        if closing:
+            emit(k + 1, E, next_half)
+        else:
+            H = prev_half.apply(np.add, next_half, h_node)
+            H *= 0.5
+            emit(k + 1, E, H)
             if track_energy:
                 energies.append(_staggered_energy(p, E, prev_half, next_half))
-        else:
-            # closing half step to land H exactly on the final node
-            next_half = prev_half + 0.5 * dt * (
-                apply_material_staggered(curl_edge_to_face(E, g) * (-1.0), p.mu_inv, g)
-                + p.G.node(k + 1)
-            )
-            emit(k + 1, E, next_half)
         prev_half = next_half
 
     out.energy_trace = np.asarray(energies) if track_energy else None

@@ -11,6 +11,8 @@ import tracemalloc
 import numpy as np
 
 import maxbound as mb
+from maxbound.errors import ParameterError
+from maxbound.operators import weighted_inner
 
 
 def traced_peak(fn):
@@ -77,3 +79,43 @@ def smooth_edge(grid):
         lambda X, Y, Z: np.sin(bx * X) * np.sin(bz * Z) * np.cos(0.5 * by * Y),
         lambda X, Y, Z: np.sin(bx * X) * np.sin(by * Y) * (0.5 + np.sin(bz * Z)),
     )
+
+
+# ---------------------------------------------------------------------------
+# reference helpers that only the tests use
+
+
+def inner_trajectory(a, b, grid):
+    """Plain (unweighted) cell-centered inner product at each time node."""
+    return np.array([weighted_inner(a.node(k), b.node(k), None, grid) for k in range(grid.nt)])
+
+
+def time_integral(values, dt, up_to=None):
+    """Trapezoid integral of nodal samples from node 0 up to node `up_to`."""
+    v = np.asarray(values, dtype=float)
+    if up_to is None:
+        up_to = len(v) - 1
+    if not 0 <= up_to < len(v):
+        raise ParameterError(f"time index {up_to} out of range [0, {len(v) - 1}]")
+    if up_to == 0:
+        return 0.0
+    return float(np.trapezoid(v[: up_to + 1], dx=dt))
+
+
+def tangential_trace_max(e):
+    """Largest absolute tangential boundary value of an edge field."""
+    vals = [
+        np.abs(e.x[:, 0, :]).max(initial=0.0),
+        np.abs(e.x[:, -1, :]).max(initial=0.0),
+        np.abs(e.x[:, :, 0]).max(initial=0.0),
+        np.abs(e.x[:, :, -1]).max(initial=0.0),
+        np.abs(e.y[0, :, :]).max(initial=0.0),
+        np.abs(e.y[-1, :, :]).max(initial=0.0),
+        np.abs(e.y[:, :, 0]).max(initial=0.0),
+        np.abs(e.y[:, :, -1]).max(initial=0.0),
+        np.abs(e.z[0, :, :]).max(initial=0.0),
+        np.abs(e.z[-1, :, :]).max(initial=0.0),
+        np.abs(e.z[:, 0, :]).max(initial=0.0),
+        np.abs(e.z[:, -1, :]).max(initial=0.0),
+    ]
+    return max(vals)

@@ -10,7 +10,6 @@ from maxbound.errors import ParameterError, PreconditionError
 from maxbound.fields import EDGE, FACE, FieldTrajectory
 from maxbound.majorant import (
     bound_b_and_B,
-    inner_trajectory,
     norm_sq_trajectory,
 )
 from maxbound.operators import (
@@ -23,7 +22,7 @@ from maxbound.operators import (
 from maxbound.problem import bump_field, bump_field_dt
 from maxbound.solver import SolveOutput
 
-from conftest import cavity_setup, polynomial_setup, random_face
+from conftest import cavity_setup, inner_trajectory, polynomial_setup, random_face
 
 
 def _perturbed_exact(p, exact, delta, key="poly_t2"):

@@ -13,13 +13,12 @@ from maxbound.operators import (
     curl_edge_to_face,
     curl_face_to_edge,
     ddt_matrix,
-    tangential_trace_max,
     trajectory_derivative,
     weighted_norm_sq,
 )
 from maxbound.problem import bump_field, bump_field_dt
 
-from conftest import smooth_edge
+from conftest import smooth_edge, tangential_trace_max
 
 
 def _grid(n=8, nt=9, T=1.0):

@@ -9,7 +9,7 @@ import maxbound as mb
 from maxbound.errors import StabilityError
 from maxbound.operators import ddt_node, trajectory_derivative, weighted_norm_sq
 
-from conftest import cavity_setup
+from conftest import cavity_setup, tangential_trace_max
 
 
 def test_cfl_limit_value_unit_materials():
@@ -55,8 +55,6 @@ def test_solver_output_time_derivative_is_the_centered_difference():
 
 
 def test_solver_preserves_boundary_condition():
-    from maxbound.operators import tangential_trace_max
-
     _, approx, _ = cavity_setup(8, 17)
     for k in range(approx.Etilde.grid.nt):
         assert tangential_trace_max(approx.Etilde.node(k)) == 0.0

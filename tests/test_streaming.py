@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import maxbound as mb
 from maxbound.fields import EDGE, FACE, FieldTrajectory, MaterialField, StaggeredField
-from maxbound.majorant import ZeroTermParts, inner_trajectory, norm_sq_trajectory, series
+from maxbound.majorant import ZeroTermParts, norm_sq_trajectory, series
 from maxbound.operators import (
     curl_edge_to_face,
     trajectory_derivative,
@@ -24,7 +24,7 @@ from maxbound.operators import (
 )
 from maxbound.solver import SolveOutput
 
-from conftest import cavity_setup
+from conftest import cavity_setup, inner_trajectory
 
 
 def _random_traj(grid, kind, rng):
