@@ -157,6 +157,7 @@ def _write_reports(out, cfg, report, theorem):
             "zero_variant": report.zero_variant,
             "zero_term": _round17(report.zero_value),
             "cg_iterations": report.cg_iterations,
+            "cg_sweeps": report.cg_sweeps,
         },
         "rows": rows,
     }
@@ -212,6 +213,9 @@ def cmd_certify(args):
             report, _ = optimize_all(p, approx, ocfg, theorem=theorem, zero_variant=variant,
                                      rho0=maj.get("rho", 0.5), gamma0=maj.get("gamma", 1.0),
                                      exact=exact)
+    if np.any(report.bound_b < 0.0):
+        raise MaxboundError(f"{theorem} bound is negative (min b = {_fmt(report.bound_b.min())})"
+                            "; no bound was certified")
 
     out = _out_dir(args)
     json_path, csv_path = _write_reports(out, cfg, report, theorem)

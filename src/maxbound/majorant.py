@@ -404,7 +404,14 @@ class MajorantReport:
     trueBigN: Optional[np.ndarray] = None
     efficiency: Optional[np.ndarray] = None
     optimize_history: Optional[list] = None
-    cg_iterations: Optional[int] = None
+    cg_sweeps: Optional[list] = None
+
+    @property
+    def cg_iterations(self):
+        """CG iterations of the accepted Y steps; None outside optimize_all."""
+        if self.cg_sweeps is None:
+            return None
+        return sum(s["iterations"] for s in self.cg_sweeps if s and s["accepted"])
 
 
 def certify(p, approx, params, theorem="T5", exact=None):

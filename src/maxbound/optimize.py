@@ -1,25 +1,26 @@
 """Minimization of the guaranteed bound over its free parameters.
 
 Three layers: a golden-section scalar search over gamma (log-scaled) nested
-in a coarse rho grid, a matrix-free conjugate-gradient minimization of the
-bound as a convex quadratic in the stacked space-time free field Y, and an
-alternating driver.  Every iterate of every layer is an admissible
-parameter choice, so the bound stays guaranteed throughout; the objective
-is the final-time bound value b(T) itself, which makes the alternation
-monotone by construction.
+in a coarse rho grid, a matrix-free preconditioned conjugate-gradient
+minimization of the bound as a convex quadratic in the stacked space-time
+free field Y, and an alternating driver.  Every iterate of every layer is
+an admissible parameter choice, so the bound stays guaranteed throughout;
+the objective is the final-time bound value b(T) itself, which makes the
+alternation monotone by construction.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .errors import MaxboundError, ParameterError
-from .fields import FACE, FieldTrajectory
+from .fields import FACE, FieldTrajectory, StaggeredField
 from .majorant import (
     MajorantParams,
     _check_theorem,
@@ -44,6 +45,11 @@ from .operators import (
 )
 
 _SMOOTH_VARIANTS = ("z", "z_hat")
+# The Y solve ends once _STALL_WINDOW PCG iterations together lower b(T)
+# by no more than _Y_STALL_RTOL of its starting value: the residual stalls
+# far above cg_tol (the Hessian is singular), while b(T) settles.
+_STALL_WINDOW = 10
+_Y_STALL_RTOL = 1e-5
 
 
 @dataclass
@@ -242,6 +248,71 @@ def _unflatten(vec, grid):
     return FieldTrajectory(FACE, grid, *comps)
 
 
+# Same-colour dofs of a comb are three apart along some axis, so the cells
+# that any one of them reaches through gram_apply, or through curl,
+# gram_apply and the adjoint curl (its own cells and their face neighbours),
+# are reached by no other: each value read back is the unit-vector probe's.
+_COMB_OFFSETS = tuple(itertools.product(range(3), repeat=3))
+
+
+def _comb_diagonals(ops, grid):
+    """The diagonals of symmetric operators op(u, grid) on face fields, flat
+    in _flatten order, probed with combs: every third dof along each axis
+    of one component, all 27 offsets of a component in one batched call
+    (the probes stand on the leading axis of a trajectory)."""
+    probe_grid = replace(grid, nt=len(_COMB_OFFSETS))
+    diags = [StaggeredField.zeros(grid, FACE) for _ in ops]
+    for c in range(3):
+        u = FieldTrajectory.zeros(probe_grid, FACE)
+        comb = u.components()[c]
+        for n, (i, j, k) in enumerate(_COMB_OFFSETS):
+            comb[n, i::3, j::3, k::3] = 1.0
+        for op, diag in zip(ops, diags):
+            out = op(u, probe_grid).components()[c]
+            for n, (i, j, k) in enumerate(_COMB_OFFSETS):
+                diag.components()[c][i::3, j::3, k::3] = out[n, i::3, j::3, k::3]
+    return [np.concatenate([comp.ravel() for comp in d.components()]) for d in diags]
+
+
+def _banded_cholesky(a0, a1, a2):
+    """Cholesky factors of a batch of SPD pentadiagonal matrices.
+
+    Column n of a_j holds the j-th subdiagonal of matrix n, row k being
+    entry (k, k - j) (rows k < j are zero); the factors come back the same way.
+    """
+    l0, l1, l2 = np.zeros_like(a0), np.zeros_like(a1), np.zeros_like(a2)
+    for k in range(a0.shape[0]):
+        if k >= 2:
+            l2[k] = a2[k] / l0[k - 2]
+        if k >= 1:
+            l1[k] = (a1[k] - l2[k] * l1[k - 1]) / l0[k - 1]
+        d = a0[k] - l1[k] ** 2 - l2[k] ** 2
+        if not np.all(d > 0.0):
+            raise MaxboundError("the preconditioner is not positive definite")
+        l0[k] = np.sqrt(d)
+    return l0, l1, l2
+
+
+def _banded_solve(factor, r):
+    """Solve L L^T x = r for every column of r, L from _banded_cholesky."""
+    l0, l1, l2 = factor
+    nt = r.shape[0]
+    x = r.copy()
+    for k in range(nt):  # L y = r, y in x
+        if k >= 1:
+            x[k] -= l1[k] * x[k - 1]
+        if k >= 2:
+            x[k] -= l2[k] * x[k - 2]
+        x[k] /= l0[k]
+    for k in range(nt - 1, -1, -1):  # L^T x = y
+        if k + 1 < nt:
+            x[k] -= l1[k + 1] * x[k + 1]
+        if k + 2 < nt:
+            x[k] -= l2[k + 2] * x[k + 2]
+        x[k] /= l0[k]
+    return x
+
+
 class BoundQuadratic:
     """The final-time bound b(T) as a convex quadratic in the stacked Y.
 
@@ -343,19 +414,81 @@ class BoundQuadratic:
     def gradient_flat(self, y_vec):
         return _flatten(self.gradient(_unflatten(y_vec, self.grid)))
 
+    def spatial_diagonals(self):
+        """The diagonals of G_mu and of C^T Z G_eps^-1 Z C, flat over the face
+        dofs in _flatten order, where C is curl_face_to_edge, Z zeroes the
+        tangential edges and G_w is gram_apply with weight w.
 
-def conjugate_gradient(apply_A, rhs, x0=None, tol=1e-10, max_iter=200, callback=None):
+        The Hessian of the quadratic is
+        2 [T1 (x) G_mu + diag(w_edge) (x) C^T Z G_eps^-1 Z C], with the
+        nt x nt time matrix T1 = diag(w_pt) + D^T diag(w_face) D, plus Cz at
+        (0, 0) for z_hat; T1 is pentadiagonal, every row of D having three
+        neighbouring entries.
+        """
+        p = self.p
+
+        def mass(u, grid):
+            return gram_apply(u, p.mu, grid)
+
+        def curl_curl(u, grid):
+            edge = gram_apply(curl_face_to_edge(u, grid), p.eps_inv, grid)
+            return curl_edge_to_face(zero_tangential(edge), grid)
+
+        return _comb_diagonals([mass, curl_curl], self.grid)
+
+    def preconditioner(self):
+        """x -> P^-1 x on flat Y vectors, for
+        P = 2 [T1 (x) diag(G_mu) + diag(w_edge) (x) diag(C^T Z G_eps^-1 Z C)].
+
+        P keeps every entry of the Hessian that couples a face dof with
+        itself at any two times: one SPD pentadiagonal nt x nt matrix per
+        dof, all Cholesky-factored at once and solved along the time axis.
+        """
+        nt = self.grid.nt
+        mass, curl = self.spatial_diagonals()
+        T = self.D.T @ (self.w_face[:, None] * self.D)
+        T[np.diag_indices_from(T)] += self.w_pt
+        if self.variant == "z_hat":
+            T[0, 0] += self.Cz
+        bands = [2.0 * np.outer(np.concatenate([np.zeros(j), np.diagonal(T, -j)]), mass)
+                 for j in range(3)]
+        bands[0] += 2.0 * np.outer(self.w_edge, curl)
+        factor = _banded_cholesky(*bands)
+        # where the y and z dofs start in a node, and in the flat vector
+        cuts = np.cumsum([np.prod(self.grid.shape(FACE, c)) for c in "xy"])
+
+        def apply(r):
+            parts = np.split(r, cuts * nt)
+            x = _banded_solve(factor, np.concatenate([q.reshape(nt, -1) for q in parts], axis=1))
+            return np.concatenate([q.ravel() for q in np.split(x, cuts, axis=1)])
+
+        return apply
+
+
+def conjugate_gradient(apply_A, rhs, x0=None, tol=1e-10, max_iter=200, callback=None,
+                       precond=None, stall_tol=0.0):
     """Solve A x = rhs for symmetric positive semidefinite A, matrix-free.
 
-    Stops at relative residual tol or max_iter; a genuinely negative
-    curvature direction (inconsistent with a convex objective) is a hard
-    error.  Returns (x, iterations, relative residual).
+    precond, when given, applies the inverse of an SPD preconditioner to a
+    residual (preconditioned CG).  Stops at relative residual
+    |rhs - A x| / |rhs| <= tol, after max_iter iterations, or once the last
+    _STALL_WINDOW iterations together lowered q(x) = x.A x / 2 - rhs.x
+    = -x.(r + rhs) / 2 by no more than stall_tol.  CG lowers q at every
+    step in exact arithmetic, so the default stall_tol of 0 ends only a
+    solve whose iterates drift off, as those of a singular system whose A
+    carries rounding noise do once the residual reaches its floor.  A
+    genuinely negative curvature direction (inconsistent with a convex
+    objective) is a hard error.  Returns (x, iterations, relative residual).
     """
     x = np.zeros_like(rhs) if x0 is None else np.array(x0, dtype=float)
     r = rhs - apply_A(x)
-    d = r.copy()
+    z = r if precond is None else precond(r)
+    d = z.copy()
     rs = float(r @ r)
+    rz = float(r @ z)
+    del z  # neither z nor Ad is held while apply_A runs, where memory peaks
     ref = math.sqrt(float(rhs @ rhs)) or 1.0
+    qs = [-0.5 * (float(x @ r) + float(x @ rhs))]
     it = 0
     while it < max_iter and math.sqrt(rs) > tol * ref:
         Ad = apply_A(d)
@@ -368,15 +501,23 @@ def conjugate_gradient(apply_A, rhs, x0=None, tol=1e-10, max_iter=200, callback=
                     "the quadratic assembly is not positive semidefinite"
                 )
             break  # null direction of a singular but consistent system
-        alpha = rs / dAd
+        alpha = rz / dAd
         x = x + alpha * d
         r = r - alpha * Ad
-        rs_new = float(r @ r)
+        del Ad
+        rs = float(r @ r)
+        qs.append(-0.5 * (float(x @ r) + float(x @ rhs)))
         it += 1
         if callback is not None:
             callback(x.copy(), it)
-        d = r + (rs_new / rs) * d
-        rs = rs_new
+        if it >= _STALL_WINDOW and qs[-1 - _STALL_WINDOW] - qs[-1] <= stall_tol:
+            break
+        z = r if precond is None else precond(r)
+        rz_new = float(r @ z)
+        d *= rz_new / rz
+        d += z
+        del z
+        rz = rz_new
     return x, it, math.sqrt(rs) / ref
 
 
@@ -384,11 +525,14 @@ def optimize_Y(p, approx, gamma, rho, cfg=None, theorem="T5", zero_variant="z_ha
                Y0=None, callback=None, info=None):
     """Minimize the final-time bound over the free field Y at fixed (gamma, rho).
 
-    Conjugate gradients on the normal equations of the collapsed quadratic;
-    the gradient is affine in Y, so the Hessian application is a gradient
-    difference.  Returns the optimized FieldTrajectory; pass a dict as
-    `info` to receive iteration counts, and a callback(Y, k) to observe
-    iterates (each iterate is itself an admissible free field).
+    Conjugate gradients on the normal equations of the collapsed quadratic,
+    preconditioned with BoundQuadratic.preconditioner; the gradient is
+    affine in Y, so the Hessian application is a gradient difference.  The
+    solve also ends once b(T) stalls: when _STALL_WINDOW iterations lower it
+    by no more than _Y_STALL_RTOL of its value at Y0.  Returns the
+    optimized FieldTrajectory; pass a dict as `info` to receive the
+    iteration count and the relative residual, and a callback(Y, k) to
+    observe iterates (each iterate is itself an admissible free field).
     """
     cfg = cfg if cfg is not None else OptimizeConfig()
     quad = BoundQuadratic(p, approx, rho, gamma, theorem, zero_variant)
@@ -412,7 +556,9 @@ def optimize_Y(p, approx, gamma, rho, cfg=None, theorem="T5", zero_variant="z_ha
             callback(_unflatten(y_start + delta, g), k)
 
     delta, iters, rel_res = conjugate_gradient(
-        apply_H, rhs, tol=cfg.cg_tol, max_iter=cfg.cg_max_iter, callback=cb
+        apply_H, rhs, tol=cfg.cg_tol, max_iter=cfg.cg_max_iter, callback=cb,
+        precond=quad.preconditioner(),
+        stall_tol=_Y_STALL_RTOL * abs(quad.value(_unflatten(y_start, g))),
     )
     if info is not None:
         info["iterations"] = iters
@@ -431,7 +577,9 @@ def optimize_all(p, approx, cfg=None, theorem="T5", zero_variant="z_hat",
     The objective is the bound itself, and every update is accepted only
     when it does not increase it, so the final bound never exceeds the
     bound at the initial parameters.  Returns the certification report at
-    the optimized parameters, carrying the optimization history.
+    the optimized parameters, carrying the optimization history and each
+    sweep's CG solve: the optimize_Y info dict plus whether its Y was
+    accepted, None where the Y step was skipped.
     """
     cfg = cfg if cfg is not None else OptimizeConfig()
     g = p.grid
@@ -446,18 +594,20 @@ def optimize_all(p, approx, cfg=None, theorem="T5", zero_variant="z_hat",
 
     current = bound_at(Y, gamma, rho)
     history = [current]
-    cg_iters = 0
+    cg_sweeps = []
     for _ in range(cfg.sweeps):
         # at parameters where the bound overflows the quadratic in Y has no
         # finite weights; the (gamma, rho) step below moves away from them
+        info = None
         if math.isfinite(current):
             info = {}
             Y_new = optimize_Y(p, approx, gamma, rho, cfg, theorem, zero_variant,
                                Y0=Y, info=info)
             v_new = bound_at(Y_new, gamma, rho)
-            if v_new <= current:
+            info["accepted"] = v_new <= current
+            if info["accepted"]:
                 Y, current = Y_new, v_new
-                cg_iters += info.get("iterations", 0)
+        cg_sweeps.append(info)
         g_new, r_new, v_par = optimize_gamma_rho(p, approx, Y, cfg, theorem, zero_variant)
         if v_par <= current:
             gamma, rho, current = g_new, r_new, v_par
@@ -466,5 +616,5 @@ def optimize_all(p, approx, cfg=None, theorem="T5", zero_variant="z_hat",
     params = MajorantParams(rho=rho, gamma=gamma, Y=Y, zero_variant=zero_variant)
     report = certify(p, approx, params, theorem=theorem, exact=exact)
     report.optimize_history = history
-    report.cg_iterations = cg_iters
+    report.cg_sweeps = cg_sweeps
     return report, params

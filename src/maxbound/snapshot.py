@@ -45,8 +45,8 @@ def _header(grid, names):
 class _Stored:
     """One archived trajectory: node k of each component at offset + k * node bytes."""
 
-    def __init__(self, fh, grid, kind, offset):
-        self.grid, self.kind, self._fh, self.written = grid, kind, fh, set()
+    def __init__(self, fh, grid, name, kind, offset):
+        self.grid, self.name, self.kind, self._fh, self.written = grid, name, kind, fh, set()
         self._shapes = [grid.shape(kind, comp) for comp in _COMPONENTS]
         self._node_bytes = [8 * int(np.prod(shape)) for shape in self._shapes]
         self._offsets = [offset + grid.nt * sum(self._node_bytes[:i]) for i in range(3)]
@@ -57,6 +57,11 @@ class _Stored:
         return self._shapes[i]
 
     def set_node(self, k, f):
+        """Write node k; a non-finite value is refused, as the reader would."""
+        for comp, arr in zip(_COMPONENTS, f.components()):
+            if not np.isfinite(arr).all():
+                raise GridMismatchError(f"node {k} of {self.name}.{comp} holds non-finite "
+                                        "values; no snapshot written")
         for i, arr in enumerate(f.components()):
             self._seek(i, k)
             self._fh.write(np.ascontiguousarray(arr, dtype="<f8"))
@@ -81,7 +86,7 @@ def _layout(fh, grid, names, base):
     stored = {}
     for name, kind in _FIELDS:
         if name in names:
-            stored[name] = _Stored(fh, grid, kind, base)
+            stored[name] = _Stored(fh, grid, name, kind, base)
             base = stored[name].end
     return stored, base
 

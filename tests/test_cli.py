@@ -86,6 +86,31 @@ def test_reports_are_byte_identical_across_runs(tmp_path):
     assert blobs["a.bin"] == blobs["b.bin"]
 
 
+def test_full_optimization_reports_each_cg_solve_byte_identically(tmp_path):
+    doc = _cavity_cfg(n=4, nt=9, extra={
+        "perturbation": {"bump": "poly_t2", "delta": 0.01},
+        "solver": {"method": "exact"},
+        "majorant": {"optimize": "full", "optimizeConfig": {"sweeps": 2, "cgMaxIter": 7}},
+    })
+    cfg = _write(tmp_path, "run.json", doc)
+    blobs = []
+    for tag in ("a", "b"):
+        out = str(tmp_path / tag)
+        snap = os.path.join(out, "snapshot.bin")
+        assert main(["solve", "--config", cfg, "--out", out]) == EXIT_OK
+        assert main(["certify", "--config", cfg, "--snapshot", snap, "--out", out]) == EXIT_OK
+        with open(os.path.join(out, "report.json"), "rb") as fh:
+            blobs.append(fh.read())
+    assert blobs[0] == blobs[1]
+    params = json.loads(blobs[0])["parameters"]
+    sweeps = params["cg_sweeps"]
+    assert len(sweeps) == 2
+    for solve in sweeps:
+        assert solve["iterations"] == 7
+        assert 0.0 < solve["relative_residual"] < 1.0
+    assert params["cg_iterations"] == 7 * sum(solve["accepted"] for solve in sweeps)
+
+
 def test_certify_with_parameter_optimization(tmp_path):
     doc = _cavity_cfg(extra={
         "perturbation": {"bump": "poly_t2", "delta": 0.01},
@@ -374,6 +399,34 @@ def test_non_finite_bound_is_an_error_not_a_report(tmp_path, capsys, monkeypatch
 
     monkeypatch.setattr(majorant, "bound_b_and_B", poisoned)
     _certify_fails(cfg, snap, out, capsys, EXIT_VERIFY_FAIL)
+
+
+def test_negative_bound_is_an_error_not_a_report(tmp_path, capsys, monkeypatch):
+    import maxbound.majorant as majorant
+
+    cfg, out, snap = _small_snapshot(tmp_path)
+    bound_b_and_B = majorant.bound_b_and_B
+
+    def negated(*args, **kwargs):
+        b, B = bound_b_and_B(*args, **kwargs)
+        b[-1] = -b[-1]
+        return b, B
+
+    monkeypatch.setattr(majorant, "bound_b_and_B", negated)
+    _certify_fails(cfg, snap, out, capsys, EXIT_VERIFY_FAIL)
+
+
+def test_solve_refuses_a_non_finite_node_and_leaves_no_file(tmp_path, capsys):
+    # Etilde + 1e308 * bump overflows to inf on the nodes where the bump is not 0
+    doc = _cavity_cfg(n=4, nt=9, extra={"perturbation": {"bump": "poly_t2", "delta": 1e308}})
+    cfg = _write(tmp_path, "huge.json", doc)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == EXIT_MISMATCH
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "non-finite" in err and "Traceback" not in err
+    assert not out.exists() or not os.listdir(out)
 
 
 def test_unknown_case_parameter_is_a_config_error(tmp_path, capsys):

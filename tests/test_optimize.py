@@ -10,9 +10,13 @@ import maxbound as mb
 from maxbound.errors import MaxboundError, ParameterError
 from maxbound.fields import EDGE, FieldTrajectory
 from maxbound.majorant import series as node_series
+from maxbound.operators import curl_edge_to_face, curl_face_to_edge, gram_apply, zero_tangential
 from maxbound.optimize import (
+    _STALL_WINDOW,
+    _Y_STALL_RTOL,
     BoundQuadratic,
     _bound_from_series,
+    _comb_diagonals,
     _flatten,
     _unflatten,
     conjugate_gradient,
@@ -99,6 +103,35 @@ def test_conjugate_gradient_solves_a_random_spd_system():
     x, iters, rel = conjugate_gradient(lambda v: A @ v, rhs, tol=1e-12, max_iter=200)
     assert rel < 1e-10
     assert np.allclose(x, np.linalg.solve(A, rhs), rtol=1e-8, atol=1e-10)
+
+
+def test_conjugate_gradient_with_a_jacobi_preconditioner_solves_a_random_spd_system():
+    rng = np.random.default_rng(91)
+    M = rng.standard_normal((30, 30))
+    A = M @ M.T + 30.0 * np.eye(30)
+    rhs = rng.standard_normal(30)
+    diag = np.diag(A).copy()
+    x, iters, rel = conjugate_gradient(lambda v: A @ v, rhs, tol=1e-12, max_iter=200,
+                                       precond=lambda r: r / diag)
+    assert rel < 1e-10
+    assert np.allclose(x, np.linalg.solve(A, rhs), rtol=1e-8, atol=1e-10)
+
+
+def test_an_unfinished_solve_returns_its_last_iterate_even_when_the_residual_rose():
+    # CG lowers the quadratic at every step while the residual norm may
+    # grow; the iterate of least quadratic value is the last one
+    rng = np.random.default_rng(3)
+    Q, _ = np.linalg.qr(rng.standard_normal((80, 80)))
+    A = Q @ np.diag(np.logspace(0, 6, 80)) @ Q.T
+    A = 0.5 * (A + A.T)
+    rhs = rng.standard_normal(80)
+    diag = np.diag(A).copy()
+    seen = []
+    x, iters, rel = conjugate_gradient(lambda v: A @ v, rhs, max_iter=15,
+                                       precond=lambda r: r / diag,
+                                       callback=lambda xk, k: seen.append(xk))
+    assert iters == 15 and rel > 1.0
+    np.testing.assert_array_equal(x, seen[-1])
 
 
 def test_conjugate_gradient_rejects_indefinite_systems():
@@ -233,3 +266,138 @@ def test_alternating_driver_history_is_monotone_and_bound_still_valid():
     assert rep.bound_b[-1] == pytest.approx(hist[-1], rel=1e-12)
     assert rep.cg_iterations > 0
     assert 0.0 < params.rho < 1.0 and params.gamma > 0.0
+
+
+# ---------------------------------------------------------------------------
+# the preconditioner: exact in time, the Hessian's diagonal in space
+
+
+def _unit_probe_diagonal(op, grid):
+    """Diagonal of a face-field operator, one unit vector per dof, in _flatten order."""
+    diag = []
+    for c in "xyz":
+        for index in np.ndindex(grid.shape(mb.FACE, c)):
+            unit = mb.StaggeredField.zeros(grid, mb.FACE)
+            getattr(unit, c)[index] = 1.0
+            diag.append(getattr(op(unit), c)[index])
+    return np.array(diag)
+
+
+def _material(kind, grid, rng):
+    shape = (grid.nx, grid.ny, grid.nz)
+    if kind == "identity":
+        return mb.MaterialField.identity(grid)
+    if kind == "scalar":
+        return mb.MaterialField.scalar(grid, 2.5)
+    if kind == "diagonal":
+        return mb.MaterialField.diagonal(grid, 1.5, 0.5, 3.0)
+    return mb.MaterialField("diagonal", rng.uniform(0.5, 4.0, shape + (3,)))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("kind", ["identity", "scalar", "diagonal", "per-cell"])
+def test_spatial_diagonals_equal_unit_vector_probes(n, kind):
+    rng = np.random.default_rng(7 * n)
+    grid = mb.GridSpec(n, n, n, 1.0, 1.2, 0.8, 5, 0.5)
+    p = mb.assemble_problem(grid, eps=_material(kind, grid, rng), mu=_material(kind, grid, rng))
+    zero_e = FieldTrajectory.zeros(grid, EDGE)
+    approx = SolveOutput(zero_e, FieldTrajectory.zeros(grid, mb.FACE), zero_e)
+    mass, curl = BoundQuadratic(p, approx, rho=0.5, gamma=1.0).spatial_diagonals()
+
+    def curl_curl(u):
+        edge = gram_apply(curl_face_to_edge(u, grid), p.eps_inv, grid)
+        return curl_edge_to_face(zero_tangential(edge), grid)
+
+    np.testing.assert_array_equal(mass, _unit_probe_diagonal(
+        lambda u: gram_apply(u, p.mu, grid), grid))
+    np.testing.assert_array_equal(curl, _unit_probe_diagonal(curl_curl, grid))
+
+
+def test_comb_probes_cover_full_tensor_materials():
+    rng = np.random.default_rng(5)
+    grid = mb.GridSpec(4, 3, 4, 1.0, 1.0, 1.0, 5, 0.5)
+    a = rng.standard_normal((4, 3, 4, 3, 3))
+    tensor = mb.MaterialField("full", a @ np.swapaxes(a, -1, -2) + 3.0 * np.eye(3))
+    (diag,) = _comb_diagonals([lambda u, g: gram_apply(u, tensor, g)], grid)
+    np.testing.assert_array_equal(
+        diag, _unit_probe_diagonal(lambda u: gram_apply(u, tensor, grid), grid))
+
+
+@pytest.mark.parametrize("theorem", ["T1", "T3", "T4", "T5"])
+@pytest.mark.parametrize("variant", ["z", "z_hat"])
+def test_preconditioner_is_symmetric_positive_definite(theorem, variant):
+    p, approx, _ = cavity_setup(4, 9)
+    quad = BoundQuadratic(p, approx, rho=0.4, gamma=1.3, theorem=theorem, zero_variant=variant)
+    apply = quad.preconditioner()
+    rng = np.random.default_rng(13)
+    size = _flatten(mb.default_Y(p, approx)).size
+    for _ in range(5):
+        u, v = rng.standard_normal(size), rng.standard_normal(size)
+        assert u @ apply(v) == pytest.approx(v @ apply(u), rel=1e-12)
+        assert u @ apply(u) > 0.0
+
+
+@pytest.mark.parametrize("variant", ["z", "z_hat"])
+def test_preconditioner_is_the_hessian_restricted_to_each_dof(variant):
+    # P equals every entry of H that couples one face dof with itself, at
+    # any two times, and is zero between different dofs
+    grid = mb.GridSpec(3, 3, 3, 1.0, 1.0, 1.0, 5, 0.4)
+    p = mb.assemble_problem(grid, case=mb.cavity_mode())
+    quad = BoundQuadratic(p, mb.leapfrog_solve(p), rho=0.5, gamma=1.0, zero_variant=variant)
+    nd = _flatten(FieldTrajectory.zeros(grid, mb.FACE)).size
+    base = quad.gradient_flat(np.zeros(nd))
+    eye = np.eye(nd)
+    H = np.stack([quad.gradient_flat(e) - base for e in eye], axis=1)
+    P = np.linalg.inv(np.stack([quad.preconditioner()(e) for e in eye], axis=1))
+    sizes = [int(np.prod(grid.shape(mb.FACE, c))) for c in "xyz"]
+    # the face dof of each flat index: components in turn, each time first
+    dof = np.concatenate([np.tile(np.arange(s) + off, grid.nt)
+                          for s, off in zip(sizes, np.cumsum([0] + sizes[:-1]))])
+    same = dof[:, None] == dof[None, :]
+    scale = np.abs(H).max()
+    assert np.abs(P - np.where(same, H, 0.0)).max() <= 1e-10 * scale
+
+
+def test_preconditioned_free_field_matches_the_dense_oracle():
+    # criterion 6's dense least-squares oracle, at nt = 9: PCG run to its
+    # residual floor meets it to 1e-8, and optimize_Y, which ends once the
+    # bound stalls, lands within the stall tolerance of it
+    grid = mb.GridSpec(4, 4, 4, 1.0, 1.0, 1.0, 9, 0.5)
+    p = mb.assemble_problem(grid, case=mb.cavity_mode())
+    approx = mb.leapfrog_solve(p)
+    quad = BoundQuadratic(p, approx, rho=0.5, gamma=1.0)
+    nd = _flatten(mb.default_Y(p, approx)).size
+    base = quad.gradient_flat(np.zeros(nd))
+    eye = np.eye(nd)
+    A = np.stack([quad.gradient_flat(e) - base for e in eye], axis=1)
+    dense, *_ = np.linalg.lstsq(A, -base, rcond=None)
+    v_dense = quad.value(_unflatten(dense, grid))
+
+    y0 = _flatten(mb.default_Y(p, approx))
+    delta, _, _ = conjugate_gradient(lambda v: quad.gradient_flat(v) - base,
+                                     -quad.gradient_flat(y0), tol=1e-12, max_iter=500,
+                                     precond=quad.preconditioner())
+    assert abs(quad.value(_unflatten(y0 + delta, grid)) - v_dense) <= 1e-8 * abs(v_dense)
+
+    info = {}
+    Y = mb.optimize_Y(p, approx, gamma=1.0, rho=0.5, info=info)
+    assert info["iterations"] < mb.OptimizeConfig().cg_max_iter
+    assert abs(quad.value(Y) - v_dense) <= _Y_STALL_RTOL * abs(v_dense)
+
+
+def test_conjugate_gradient_stops_once_the_quadratic_stalls():
+    # a slowly converging system: the solve ends at the first iteration
+    # whose last _STALL_WINDOW steps lowered q by no more than stall_tol
+    rng = np.random.default_rng(3)
+    Q, _ = np.linalg.qr(rng.standard_normal((80, 80)))
+    A = Q @ np.diag(np.logspace(0, 6, 80)) @ Q.T
+    A = 0.5 * (A + A.T)
+    rhs = rng.standard_normal(80)
+    stall_tol = 1e-3 * abs(rhs @ np.linalg.solve(A, rhs)) / 2
+    qs = [0.0]
+    x, iters, _ = conjugate_gradient(lambda v: A @ v, rhs, max_iter=500, stall_tol=stall_tol,
+                                     callback=lambda xk, k: qs.append(xk @ A @ xk / 2 - rhs @ xk))
+    assert _STALL_WINDOW <= iters < 500 and len(qs) == iters + 1
+    gains = [qs[k - _STALL_WINDOW] - qs[k] for k in range(_STALL_WINDOW, len(qs))]
+    assert gains[-1] <= stall_tol * (1.0 + 1e-9)
+    assert all(gain > stall_tol * (1.0 - 1e-9) for gain in gains[:-1])
