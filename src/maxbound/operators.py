@@ -368,6 +368,34 @@ def trajectory_derivative(traj, D=None):
     return FieldTrajectory(traj.kind, traj.grid, *comps)
 
 
+def ddt_time_axis(traj, transpose=False):
+    """D, or its transpose D^T, applied along the time axis of a trajectory
+    from the ddt_stencil rows: O(nt) per dof, where the dense product of
+    trajectory_derivative is O(nt^2).  Row k of D sums its products in the
+    order of ddt_node."""
+    nt, dt = traj.grid.nt, traj.grid.dt
+    _, (w_lo, _, w_hi) = ddt_stencil(nt, dt, 1)  # every interior row
+    ends = [ddt_stencil(nt, dt, k) for k in (0, nt - 1)]
+    comps = []
+    for a in traj.components():
+        out = np.empty_like(a)
+        if transpose:
+            # interior row k sends w_lo a[k] to node k - 1 and w_hi a[k] to k + 1
+            np.multiply(a[1:-1], w_lo, out=out[:-2])
+            out[-2:] = 0.0
+            out[2:] += w_hi * a[1:-1]
+            for k, (lo, w) in zip((0, nt - 1), ends):
+                for j, wj in zip(range(lo, lo + 3), w):
+                    out[j] += wj * a[k]
+        else:
+            np.multiply(a[:-2], w_lo, out=out[1:-1])
+            out[1:-1] += w_hi * a[2:]
+            for k, (lo, w) in zip((0, nt - 1), ends):
+                out[k] = w[0] * a[lo] + w[1] * a[lo + 1] + w[2] * a[lo + 2]
+        comps.append(out)
+    return FieldTrajectory(traj.kind, traj.grid, *comps)
+
+
 def trapezoid_weights(n_nodes, dt):
     w = np.full(n_nodes, dt)
     w[0] = 0.5 * dt

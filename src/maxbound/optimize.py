@@ -3,10 +3,11 @@
 Three layers: a golden-section scalar search over gamma (log-scaled) nested
 in a coarse rho grid, a matrix-free preconditioned conjugate-gradient
 minimization of the bound as a convex quadratic in the stacked space-time
-free field Y, and an alternating driver.  Every iterate of every layer is
-an admissible parameter choice, so the bound stays guaranteed throughout;
-the objective is the final-time bound value b(T) itself, which makes the
-alternation monotone by construction.
+free field Y, whose Hessian-vector product is applied explicitly, and an
+alternating driver that takes one series pass per free field it visits.
+Every iterate of every layer is an admissible parameter choice, so the
+bound stays guaranteed throughout; the objective is the final-time bound
+value b(T) itself, which makes the alternation monotone by construction.
 """
 
 from __future__ import annotations
@@ -37,9 +38,9 @@ from .operators import (
     cumulative_trapezoid,
     curl_edge_to_face,
     curl_face_to_edge,
-    ddt_matrix,
+    ddt_stencil,
+    ddt_time_axis,
     gram_apply,
-    trajectory_derivative,
     trapezoid_weights,
     zero_tangential,
 )
@@ -169,9 +170,13 @@ def optimize_gamma_rho(p, approx, Y, cfg=None, theorem="T5", zero_variant="z_hat
     stands for the default free field.  Returns (gamma, rho, bound value).
     """
     cfg = cfg if cfg is not None else OptimizeConfig()
-    s = series(p, approx, Y, theorem)
-    dt = p.grid.dt
+    return _search_gamma_rho(series(p, approx, Y, theorem), cfg, theorem, zero_variant, p.grid)
 
+
+def _search_gamma_rho(s, cfg, theorem, zero_variant, grid):
+    """optimize_gamma_rho on the NodeSeries s of its Y, which (gamma, rho)
+    do not change."""
+    dt = grid.dt
     best = None
     best_edge = False
     for rho in cfg.rho_grid:
@@ -189,7 +194,7 @@ def optimize_gamma_rho(p, approx, Y, cfg=None, theorem="T5", zero_variant="z_hat
         )
     gamma, rho, value = best
     if cfg.gamma_pieces > 1 and theorem in ("T3", "T4"):
-        gamma, value = _refine_gamma_pieces(s, rho, gamma, zero_variant, cfg, p.grid)
+        gamma, value = _refine_gamma_pieces(s, rho, gamma, zero_variant, cfg, grid)
     return gamma, rho, value
 
 
@@ -274,6 +279,17 @@ def _comb_diagonals(ops, grid):
     return [np.concatenate([comp.ravel() for comp in d.components()]) for d in diags]
 
 
+def _banded_apply(bands, x):
+    """T x along the leading axis of x, for the symmetric pentadiagonal T
+    whose bands are stored as _banded_cholesky takes them."""
+    a0, a1, a2 = (b.reshape((-1,) + (1,) * (x.ndim - 1)) for b in bands)
+    y = a0 * x
+    for j, a in ((1, a1), (2, a2)):
+        y[j:] += a[j:] * x[:-j]
+        y[:-j] += a[j:] * x[j:]
+    return y
+
+
 def _banded_cholesky(a0, a1, a2):
     """Cholesky factors of a batch of SPD pentadiagonal matrices.
 
@@ -317,9 +333,9 @@ class BoundQuadratic:
     """The final-time bound b(T) as a convex quadratic in the stacked Y.
 
     Collapses the Gronwall-weighted time quadrature into fixed per-node
-    weights so that value and Euclidean gradient evaluations are single
-    passes over the trajectory.  Supports the smooth zero-term variants
-    only (the absolute-valued one is not differentiable).
+    weights so that Euclidean gradient and Hessian-vector evaluations are
+    single passes over the trajectory.  Supports the smooth zero-term
+    variants only (the absolute-valued one is not differentiable).
     """
 
     def __init__(self, p, approx, rho, gamma, theorem="T5", zero_variant="z_hat"):
@@ -356,22 +372,31 @@ class BoundQuadratic:
         self.w_face = w_int / (self.gam_n * self.rho_n)
         self.w_coup = w_int
 
+        # The bands of the time matrix T1 = diag(w_pt) + D^T diag(w_face) D,
+        # plus Cz at (0, 0) for z_hat, stored as _banded_cholesky takes them:
+        # t1[j, k] is entry (k, k - j).  Row k of D adds w_face[k] w w^T on
+        # the three nodes of its stencil w.
+        self.t1 = np.zeros((3, nt))
+        self.t1[0] = self.w_pt
+        for k in range(nt):
+            lo, w = ddt_stencil(nt, g.dt, k)
+            for i in range(3):
+                for j in range(i + 1):
+                    self.t1[i - j, lo + i] += self.w_face[k] * w[i] * w[j]
+        if zero_variant == "z_hat":
+            self.t1[0, 0] += self.Cz
+
         # The Y-independent pieces of the residuals and of the gradient.  K is
         # not folded into edge_base: gradient() subtracts it after adding
         # curl Y, the order that rounds like the per-node residual.
-        self.D = ddt_matrix(nt, g.dt)
         self.M = mu_inv_curl(p, approx.Etilde)
-        dE = trajectory_derivative(approx.Etilde, self.D)
+        dE = ddt_time_axis(approx.Etilde)
         if theorem in ("T1", "T3"):
-            self.edge_base = apply_material_staggered(
-                trajectory_derivative(dE, self.D), p.eps, g
-            )
+            self.edge_base = apply_material_staggered(ddt_time_axis(dE), p.eps, g)
             self.face_const = None  # residual is D applied to (M - Y) directly
             self.coupling_grad = None
         else:
-            self.edge_base = apply_material_staggered(
-                trajectory_derivative(approx.Etilde_t, self.D), p.eps, g
-            )
+            self.edge_base = apply_material_staggered(ddt_time_axis(approx.Etilde_t), p.eps, g)
             self.face_const = mu_inv_curl(p, approx.Etilde_t)
             coupling = curl_edge_to_face(approx.Etilde_t - dE, g)
             self.coupling_grad = gram_apply(coupling, None, g) * _per_node(2.0 * self.w_coup)
@@ -384,8 +409,8 @@ class BoundQuadratic:
 
     def _face_residual(self, Y):
         if self.face_const is None:
-            return trajectory_derivative(self.M - Y, self.D)
-        return self.face_const - trajectory_derivative(Y, self.D)
+            return ddt_time_axis(self.M - Y)
+        return self.face_const - ddt_time_axis(Y)
 
     def gradient(self, Y):
         """Euclidean gradient of value() with respect to the Y dof values.
@@ -402,7 +427,7 @@ class BoundQuadratic:
         grad = (
             mass * _per_node(-2.0 * self.w_pt)
             + curl_edge_to_face(zero_tangential(ge), g) * _per_node(2.0 * self.w_edge)
-            - 2.0 * trajectory_derivative(scaled, self.D.T)
+            - 2.0 * ddt_time_axis(scaled, transpose=True)
         )
         if self.coupling_grad is not None:
             grad = grad - self.coupling_grad
@@ -413,6 +438,23 @@ class BoundQuadratic:
 
     def gradient_flat(self, y_vec):
         return _flatten(self.gradient(_unflatten(y_vec, self.grid)))
+
+    def hessian(self, v):
+        """H v for a flat vector v in _flatten order, into a new flat vector:
+        H = 2 [T1 (x) G_mu + diag(w_edge) (x) C^T Z G_eps^-1 Z C] (see
+        spatial_diagonals), T1 applied along the time axis by its bands.
+        G_mu acts alike on every node, so it commutes with T1."""
+        g = self.grid
+        p = self.p
+        out = np.empty_like(v)
+        V, H = _unflatten(v, g), _unflatten(out, g)
+        edge = gram_apply(curl_face_to_edge(V, g), p.eps_inv, g)
+        curl_edge_to_face(zero_tangential(edge), g, out=H)
+        H.apply(np.multiply, _per_node(2.0 * self.w_edge), H)
+        bands = 2.0 * self.t1
+        time_part = FieldTrajectory(FACE, g, *(_banded_apply(bands, c) for c in V.components()))
+        H += gram_apply(time_part, p.mu, g)
+        return out
 
     def spatial_diagonals(self):
         """The diagonals of G_mu and of C^T Z G_eps^-1 Z C, flat over the face
@@ -446,12 +488,7 @@ class BoundQuadratic:
         """
         nt = self.grid.nt
         mass, curl = self.spatial_diagonals()
-        T = self.D.T @ (self.w_face[:, None] * self.D)
-        T[np.diag_indices_from(T)] += self.w_pt
-        if self.variant == "z_hat":
-            T[0, 0] += self.Cz
-        bands = [2.0 * np.outer(np.concatenate([np.zeros(j), np.diagonal(T, -j)]), mass)
-                 for j in range(3)]
+        bands = [2.0 * np.outer(t, mass) for t in self.t1]
         bands[0] += 2.0 * np.outer(self.w_edge, curl)
         factor = _banded_cholesky(*bands)
         # where the y and z dofs start in a node, and in the flat vector
@@ -502,8 +539,8 @@ def conjugate_gradient(apply_A, rhs, x0=None, tol=1e-10, max_iter=200, callback=
                 )
             break  # null direction of a singular but consistent system
         alpha = rz / dAd
-        x = x + alpha * d
-        r = r - alpha * Ad
+        x += alpha * d
+        r -= alpha * Ad
         del Ad
         rs = float(r @ r)
         qs.append(-0.5 * (float(x @ r) + float(x @ rhs)))
@@ -525,40 +562,35 @@ def optimize_Y(p, approx, gamma, rho, cfg=None, theorem="T5", zero_variant="z_ha
                Y0=None, callback=None, info=None):
     """Minimize the final-time bound over the free field Y at fixed (gamma, rho).
 
-    Conjugate gradients on the normal equations of the collapsed quadratic,
-    preconditioned with BoundQuadratic.preconditioner; the gradient is
-    affine in Y, so the Hessian application is a gradient difference.  The
-    solve also ends once b(T) stalls: when _STALL_WINDOW iterations lower it
-    by no more than _Y_STALL_RTOL of its value at Y0.  Returns the
-    optimized FieldTrajectory; pass a dict as `info` to receive the
-    iteration count and the relative residual, and a callback(Y, k) to
-    observe iterates (each iterate is itself an admissible free field).
+    Conjugate gradients on the collapsed quadratic, whose Hessian
+    BoundQuadratic.hessian applies explicitly, preconditioned with
+    BoundQuadratic.preconditioner.  The solve also ends once b(T) stalls:
+    when _STALL_WINDOW iterations lower it by no more than _Y_STALL_RTOL of
+    its value at Y0.  Returns the optimized FieldTrajectory; pass a dict as
+    `info` to receive the iteration count and the relative residual, and a
+    callback(Y, k) to observe iterates (each iterate is itself an
+    admissible free field).
     """
     cfg = cfg if cfg is not None else OptimizeConfig()
     quad = BoundQuadratic(p, approx, rho, gamma, theorem, zero_variant)
-    g = p.grid
-    if Y0 is not None:
-        y_start = _flatten(Y0)
-    elif cfg.y_init == "zero":
-        y_start = np.zeros(_flatten(FieldTrajectory.zeros(g, FACE)).shape)
-    else:
-        y_start = _flatten(default_Y(p, approx))
+    if Y0 is None:
+        Y0 = FieldTrajectory.zeros(p.grid, FACE) if cfg.y_init == "zero" else default_Y(p, approx)
+    return _minimize_Y(quad, Y0, quad.value(Y0), cfg, callback, info)
 
-    grad0 = quad.gradient_flat(np.zeros_like(y_start))
 
-    def apply_H(v):
-        return quad.gradient_flat(v) - grad0
-
-    rhs = -(quad.gradient_flat(y_start))
+def _minimize_Y(quad, Y0, value0, cfg, callback=None, info=None):
+    """optimize_Y from Y0 for the quadratic quad, value0 being b(T) at Y0."""
+    g = quad.grid
+    y_start = _flatten(Y0)
+    rhs = -quad.gradient_flat(y_start)
 
     def cb(delta, k):
         if callback is not None:
             callback(_unflatten(y_start + delta, g), k)
 
     delta, iters, rel_res = conjugate_gradient(
-        apply_H, rhs, tol=cfg.cg_tol, max_iter=cfg.cg_max_iter, callback=cb,
-        precond=quad.preconditioner(),
-        stall_tol=_Y_STALL_RTOL * abs(quad.value(_unflatten(y_start, g))),
+        quad.hessian, rhs, tol=cfg.cg_tol, max_iter=cfg.cg_max_iter, callback=cb,
+        precond=quad.preconditioner(), stall_tol=_Y_STALL_RTOL * abs(value0),
     )
     if info is not None:
         info["iterations"] = iters
@@ -588,11 +620,10 @@ def optimize_all(p, approx, cfg=None, theorem="T5", zero_variant="z_hat",
     else:
         Y = default_Y(p, approx)
     gamma, rho = float(gamma0), float(rho0)
-
-    def bound_at(Y, gamma, rho):
-        return _bound_from_series(series(p, approx, Y, theorem), rho, gamma, zero_variant, g.dt)
-
-    current = bound_at(Y, gamma, rho)
+    # s is the series of Y, current the bound at (Y, gamma, rho): one series
+    # pass for every Y the driver visits
+    s = series(p, approx, Y, theorem)
+    current = _bound_from_series(s, rho, gamma, zero_variant, g.dt)
     history = [current]
     cg_sweeps = []
     for _ in range(cfg.sweeps):
@@ -601,14 +632,15 @@ def optimize_all(p, approx, cfg=None, theorem="T5", zero_variant="z_hat",
         info = None
         if math.isfinite(current):
             info = {}
-            Y_new = optimize_Y(p, approx, gamma, rho, cfg, theorem, zero_variant,
-                               Y0=Y, info=info)
-            v_new = bound_at(Y_new, gamma, rho)
+            quad = BoundQuadratic(p, approx, rho, gamma, theorem, zero_variant)
+            Y_new = _minimize_Y(quad, Y, current, cfg, info=info)
+            s_new = series(p, approx, Y_new, theorem)
+            v_new = _bound_from_series(s_new, rho, gamma, zero_variant, g.dt)
             info["accepted"] = v_new <= current
             if info["accepted"]:
-                Y, current = Y_new, v_new
+                Y, s, current = Y_new, s_new, v_new
         cg_sweeps.append(info)
-        g_new, r_new, v_par = optimize_gamma_rho(p, approx, Y, cfg, theorem, zero_variant)
+        g_new, r_new, v_par = _search_gamma_rho(s, cfg, theorem, zero_variant, g)
         if v_par <= current:
             gamma, rho, current = g_new, r_new, v_par
         history.append(current)

@@ -22,9 +22,9 @@ from maxbound.operators import (
     cell_average_adjoint,
     curl_edge_to_face,
     curl_face_to_edge,
+    ddt_time_axis,
     dof_inner,
     gram_apply,
-    trajectory_derivative,
     weighted_inner,
     weighted_norm_sq,
     zero_tangential,
@@ -143,26 +143,27 @@ def test_trajectory_kernels_check_spatial_extents():
 
 
 def _reference_gradient(quad, Y):
-    """The gradient as a loop over time nodes, one StaggeredField at a time."""
+    """The gradient as a loop over time nodes, one StaggeredField at a time;
+    the time derivative D and its transpose act along the time axis, as in
+    the gradient."""
     p, approx, g, nt = quad.p, quad.approx, quad.grid, quad.grid.nt
     M = default_Y(p, approx)
-    D = quad.D
     if quad.theorem in ("T1", "T3"):
-        face_res = trajectory_derivative(M - Y, D)
-        base = trajectory_derivative(trajectory_derivative(approx.Etilde, D), D)
+        face_res = ddt_time_axis(M - Y)
+        base = ddt_time_axis(ddt_time_axis(approx.Etilde))
         coupling = None
     else:
         face_const = FieldTrajectory.from_fields(g, [
             apply_material_staggered(curl_edge_to_face(approx.Etilde_t.node(k), g), p.mu_inv, g)
             for k in range(nt)
         ])
-        face_res = face_const - trajectory_derivative(Y, D)
-        base = trajectory_derivative(approx.Etilde_t, D)
-        coupling = approx.Etilde_t - trajectory_derivative(approx.Etilde, D)
+        face_res = face_const - ddt_time_axis(Y)
+        base = ddt_time_axis(approx.Etilde_t)
+        coupling = approx.Etilde_t - ddt_time_axis(approx.Etilde)
     scaled = FieldTrajectory.from_fields(
         g, [gram_apply(face_res.node(k), p.mu, g) * quad.w_face[k] for k in range(nt)]
     )
-    face_part = trajectory_derivative(scaled, D.T)
+    face_part = ddt_time_axis(scaled, transpose=True)
     fields = []
     for k in range(nt):
         gk = gram_apply(M.node(k) - Y.node(k), p.mu, g) * (-2.0 * quad.w_pt[k])

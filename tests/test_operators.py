@@ -17,6 +17,8 @@ from maxbound.operators import (
     curl_edge_to_face,
     curl_face_to_edge,
     ddt_matrix,
+    ddt_node,
+    ddt_time_axis,
     dof_inner,
     exp_weighted_cumulative,
     gradient_node_to_edge,
@@ -400,6 +402,29 @@ def test_trajectory_derivative_applies_matrix_along_time():
     out = trajectory_derivative(traj)
     expect = np.tensordot(D, traj.x, axes=(1, 0))
     assert np.allclose(out.x, expect, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("nt", [3, 4, 9])
+def test_stencil_time_axis_matches_the_dense_matrix_and_its_transpose(nt):
+    grid = mb.GridSpec(2, 3, 2, 1.0, 1.0, 1.0, nt, 0.7)
+    rng = np.random.default_rng(nt)
+    u, v = (mb.FieldTrajectory.zeros(grid, FACE) for _ in range(2))
+    for comp in u.components() + v.components():
+        comp[...] = rng.standard_normal(comp.shape)
+    D = ddt_matrix(nt, grid.dt)
+    for transpose, dense in ((False, D), (True, D.T)):
+        got = ddt_time_axis(u, transpose)
+        for a, c in zip(got.components(), u.components()):
+            expect = np.tensordot(dense, c, axes=(1, 0))
+            assert np.abs(a - expect).max() <= 1e-13 * np.abs(expect).max()
+    # <Du, v> = <u, D^T v>
+    lhs = dof_inner(ddt_time_axis(u), v, grid)
+    rhs = dof_inner(u, ddt_time_axis(v, transpose=True), grid)
+    assert abs(lhs - rhs) <= 1e-13 * max(abs(lhs), abs(rhs))
+    # row k is ddt_node's sum, bit for bit
+    du = ddt_time_axis(u)
+    for k in range(nt):
+        np.testing.assert_array_equal(du.node(k).x, ddt_node(u.node, k, grid).x)
 
 
 def test_trapezoid_weights_reproduce_the_trapezoid_rule():

@@ -2,11 +2,14 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import maxbound as mb
+import maxbound.majorant
+import maxbound.optimize
 from maxbound.errors import MaxboundError, ParameterError
 from maxbound.fields import EDGE, FieldTrajectory
 from maxbound.majorant import series as node_series
@@ -252,6 +255,29 @@ def test_free_field_minimization_reduces_the_bound():
     assert seen and seen[-1] == pytest.approx(after, rel=1e-9)
 
 
+def test_alternating_driver_runs_one_series_pass_per_free_field(monkeypatch):
+    # the (gamma, rho) search and the stall reference reuse the series the
+    # driver took of the free field they work on
+    p, exact = polynomial_setup(4, 9)
+    approx = _perturbed(p, exact)
+    cfg = mb.OptimizeConfig(sweeps=2)
+    series_calls = []
+    real_series = maxbound.majorant.series
+
+    def counted(p, approx, Y, theorem, exact=None):
+        series_calls.append(exact is None)
+        return real_series(p, approx, Y, theorem, exact)
+
+    monkeypatch.setattr(maxbound.majorant, "series", counted)
+    monkeypatch.setattr(maxbound.optimize, "series", counted)
+    rep, params = mb.optimize_all(p, approx, cfg, exact=exact)
+    assert sum(series_calls) <= cfg.sweeps + 1
+    hist = rep.optimize_history
+    assert all(b <= a for a, b in zip(hist[:-1], hist[1:]))
+    again = mb.certify(p, approx, params, theorem="T5", exact=exact)
+    assert hist[-1] == pytest.approx(again.bound_b[-1], rel=1e-12)
+
+
 def test_alternating_driver_history_is_monotone_and_bound_still_valid():
     p, approx, exact = cavity_setup(6, 13)
     with warnings.catch_warnings():
@@ -291,6 +317,9 @@ def _material(kind, grid, rng):
         return mb.MaterialField.scalar(grid, 2.5)
     if kind == "diagonal":
         return mb.MaterialField.diagonal(grid, 1.5, 0.5, 3.0)
+    if kind == "full":
+        a = rng.standard_normal(shape + (3, 3))
+        return mb.MaterialField("full", a @ np.swapaxes(a, -1, -2) + 3.0 * np.eye(3))
     return mb.MaterialField("diagonal", rng.uniform(0.5, 4.0, shape + (3,)))
 
 
@@ -356,6 +385,45 @@ def test_preconditioner_is_the_hessian_restricted_to_each_dof(variant):
     same = dof[:, None] == dof[None, :]
     scale = np.abs(H).max()
     assert np.abs(P - np.where(same, H, 0.0)).max() <= 1e-10 * scale
+    explicit = np.stack([quad.hessian(e) for e in eye], axis=1)
+    assert np.abs(P - np.where(same, explicit, 0.0)).max() <= 1e-10 * scale
+
+
+# ---------------------------------------------------------------------------
+# the explicit Hessian-vector product
+
+
+@pytest.mark.parametrize("theorem", ["T1", "T3", "T4", "T5"])
+@pytest.mark.parametrize("variant", ["z", "z_hat"])
+@pytest.mark.parametrize("kind", ["identity", "scalar", "diagonal", "per-cell", "full"])
+def test_explicit_hessian_is_the_symmetric_semidefinite_gradient_difference(
+        theorem, variant, kind):
+    rng = np.random.default_rng(17)
+    grid = mb.GridSpec(3, 4, 3, 1.0, 1.2, 0.8, 6, 0.5)
+    eps, mu = _material(kind, grid, rng), _material(kind, grid, rng)
+    if kind == "full":
+        # apply_material_staggered, which builds the Y-independent part, takes
+        # no full tensors; the Hessian and the gradient's Y-dependent part
+        # see the materials only through gram_apply
+        p = mb.assemble_problem(grid)
+    else:
+        p = mb.assemble_problem(grid, eps=eps, mu=mu)
+    approx = SolveOutput(*(FieldTrajectory.zeros(grid, k) for k in (EDGE, mb.FACE, EDGE)))
+    for traj in (approx.Etilde, approx.Etilde_t):
+        for comp in traj.components():
+            comp[...] = rng.standard_normal(comp.shape)
+    quad = BoundQuadratic(p, approx, rho=0.4, gamma=1.3, theorem=theorem, zero_variant=variant)
+    if kind == "full":
+        quad.p = replace(p, mu=mu, eps_inv=eps.inverse())
+    nd = _flatten(FieldTrajectory.zeros(grid, mb.FACE)).size
+    base = quad.gradient_flat(np.zeros(nd))
+    for _ in range(3):
+        u, v = rng.standard_normal(nd), rng.standard_normal(nd)
+        hu, hv = quad.hessian(u), quad.hessian(v)
+        diff = quad.gradient_flat(v) - base
+        assert np.abs(hv - diff).max() <= 1e-12 * np.abs(diff).max()
+        assert abs(u @ hv - v @ hu) <= 1e-12 * np.linalg.norm(u) * np.linalg.norm(hv)
+        assert v @ hv >= 0.0
 
 
 def test_preconditioned_free_field_matches_the_dense_oracle():
