@@ -26,7 +26,6 @@ from .operators import (
     curl_edge_to_face,
     curl_face_to_edge,
     cumulative_trapezoid,
-    ddt_matrix,
     ddt_node,
     exp_weighted_cumulative,
     trajectory_derivative,
@@ -118,29 +117,29 @@ def _check_Y(Y, grid):
 
 
 def residuals(p, approx, Y):
-    """All residual trajectories for the given free field Y."""
+    """All residual trajectories for the given free field Y; the
+    Y-optimizer's gradient reads them."""
     g = p.grid
     _check_Y(Y, g)
-    D = ddt_matrix(g.nt, g.dt)
 
     Ktilde = mu_inv_curl(p, approx.Etilde) - Y
-    dt_Ktilde = trajectory_derivative(Ktilde, D)
+    dt_Ktilde = trajectory_derivative(Ktilde)
     curl_Y = curl_face_to_edge(Y, g)
 
-    dE = trajectory_derivative(approx.Etilde, D)
+    dE = trajectory_derivative(approx.Etilde)
 
     Khat = None
     if g.nt >= 5:
-        ddE = trajectory_derivative(dE, D)
+        ddE = trajectory_derivative(dE)
         Khat = apply_material_staggered(ddE, p.eps, g) + curl_Y - p.K
 
     Kcheck = None
     Rt = None
     coupling_curl = None
     if approx.Etilde_t is not None:
-        dEt = trajectory_derivative(approx.Etilde_t, D)
+        dEt = trajectory_derivative(approx.Etilde_t)
         Kcheck = apply_material_staggered(dEt, p.eps, g) + curl_Y - p.K
-        Rt = mu_inv_curl(p, approx.Etilde_t) - trajectory_derivative(Y, D)
+        Rt = mu_inv_curl(p, approx.Etilde_t) - trajectory_derivative(Y)
         coupling_curl = curl_edge_to_face(approx.Etilde_t - dE, g)
     return Residuals(Khat, Ktilde, Kcheck, Rt, dt_Ktilde, coupling_curl)
 

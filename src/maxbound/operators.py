@@ -351,28 +351,10 @@ def ddt_node(node, k, grid, out=None, work=None):
     return out
 
 
-def ddt_matrix(nt, dt):
-    """Dense first time-derivative matrix with the rows of ddt_stencil."""
-    D = np.zeros((nt, nt))
-    for k in range(nt):
-        lo, w = ddt_stencil(nt, dt, k)
-        D[k, lo : lo + 3] = w
-    return D
-
-
-def trajectory_derivative(traj, D=None):
-    """Apply the time-derivative matrix along the time axis of a trajectory."""
-    if D is None:
-        D = ddt_matrix(traj.grid.nt, traj.grid.dt)
-    comps = [np.tensordot(D, c, axes=(1, 0)) for c in traj.components()]
-    return FieldTrajectory(traj.kind, traj.grid, *comps)
-
-
-def ddt_time_axis(traj, transpose=False):
-    """D, or its transpose D^T, applied along the time axis of a trajectory
-    from the ddt_stencil rows: O(nt) per dof, where the dense product of
-    trajectory_derivative is O(nt^2).  Row k of D sums its products in the
-    order of ddt_node."""
+def trajectory_derivative(traj, transpose=False):
+    """D, or its transpose D^T, applied along the time axis of a trajectory,
+    D being the time-derivative matrix of the ddt_stencil rows: O(nt) per
+    dof.  Row k of D sums its products in the order of ddt_node."""
     nt, dt = traj.grid.nt, traj.grid.dt
     _, (w_lo, _, w_hi) = ddt_stencil(nt, dt, 1)  # every interior row
     ends = [ddt_stencil(nt, dt, k) for k in (0, nt - 1)]

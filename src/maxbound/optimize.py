@@ -30,17 +30,16 @@ from .majorant import (
     certify,
     default_Y,
     functional,
-    mu_inv_curl,
+    residuals,
     series,
 )
 from .operators import (
-    apply_material_staggered,
     cumulative_trapezoid,
     curl_edge_to_face,
     curl_face_to_edge,
     ddt_stencil,
-    ddt_time_axis,
     gram_apply,
+    trajectory_derivative,
     trapezoid_weights,
     zero_tangential,
 )
@@ -386,20 +385,6 @@ class BoundQuadratic:
         if zero_variant == "z_hat":
             self.t1[0, 0] += self.Cz
 
-        # The Y-independent pieces of the residuals and of the gradient.  K is
-        # not folded into edge_base: gradient() subtracts it after adding
-        # curl Y, the order that rounds like the per-node residual.
-        self.M = mu_inv_curl(p, approx.Etilde)
-        dE = ddt_time_axis(approx.Etilde)
-        if theorem in ("T1", "T3"):
-            self.edge_base = apply_material_staggered(ddt_time_axis(dE), p.eps, g)
-            self.face_const = None  # residual is D applied to (M - Y) directly
-            self.coupling_grad = None
-        else:
-            self.edge_base = apply_material_staggered(ddt_time_axis(approx.Etilde_t), p.eps, g)
-            self.face_const = mu_inv_curl(p, approx.Etilde_t)
-            coupling = curl_edge_to_face(approx.Etilde_t - dE, g)
-            self.coupling_grad = gram_apply(coupling, None, g) * _per_node(2.0 * self.w_coup)
         curl_e0 = curl_edge_to_face(p.E0 - approx.Etilde.node(0), g)
         self.zero_grad = (2.0 * self.Cz) * gram_apply(curl_e0, None, g)
 
@@ -407,30 +392,28 @@ class BoundQuadratic:
         s = series(self.p, self.approx, Y, self.theorem)
         return _bound_from_series(s, self.rho_n, self.gam_n, self.variant, self.grid.dt)
 
-    def _face_residual(self, Y):
-        if self.face_const is None:
-            return ddt_time_axis(self.M - Y)
-        return self.face_const - ddt_time_axis(Y)
-
     def gradient(self, Y):
         """Euclidean gradient of value() with respect to the Y dof values.
 
-        One pass over whole trajectories; each node gets the same operations,
-        in the same order, as a loop over the nodes would apply.
+        One pass over whole trajectories, on the residuals of
+        majorant.residuals; each node gets the same operations, in the same
+        order, as a loop over the nodes would apply.
         """
         g = self.grid
         p = self.p
-        mass = gram_apply(self.M - Y, p.mu, g)
-        scaled = gram_apply(self._face_residual(Y), p.mu, g) * _per_node(self.w_face)
-        e_res = self.edge_base + curl_face_to_edge(Y, g) - p.K
-        ge = gram_apply(e_res, p.eps_inv, g)
+        res = residuals(p, self.approx, Y)
+        high = self.theorem in ("T1", "T3")
+        mass = gram_apply(res.Ktilde, p.mu, g)
+        face = res.dt_Ktilde if high else res.Rt
+        scaled = gram_apply(face, p.mu, g) * _per_node(self.w_face)
+        ge = gram_apply(res.Khat if high else res.Kcheck, p.eps_inv, g)
         grad = (
             mass * _per_node(-2.0 * self.w_pt)
             + curl_edge_to_face(zero_tangential(ge), g) * _per_node(2.0 * self.w_edge)
-            - 2.0 * ddt_time_axis(scaled, transpose=True)
+            - 2.0 * trajectory_derivative(scaled, transpose=True)
         )
-        if self.coupling_grad is not None:
-            grad = grad - self.coupling_grad
+        if not high:
+            grad = grad - gram_apply(res.coupling_curl, None, g) * _per_node(2.0 * self.w_coup)
         zero = self.zero_grad if self.variant == "z" else (2.0 * self.Cz) * mass.node(0)
         for comp, z in zip(grad.components(), zero.components()):
             comp[0] -= z
@@ -573,9 +556,15 @@ def optimize_Y(p, approx, gamma, rho, cfg=None, theorem="T5", zero_variant="z_ha
     """
     cfg = cfg if cfg is not None else OptimizeConfig()
     quad = BoundQuadratic(p, approx, rho, gamma, theorem, zero_variant)
-    if Y0 is None:
-        Y0 = FieldTrajectory.zeros(p.grid, FACE) if cfg.y_init == "zero" else default_Y(p, approx)
+    Y0 = _start_Y(p, approx, cfg) if Y0 is None else Y0
     return _minimize_Y(quad, Y0, quad.value(Y0), cfg, callback, info)
+
+
+def _start_Y(p, approx, cfg):
+    """The starting free field that cfg.y_init names."""
+    if cfg.y_init == "zero":
+        return FieldTrajectory.zeros(p.grid, FACE)
+    return default_Y(p, approx)
 
 
 def _minimize_Y(quad, Y0, value0, cfg, callback=None, info=None):
@@ -615,10 +604,7 @@ def optimize_all(p, approx, cfg=None, theorem="T5", zero_variant="z_hat",
     """
     cfg = cfg if cfg is not None else OptimizeConfig()
     g = p.grid
-    if cfg.y_init == "zero":
-        Y = FieldTrajectory.zeros(g, FACE)
-    else:
-        Y = default_Y(p, approx)
+    Y = _start_Y(p, approx, cfg)
     gamma, rho = float(gamma0), float(rho0)
     # s is the series of Y, current the bound at (Y, gamma, rho): one series
     # pass for every Y the driver visits

@@ -12,7 +12,8 @@ import numpy as np
 
 import maxbound as mb
 from maxbound.errors import ParameterError
-from maxbound.operators import weighted_inner
+from maxbound.fields import FieldTrajectory
+from maxbound.operators import ddt_stencil, weighted_inner
 
 
 def traced_peak(fn):
@@ -88,6 +89,23 @@ def smooth_edge(grid):
 def inner_trajectory(a, b, grid):
     """Plain (unweighted) cell-centered inner product at each time node."""
     return np.array([weighted_inner(a.node(k), b.node(k), None, grid) for k in range(grid.nt)])
+
+
+def ddt_matrix(nt, dt):
+    """Dense first time-derivative matrix with the rows of ddt_stencil: the
+    oracle for the O(nt) stencil of trajectory_derivative."""
+    D = np.zeros((nt, nt))
+    for k in range(nt):
+        lo, w = ddt_stencil(nt, dt, k)
+        D[k, lo : lo + 3] = w
+    return D
+
+
+def dense_derivative(traj, D):
+    """The matrix D applied along the time axis of a trajectory by a dense
+    product."""
+    comps = [np.tensordot(D, c, axes=(1, 0)) for c in traj.components()]
+    return FieldTrajectory(traj.kind, traj.grid, *comps)
 
 
 def time_integral(values, dt, up_to=None):

@@ -22,9 +22,9 @@ from maxbound.operators import (
     cell_average_adjoint,
     curl_edge_to_face,
     curl_face_to_edge,
-    ddt_time_axis,
     dof_inner,
     gram_apply,
+    trajectory_derivative,
     weighted_inner,
     weighted_norm_sq,
     zero_tangential,
@@ -149,21 +149,21 @@ def _reference_gradient(quad, Y):
     p, approx, g, nt = quad.p, quad.approx, quad.grid, quad.grid.nt
     M = default_Y(p, approx)
     if quad.theorem in ("T1", "T3"):
-        face_res = ddt_time_axis(M - Y)
-        base = ddt_time_axis(ddt_time_axis(approx.Etilde))
+        face_res = trajectory_derivative(M - Y)
+        base = trajectory_derivative(trajectory_derivative(approx.Etilde))
         coupling = None
     else:
         face_const = FieldTrajectory.from_fields(g, [
             apply_material_staggered(curl_edge_to_face(approx.Etilde_t.node(k), g), p.mu_inv, g)
             for k in range(nt)
         ])
-        face_res = face_const - ddt_time_axis(Y)
-        base = ddt_time_axis(approx.Etilde_t)
-        coupling = approx.Etilde_t - ddt_time_axis(approx.Etilde)
+        face_res = face_const - trajectory_derivative(Y)
+        base = trajectory_derivative(approx.Etilde_t)
+        coupling = approx.Etilde_t - trajectory_derivative(approx.Etilde)
     scaled = FieldTrajectory.from_fields(
         g, [gram_apply(face_res.node(k), p.mu, g) * quad.w_face[k] for k in range(nt)]
     )
-    face_part = ddt_time_axis(scaled, transpose=True)
+    face_part = trajectory_derivative(scaled, transpose=True)
     fields = []
     for k in range(nt):
         gk = gram_apply(M.node(k) - Y.node(k), p.mu, g) * (-2.0 * quad.w_pt[k])

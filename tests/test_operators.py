@@ -16,9 +16,7 @@ from maxbound.operators import (
     cumulative_trapezoid,
     curl_edge_to_face,
     curl_face_to_edge,
-    ddt_matrix,
     ddt_node,
-    ddt_time_axis,
     dof_inner,
     exp_weighted_cumulative,
     gradient_node_to_edge,
@@ -31,6 +29,7 @@ from maxbound.operators import (
 )
 
 from conftest import (
+    ddt_matrix,
     random_edge_interior,
     random_face,
     smooth_edge,
@@ -389,8 +388,9 @@ def test_time_derivative_matrix_exact_on_quadratics():
 
 
 def test_time_derivative_matrix_requires_three_nodes():
+    grid = mb.GridSpec(2, 2, 2, 1.0, 1.0, 1.0, 2, 0.1)
     with pytest.raises(ParameterError):
-        ddt_matrix(2, 0.1)
+        trajectory_derivative(mb.FieldTrajectory.zeros(grid, EDGE))
 
 
 def test_trajectory_derivative_applies_matrix_along_time():
@@ -413,16 +413,16 @@ def test_stencil_time_axis_matches_the_dense_matrix_and_its_transpose(nt):
         comp[...] = rng.standard_normal(comp.shape)
     D = ddt_matrix(nt, grid.dt)
     for transpose, dense in ((False, D), (True, D.T)):
-        got = ddt_time_axis(u, transpose)
+        got = trajectory_derivative(u, transpose)
         for a, c in zip(got.components(), u.components()):
             expect = np.tensordot(dense, c, axes=(1, 0))
             assert np.abs(a - expect).max() <= 1e-13 * np.abs(expect).max()
     # <Du, v> = <u, D^T v>
-    lhs = dof_inner(ddt_time_axis(u), v, grid)
-    rhs = dof_inner(u, ddt_time_axis(v, transpose=True), grid)
+    lhs = dof_inner(trajectory_derivative(u), v, grid)
+    rhs = dof_inner(u, trajectory_derivative(v, transpose=True), grid)
     assert abs(lhs - rhs) <= 1e-13 * max(abs(lhs), abs(rhs))
     # row k is ddt_node's sum, bit for bit
-    du = ddt_time_axis(u)
+    du = trajectory_derivative(u)
     for k in range(nt):
         np.testing.assert_array_equal(du.node(k).x, ddt_node(u.node, k, grid).x)
 

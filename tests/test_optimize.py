@@ -1,6 +1,7 @@
 """Parameter search, quadratic free-field minimization, alternating driver."""
 
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -11,7 +12,7 @@ import maxbound as mb
 import maxbound.majorant
 import maxbound.optimize
 from maxbound.errors import MaxboundError, ParameterError
-from maxbound.fields import EDGE, FieldTrajectory
+from maxbound.fields import EDGE, FACE, FieldTrajectory
 from maxbound.majorant import series as node_series
 from maxbound.operators import curl_edge_to_face, curl_face_to_edge, gram_apply, zero_tangential
 from maxbound.optimize import (
@@ -196,6 +197,27 @@ def test_quadratic_hessian_is_symmetric_positive_semidefinite():
     assert eig.min() > -1e-10 * max(eig.max(), 1.0)
 
 
+def _retained_by_quadratic(nt):
+    """Bytes a BoundQuadratic still holds after its construction."""
+    p, exact = polynomial_setup(4, nt)
+    BoundQuadratic(p, exact, rho=0.5, gamma=1.0)  # fills the material caches
+    tracemalloc.start()
+    try:
+        quad = BoundQuadratic(p, exact, rho=0.5, gamma=1.0)  # alive while measured
+        return tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+def test_quadratic_holds_no_whole_trajectory():
+    # the gradient takes its residuals from majorant.residuals on each call,
+    # so what the quadratic keeps grows with nt alone, not with nt x dofs
+    short, long_ = _retained_by_quadratic(9), _retained_by_quadratic(33)
+    grid = polynomial_setup(4, 33)[0].grid
+    face_node = 8 * sum(int(np.prod(grid.shape(FACE, c))) for c in "xyz")
+    assert long_ - short < (33 - 9) * face_node
+
+
 def test_quadratic_requires_a_smooth_zero_variant():
     p, approx, _ = cavity_setup(6, 13)
     with pytest.raises(ParameterError):
@@ -292,6 +314,38 @@ def test_alternating_driver_history_is_monotone_and_bound_still_valid():
     assert rep.bound_b[-1] == pytest.approx(hist[-1], rel=1e-12)
     assert rep.cg_iterations > 0
     assert 0.0 < params.rho < 1.0 and params.gamma > 0.0
+
+
+def test_alternating_driver_from_the_zero_free_field_lowers_a_valid_bound():
+    p, exact = polynomial_setup(4, 9)
+    approx = _perturbed(p, exact)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        rep, _ = mb.optimize_all(p, approx, mb.OptimizeConfig(y_init="zero", sweeps=2),
+                                 exact=exact)
+    hist = rep.optimize_history
+    zero_start = mb.certify(p, approx, mb.MajorantParams(Y=FieldTrajectory.zeros(p.grid, FACE)))
+    assert hist[0] == zero_start.bound_b[-1]
+    assert hist[-1] <= hist[0]
+    assert np.all(rep.trueN <= rep.bound_b)
+
+
+@pytest.mark.parametrize("theorem", ["T3", "T4"])
+def test_piecewise_gamma_never_worse_than_scalar_gamma(theorem):
+    p, exact = polynomial_setup(4, 9)
+    approx = _perturbed(p, exact)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        _, _, scalar = mb.optimize_gamma_rho(p, approx, None, theorem=theorem)
+        for pieces in (2, 4):
+            cfg = mb.OptimizeConfig(gamma_pieces=pieces)
+            gamma, rho, value = mb.optimize_gamma_rho(p, approx, None, cfg, theorem=theorem)
+            assert np.shape(gamma) == (p.grid.nt,)
+            assert value <= scalar
+            rep = mb.certify(p, approx, mb.MajorantParams(rho=rho, gamma=gamma),
+                             theorem=theorem, exact=exact)
+            assert rep.bound_b[-1] == pytest.approx(value, rel=1e-12)
+            assert np.all(rep.trueN <= rep.bound_b)
 
 
 # ---------------------------------------------------------------------------

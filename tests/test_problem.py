@@ -12,13 +12,11 @@ from maxbound.fields import EDGE, FACE, FieldTrajectory
 from maxbound.operators import (
     curl_edge_to_face,
     curl_face_to_edge,
-    ddt_matrix,
-    trajectory_derivative,
     weighted_norm_sq,
 )
 from maxbound.problem import bump_field, bump_field_dt
 
-from conftest import smooth_edge, tangential_trace_max
+from conftest import ddt_matrix, dense_derivative, smooth_edge, tangential_trace_max
 
 
 def _grid(n=8, nt=9, T=1.0):
@@ -67,7 +65,7 @@ def test_polynomial_case_is_residual_free_on_the_staggered_grid():
     p = mb.assemble_problem(grid, case=case)
     exact = mb.project_exact(case, grid)
     D = ddt_matrix(grid.nt, grid.dt)
-    ddE = trajectory_derivative(trajectory_derivative(exact.Etilde, D), D)
+    ddE = dense_derivative(dense_derivative(exact.Etilde, D), D)
     # second-order system: eps d2E/dt2 + curl mu^-1 curl E = K exactly
     for k in range(grid.nt):
         curl_curl = curl_face_to_edge(curl_edge_to_face(exact.Etilde.node(k), grid), grid)
@@ -80,7 +78,7 @@ def test_assembled_second_order_source_matches_direct_construction():
     case = mb.cavity_mode()
     p = mb.assemble_problem(grid, case=case)
     D = ddt_matrix(grid.nt, grid.dt)
-    dF = trajectory_derivative(p.F, D)
+    dF = dense_derivative(p.F, D)
     for k in (0, 3, grid.nt - 1):
         expect = dF.node(k) + curl_face_to_edge(p.G.node(k), grid)
         got = p.K.node(k)
