@@ -322,14 +322,22 @@ class MaterialField:
     def is_identity(self):
         return self._identity
 
-    def apply_cells(self, v):
-        """Apply the tensor to a cell-centered vector array of shape (..., 3);
-        a scalar or diagonal identity returns v itself (x * 1.0 == x)."""
+    def apply_cells(self, v, out=None):
+        """Apply the tensor to a cell-centered vector array of shape (..., 3),
+        into out (v itself, say) when it is given; a scalar or diagonal
+        identity returns v itself (x * 1.0 == x)."""
+        if self.kind in ("scalar", "diagonal") and self._identity:
+            return v
         if self.kind == "scalar":
-            return v if self._identity else v * self.values[..., None]
+            return np.multiply(v, self.values[..., None], out=out)
         if self.kind == "diagonal":
-            return v if self._identity else v * self.values
-        return np.einsum("...ij,...j->...i", self.values, v)
+            return np.multiply(v, self.values, out=out)
+        # einsum's summation order follows the strides of v: take it C-ordered
+        res = np.einsum("...ij,...j->...i", self.values, np.ascontiguousarray(v))
+        if out is None:
+            return res
+        out[...] = res  # einsum may not write over its own operand
+        return out
 
     def component_values(self, comp):
         """Per-cell coefficient seen by one Cartesian component (scalar/diagonal only)."""

@@ -116,27 +116,30 @@ def _check_Y(Y, grid):
         raise GridMismatchError(f"Y has {Y.grid.nt} nodes, problem has {grid.nt}")
 
 
-def residuals(p, approx, Y):
-    """All residual trajectories for the given free field Y; the
+def residuals(p, approx, Y, theorem=None):
+    """The residual trajectories for the given free field Y that the theorem
+    reads, the others None (all of them for theorem None); the
     Y-optimizer's gradient reads them."""
     g = p.grid
     _check_Y(Y, g)
+    high = theorem in (None, "T1", "T3")
+    low = theorem in (None, "T4", "T5")
 
     Ktilde = mu_inv_curl(p, approx.Etilde) - Y
-    dt_Ktilde = trajectory_derivative(Ktilde)
+    dt_Ktilde = trajectory_derivative(Ktilde) if high else None
     curl_Y = curl_face_to_edge(Y, g)
 
     dE = trajectory_derivative(approx.Etilde)
 
     Khat = None
-    if g.nt >= 5:
+    if high and g.nt >= 5:
         ddE = trajectory_derivative(dE)
         Khat = apply_material_staggered(ddE, p.eps, g) + curl_Y - p.K
 
     Kcheck = None
     Rt = None
     coupling_curl = None
-    if approx.Etilde_t is not None:
+    if low and approx.Etilde_t is not None:
         dEt = trajectory_derivative(approx.Etilde_t)
         Kcheck = apply_material_staggered(dEt, p.eps, g) + curl_Y - p.K
         Rt = mu_inv_curl(p, approx.Etilde_t) - trajectory_derivative(Y)

@@ -9,6 +9,8 @@ single quadrature rule.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DimensionError, ParameterError
@@ -42,10 +44,11 @@ def _lower_upper(a, axis):
     return a[tuple(lo)], a[tuple(hi)]
 
 
-def _curl_rows(terms):
+def _curl_rows(terms, work):
     """out = diff(a)/ha - diff(b)/hb along the given axes for each
-    (out, a, axis_a, ha, b, axis_b, hb); the subtrahends share one scratch."""
-    scratch = np.empty(max(t[0].size for t in terms))
+    (out, a, axis_a, ha, b, axis_b, hb); the subtrahends share one scratch,
+    work when it is given."""
+    scratch = np.empty(max(t[0].size for t in terms)) if work is None else work
     for out, a, axis_a, ha, b, axis_b, hb in terms:
         tmp = scratch[: out.size].reshape(out.shape)
         lo, hi = _lower_upper(a, axis_a)
@@ -57,12 +60,16 @@ def _curl_rows(terms):
         out -= tmp
 
 
-# The curls and cell_average write into out, a field of the result's kind and
-# type, when it is given, and into new arrays otherwise: the same code and
-# the same operations either way.
+# The curls, cell_average, cell_average_adjoint and gram_apply write into out,
+# a field of the result's kind and type (a cell array for cell_average), when
+# it is given, and into new arrays otherwise: the same code and the same
+# operations either way.  work, a flat float array with at least three times
+# as many elements as the largest component of the result, takes the place
+# of the scratch the curls and gram_apply would otherwise allocate, so that a
+# caller that passes both out and work allocates no array.
 
 
-def curl_edge_to_face(e, grid, out=None):
+def curl_edge_to_face(e, grid, out=None, work=None):
     """Circulation differences of an edge field, living on cell faces."""
     if e.kind != EDGE:
         raise DimensionError(f"curl_edge_to_face expects an edge field, got {e.kind}")
@@ -76,11 +83,11 @@ def curl_edge_to_face(e, grid, out=None):
         (out.x, ez, -2, hy, ey, -1, hz),
         (out.y, ex, -1, hz, ez, -3, hx),
         (out.z, ey, -3, hx, ex, -2, hy),
-    ])
+    ], work)
     return out
 
 
-def curl_face_to_edge(h, grid, out=None):
+def curl_face_to_edge(h, grid, out=None, work=None):
     """Adjoint circulation differences of a face field, living on edges.
 
     Boundary-tangential edge values are set to zero; they pair against edge
@@ -98,7 +105,7 @@ def curl_face_to_edge(h, grid, out=None):
         (out.x[..., 1:-1, 1:-1], hzc[..., 1:-1], -2, hy, hyc[..., 1:-1, :], -1, hz),
         (out.y[..., 1:-1, :, 1:-1], hxc[..., 1:-1, :, :], -1, hz, hzc[..., 1:-1], -3, hx),
         (out.z[..., 1:-1, 1:-1, :], hyc[..., 1:-1, :], -3, hx, hxc[..., 1:-1, :, :], -2, hy),
-    ])
+    ], work)
     # the rows left out above are exactly the tangential boundary values
     return zero_tangential(out)
 
@@ -138,7 +145,10 @@ def cell_average(f, grid, out=None):
     if out is None:
         out = np.empty(f.x.shape[:-3] + (grid.nx, grid.ny, grid.nz, 3))
     weight = 0.25 if f.kind == EDGE else 0.5
-    scratch = np.empty(out.shape[:-1])
+    # summing in contiguous memory is faster: into out's own slots when they
+    # are contiguous (see _planar_cells), else into a scratch copied over
+    planar = out[..., 0].flags.c_contiguous
+    scratch = None if planar else np.empty(out.shape[:-1])
     for i, comp in enumerate(f.components()):
         # an edge component's 4 dofs around the cell on its transverse axes, a
         # face component's 2 on its own axis, summed with the first axis fastest
@@ -146,21 +156,41 @@ def cell_average(f, grid, out=None):
         terms = [comp]
         for axis in reversed(axes):
             terms = [t for base in terms for t in _lower_upper(base, axis)]
-        np.add(terms[0], terms[1], out=scratch)
+        total = out[..., i] if planar else scratch
+        np.add(terms[0], terms[1], out=total)
         for term in terms[2:]:
-            scratch += term
-        scratch *= weight
-        out[..., i] = scratch  # summing in contiguous memory is faster
+            total += term
+        total *= weight
+        if not planar:
+            out[..., i] = total
     return out
 
 
-def cell_average_adjoint(v, grid, kind):
+def _planar_cells(lead, grid, work=None):
+    """A cell array (*lead, nx, ny, nz, 3) whose three slots each lie
+    contiguous in memory, in work when it is given."""
+    shape = (3,) + tuple(lead) + (grid.nx, grid.ny, grid.nz)
+    size = math.prod(shape)
+    flat = np.empty(size) if work is None else work[:size]
+    return np.moveaxis(flat.reshape(shape), 0, -1)
+
+
+def cell_average_adjoint(v, grid, kind, out=None):
     """Euclidean adjoint of cell_average: scatter cell values back to dofs."""
-    lead = v.shape[:-4]
-    ox, oy, oz = (np.zeros(lead + grid.shape(kind, c)) for c in _COMPONENTS)
+    return _scatter_to_dofs(v * (0.25 if kind == EDGE else 0.5), grid, kind, out)
+
+
+def _scatter_to_dofs(v, grid, kind, out):
+    """Add each cell value of v to the dofs of its cell, into out or new arrays."""
+    if out is None:
+        out = _field(grid, kind, [np.empty(v.shape[:-4] + grid.shape(kind, c))
+                                  for c in _COMPONENTS])
+    ox, oy, oz = out.components()
     nx, ny, nz = grid.nx, grid.ny, grid.nz
+    vx, vy, vz = (v[..., i] for i in range(3))
+    for o in (ox, oy, oz):
+        o.fill(0.0)
     if kind == EDGE:
-        vx, vy, vz = (0.25 * v[..., i] for i in range(3))
         for dy in (0, 1):
             for dz in (0, 1):
                 ox[..., dy : ny + dy, dz : nz + dz] += vx
@@ -171,14 +201,13 @@ def cell_average_adjoint(v, grid, kind):
             for dy in (0, 1):
                 oz[..., dx : nx + dx, dy : ny + dy, :] += vz
     else:
-        vx, vy, vz = (0.5 * v[..., i] for i in range(3))
         for dx in (0, 1):
             ox[..., dx : nx + dx, :, :] += vx
         for dy in (0, 1):
             oy[..., dy : ny + dy, :] += vy
         for dz in (0, 1):
             oz[..., dz : nz + dz] += vz
-    return _field(grid, kind, (ox, oy, oz))
+    return out
 
 
 def weighted_inner(u, v, w, grid, out=None):
@@ -206,16 +235,19 @@ def weighted_norm_sq(u, w, grid, out=None):
     return float(np.sum(np.multiply(wb, ub, out=wb)) * grid.cell_volume)
 
 
-def gram_apply(u, w, grid):
+def gram_apply(u, w, grid, out=None, work=None):
     """Euclidean-dof representation of the weighted quadratic form.
 
     Returns g with weighted_norm_sq(u, w) == sum_dofs(u * g); used for
-    gradients of quadratic functionals of staggered fields.
+    gradients of quadratic functionals of staggered fields.  out may be u
+    itself: u is read in full before out is written.
     """
-    ub = cell_average(u, grid)
+    ub = cell_average(u, grid, _planar_cells(u.x.shape[:-3], grid, work))
     if w is not None:
-        ub = w.apply_cells(ub)
-    return cell_average_adjoint(ub * grid.cell_volume, grid, u.kind)
+        ub = w.apply_cells(ub, out=ub)
+    ub *= grid.cell_volume
+    ub *= 0.25 if u.kind == EDGE else 0.5  # cell_average_adjoint, in place
+    return _scatter_to_dofs(ub, grid, u.kind, out)
 
 
 def dof_inner(u, v, grid):

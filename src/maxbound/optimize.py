@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .errors import MaxboundError, ParameterError
-from .fields import FACE, FieldTrajectory, StaggeredField
+from .fields import EDGE, FACE, FieldTrajectory, StaggeredField
 from .majorant import (
     MajorantParams,
     _check_theorem,
@@ -245,10 +245,13 @@ def _flatten(traj):
 
 
 def _unflatten(vec, grid):
-    shapes = [(grid.nt,) + grid.shape(FACE, c) for c in ("x", "y", "z")]
-    sizes = [int(np.prod(s)) for s in shapes]
-    parts = np.split(vec, np.cumsum(sizes)[:-1])
-    comps = [part.reshape(shape) for part, shape in zip(parts, shapes)]
+    """The face trajectory whose components are views of the flat vec."""
+    comps, lo = [], 0
+    for c in ("x", "y", "z"):
+        shape = (grid.nt,) + grid.shape(FACE, c)
+        hi = lo + math.prod(shape)
+        comps.append(vec[lo:hi].reshape(shape))
+        lo = hi
     return FieldTrajectory(FACE, grid, *comps)
 
 
@@ -278,54 +281,53 @@ def _comb_diagonals(ops, grid):
     return [np.concatenate([comp.ravel() for comp in d.components()]) for d in diags]
 
 
-def _banded_apply(bands, x):
-    """T x along the leading axis of x, for the symmetric pentadiagonal T
-    whose bands are stored as _banded_cholesky takes them."""
+def _banded_apply(bands, x, out, work):
+    """out = T x along the leading axis of x, for the symmetric pentadiagonal
+    T whose bands are stored as BoundQuadratic.t1 holds them; work, a flat
+    array of at least x.size elements, takes the products."""
     a0, a1, a2 = (b.reshape((-1,) + (1,) * (x.ndim - 1)) for b in bands)
-    y = a0 * x
+    np.multiply(a0, x, out=out)
     for j, a in ((1, a1), (2, a2)):
-        y[j:] += a[j:] * x[:-j]
-        y[:-j] += a[j:] * x[j:]
-    return y
+        tmp = work[: x[j:].size].reshape(x[j:].shape)
+        below, above = out[j:], out[:-j]
+        below += np.multiply(a[j:], x[:-j], out=tmp)
+        above += np.multiply(a[j:], x[j:], out=tmp)
+    return out
 
 
-def _banded_cholesky(a0, a1, a2):
-    """Cholesky factors of a batch of SPD pentadiagonal matrices.
+def _time_eigenbasis(t1, w_edge):
+    """Q and lam with Q^T T1 Q = I and Q^T diag(w_edge) Q = diag(lam), for
+    the SPD T1 whose bands are stored as BoundQuadratic.t1 holds them.
 
-    Column n of a_j holds the j-th subdiagonal of matrix n, row k being
-    entry (k, k - j) (rows k < j are zero); the factors come back the same way.
+    T1 is scaled to a unit diagonal first: its Gronwall weights can span
+    many decades in time.
     """
-    l0, l1, l2 = np.zeros_like(a0), np.zeros_like(a1), np.zeros_like(a2)
-    for k in range(a0.shape[0]):
-        if k >= 2:
-            l2[k] = a2[k] / l0[k - 2]
-        if k >= 1:
-            l1[k] = (a1[k] - l2[k] * l1[k - 1]) / l0[k - 1]
-        d = a0[k] - l1[k] ** 2 - l2[k] ** 2
-        if not np.all(d > 0.0):
-            raise MaxboundError("the preconditioner is not positive definite")
-        l0[k] = np.sqrt(d)
-    return l0, l1, l2
+    nt = t1.shape[1]
+    s = 1.0 / np.sqrt(t1[0])
+    scaled = np.eye(nt)
+    for j in (1, 2):
+        off = t1[j, j:] * s[j:] * s[:-j]
+        scaled += np.diag(off, -j) + np.diag(off, j)
+    try:
+        chol = np.linalg.cholesky(scaled)
+    except np.linalg.LinAlgError as exc:
+        raise MaxboundError("the preconditioner is not positive definite") from exc
+    back = np.linalg.inv(chol).T  # L^-T
+    lam, u = np.linalg.eigh(back.T @ ((w_edge * s * s)[:, None] * back))
+    return s[:, None] * (back @ u), lam
 
 
-def _banded_solve(factor, r):
-    """Solve L L^T x = r for every column of r, L from _banded_cholesky."""
-    l0, l1, l2 = factor
-    nt = r.shape[0]
-    x = r.copy()
-    for k in range(nt):  # L y = r, y in x
-        if k >= 1:
-            x[k] -= l1[k] * x[k - 1]
-        if k >= 2:
-            x[k] -= l2[k] * x[k - 2]
-        x[k] /= l0[k]
-    for k in range(nt - 1, -1, -1):  # L^T x = y
-        if k + 1 < nt:
-            x[k] -= l1[k + 1] * x[k + 1]
-        if k + 2 < nt:
-            x[k] -= l2[k + 2] * x[k + 2]
-        x[k] /= l0[k]
-    return x
+class _Work:
+    """The buffers of the Hessian product in one Y solve: an edge and a face
+    trajectory and one flat scratch, which also holds gram_apply's cell
+    averages."""
+
+    def __init__(self, grid):
+        self.edge = FieldTrajectory.zeros(grid, EDGE)
+        self.face = FieldTrajectory.zeros(grid, FACE)
+        # three times the largest component of either trajectory
+        self.flat = np.zeros(3 * max(c.size for c in self.edge.components()
+                                     + self.face.components()))
 
 
 class BoundQuadratic:
@@ -372,9 +374,8 @@ class BoundQuadratic:
         self.w_coup = w_int
 
         # The bands of the time matrix T1 = diag(w_pt) + D^T diag(w_face) D,
-        # plus Cz at (0, 0) for z_hat, stored as _banded_cholesky takes them:
-        # t1[j, k] is entry (k, k - j).  Row k of D adds w_face[k] w w^T on
-        # the three nodes of its stencil w.
+        # plus Cz at (0, 0) for z_hat: t1[j, k] is entry (k, k - j).  Row k
+        # of D adds w_face[k] w w^T on the three nodes of its stencil w.
         self.t1 = np.zeros((3, nt))
         self.t1[0] = self.w_pt
         for k in range(nt):
@@ -384,6 +385,10 @@ class BoundQuadratic:
                     self.t1[i - j, lo + i] += self.w_face[k] * w[i] * w[j]
         if zero_variant == "z_hat":
             self.t1[0, 0] += self.Cz
+
+        self._hess_time = 2.0 * self.t1
+        self._hess_edge = _per_node(2.0 * self.w_edge)
+        self._work = None  # the Hessian's buffers while a solve runs
 
         curl_e0 = curl_edge_to_face(p.E0 - approx.Etilde.node(0), g)
         self.zero_grad = (2.0 * self.Cz) * gram_apply(curl_e0, None, g)
@@ -401,7 +406,7 @@ class BoundQuadratic:
         """
         g = self.grid
         p = self.p
-        res = residuals(p, self.approx, Y)
+        res = residuals(p, self.approx, Y, self.theorem)
         high = self.theorem in ("T1", "T3")
         mass = gram_apply(res.Ktilde, p.mu, g)
         face = res.dt_Ktilde if high else res.Rt
@@ -422,22 +427,38 @@ class BoundQuadratic:
     def gradient_flat(self, y_vec):
         return _flatten(self.gradient(_unflatten(y_vec, self.grid)))
 
-    def hessian(self, v):
-        """H v for a flat vector v in _flatten order, into a new flat vector:
+    def hessian(self, v, out=None):
+        """H v for a flat vector v in _flatten order:
         H = 2 [T1 (x) G_mu + diag(w_edge) (x) C^T Z G_eps^-1 Z C] (see
         spatial_diagonals), T1 applied along the time axis by its bands.
-        G_mu acts alike on every node, so it commutes with T1."""
+        G_mu acts alike on every node, so it commutes with T1.
+
+        Into out, through buffers the quadratic keeps until release_work,
+        when out is given; else into a new vector through new buffers.
+        """
+        if out is None:
+            work, out = _Work(self.grid), np.empty_like(v)
+        else:
+            if self._work is None:
+                self._work = _Work(self.grid)
+            work = self._work
         g = self.grid
         p = self.p
-        out = np.empty_like(v)
         V, H = _unflatten(v, g), _unflatten(out, g)
-        edge = gram_apply(curl_face_to_edge(V, g), p.eps_inv, g)
-        curl_edge_to_face(zero_tangential(edge), g, out=H)
-        H.apply(np.multiply, _per_node(2.0 * self.w_edge), H)
-        bands = 2.0 * self.t1
-        time_part = FieldTrajectory(FACE, g, *(_banded_apply(bands, c) for c in V.components()))
-        H += gram_apply(time_part, p.mu, g)
+        flat = work.flat
+        for x, y in zip(V.components(), work.face.components()):
+            _banded_apply(self._hess_time, x, y, flat)
+        gram_apply(work.face, p.mu, g, work.face, flat)
+        edge = curl_face_to_edge(V, g, work.edge, flat)
+        gram_apply(edge, p.eps_inv, g, edge, flat)
+        curl_edge_to_face(zero_tangential(edge), g, H, flat)
+        H.apply(np.multiply, self._hess_edge, H)
+        H += work.face
         return out
+
+    def release_work(self):
+        """Drop the buffers that hessian(v, out) keeps."""
+        self._work = None
 
     def spatial_diagonals(self):
         """The diagonals of G_mu and of C^T Z G_eps^-1 Z C, flat over the face
@@ -462,25 +483,42 @@ class BoundQuadratic:
         return _comb_diagonals([mass, curl_curl], self.grid)
 
     def preconditioner(self):
-        """x -> P^-1 x on flat Y vectors, for
-        P = 2 [T1 (x) diag(G_mu) + diag(w_edge) (x) diag(C^T Z G_eps^-1 Z C)].
+        """(r, out=None) -> P^-1 r on flat Y vectors, for
+        P = 2 [T1 (x) diag(G_mu) + diag(w_edge) (x) diag(C^T Z G_eps^-1 Z C)],
+        into out when it is given, else into a new vector.
 
         P keeps every entry of the Hessian that couples a face dof with
-        itself at any two times: one SPD pentadiagonal nt x nt matrix per
-        dof, all Cholesky-factored at once and solved along the time axis.
+        itself at any two times: one SPD pentadiagonal nt x nt matrix
+        2 (m T1 + c diag(w_edge)) per dof, m and c being its entries of the
+        two spatial diagonals.  The one time basis Q with Q^T T1 Q = I and
+        Q^T diag(w_edge) Q = diag(lam) (_time_eigenbasis) makes all of them
+        diagonal at once, so P^-1 r = Q ((Q^T r) / Dt) with
+        Dt[j, dof] = 2 (m + lam_j c): two nt x nt products per component on
+        its time-major block of the flat vector.  This is the time half of
+        the fast diagonalisation method (Lynch, Rice and Thomas 1964).
         """
-        nt = self.grid.nt
-        mass, curl = self.spatial_diagonals()
-        bands = [2.0 * np.outer(t, mass) for t in self.t1]
-        bands[0] += 2.0 * np.outer(self.w_edge, curl)
-        factor = _banded_cholesky(*bands)
-        # where the y and z dofs start in a node, and in the flat vector
-        cuts = np.cumsum([np.prod(self.grid.shape(FACE, c)) for c in "xy"])
+        g = self.grid
+        nt = g.nt
+        q, lam = _time_eigenbasis(self.t1, self.w_edge)
+        qt = np.ascontiguousarray(q.T)
+        cuts = np.cumsum([math.prod(g.shape(FACE, c)) for c in "xy"])
+        inv_dt = []
+        for m, c in zip(*(np.split(d, cuts) for d in self.spatial_diagonals())):
+            d_tilde = 2.0 * (m + lam[:, None] * c)
+            if not np.all(d_tilde > 0.0):
+                raise MaxboundError("the preconditioner is not positive definite")
+            inv_dt.append(1.0 / d_tilde)
+        coef = np.empty(max(inv.size for inv in inv_dt))
 
-        def apply(r):
-            parts = np.split(r, cuts * nt)
-            x = _banded_solve(factor, np.concatenate([q.reshape(nt, -1) for q in parts], axis=1))
-            return np.concatenate([q.ravel() for q in np.split(x, cuts, axis=1)])
+        def apply(r, out=None):
+            out = np.empty_like(r) if out is None else out
+            for src, dst, inv in zip(_unflatten(r, g).components(),
+                                     _unflatten(out, g).components(), inv_dt):
+                c = coef[: inv.size].reshape(inv.shape)
+                np.matmul(qt, src.reshape(inv.shape), out=c)
+                c *= inv
+                np.matmul(q, c, out=dst.reshape(inv.shape))
+            return out
 
         return apply
 
@@ -490,7 +528,9 @@ def conjugate_gradient(apply_A, rhs, x0=None, tol=1e-10, max_iter=200, callback=
     """Solve A x = rhs for symmetric positive semidefinite A, matrix-free.
 
     precond, when given, applies the inverse of an SPD preconditioner to a
-    residual (preconditioned CG).  Stops at relative residual
+    residual (preconditioned CG).  apply_A and precond may return the same
+    buffer at every call: a result is read before the next call to the
+    same function.  Stops at relative residual
     |rhs - A x| / |rhs| <= tol, after max_iter iterations, or once the last
     _STALL_WINDOW iterations together lowered q(x) = x.A x / 2 - rhs.x
     = -x.(r + rhs) / 2 by no more than stall_tol.  CG lowers q at every
@@ -499,22 +539,35 @@ def conjugate_gradient(apply_A, rhs, x0=None, tol=1e-10, max_iter=200, callback=
     carries rounding noise do once the residual reaches its floor.  A
     genuinely negative curvature direction (inconsistent with a convex
     objective) is a hard error.  Returns (x, iterations, relative residual).
+
+    The iterations allocate nothing beyond what apply_A and precond do and
+    the copy of x handed to callback: every product goes through one
+    scratch vector, and every dot product is a pairwise sum over it, which
+    no BLAS thread count changes.
     """
-    x = np.zeros_like(rhs) if x0 is None else np.array(x0, dtype=float)
-    r = rhs - apply_A(x)
+    scratch = np.empty_like(rhs, dtype=float)
+
+    def dot(a, b):
+        return float(np.multiply(a, b, out=scratch).sum())
+
+    if x0 is None:
+        x = np.zeros_like(rhs, dtype=float)
+        r = np.array(rhs, dtype=float)  # A 0 = 0
+    else:
+        x = np.array(x0, dtype=float)
+        r = rhs - apply_A(x)
     z = r if precond is None else precond(r)
     d = z.copy()
-    rs = float(r @ r)
-    rz = float(r @ z)
-    del z  # neither z nor Ad is held while apply_A runs, where memory peaks
-    ref = math.sqrt(float(rhs @ rhs)) or 1.0
-    qs = [-0.5 * (float(x @ r) + float(x @ rhs))]
+    rs = dot(r, r)
+    rz = dot(r, z)
+    ref = math.sqrt(dot(rhs, rhs)) or 1.0
+    qs = [-0.5 * (dot(x, r) + dot(x, rhs))]
     it = 0
     while it < max_iter and math.sqrt(rs) > tol * ref:
         Ad = apply_A(d)
-        dAd = float(d @ Ad)
+        dAd = dot(d, Ad)
         if dAd <= 0.0:
-            scale = float(np.linalg.norm(d)) * float(np.linalg.norm(Ad))
+            scale = math.sqrt(dot(d, d) * dot(Ad, Ad))
             if dAd < -1e-10 * max(scale, 1e-300):
                 raise MaxboundError(
                     "conjugate gradients hit a negative-curvature direction; "
@@ -522,21 +575,19 @@ def conjugate_gradient(apply_A, rhs, x0=None, tol=1e-10, max_iter=200, callback=
                 )
             break  # null direction of a singular but consistent system
         alpha = rz / dAd
-        x += alpha * d
-        r -= alpha * Ad
-        del Ad
-        rs = float(r @ r)
-        qs.append(-0.5 * (float(x @ r) + float(x @ rhs)))
+        x += np.multiply(d, alpha, out=scratch)
+        r -= np.multiply(Ad, alpha, out=scratch)
+        rs = dot(r, r)
+        qs.append(-0.5 * (dot(x, r) + dot(x, rhs)))
         it += 1
         if callback is not None:
             callback(x.copy(), it)
         if it >= _STALL_WINDOW and qs[-1 - _STALL_WINDOW] - qs[-1] <= stall_tol:
             break
         z = r if precond is None else precond(r)
-        rz_new = float(r @ z)
+        rz_new = dot(r, z)
         d *= rz_new / rz
         d += z
-        del z
         rz = rz_new
     return x, it, math.sqrt(rs) / ref
 
@@ -568,19 +619,30 @@ def _start_Y(p, approx, cfg):
 
 
 def _minimize_Y(quad, Y0, value0, cfg, callback=None, info=None):
-    """optimize_Y from Y0 for the quadratic quad, value0 being b(T) at Y0."""
+    """optimize_Y from Y0 for the quadratic quad, value0 being b(T) at Y0.
+
+    The buffers of the PCG iterations are made after the gradient, whose
+    residual trajectories are gone by then, and dropped when the solve ends.
+    """
     g = quad.grid
     y_start = _flatten(Y0)
     rhs = -quad.gradient_flat(y_start)
+    precond = quad.preconditioner()
+    Ad, z = np.empty_like(rhs), np.empty_like(rhs)
 
-    def cb(delta, k):
-        if callback is not None:
+    cb = None
+    if callback is not None:
+        def cb(delta, k):
             callback(_unflatten(y_start + delta, g), k)
 
-    delta, iters, rel_res = conjugate_gradient(
-        quad.hessian, rhs, tol=cfg.cg_tol, max_iter=cfg.cg_max_iter, callback=cb,
-        precond=quad.preconditioner(), stall_tol=_Y_STALL_RTOL * abs(value0),
-    )
+    try:
+        delta, iters, rel_res = conjugate_gradient(
+            lambda v: quad.hessian(v, Ad), rhs, tol=cfg.cg_tol, max_iter=cfg.cg_max_iter,
+            callback=cb, precond=lambda r: precond(r, z),
+            stall_tol=_Y_STALL_RTOL * abs(value0),
+        )
+    finally:
+        quad.release_work()
     if info is not None:
         info["iterations"] = iters
         info["relative_residual"] = rel_res

@@ -3,6 +3,8 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -109,6 +111,40 @@ def test_full_optimization_reports_each_cg_solve_byte_identically(tmp_path):
         assert solve["iterations"] == 7
         assert 0.0 < solve["relative_residual"] < 1.0
     assert params["cg_iterations"] == 7 * sum(solve["accepted"] for solve in sweeps)
+
+
+def _cli_in_subprocess(argv, src, threads):
+    """Run the CLI in a fresh interpreter with the given BLAS thread count."""
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=str(threads),
+               OMP_NUM_THREADS=str(threads), MKL_NUM_THREADS=str(threads))
+    return subprocess.run([sys.executable, "-m", "maxbound.cli"] + argv, env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_full_optimization_report_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # the PCG's dot products are pairwise sums, and its vectors here are
+    # long enough for a threaded BLAS dot to split them
+    doc = {
+        "grid": {"nx": 6, "ny": 6, "nz": 6, "lx": 1.0, "ly": 1.0, "lz": 1.0,
+                 "nt": 17, "T": 1.0},
+        "case": {"name": "polynomial_source"},
+        "solver": {"method": "exact"},
+        "perturbation": {"bump": "poly_t2", "delta": 0.01},
+        "majorant": {"theorem": "T5", "optimize": "full", "optimizeConfig": {"sweeps": 2}},
+    }
+    cfg = _write(tmp_path, "run.json", doc)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mb.__file__)))
+    blobs = []
+    for threads in (1, 2):
+        out = str(tmp_path / f"threads{threads}")
+        snap = os.path.join(out, "snapshot.bin")
+        for argv in (["solve", "--config", cfg, "--out", out],
+                     ["certify", "--config", cfg, "--snapshot", snap, "--out", out]):
+            done = _cli_in_subprocess(argv, src, threads)
+            assert done.returncode == EXIT_OK, done.stderr
+        with open(os.path.join(out, "report.json"), "rb") as fh:
+            blobs.append(fh.read())
+    assert blobs[0] == blobs[1]
 
 
 def test_certify_with_parameter_optimization(tmp_path):

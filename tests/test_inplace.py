@@ -28,12 +28,14 @@ from maxbound.majorant import (
 from maxbound.operators import (
     apply_material_staggered,
     cell_average,
+    cell_average_adjoint,
     cumulative_trapezoid,
     curl_edge_to_face,
     curl_face_to_edge,
     ddt_node,
     ddt_stencil,
     dof_inner,
+    gram_apply,
     weighted_inner,
     weighted_norm_sq,
     zero_tangential,
@@ -131,6 +133,32 @@ def _ref_cell_average(f, grid):
     return out
 
 
+def _ref_cell_average_adjoint(v, grid, kind):
+    nx, ny, nz = grid.nx, grid.ny, grid.nz
+    ox, oy, oz = (np.zeros(grid.shape(kind, c)) for c in "xyz")
+    if kind == EDGE:
+        vx, vy, vz = (0.25 * v[..., i] for i in range(3))
+        for a in (0, 1):
+            for b in (0, 1):
+                ox[:, a : ny + a, b : nz + b] += vx
+                oy[a : nx + a, :, b : nz + b] += vy
+                oz[a : nx + a, b : ny + b, :] += vz
+    else:
+        vx, vy, vz = (0.5 * v[..., i] for i in range(3))
+        for a in (0, 1):
+            ox[a : nx + a, :, :] += vx
+            oy[:, a : ny + a, :] += vy
+            oz[:, :, a : nz + a] += vz
+    return StaggeredField(kind, ox, oy, oz)
+
+
+def _ref_gram_apply(u, w, grid):
+    ub = _ref_cell_average(u, grid)
+    if w is not None:
+        ub = w.apply_cells(ub)
+    return _ref_cell_average_adjoint(ub * grid.cell_volume, grid, u.kind)
+
+
 def _ref_weighted_norm_sq(u, w, grid):
     ub = _ref_cell_average(u, grid)
     wb = ub if w is None else w.apply_cells(ub)
@@ -188,9 +216,14 @@ def test_kernels_equal_their_allocating_formulas_with_and_without_out(grid, seed
     e, h = _field(grid, EDGE, rng), _field(grid, FACE, rng)
     garbage = lambda kind: _field(grid, kind, rng)  # out= must not read its old values
 
-    for got in (curl_edge_to_face(e, grid), curl_edge_to_face(e, grid, garbage(FACE))):
+    # work: a flat scratch of three times the largest component, any contents
+    work = lambda: rng.standard_normal(3 * max(a.size for a in e.components() + h.components()))
+
+    for got in (curl_edge_to_face(e, grid), curl_edge_to_face(e, grid, garbage(FACE)),
+                curl_edge_to_face(e, grid, garbage(FACE), work())):
         _same_field(got, _ref_curl_edge_to_face(e, grid))
-    for got in (curl_face_to_edge(h, grid), curl_face_to_edge(h, grid, garbage(EDGE))):
+    for got in (curl_face_to_edge(h, grid), curl_face_to_edge(h, grid, garbage(EDGE)),
+                curl_face_to_edge(h, grid, garbage(EDGE), work())):
         _same_field(got, _ref_curl_face_to_edge(h, grid))
     want = _ref_zero_tangential(e)
     assert zero_tangential(e) is e
@@ -199,8 +232,16 @@ def test_kernels_equal_their_allocating_formulas_with_and_without_out(grid, seed
     for f in (e, h):
         _same(cell_average(f, grid), _ref_cell_average(f, grid))
         _same(cell_average(f, grid, cells), _ref_cell_average(f, grid))
+        want = _ref_cell_average_adjoint(cells, grid, f.kind)
+        _same_field(cell_average_adjoint(cells, grid, f.kind), want)
+        _same_field(cell_average_adjoint(cells, grid, f.kind, garbage(f.kind)), want)
         other = _field(grid, f.kind, rng)
         for w in _materials(grid, rng):
+            want = _ref_gram_apply(f, w, grid)
+            _same_field(gram_apply(f, w, grid), want)
+            _same_field(gram_apply(f, w, grid, garbage(f.kind), work()), want)
+            g = f.copy()
+            _same_field(gram_apply(g, w, grid, g, work()), want)
             want = _ref_weighted_norm_sq(f, w, grid)
             assert weighted_norm_sq(f, w, grid) == want
             assert weighted_norm_sq(f, w, grid, cells) == want

@@ -78,6 +78,24 @@ def test_default_free_field_zeroes_the_curl_mismatch_residual():
     assert norm_sq_trajectory(res.Ktilde, p.mu, p.grid).max() == 0.0
 
 
+@pytest.mark.parametrize("theorem", ["T1", "T3", "T4", "T5"])
+def test_residuals_builds_only_what_the_theorem_reads(theorem):
+    p, exact = polynomial_setup(4, 9)
+    approx = _perturbed_exact(p, exact, 1e-2)
+    Y = mb.default_Y(p, approx) + 0.1 * mb.default_Y(p, exact)
+    every = mb.residuals(p, approx, Y)
+    some = mb.residuals(p, approx, Y, theorem)
+    read = (("Khat", "dt_Ktilde") if theorem in ("T1", "T3")
+            else ("Kcheck", "Rt", "coupling_curl"))
+    for name in ("Khat", "Ktilde", "Kcheck", "Rt", "dt_Ktilde", "coupling_curl"):
+        got = getattr(some, name)
+        if name == "Ktilde" or name in read:
+            for a, b in zip(got.components(), getattr(every, name).components()):
+                np.testing.assert_array_equal(a, b)
+        else:
+            assert got is None
+
+
 def test_exact_polynomial_samples_give_identically_zero_bound():
     p, exact = polynomial_setup(8, 17)
     for theorem in ("T1", "T3", "T4", "T5"):

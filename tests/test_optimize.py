@@ -22,6 +22,7 @@ from maxbound.optimize import (
     _bound_from_series,
     _comb_diagonals,
     _flatten,
+    _time_eigenbasis,
     _unflatten,
     conjugate_gradient,
     golden_section,
@@ -29,7 +30,7 @@ from maxbound.optimize import (
 from maxbound.problem import bump_field, bump_field_dt
 from maxbound.solver import SolveOutput
 
-from conftest import cavity_setup, polynomial_setup, random_face
+from conftest import cavity_setup, polynomial_setup, random_face, traced_peak
 
 
 def _perturbed(p, exact, delta=1e-2, key="poly_t2"):
@@ -136,6 +137,22 @@ def test_an_unfinished_solve_returns_its_last_iterate_even_when_the_residual_ros
                                        callback=lambda xk, k: seen.append(xk))
     assert iters == 15 and rel > 1.0
     np.testing.assert_array_equal(x, seen[-1])
+
+
+def test_conjugate_gradient_from_zero_makes_one_product_per_iteration():
+    # the residual of the zero start is rhs itself, so no product of zero
+    rng = np.random.default_rng(91)
+    M = rng.standard_normal((30, 30))
+    A = M @ M.T + 30.0 * np.eye(30)
+    products = []
+
+    def apply_A(v):
+        products.append(v.copy())
+        return A @ v
+
+    _, iters, _ = conjugate_gradient(apply_A, rng.standard_normal(30), max_iter=5)
+    assert iters == 5 and len(products) == 5
+    assert all(np.any(v != 0.0) for v in products)
 
 
 def test_conjugate_gradient_rejects_indefinite_systems():
@@ -441,6 +458,63 @@ def test_preconditioner_is_the_hessian_restricted_to_each_dof(variant):
     assert np.abs(P - np.where(same, H, 0.0)).max() <= 1e-10 * scale
     explicit = np.stack([quad.hessian(e) for e in eye], axis=1)
     assert np.abs(P - np.where(same, explicit, 0.0)).max() <= 1e-10 * scale
+
+
+@pytest.mark.parametrize("gamma", [1.0, 37.5, 200.0])
+@pytest.mark.parametrize("variant", ["z", "z_hat"])
+def test_time_eigenbasis_diagonalises_T1_and_the_edge_weights(gamma, variant):
+    # at gamma = 200 the Gronwall weights of T1 span about 87 decades
+    p, exact = polynomial_setup(4, 33)
+    quad = BoundQuadratic(p, exact, rho=0.5, gamma=gamma, zero_variant=variant)
+    q, lam = _time_eigenbasis(quad.t1, quad.w_edge)
+    nt = p.grid.nt
+    t1 = np.diag(quad.t1[0])
+    for j in (1, 2):
+        t1 += np.diag(quad.t1[j, j:], -j) + np.diag(quad.t1[j, j:], j)
+    assert np.abs(q.T @ t1 @ q - np.eye(nt)).max() <= 1e-10
+    assert lam.min() >= -1e-10 * lam.max()
+    assert np.abs(q.T @ np.diag(quad.w_edge) @ q - np.diag(lam)).max() <= 1e-10 * lam.max()
+
+
+def test_hessian_and_preconditioner_into_out_equal_the_fresh_calls():
+    p, exact = polynomial_setup(4, 9)
+    quad = BoundQuadratic(p, _perturbed(p, exact), rho=0.4, gamma=1.3)
+    apply = quad.preconditioner()
+    rng = np.random.default_rng(23)
+    size = _flatten(mb.default_Y(p, exact)).size
+    out = np.empty(size)
+    for _ in range(2):  # the second round reuses the kept buffers
+        v = rng.standard_normal(size)
+        fresh_h, fresh_p = quad.hessian(v), apply(v)
+        assert quad.hessian(v, out) is out
+        np.testing.assert_array_equal(out, fresh_h)
+        assert apply(v, out) is out
+        np.testing.assert_array_equal(out, fresh_p)
+        # the calls without out return arrays of their own
+        assert not np.shares_memory(quad.hessian(v), fresh_h)
+        assert not np.shares_memory(apply(v), fresh_p)
+
+
+def test_a_pcg_iteration_of_the_y_solve_allocates_no_array():
+    # after a solve's first iteration, a Hessian product and a preconditioner
+    # solve into given vectors allocate less than one face node.  numpy's
+    # ufuncs buffer non-contiguous operands in at most getbufsize() elements
+    # each, whatever the grid; 24^3 makes a node larger than three such buffers
+    p, exact = polynomial_setup(24, 5)
+    grid = p.grid
+    node = 8 * sum(math.prod(grid.shape(FACE, c)) for c in "xyz")
+    assert node > 3 * 8 * np.getbufsize()
+    quad = BoundQuadratic(p, exact, rho=0.5, gamma=1.0)
+    apply = quad.preconditioner()
+    v = np.random.default_rng(29).standard_normal(grid.nt * node // 8)
+    Ad, z = np.empty_like(v), np.empty_like(v)
+
+    def iteration():
+        apply(quad.hessian(v, Ad), z)
+
+    iteration()  # the first product makes the kept buffers
+    assert traced_peak(iteration) < node
+    quad.release_work()
 
 
 # ---------------------------------------------------------------------------
