@@ -438,6 +438,9 @@ def certify(p, approx, params, theorem="T5", exact=None):
     b, B = bound_b_and_B(f, gam, g.dt, gamma_weighted_N=gamma_weighted)
     if not np.isfinite(b).all():
         raise MaxboundError(f"{theorem} bound is not finite; no bound was certified")
+    if np.any(b < 0.0):
+        raise MaxboundError(f"{theorem} bound is negative (min b = {float(b.min()):.17g})"
+                            "; no bound was certified")
 
     report = MajorantReport(
         theorem=theorem,

@@ -16,6 +16,7 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -201,8 +202,9 @@ def _refine_gamma_pieces(s, rho, gamma0, variant, cfg, grid):
     """Coordinate descent over a piecewise-constant gamma trajectory.
 
     Only meaningful for the theorems that admit time-dependent weights.
-    Returns (gamma nodal array, bound value); never worse than the scalar
-    start.
+    Each piece is searched over cfg's bracket or grid as the scalar gamma
+    is.  Returns (gamma nodal array, bound value); never worse than the
+    scalar start.
     """
     nt = grid.nt
     pieces = min(cfg.gamma_pieces, nt)
@@ -218,15 +220,14 @@ def _refine_gamma_pieces(s, rho, gamma0, variant, cfg, grid):
     best_val = _bound_from_series(s, rho, assemble(vals), variant, grid.dt)
     for _ in range(2):
         for i in range(pieces):
-            def obj(u, i=i):
+            def obj(gam, i=i):
                 trial = vals.copy()
-                trial[i] = math.exp(u)
+                trial[i] = gam
                 return _bound_from_series(s, rho, assemble(trial), variant, grid.dt)
 
-            llo, lhi = math.log(cfg.gamma_bracket[0]), math.log(cfg.gamma_bracket[-1])
-            x, v = golden_section(obj, llo, lhi, tol=cfg.gamma_tol)
+            x, v, _ = _search_gamma(obj, cfg)
             if v < best_val:
-                vals[i] = math.exp(x)
+                vals[i] = x
                 best_val = v
     return assemble(vals), best_val
 
@@ -281,6 +282,31 @@ def _comb_diagonals(ops, grid):
     return [np.concatenate([comp.ravel() for comp in d.components()]) for d in diags]
 
 
+def _curl_curl(p, u, grid, out=None, edge=None, work=None):
+    """C^T Z G_eps^-1 Z C u for a face field or trajectory u, where C is
+    curl_face_to_edge, Z zeroes the tangential edges and G_w is gram_apply
+    with weight w; through the edge field edge and the kernels' flat work
+    when they are given."""
+    edge = curl_face_to_edge(u, grid, edge, work)
+    gram_apply(edge, p.eps_inv, grid, edge, work)
+    return curl_edge_to_face(zero_tangential(edge), grid, out, work)
+
+
+def spatial_diagonals(p):
+    """The diagonals of G_mu and of C^T Z G_eps^-1 Z C (_curl_curl), flat
+    over the face dofs in _flatten order.
+
+    The Hessian of BoundQuadratic is
+    2 [T1 (x) G_mu + diag(w_edge) (x) C^T Z G_eps^-1 Z C], with the
+    nt x nt time matrix T1 = diag(w_pt) + D^T diag(w_face) D, plus Cz at
+    (0, 0) for z_hat; T1 is pentadiagonal, every row of D having three
+    neighbouring entries.  Only T1 and w_edge depend on (gamma, rho), so
+    these diagonals serve every Y solve on p.
+    """
+    return _comb_diagonals([lambda u, grid: gram_apply(u, p.mu, grid),
+                            lambda u, grid: _curl_curl(p, u, grid)], p.grid)
+
+
 def _banded_apply(bands, x, out, work):
     """out = T x along the leading axis of x, for the symmetric pentadiagonal
     T whose bands are stored as BoundQuadratic.t1 holds them; work, a flat
@@ -318,9 +344,8 @@ def _time_eigenbasis(t1, w_edge):
 
 
 class _Work:
-    """The buffers of the Hessian product in one Y solve: an edge and a face
-    trajectory and one flat scratch, which also holds gram_apply's cell
-    averages."""
+    """The buffers of BoundQuadratic.hessian: an edge and a face trajectory
+    and one flat scratch, which also holds gram_apply's cell averages."""
 
     def __init__(self, grid):
         self.edge = FieldTrajectory.zeros(grid, EDGE)
@@ -388,7 +413,6 @@ class BoundQuadratic:
 
         self._hess_time = 2.0 * self.t1
         self._hess_edge = _per_node(2.0 * self.w_edge)
-        self._work = None  # the Hessian's buffers while a solve runs
 
         curl_e0 = curl_edge_to_face(p.E0 - approx.Etilde.node(0), g)
         self.zero_grad = (2.0 * self.Cz) * gram_apply(curl_e0, None, g)
@@ -427,65 +451,34 @@ class BoundQuadratic:
     def gradient_flat(self, y_vec):
         return _flatten(self.gradient(_unflatten(y_vec, self.grid)))
 
-    def hessian(self, v, out=None):
+    def hessian(self, v, out=None, work=None):
         """H v for a flat vector v in _flatten order:
         H = 2 [T1 (x) G_mu + diag(w_edge) (x) C^T Z G_eps^-1 Z C] (see
         spatial_diagonals), T1 applied along the time axis by its bands.
         G_mu acts alike on every node, so it commutes with T1.
 
-        Into out, through buffers the quadratic keeps until release_work,
-        when out is given; else into a new vector through new buffers.
+        Into out through the buffers of the _Work work, each made anew when
+        it is not given.
         """
-        if out is None:
-            work, out = _Work(self.grid), np.empty_like(v)
-        else:
-            if self._work is None:
-                self._work = _Work(self.grid)
-            work = self._work
         g = self.grid
         p = self.p
+        work = _Work(g) if work is None else work
+        out = np.empty_like(v) if out is None else out
         V, H = _unflatten(v, g), _unflatten(out, g)
         flat = work.flat
         for x, y in zip(V.components(), work.face.components()):
             _banded_apply(self._hess_time, x, y, flat)
         gram_apply(work.face, p.mu, g, work.face, flat)
-        edge = curl_face_to_edge(V, g, work.edge, flat)
-        gram_apply(edge, p.eps_inv, g, edge, flat)
-        curl_edge_to_face(zero_tangential(edge), g, H, flat)
+        _curl_curl(p, V, g, H, work.edge, flat)
         H.apply(np.multiply, self._hess_edge, H)
         H += work.face
         return out
 
-    def release_work(self):
-        """Drop the buffers that hessian(v, out) keeps."""
-        self._work = None
-
-    def spatial_diagonals(self):
-        """The diagonals of G_mu and of C^T Z G_eps^-1 Z C, flat over the face
-        dofs in _flatten order, where C is curl_face_to_edge, Z zeroes the
-        tangential edges and G_w is gram_apply with weight w.
-
-        The Hessian of the quadratic is
-        2 [T1 (x) G_mu + diag(w_edge) (x) C^T Z G_eps^-1 Z C], with the
-        nt x nt time matrix T1 = diag(w_pt) + D^T diag(w_face) D, plus Cz at
-        (0, 0) for z_hat; T1 is pentadiagonal, every row of D having three
-        neighbouring entries.
-        """
-        p = self.p
-
-        def mass(u, grid):
-            return gram_apply(u, p.mu, grid)
-
-        def curl_curl(u, grid):
-            edge = gram_apply(curl_face_to_edge(u, grid), p.eps_inv, grid)
-            return curl_edge_to_face(zero_tangential(edge), grid)
-
-        return _comb_diagonals([mass, curl_curl], self.grid)
-
-    def preconditioner(self):
+    def preconditioner(self, diagonals):
         """(r, out=None) -> P^-1 r on flat Y vectors, for
         P = 2 [T1 (x) diag(G_mu) + diag(w_edge) (x) diag(C^T Z G_eps^-1 Z C)],
-        into out when it is given, else into a new vector.
+        into out when it is given, else into a new vector; diagonals are
+        spatial_diagonals(p) of the quadratic's problem p.
 
         P keeps every entry of the Hessian that couples a face dof with
         itself at any two times: one SPD pentadiagonal nt x nt matrix
@@ -503,7 +496,7 @@ class BoundQuadratic:
         qt = np.ascontiguousarray(q.T)
         cuts = np.cumsum([math.prod(g.shape(FACE, c)) for c in "xy"])
         inv_dt = []
-        for m, c in zip(*(np.split(d, cuts) for d in self.spatial_diagonals())):
+        for m, c in zip(*(np.split(d, cuts) for d in diagonals)):
             d_tilde = 2.0 * (m + lam[:, None] * c)
             if not np.all(d_tilde > 0.0):
                 raise MaxboundError("the preconditioner is not positive definite")
@@ -523,9 +516,10 @@ class BoundQuadratic:
         return apply
 
 
-def conjugate_gradient(apply_A, rhs, x0=None, tol=1e-10, max_iter=200, callback=None,
+def conjugate_gradient(apply_A, rhs, tol=1e-10, max_iter=200, callback=None,
                        precond=None, stall_tol=0.0):
-    """Solve A x = rhs for symmetric positive semidefinite A, matrix-free.
+    """Solve A x = rhs for symmetric positive semidefinite A, matrix-free,
+    from x = 0.
 
     precond, when given, applies the inverse of an SPD preconditioner to a
     residual (preconditioned CG).  apply_A and precond may return the same
@@ -550,18 +544,14 @@ def conjugate_gradient(apply_A, rhs, x0=None, tol=1e-10, max_iter=200, callback=
     def dot(a, b):
         return float(np.multiply(a, b, out=scratch).sum())
 
-    if x0 is None:
-        x = np.zeros_like(rhs, dtype=float)
-        r = np.array(rhs, dtype=float)  # A 0 = 0
-    else:
-        x = np.array(x0, dtype=float)
-        r = rhs - apply_A(x)
+    x = np.zeros_like(rhs, dtype=float)
+    r = np.array(rhs, dtype=float)  # A 0 = 0
     z = r if precond is None else precond(r)
     d = z.copy()
     rs = dot(r, r)
     rz = dot(r, z)
     ref = math.sqrt(dot(rhs, rhs)) or 1.0
-    qs = [-0.5 * (dot(x, r) + dot(x, rhs))]
+    qs = [0.0]  # q(0)
     it = 0
     while it < max_iter and math.sqrt(rs) > tol * ref:
         Ad = apply_A(d)
@@ -608,7 +598,7 @@ def optimize_Y(p, approx, gamma, rho, cfg=None, theorem="T5", zero_variant="z_ha
     cfg = cfg if cfg is not None else OptimizeConfig()
     quad = BoundQuadratic(p, approx, rho, gamma, theorem, zero_variant)
     Y0 = _start_Y(p, approx, cfg) if Y0 is None else Y0
-    return _minimize_Y(quad, Y0, quad.value(Y0), cfg, callback, info)
+    return _minimize_Y(quad, spatial_diagonals(p), Y0, quad.value(Y0), cfg, callback, info)
 
 
 def _start_Y(p, approx, cfg):
@@ -618,31 +608,30 @@ def _start_Y(p, approx, cfg):
     return default_Y(p, approx)
 
 
-def _minimize_Y(quad, Y0, value0, cfg, callback=None, info=None):
-    """optimize_Y from Y0 for the quadratic quad, value0 being b(T) at Y0.
+def _minimize_Y(quad, diagonals, Y0, value0, cfg, callback=None, info=None):
+    """optimize_Y from Y0 for the quadratic quad, diagonals being
+    spatial_diagonals of its problem and value0 b(T) at Y0.
 
     The buffers of the PCG iterations are made after the gradient, whose
-    residual trajectories are gone by then, and dropped when the solve ends.
+    residual trajectories are gone by then.
     """
     g = quad.grid
     y_start = _flatten(Y0)
     rhs = -quad.gradient_flat(y_start)
-    precond = quad.preconditioner()
-    Ad, z = np.empty_like(rhs), np.empty_like(rhs)
 
     cb = None
     if callback is not None:
         def cb(delta, k):
             callback(_unflatten(y_start + delta, g), k)
 
-    try:
-        delta, iters, rel_res = conjugate_gradient(
-            lambda v: quad.hessian(v, Ad), rhs, tol=cfg.cg_tol, max_iter=cfg.cg_max_iter,
-            callback=cb, precond=lambda r: precond(r, z),
-            stall_tol=_Y_STALL_RTOL * abs(value0),
-        )
-    finally:
-        quad.release_work()
+    # the partials alone hold the PCG buffers, which thus go when the solve
+    # returns, before the result is formed
+    delta, iters, rel_res = conjugate_gradient(
+        partial(quad.hessian, out=np.empty_like(rhs), work=_Work(g)), rhs,
+        tol=cfg.cg_tol, max_iter=cfg.cg_max_iter, callback=cb,
+        precond=partial(quad.preconditioner(diagonals), out=np.empty_like(rhs)),
+        stall_tol=_Y_STALL_RTOL * abs(value0),
+    )
     if info is not None:
         info["iterations"] = iters
         info["relative_residual"] = rel_res
@@ -673,6 +662,7 @@ def optimize_all(p, approx, cfg=None, theorem="T5", zero_variant="z_hat",
     s = series(p, approx, Y, theorem)
     current = _bound_from_series(s, rho, gamma, zero_variant, g.dt)
     history = [current]
+    diagonals = spatial_diagonals(p)
     cg_sweeps = []
     for _ in range(cfg.sweeps):
         # at parameters where the bound overflows the quadratic in Y has no
@@ -681,7 +671,7 @@ def optimize_all(p, approx, cfg=None, theorem="T5", zero_variant="z_hat",
         if math.isfinite(current):
             info = {}
             quad = BoundQuadratic(p, approx, rho, gamma, theorem, zero_variant)
-            Y_new = _minimize_Y(quad, Y, current, cfg, info=info)
+            Y_new = _minimize_Y(quad, diagonals, Y, current, cfg, info=info)
             s_new = series(p, approx, Y_new, theorem)
             v_new = _bound_from_series(s_new, rho, gamma, zero_variant, g.dt)
             info["accepted"] = v_new <= current

@@ -1,11 +1,14 @@
 """JSON configuration schema validation and object builders."""
 
+import dataclasses
 import json
 
 import pytest
 
 import maxbound as mb
+from maxbound.cli import _field_name
 from maxbound.config import (
+    _OPTIMIZE_CFG_SCHEMA,
     grid_from_config,
     load_config,
     materials_from_config,
@@ -49,6 +52,12 @@ def test_unknown_keys_and_bad_enums_are_rejected():
     bad["solver"] = {"method": "spectral"}
     with pytest.raises(ConfigError):
         load_config(bad)
+
+
+def test_every_optimize_config_key_names_an_optimize_config_field():
+    keys = _OPTIMIZE_CFG_SCHEMA["properties"]
+    fields = {f.name for f in dataclasses.fields(mb.OptimizeConfig)}
+    assert {_field_name(key) for key in keys} == fields
 
 
 def test_missing_file_and_invalid_json_are_config_errors(tmp_path):

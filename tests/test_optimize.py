@@ -19,6 +19,7 @@ from maxbound.optimize import (
     _STALL_WINDOW,
     _Y_STALL_RTOL,
     BoundQuadratic,
+    _Work,
     _bound_from_series,
     _comb_diagonals,
     _flatten,
@@ -26,6 +27,7 @@ from maxbound.optimize import (
     _unflatten,
     conjugate_gradient,
     golden_section,
+    spatial_diagonals,
 )
 from maxbound.problem import bump_field, bump_field_dt
 from maxbound.solver import SolveOutput
@@ -317,6 +319,37 @@ def test_alternating_driver_runs_one_series_pass_per_free_field(monkeypatch):
     assert hist[-1] == pytest.approx(again.bound_b[-1], rel=1e-12)
 
 
+def test_optimize_all_probes_the_spatial_diagonals_once(monkeypatch):
+    # they depend on the grid and the materials alone, not on (gamma, rho)
+    p, exact = polynomial_setup(4, 9)
+    calls = []
+    comb_diagonals = maxbound.optimize._comb_diagonals
+
+    def counted(ops, grid):
+        calls.append(grid)
+        return comb_diagonals(ops, grid)
+
+    monkeypatch.setattr(maxbound.optimize, "_comb_diagonals", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        rep, _ = mb.optimize_all(p, _perturbed(p, exact), mb.OptimizeConfig(sweeps=2))
+    assert sum(info is not None for info in rep.cg_sweeps) == 2
+    assert len(calls) == 1
+
+
+def test_optimize_all_refuses_a_negative_bound():
+    # with Etilde_t left exact the signed coupling term drives the optimized
+    # bound below zero; certify refuses it rather than report it
+    p, exact = polynomial_setup(4, 9)
+    grid = p.grid
+    shift = FieldTrajectory.sample(grid, EDGE, lambda t: bump_field("poly_t2", grid, t))
+    approx = SolveOutput(exact.Etilde + 1e-2 * shift, exact.Htilde, exact.Etilde_t)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(MaxboundError, match="bound is negative"):
+            mb.optimize_all(p, approx, mb.OptimizeConfig(sweeps=2), exact=exact)
+
+
 def test_alternating_driver_history_is_monotone_and_bound_still_valid():
     p, approx, exact = cavity_setup(6, 13)
     with warnings.catch_warnings():
@@ -365,6 +398,22 @@ def test_piecewise_gamma_never_worse_than_scalar_gamma(theorem):
             assert np.all(rep.trueN <= rep.bound_b)
 
 
+@pytest.mark.parametrize("theorem", ["T3", "T4"])
+def test_piecewise_gamma_keeps_to_an_unordered_candidate_grid(theorem):
+    p, exact = polynomial_setup(4, 9)
+    approx = _perturbed(p, exact)
+    grid_values = (100.0, 1.0, 10.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        _, _, scalar = mb.optimize_gamma_rho(
+            p, approx, None, mb.OptimizeConfig(gamma_bracket=grid_values), theorem=theorem)
+        gamma, _, value = mb.optimize_gamma_rho(
+            p, approx, None, mb.OptimizeConfig(gamma_bracket=grid_values, gamma_pieces=2),
+            theorem=theorem)
+    assert set(gamma) <= set(grid_values)
+    assert value <= scalar
+
+
 # ---------------------------------------------------------------------------
 # the preconditioner: exact in time, the Hessian's diagonal in space
 
@@ -400,9 +449,7 @@ def test_spatial_diagonals_equal_unit_vector_probes(n, kind):
     rng = np.random.default_rng(7 * n)
     grid = mb.GridSpec(n, n, n, 1.0, 1.2, 0.8, 5, 0.5)
     p = mb.assemble_problem(grid, eps=_material(kind, grid, rng), mu=_material(kind, grid, rng))
-    zero_e = FieldTrajectory.zeros(grid, EDGE)
-    approx = SolveOutput(zero_e, FieldTrajectory.zeros(grid, mb.FACE), zero_e)
-    mass, curl = BoundQuadratic(p, approx, rho=0.5, gamma=1.0).spatial_diagonals()
+    mass, curl = spatial_diagonals(p)
 
     def curl_curl(u):
         edge = gram_apply(curl_face_to_edge(u, grid), p.eps_inv, grid)
@@ -428,7 +475,7 @@ def test_comb_probes_cover_full_tensor_materials():
 def test_preconditioner_is_symmetric_positive_definite(theorem, variant):
     p, approx, _ = cavity_setup(4, 9)
     quad = BoundQuadratic(p, approx, rho=0.4, gamma=1.3, theorem=theorem, zero_variant=variant)
-    apply = quad.preconditioner()
+    apply = quad.preconditioner(spatial_diagonals(p))
     rng = np.random.default_rng(13)
     size = _flatten(mb.default_Y(p, approx)).size
     for _ in range(5):
@@ -448,7 +495,8 @@ def test_preconditioner_is_the_hessian_restricted_to_each_dof(variant):
     base = quad.gradient_flat(np.zeros(nd))
     eye = np.eye(nd)
     H = np.stack([quad.gradient_flat(e) - base for e in eye], axis=1)
-    P = np.linalg.inv(np.stack([quad.preconditioner()(e) for e in eye], axis=1))
+    apply = quad.preconditioner(spatial_diagonals(p))
+    P = np.linalg.inv(np.stack([apply(e) for e in eye], axis=1))
     sizes = [int(np.prod(grid.shape(mb.FACE, c))) for c in "xyz"]
     # the face dof of each flat index: components in turn, each time first
     dof = np.concatenate([np.tile(np.arange(s) + off, grid.nt)
@@ -479,14 +527,14 @@ def test_time_eigenbasis_diagonalises_T1_and_the_edge_weights(gamma, variant):
 def test_hessian_and_preconditioner_into_out_equal_the_fresh_calls():
     p, exact = polynomial_setup(4, 9)
     quad = BoundQuadratic(p, _perturbed(p, exact), rho=0.4, gamma=1.3)
-    apply = quad.preconditioner()
+    apply = quad.preconditioner(spatial_diagonals(p))
     rng = np.random.default_rng(23)
     size = _flatten(mb.default_Y(p, exact)).size
-    out = np.empty(size)
-    for _ in range(2):  # the second round reuses the kept buffers
+    out, work = np.empty(size), _Work(p.grid)
+    for _ in range(2):  # the second round reuses the buffers
         v = rng.standard_normal(size)
         fresh_h, fresh_p = quad.hessian(v), apply(v)
-        assert quad.hessian(v, out) is out
+        assert quad.hessian(v, out, work) is out
         np.testing.assert_array_equal(out, fresh_h)
         assert apply(v, out) is out
         np.testing.assert_array_equal(out, fresh_p)
@@ -496,8 +544,8 @@ def test_hessian_and_preconditioner_into_out_equal_the_fresh_calls():
 
 
 def test_a_pcg_iteration_of_the_y_solve_allocates_no_array():
-    # after a solve's first iteration, a Hessian product and a preconditioner
-    # solve into given vectors allocate less than one face node.  numpy's
+    # a Hessian product and a preconditioner solve into given vectors and
+    # buffers allocate less than one face node.  numpy's
     # ufuncs buffer non-contiguous operands in at most getbufsize() elements
     # each, whatever the grid; 24^3 makes a node larger than three such buffers
     p, exact = polynomial_setup(24, 5)
@@ -505,16 +553,14 @@ def test_a_pcg_iteration_of_the_y_solve_allocates_no_array():
     node = 8 * sum(math.prod(grid.shape(FACE, c)) for c in "xyz")
     assert node > 3 * 8 * np.getbufsize()
     quad = BoundQuadratic(p, exact, rho=0.5, gamma=1.0)
-    apply = quad.preconditioner()
+    apply = quad.preconditioner(spatial_diagonals(p))
     v = np.random.default_rng(29).standard_normal(grid.nt * node // 8)
-    Ad, z = np.empty_like(v), np.empty_like(v)
+    Ad, z, work = np.empty_like(v), np.empty_like(v), _Work(grid)
 
     def iteration():
-        apply(quad.hessian(v, Ad), z)
+        apply(quad.hessian(v, Ad, work), z)
 
-    iteration()  # the first product makes the kept buffers
     assert traced_peak(iteration) < node
-    quad.release_work()
 
 
 # ---------------------------------------------------------------------------
@@ -572,7 +618,7 @@ def test_preconditioned_free_field_matches_the_dense_oracle():
     y0 = _flatten(mb.default_Y(p, approx))
     delta, _, _ = conjugate_gradient(lambda v: quad.gradient_flat(v) - base,
                                      -quad.gradient_flat(y0), tol=1e-12, max_iter=500,
-                                     precond=quad.preconditioner())
+                                     precond=quad.preconditioner(spatial_diagonals(p)))
     assert abs(quad.value(_unflatten(y0 + delta, grid)) - v_dense) <= 1e-8 * abs(v_dense)
 
     info = {}
