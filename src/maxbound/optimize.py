@@ -1,9 +1,9 @@
 """Minimization of the guaranteed bound over its free parameters.
 
 Three layers: a golden-section scalar search over gamma (log-scaled) nested
-in a coarse rho grid, a matrix-free preconditioned conjugate-gradient
-minimization of the bound as a convex quadratic in the stacked space-time
-free field Y, whose Hessian-vector product is applied explicitly, and an
+in a coarse rho grid, a matrix-free conjugate-gradient minimization of the
+bound as a convex quadratic in the stacked space-time free field Y, run in
+a scaled time eigenbasis where its Hessian is time-diagonal, and an
 alternating driver that takes one series pass per free field it visits.
 Every iterate of every layer is an admissible parameter choice, so the
 bound stays guaranteed throughout; the objective is the final-time bound
@@ -15,9 +15,9 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import partial
-from typing import Callable, Optional, Sequence, Tuple, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -46,7 +46,7 @@ from .operators import (
 )
 
 _SMOOTH_VARIANTS = ("z", "z_hat")
-# The Y solve ends once _STALL_WINDOW PCG iterations together lower b(T)
+# The Y solve ends once _STALL_WINDOW CG iterations together lower b(T)
 # by no more than _Y_STALL_RTOL of its starting value: the residual stalls
 # far above cg_tol (the Hessian is singular), while b(T) settles.
 _STALL_WINDOW = 10
@@ -60,7 +60,10 @@ class OptimizeConfig:
     gamma_bracket of length 2 is a golden-section bracket (log scale);
     longer sequences are treated as an explicit candidate grid.  y_init
     selects the starting free field: the natural choice mu^-1 curl(Etilde)
-    or the zero trajectory.
+    or the zero trajectory.  cg_tol bounds the relative residual of each
+    Y solve in the scaled time eigenbasis it runs in, |r^| / |b^| =
+    sqrt(r.P^-1 r / rhs.P^-1 rhs) (see conjugate_gradient), which is also
+    what a report's cg_sweeps[*].relative_residual gives.
     """
 
     gamma_bracket: Sequence[float] = (1e-3, 1e3)
@@ -293,75 +296,25 @@ def _curl_curl(p, u, grid, out=None, edge=None, work=None):
 
 
 def spatial_diagonals(p):
-    """The diagonals of G_mu and of C^T Z G_eps^-1 Z C (_curl_curl), flat
-    over the face dofs in _flatten order.
+    """The diagonals of G_mu and of K = C^T Z G_eps^-1 Z C (_curl_curl),
+    flat over the face dofs in _flatten order.
 
-    The Hessian of BoundQuadratic is
-    2 [T1 (x) G_mu + diag(w_edge) (x) C^T Z G_eps^-1 Z C], with the
-    nt x nt time matrix T1 = diag(w_pt) + D^T diag(w_face) D, plus Cz at
-    (0, 0) for z_hat; T1 is pentadiagonal, every row of D having three
-    neighbouring entries.  Only T1 and w_edge depend on (gamma, rho), so
-    these diagonals serve every Y solve on p.
+    The Hessian of BoundQuadratic is 2 [T1 (x) G_mu + diag(w_edge) (x) K];
+    only its nt x nt time matrices depend on (gamma, rho), so these
+    diagonals serve every Y solve on p.
     """
     return _comb_diagonals([lambda u, grid: gram_apply(u, p.mu, grid),
                             lambda u, grid: _curl_curl(p, u, grid)], p.grid)
-
-
-def _banded_apply(bands, x, out, work):
-    """out = T x along the leading axis of x, for the symmetric pentadiagonal
-    T whose bands are stored as BoundQuadratic.t1 holds them; work, a flat
-    array of at least x.size elements, takes the products."""
-    a0, a1, a2 = (b.reshape((-1,) + (1,) * (x.ndim - 1)) for b in bands)
-    np.multiply(a0, x, out=out)
-    for j, a in ((1, a1), (2, a2)):
-        tmp = work[: x[j:].size].reshape(x[j:].shape)
-        below, above = out[j:], out[:-j]
-        below += np.multiply(a[j:], x[:-j], out=tmp)
-        above += np.multiply(a[j:], x[j:], out=tmp)
-    return out
-
-
-def _time_eigenbasis(t1, w_edge):
-    """Q and lam with Q^T T1 Q = I and Q^T diag(w_edge) Q = diag(lam), for
-    the SPD T1 whose bands are stored as BoundQuadratic.t1 holds them.
-
-    T1 is scaled to a unit diagonal first: its Gronwall weights can span
-    many decades in time.
-    """
-    nt = t1.shape[1]
-    s = 1.0 / np.sqrt(t1[0])
-    scaled = np.eye(nt)
-    for j in (1, 2):
-        off = t1[j, j:] * s[j:] * s[:-j]
-        scaled += np.diag(off, -j) + np.diag(off, j)
-    try:
-        chol = np.linalg.cholesky(scaled)
-    except np.linalg.LinAlgError as exc:
-        raise MaxboundError("the preconditioner is not positive definite") from exc
-    back = np.linalg.inv(chol).T  # L^-T
-    lam, u = np.linalg.eigh(back.T @ ((w_edge * s * s)[:, None] * back))
-    return s[:, None] * (back @ u), lam
-
-
-class _Work:
-    """The buffers of BoundQuadratic.hessian: an edge and a face trajectory
-    and one flat scratch, which also holds gram_apply's cell averages."""
-
-    def __init__(self, grid):
-        self.edge = FieldTrajectory.zeros(grid, EDGE)
-        self.face = FieldTrajectory.zeros(grid, FACE)
-        # three times the largest component of either trajectory
-        self.flat = np.zeros(3 * max(c.size for c in self.edge.components()
-                                     + self.face.components()))
 
 
 class BoundQuadratic:
     """The final-time bound b(T) as a convex quadratic in the stacked Y.
 
     Collapses the Gronwall-weighted time quadrature into fixed per-node
-    weights so that Euclidean gradient and Hessian-vector evaluations are
-    single passes over the trajectory.  Supports the smooth zero-term
-    variants only (the absolute-valued one is not differentiable).
+    weights, so that a Euclidean gradient evaluation is a single pass over
+    the trajectory, and into the nt x nt time matrix T1 of the Hessian
+    (see spatial_diagonals).  Supports the smooth zero-term variants only
+    (the absolute-valued one is not differentiable).
     """
 
     def __init__(self, p, approx, rho, gamma, theorem="T5", zero_variant="z_hat"):
@@ -398,21 +351,15 @@ class BoundQuadratic:
         self.w_face = w_int / (self.gam_n * self.rho_n)
         self.w_coup = w_int
 
-        # The bands of the time matrix T1 = diag(w_pt) + D^T diag(w_face) D,
-        # plus Cz at (0, 0) for z_hat: t1[j, k] is entry (k, k - j).  Row k
-        # of D adds w_face[k] w w^T on the three nodes of its stencil w.
-        self.t1 = np.zeros((3, nt))
-        self.t1[0] = self.w_pt
+        # The time matrix T1 = diag(w_pt) + D^T diag(w_face) D, plus Cz at
+        # (0, 0) for z_hat: row k of D adds w_face[k] w w^T on the three
+        # nodes of its stencil w.
+        self.t1 = np.diag(self.w_pt)
         for k in range(nt):
             lo, w = ddt_stencil(nt, g.dt, k)
-            for i in range(3):
-                for j in range(i + 1):
-                    self.t1[i - j, lo + i] += self.w_face[k] * w[i] * w[j]
+            self.t1[lo : lo + 3, lo : lo + 3] += self.w_face[k] * np.outer(w, w)
         if zero_variant == "z_hat":
             self.t1[0, 0] += self.Cz
-
-        self._hess_time = 2.0 * self.t1
-        self._hess_edge = _per_node(2.0 * self.w_edge)
 
         curl_e0 = curl_edge_to_face(p.E0 - approx.Etilde.node(0), g)
         self.zero_grad = (2.0 * self.Cz) * gram_apply(curl_e0, None, g)
@@ -451,93 +398,120 @@ class BoundQuadratic:
     def gradient_flat(self, y_vec):
         return _flatten(self.gradient(_unflatten(y_vec, self.grid)))
 
-    def hessian(self, v, out=None, work=None):
-        """H v for a flat vector v in _flatten order:
-        H = 2 [T1 (x) G_mu + diag(w_edge) (x) C^T Z G_eps^-1 Z C] (see
-        spatial_diagonals), T1 applied along the time axis by its bands.
-        G_mu acts alike on every node, so it commutes with T1.
 
-        Into out through the buffers of the _Work work, each made anew when
-        it is not given.
-        """
-        g = self.grid
-        p = self.p
-        work = _Work(g) if work is None else work
-        out = np.empty_like(v) if out is None else out
-        V, H = _unflatten(v, g), _unflatten(out, g)
-        flat = work.flat
-        for x, y in zip(V.components(), work.face.components()):
-            _banded_apply(self._hess_time, x, y, flat)
-        gram_apply(work.face, p.mu, g, work.face, flat)
-        _curl_curl(p, V, g, H, work.edge, flat)
-        H.apply(np.multiply, self._hess_edge, H)
-        H += work.face
-        return out
+def _time_eigenbasis(t1, w_edge):
+    """Q and lam with Q^T T1 Q = I and Q^T diag(w_edge) Q = diag(lam), for
+    an SPD nt x nt matrix T1.
 
-    def preconditioner(self, diagonals):
-        """(r, out=None) -> P^-1 r on flat Y vectors, for
-        P = 2 [T1 (x) diag(G_mu) + diag(w_edge) (x) diag(C^T Z G_eps^-1 Z C)],
-        into out when it is given, else into a new vector; diagonals are
-        spatial_diagonals(p) of the quadratic's problem p.
+    T1 is scaled to a unit diagonal first: its Gronwall weights can span
+    many decades in time.
+    """
+    s = 1.0 / np.sqrt(np.diag(t1))
+    try:
+        chol = np.linalg.cholesky(s[:, None] * t1 * s)
+    except np.linalg.LinAlgError as exc:
+        raise MaxboundError("the time matrix T1 is not positive definite") from exc
+    back = np.linalg.inv(chol).T  # L^-T
+    lam, u = np.linalg.eigh(back.T @ ((w_edge * s * s)[:, None] * back))
+    return s[:, None] * (back @ u), lam
 
-        P keeps every entry of the Hessian that couples a face dof with
-        itself at any two times: one SPD pentadiagonal nt x nt matrix
-        2 (m T1 + c diag(w_edge)) per dof, m and c being its entries of the
-        two spatial diagonals.  The one time basis Q with Q^T T1 Q = I and
-        Q^T diag(w_edge) Q = diag(lam) (_time_eigenbasis) makes all of them
-        diagonal at once, so P^-1 r = Q ((Q^T r) / Dt) with
-        Dt[j, dof] = 2 (m + lam_j c): two nt x nt products per component on
-        its time-major block of the flat vector.  This is the time half of
-        the fast diagonalisation method (Lynch, Rice and Thomas 1964).
-        """
-        g = self.grid
-        nt = g.nt
-        q, lam = _time_eigenbasis(self.t1, self.w_edge)
-        qt = np.ascontiguousarray(q.T)
-        cuts = np.cumsum([math.prod(g.shape(FACE, c)) for c in "xy"])
-        inv_dt = []
-        for m, c in zip(*(np.split(d, cuts) for d in diagonals)):
-            d_tilde = 2.0 * (m + lam[:, None] * c)
-            if not np.all(d_tilde > 0.0):
-                raise MaxboundError("the preconditioner is not positive definite")
-            inv_dt.append(1.0 / d_tilde)
-        coef = np.empty(max(inv.size for inv in inv_dt))
 
-        def apply(r, out=None):
-            out = np.empty_like(r) if out is None else out
-            for src, dst, inv in zip(_unflatten(r, g).components(),
-                                     _unflatten(out, g).components(), inv_dt):
-                c = coef[: inv.size].reshape(inv.shape)
-                np.matmul(qt, src.reshape(inv.shape), out=c)
-                c *= inv
-                np.matmul(q, c, out=dst.reshape(inv.shape))
-            return out
+def _scaled_eigenbasis(quad, diagonals):
+    """(Q, lam, S): the scaled time eigenbasis of quad's Hessian H, for the
+    spatial_diagonals of its problem.
 
-        return apply
+    Q^T (2 T1) Q = I and Q^T diag(2 w_edge) Q = diag(lam)
+    (_time_eigenbasis) make Q^T H Q = I (x) G_mu + diag(lam) (x) K, with
+    no coupling between different time indices j.  S = Dt^-1/2, flat in
+    _flatten order, scales it to a unit diagonal: Dt[j, dof] =
+    m + lam_j c, m and c being the dof's entries of the two diagonals.
+    lam is clipped at 0 (it is >= 0 exactly, w_edge being so), which
+    keeps every block G_mu + lam_j K semidefinite.  This is the time half
+    of the fast diagonalisation method (Lynch, Rice and Thomas 1964).
+    """
+    g = quad.grid
+    q, lam = _time_eigenbasis(2.0 * quad.t1, 2.0 * quad.w_edge)
+    lam = np.maximum(lam, 0.0)
+    cuts = np.cumsum([math.prod(g.shape(FACE, c)) for c in "xy"])
+    scale = []
+    for m, c in zip(*(np.split(d, cuts) for d in diagonals)):
+        d_tilde = m + lam[:, None] * c
+        if not np.all(d_tilde > 0.0):
+            raise MaxboundError("the Hessian has a diagonal entry <= 0 in the time eigenbasis")
+        scale.append(1.0 / np.sqrt(d_tilde.ravel()))
+    return q, lam, np.concatenate(scale)
+
+
+def _along_time(mat, v, grid):
+    """A new flat Y vector: the nt x nt matrix mat applied along the time
+    axis of every component of the flat Y vector v."""
+    out = np.empty_like(v)
+    for src, dst in zip(_unflatten(v, grid).components(), _unflatten(out, grid).components()):
+        np.matmul(mat, src.reshape(grid.nt, -1), out=dst.reshape(grid.nt, -1))
+    return out
+
+
+class _Work:
+    """The buffers of _scaled_hessian: an edge trajectory, a flat Y vector
+    seen as the face trajectory face, and one flat scratch, which also
+    holds gram_apply's cell averages."""
+
+    def __init__(self, grid):
+        self.edge = FieldTrajectory.zeros(grid, EDGE)
+        self.vec = _flatten(FieldTrajectory.zeros(grid, FACE))
+        self.face = _unflatten(self.vec, grid)
+        # three times the largest component of either trajectory
+        self.flat = np.zeros(3 * max(c.size for c in self.edge.components()
+                                     + self.face.components()))
+
+
+def _scaled_hessian(p, lam, scale, w, out=None, work=None):
+    """S (I (x) G_mu + diag(lam) (x) K) S w for a flat w: the Hessian of
+    BoundQuadratic in the scaled time eigenbasis whose lam and S
+    _scaled_eigenbasis gives.  One _curl_curl scaled by lam per node and
+    one gram_apply, with no time operator.
+
+    Into out through the buffers of the _Work work, each made anew when
+    it is not given.
+    """
+    g = p.grid
+    work = _Work(g) if work is None else work
+    out = np.empty_like(w) if out is None else out
+    np.multiply(w, scale, out=work.vec)
+    H = _unflatten(out, g)
+    _curl_curl(p, work.face, g, H, work.edge, work.flat)
+    H.apply(np.multiply, _per_node(lam), H)
+    gram_apply(work.face, p.mu, g, work.face, work.flat)
+    out += work.vec
+    out *= scale
+    return out
 
 
 def conjugate_gradient(apply_A, rhs, tol=1e-10, max_iter=200, callback=None,
-                       precond=None, stall_tol=0.0):
+                       stall_tol=0.0):
     """Solve A x = rhs for symmetric positive semidefinite A, matrix-free,
     from x = 0.
 
-    precond, when given, applies the inverse of an SPD preconditioner to a
-    residual (preconditioned CG).  apply_A and precond may return the same
-    buffer at every call: a result is read before the next call to the
-    same function.  Stops at relative residual
-    |rhs - A x| / |rhs| <= tol, after max_iter iterations, or once the last
-    _STALL_WINDOW iterations together lowered q(x) = x.A x / 2 - rhs.x
-    = -x.(r + rhs) / 2 by no more than stall_tol.  CG lowers q at every
-    step in exact arithmetic, so the default stall_tol of 0 ends only a
-    solve whose iterates drift off, as those of a singular system whose A
-    carries rounding noise do once the residual reaches its floor.  A
-    genuinely negative curvature direction (inconsistent with a convex
-    objective) is a hard error.  Returns (x, iterations, relative residual).
+    apply_A may return the same buffer at every call: a result is read
+    before the next call.  Stops at relative residual |rhs - A x| / |rhs|
+    <= tol, after max_iter iterations, or once the last _STALL_WINDOW
+    iterations together lowered q(x) = x.A x / 2 - rhs.x = -x.(r + rhs) / 2
+    by no more than stall_tol.  CG lowers q at every step in exact
+    arithmetic, so the default stall_tol of 0 ends only a solve whose
+    iterates drift off, as those of a singular system whose A carries
+    rounding noise do once the residual reaches its floor.  A genuinely
+    negative curvature direction (inconsistent with a convex objective) is
+    a hard error.  Returns (x, iterations, relative residual).
 
-    The iterations allocate nothing beyond what apply_A and precond do and
-    the copy of x handed to callback: every product goes through one
-    scratch vector, and every dot product is a pairwise sum over it, which
-    no BLAS thread count changes.
+    The residual is measured in the basis A and rhs are given in.  For
+    the Y solve (_minimize_Y) that is the scaled time eigenbasis, where it
+    is |r^| / |b^| = sqrt(r.P^-1 r / rhs.P^-1 rhs) for the residual r and
+    right-hand side rhs of H delta = rhs and P^-1 = Q S^2 Q^T.
+
+    The iterations allocate nothing beyond what apply_A does and the copy
+    of x handed to callback: every product goes through one scratch
+    vector, and every dot product is a pairwise sum over it, which no BLAS
+    thread count changes.
     """
     scratch = np.empty_like(rhs, dtype=float)
 
@@ -546,11 +520,9 @@ def conjugate_gradient(apply_A, rhs, tol=1e-10, max_iter=200, callback=None,
 
     x = np.zeros_like(rhs, dtype=float)
     r = np.array(rhs, dtype=float)  # A 0 = 0
-    z = r if precond is None else precond(r)
-    d = z.copy()
+    d = r.copy()
     rs = dot(r, r)
-    rz = dot(r, z)
-    ref = math.sqrt(dot(rhs, rhs)) or 1.0
+    ref = math.sqrt(rs) or 1.0
     qs = [0.0]  # q(0)
     it = 0
     while it < max_iter and math.sqrt(rs) > tol * ref:
@@ -564,21 +536,18 @@ def conjugate_gradient(apply_A, rhs, tol=1e-10, max_iter=200, callback=None,
                     "the quadratic assembly is not positive semidefinite"
                 )
             break  # null direction of a singular but consistent system
-        alpha = rz / dAd
+        alpha = rs / dAd
         x += np.multiply(d, alpha, out=scratch)
         r -= np.multiply(Ad, alpha, out=scratch)
-        rs = dot(r, r)
+        rs_old, rs = rs, dot(r, r)
         qs.append(-0.5 * (dot(x, r) + dot(x, rhs)))
         it += 1
         if callback is not None:
             callback(x.copy(), it)
         if it >= _STALL_WINDOW and qs[-1 - _STALL_WINDOW] - qs[-1] <= stall_tol:
             break
-        z = r if precond is None else precond(r)
-        rz_new = dot(r, z)
-        d *= rz_new / rz
-        d += z
-        rz = rz_new
+        d *= rs / rs_old
+        d += r
     return x, it, math.sqrt(rs) / ref
 
 
@@ -586,9 +555,9 @@ def optimize_Y(p, approx, gamma, rho, cfg=None, theorem="T5", zero_variant="z_ha
                Y0=None, callback=None, info=None):
     """Minimize the final-time bound over the free field Y at fixed (gamma, rho).
 
-    Conjugate gradients on the collapsed quadratic, whose Hessian
-    BoundQuadratic.hessian applies explicitly, preconditioned with
-    BoundQuadratic.preconditioner.  The solve also ends once b(T) stalls:
+    Conjugate gradients on the collapsed quadratic, in the scaled time
+    eigenbasis where its Hessian is time-diagonal (_scaled_eigenbasis,
+    _scaled_hessian).  The solve also ends once b(T) stalls:
     when _STALL_WINDOW iterations lower it by no more than _Y_STALL_RTOL of
     its value at Y0.  Returns the optimized FieldTrajectory; pass a dict as
     `info` to receive the iteration count and the relative residual, and a
@@ -612,30 +581,42 @@ def _minimize_Y(quad, diagonals, Y0, value0, cfg, callback=None, info=None):
     """optimize_Y from Y0 for the quadratic quad, diagonals being
     spatial_diagonals of its problem and value0 b(T) at Y0.
 
-    The buffers of the PCG iterations are made after the gradient, whose
-    residual trajectories are gone by then.
+    Plain CG on H delta = -grad in the scaled time eigenbasis (Q, S) of
+    _scaled_eigenbasis: delta = Q S w, with S Q^T H Q S w = S Q^T (-grad).
+    The right-hand side is mapped in once and the answer, like each
+    iterate handed to callback, back once; no time operator runs inside
+    the loop.  In exact arithmetic this is PCG on H with P^-1 = Q S^2 Q^T,
+    P = 2 [T1 (x) diag(G_mu) + diag(w_edge) (x) diag(K)] being the entries
+    of H that couple each face dof with itself: the same steps and the
+    same q(x), so the stall rule stops where PCG would.  The buffers of
+    the iterations are made after the gradient, whose residual
+    trajectories are gone by then.
     """
     g = quad.grid
+    q, lam, scale = _scaled_eigenbasis(quad, diagonals)
     y_start = _flatten(Y0)
-    rhs = -quad.gradient_flat(y_start)
+    rhs = _along_time(q.T, quad.gradient_flat(y_start), g)
+    rhs *= -scale
+
+    def to_Y(w):
+        return _unflatten(y_start + _along_time(q, w * scale, g), g)
 
     cb = None
     if callback is not None:
-        def cb(delta, k):
-            callback(_unflatten(y_start + delta, g), k)
+        def cb(w, k):
+            callback(to_Y(w), k)
 
-    # the partials alone hold the PCG buffers, which thus go when the solve
+    # the partials alone hold the CG buffers, which thus go when the solve
     # returns, before the result is formed
-    delta, iters, rel_res = conjugate_gradient(
-        partial(quad.hessian, out=np.empty_like(rhs), work=_Work(g)), rhs,
-        tol=cfg.cg_tol, max_iter=cfg.cg_max_iter, callback=cb,
-        precond=partial(quad.preconditioner(diagonals), out=np.empty_like(rhs)),
+    w, iters, rel_res = conjugate_gradient(
+        partial(_scaled_hessian, quad.p, lam, scale, out=np.empty_like(rhs), work=_Work(g)),
+        rhs, tol=cfg.cg_tol, max_iter=cfg.cg_max_iter, callback=cb,
         stall_tol=_Y_STALL_RTOL * abs(value0),
     )
     if info is not None:
         info["iterations"] = iters
         info["relative_residual"] = rel_res
-    return _unflatten(y_start + delta, g)
+    return to_Y(w)
 
 
 # ---------------------------------------------------------------------------
@@ -662,7 +643,7 @@ def optimize_all(p, approx, cfg=None, theorem="T5", zero_variant="z_hat",
     s = series(p, approx, Y, theorem)
     current = _bound_from_series(s, rho, gamma, zero_variant, g.dt)
     history = [current]
-    diagonals = spatial_diagonals(p)
+    diagonals = None  # probed at the first Y step
     cg_sweeps = []
     for _ in range(cfg.sweeps):
         # at parameters where the bound overflows the quadratic in Y has no
@@ -670,6 +651,7 @@ def optimize_all(p, approx, cfg=None, theorem="T5", zero_variant="z_hat",
         info = None
         if math.isfinite(current):
             info = {}
+            diagonals = spatial_diagonals(p) if diagonals is None else diagonals
             quad = BoundQuadratic(p, approx, rho, gamma, theorem, zero_variant)
             Y_new = _minimize_Y(quad, diagonals, Y, current, cfg, info=info)
             s_new = series(p, approx, Y_new, theorem)

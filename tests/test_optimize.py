@@ -20,9 +20,12 @@ from maxbound.optimize import (
     _Y_STALL_RTOL,
     BoundQuadratic,
     _Work,
+    _along_time,
     _bound_from_series,
     _comb_diagonals,
     _flatten,
+    _scaled_eigenbasis,
+    _scaled_hessian,
     _time_eigenbasis,
     _unflatten,
     conjugate_gradient,
@@ -112,18 +115,6 @@ def test_conjugate_gradient_solves_a_random_spd_system():
     assert np.allclose(x, np.linalg.solve(A, rhs), rtol=1e-8, atol=1e-10)
 
 
-def test_conjugate_gradient_with_a_jacobi_preconditioner_solves_a_random_spd_system():
-    rng = np.random.default_rng(91)
-    M = rng.standard_normal((30, 30))
-    A = M @ M.T + 30.0 * np.eye(30)
-    rhs = rng.standard_normal(30)
-    diag = np.diag(A).copy()
-    x, iters, rel = conjugate_gradient(lambda v: A @ v, rhs, tol=1e-12, max_iter=200,
-                                       precond=lambda r: r / diag)
-    assert rel < 1e-10
-    assert np.allclose(x, np.linalg.solve(A, rhs), rtol=1e-8, atol=1e-10)
-
-
 def test_an_unfinished_solve_returns_its_last_iterate_even_when_the_residual_rose():
     # CG lowers the quadratic at every step while the residual norm may
     # grow; the iterate of least quadratic value is the last one
@@ -132,10 +123,8 @@ def test_an_unfinished_solve_returns_its_last_iterate_even_when_the_residual_ros
     A = Q @ np.diag(np.logspace(0, 6, 80)) @ Q.T
     A = 0.5 * (A + A.T)
     rhs = rng.standard_normal(80)
-    diag = np.diag(A).copy()
     seen = []
     x, iters, rel = conjugate_gradient(lambda v: A @ v, rhs, max_iter=15,
-                                       precond=lambda r: r / diag,
                                        callback=lambda xk, k: seen.append(xk))
     assert iters == 15 and rel > 1.0
     np.testing.assert_array_equal(x, seen[-1])
@@ -319,8 +308,10 @@ def test_alternating_driver_runs_one_series_pass_per_free_field(monkeypatch):
     assert hist[-1] == pytest.approx(again.bound_b[-1], rel=1e-12)
 
 
-def test_optimize_all_probes_the_spatial_diagonals_once(monkeypatch):
-    # they depend on the grid and the materials alone, not on (gamma, rho)
+@pytest.mark.parametrize("sweeps, probes", [(0, 0), (2, 1)])
+def test_optimize_all_probes_the_spatial_diagonals_once(monkeypatch, sweeps, probes):
+    # they depend on the grid and the materials alone, not on (gamma, rho),
+    # and a run without a Y step needs none
     p, exact = polynomial_setup(4, 9)
     calls = []
     comb_diagonals = maxbound.optimize._comb_diagonals
@@ -332,15 +323,17 @@ def test_optimize_all_probes_the_spatial_diagonals_once(monkeypatch):
     monkeypatch.setattr(maxbound.optimize, "_comb_diagonals", counted)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        rep, _ = mb.optimize_all(p, _perturbed(p, exact), mb.OptimizeConfig(sweeps=2))
-    assert sum(info is not None for info in rep.cg_sweeps) == 2
-    assert len(calls) == 1
+        rep, _ = mb.optimize_all(p, _perturbed(p, exact), mb.OptimizeConfig(sweeps=sweeps))
+    assert sum(info is not None for info in rep.cg_sweeps) == sweeps
+    assert len(calls) == probes
 
 
-def test_optimize_all_refuses_a_negative_bound():
+@pytest.mark.parametrize("n, nt", [(4, 9), (8, 17)])
+def test_optimize_all_refuses_a_negative_bound(n, nt):
     # with Etilde_t left exact the signed coupling term drives the optimized
-    # bound below zero; certify refuses it rather than report it
-    p, exact = polynomial_setup(4, 9)
+    # bound below zero (to about -1.22 on 4^3 x 9, -2.16e6 on 8^3 x 17);
+    # certify refuses it rather than report it
+    p, exact = polynomial_setup(n, nt)
     grid = p.grid
     shift = FieldTrajectory.sample(grid, EDGE, lambda t: bump_field("poly_t2", grid, t))
     approx = SolveOutput(exact.Etilde + 1e-2 * shift, exact.Htilde, exact.Etilde_t)
@@ -415,7 +408,7 @@ def test_piecewise_gamma_keeps_to_an_unordered_candidate_grid(theorem):
 
 
 # ---------------------------------------------------------------------------
-# the preconditioner: exact in time, the Hessian's diagonal in space
+# the scaled time eigenbasis of the Y solve
 
 
 def _unit_probe_diagonal(op, grid):
@@ -470,42 +463,71 @@ def test_comb_probes_cover_full_tensor_materials():
         diag, _unit_probe_diagonal(lambda u: gram_apply(u, tensor, grid), grid))
 
 
+def _to_basis(basis, v, grid):
+    """S Q^T v: a flat Y vector (or gradient) mapped into the scaled time
+    eigenbasis, the transpose of _from_basis."""
+    q, _, scale = basis
+    return scale * _along_time(q.T, v, grid)
+
+
+def _from_basis(basis, w, grid):
+    """Q S w: the flat Y vector of the basis coordinates w."""
+    q, _, scale = basis
+    return _along_time(q, scale * w, grid)
+
+
 @pytest.mark.parametrize("theorem", ["T1", "T3", "T4", "T5"])
 @pytest.mark.parametrize("variant", ["z", "z_hat"])
-def test_preconditioner_is_symmetric_positive_definite(theorem, variant):
+def test_scaled_eigenbasis_makes_the_dof_restricted_hessian_the_identity(theorem, variant):
+    # P = 2 [T1 (x) diag(G_mu) + diag(w_edge) (x) diag(K)] keeps every entry
+    # of the Hessian that couples a face dof with itself at any two times;
+    # (Q S)^T P (Q S) = I, so |S Q^T r| is the P^-1 norm of r
     p, approx, _ = cavity_setup(4, 9)
+    grid = p.grid
     quad = BoundQuadratic(p, approx, rho=0.4, gamma=1.3, theorem=theorem, zero_variant=variant)
-    apply = quad.preconditioner(spatial_diagonals(p))
+    diagonals = spatial_diagonals(p)
+    basis = _scaled_eigenbasis(quad, diagonals)
+    cuts = np.cumsum([int(np.prod(grid.shape(mb.FACE, c))) for c in "xy"])
+
+    def apply_P(v):
+        out = np.empty_like(v)
+        for src, dst, m, c in zip(_unflatten(v, grid).components(),
+                                  _unflatten(out, grid).components(),
+                                  *(np.split(d, cuts) for d in diagonals)):
+            x = src.reshape(grid.nt, -1)
+            dst.reshape(grid.nt, -1)[...] = 2.0 * (quad.t1 @ (x * m)
+                                                   + quad.w_edge[:, None] * (x * c))
+        return out
+
     rng = np.random.default_rng(13)
-    size = _flatten(mb.default_Y(p, approx)).size
-    for _ in range(5):
-        u, v = rng.standard_normal(size), rng.standard_normal(size)
-        assert u @ apply(v) == pytest.approx(v @ apply(u), rel=1e-12)
-        assert u @ apply(u) > 0.0
+    for _ in range(3):
+        w = rng.standard_normal(basis[2].size)
+        back = _to_basis(basis, apply_P(_from_basis(basis, w, grid)), grid)
+        assert np.abs(back - w).max() <= 1e-10 * np.abs(w).max()
 
 
 @pytest.mark.parametrize("variant", ["z", "z_hat"])
-def test_preconditioner_is_the_hessian_restricted_to_each_dof(variant):
-    # P equals every entry of H that couples one face dof with itself, at
-    # any two times, and is zero between different dofs
+def test_the_hessian_is_time_diagonal_in_the_scaled_eigenbasis(variant):
+    # Q^T H Q couples no two different time-eigen indices, and the scaled
+    # product has a unit diagonal
     grid = mb.GridSpec(3, 3, 3, 1.0, 1.0, 1.0, 5, 0.4)
     p = mb.assemble_problem(grid, case=mb.cavity_mode())
     quad = BoundQuadratic(p, mb.leapfrog_solve(p), rho=0.5, gamma=1.0, zero_variant=variant)
-    nd = _flatten(FieldTrajectory.zeros(grid, mb.FACE)).size
+    basis = _scaled_eigenbasis(quad, spatial_diagonals(p))
+    q, lam, scale = basis
+    nd = scale.size
     base = quad.gradient_flat(np.zeros(nd))
     eye = np.eye(nd)
     H = np.stack([quad.gradient_flat(e) - base for e in eye], axis=1)
-    apply = quad.preconditioner(spatial_diagonals(p))
-    P = np.linalg.inv(np.stack([apply(e) for e in eye], axis=1))
+    Q = np.stack([_along_time(q, e, grid) for e in eye], axis=1)
     sizes = [int(np.prod(grid.shape(mb.FACE, c))) for c in "xyz"]
-    # the face dof of each flat index: components in turn, each time first
-    dof = np.concatenate([np.tile(np.arange(s) + off, grid.nt)
-                          for s, off in zip(sizes, np.cumsum([0] + sizes[:-1]))])
-    same = dof[:, None] == dof[None, :]
-    scale = np.abs(H).max()
-    assert np.abs(P - np.where(same, H, 0.0)).max() <= 1e-10 * scale
-    explicit = np.stack([quad.hessian(e) for e in eye], axis=1)
-    assert np.abs(P - np.where(same, explicit, 0.0)).max() <= 1e-10 * scale
+    # the time index of each flat entry: components in turn, each time first
+    time = np.concatenate([np.repeat(np.arange(grid.nt), s) for s in sizes])
+    in_time = Q.T @ H @ Q
+    coupled = time[:, None] != time[None, :]
+    assert np.abs(in_time[coupled]).max() <= 1e-10 * np.abs(in_time).max()
+    unit = [(_scaled_hessian(p, lam, scale, e) @ e) for e in eye]
+    np.testing.assert_allclose(unit, 1.0, rtol=1e-12)
 
 
 @pytest.mark.parametrize("gamma", [1.0, 37.5, 200.0])
@@ -515,52 +537,40 @@ def test_time_eigenbasis_diagonalises_T1_and_the_edge_weights(gamma, variant):
     p, exact = polynomial_setup(4, 33)
     quad = BoundQuadratic(p, exact, rho=0.5, gamma=gamma, zero_variant=variant)
     q, lam = _time_eigenbasis(quad.t1, quad.w_edge)
-    nt = p.grid.nt
-    t1 = np.diag(quad.t1[0])
-    for j in (1, 2):
-        t1 += np.diag(quad.t1[j, j:], -j) + np.diag(quad.t1[j, j:], j)
-    assert np.abs(q.T @ t1 @ q - np.eye(nt)).max() <= 1e-10
+    assert np.abs(q.T @ quad.t1 @ q - np.eye(p.grid.nt)).max() <= 1e-10
     assert lam.min() >= -1e-10 * lam.max()
     assert np.abs(q.T @ np.diag(quad.w_edge) @ q - np.diag(lam)).max() <= 1e-10 * lam.max()
 
 
-def test_hessian_and_preconditioner_into_out_equal_the_fresh_calls():
+def test_scaled_hessian_into_out_equals_the_fresh_call():
     p, exact = polynomial_setup(4, 9)
     quad = BoundQuadratic(p, _perturbed(p, exact), rho=0.4, gamma=1.3)
-    apply = quad.preconditioner(spatial_diagonals(p))
+    _, lam, scale = _scaled_eigenbasis(quad, spatial_diagonals(p))
     rng = np.random.default_rng(23)
-    size = _flatten(mb.default_Y(p, exact)).size
-    out, work = np.empty(size), _Work(p.grid)
+    out, work = np.empty(scale.size), _Work(p.grid)
     for _ in range(2):  # the second round reuses the buffers
-        v = rng.standard_normal(size)
-        fresh_h, fresh_p = quad.hessian(v), apply(v)
-        assert quad.hessian(v, out, work) is out
-        np.testing.assert_array_equal(out, fresh_h)
-        assert apply(v, out) is out
-        np.testing.assert_array_equal(out, fresh_p)
-        # the calls without out return arrays of their own
-        assert not np.shares_memory(quad.hessian(v), fresh_h)
-        assert not np.shares_memory(apply(v), fresh_p)
+        v = rng.standard_normal(scale.size)
+        fresh = _scaled_hessian(p, lam, scale, v)
+        assert _scaled_hessian(p, lam, scale, v, out, work) is out
+        np.testing.assert_array_equal(out, fresh)
+        # the call without out returns an array of its own
+        assert not np.shares_memory(_scaled_hessian(p, lam, scale, v), fresh)
 
 
-def test_a_pcg_iteration_of_the_y_solve_allocates_no_array():
-    # a Hessian product and a preconditioner solve into given vectors and
-    # buffers allocate less than one face node.  numpy's
-    # ufuncs buffer non-contiguous operands in at most getbufsize() elements
-    # each, whatever the grid; 24^3 makes a node larger than three such buffers
+def test_a_cg_iteration_of_the_y_solve_allocates_no_array():
+    # a product into a given vector and buffers allocates less than one
+    # face node.  numpy's ufuncs buffer non-contiguous operands in at most
+    # getbufsize() elements each, whatever the grid; 24^3 makes a node
+    # larger than three such buffers
     p, exact = polynomial_setup(24, 5)
     grid = p.grid
     node = 8 * sum(math.prod(grid.shape(FACE, c)) for c in "xyz")
     assert node > 3 * 8 * np.getbufsize()
     quad = BoundQuadratic(p, exact, rho=0.5, gamma=1.0)
-    apply = quad.preconditioner(spatial_diagonals(p))
-    v = np.random.default_rng(29).standard_normal(grid.nt * node // 8)
-    Ad, z, work = np.empty_like(v), np.empty_like(v), _Work(grid)
-
-    def iteration():
-        apply(quad.hessian(v, Ad, work), z)
-
-    assert traced_peak(iteration) < node
+    _, lam, scale = _scaled_eigenbasis(quad, spatial_diagonals(p))
+    v = np.random.default_rng(29).standard_normal(scale.size)
+    Ad, work = np.empty_like(v), _Work(grid)
+    assert traced_peak(lambda: _scaled_hessian(p, lam, scale, v, Ad, work)) < node
 
 
 # ---------------------------------------------------------------------------
@@ -572,6 +582,7 @@ def test_a_pcg_iteration_of_the_y_solve_allocates_no_array():
 @pytest.mark.parametrize("kind", ["identity", "scalar", "diagonal", "per-cell", "full"])
 def test_explicit_hessian_is_the_symmetric_semidefinite_gradient_difference(
         theorem, variant, kind):
+    # in the scaled time eigenbasis: A^ w = S Q^T (grad(Q S w) - grad(0))
     rng = np.random.default_rng(17)
     grid = mb.GridSpec(3, 4, 3, 1.0, 1.2, 0.8, 6, 0.5)
     eps, mu = _material(kind, grid, rng), _material(kind, grid, rng)
@@ -589,21 +600,24 @@ def test_explicit_hessian_is_the_symmetric_semidefinite_gradient_difference(
     quad = BoundQuadratic(p, approx, rho=0.4, gamma=1.3, theorem=theorem, zero_variant=variant)
     if kind == "full":
         quad.p = replace(p, mu=mu, eps_inv=eps.inverse())
-    nd = _flatten(FieldTrajectory.zeros(grid, mb.FACE)).size
+    basis = _scaled_eigenbasis(quad, spatial_diagonals(quad.p))
+    _, lam, scale = basis
+    nd = scale.size
     base = quad.gradient_flat(np.zeros(nd))
     for _ in range(3):
         u, v = rng.standard_normal(nd), rng.standard_normal(nd)
-        hu, hv = quad.hessian(u), quad.hessian(v)
-        diff = quad.gradient_flat(v) - base
+        hu, hv = (_scaled_hessian(quad.p, lam, scale, x) for x in (u, v))
+        diff = _to_basis(basis, quad.gradient_flat(_from_basis(basis, v, grid)) - base, grid)
         assert np.abs(hv - diff).max() <= 1e-12 * np.abs(diff).max()
         assert abs(u @ hv - v @ hu) <= 1e-12 * np.linalg.norm(u) * np.linalg.norm(hv)
         assert v @ hv >= 0.0
 
 
 def test_preconditioned_free_field_matches_the_dense_oracle():
-    # criterion 6's dense least-squares oracle, at nt = 9: PCG run to its
-    # residual floor meets it to 1e-8, and optimize_Y, which ends once the
-    # bound stalls, lands within the stall tolerance of it
+    # criterion 6's dense least-squares oracle, at nt = 9: CG in the scaled
+    # time eigenbasis run to its residual floor meets it to 1e-8, and
+    # optimize_Y, which ends once the bound stalls, lands within the stall
+    # tolerance of it
     grid = mb.GridSpec(4, 4, 4, 1.0, 1.0, 1.0, 9, 0.5)
     p = mb.assemble_problem(grid, case=mb.cavity_mode())
     approx = mb.leapfrog_solve(p)
@@ -616,10 +630,13 @@ def test_preconditioned_free_field_matches_the_dense_oracle():
     v_dense = quad.value(_unflatten(dense, grid))
 
     y0 = _flatten(mb.default_Y(p, approx))
-    delta, _, _ = conjugate_gradient(lambda v: quad.gradient_flat(v) - base,
-                                     -quad.gradient_flat(y0), tol=1e-12, max_iter=500,
-                                     precond=quad.preconditioner(spatial_diagonals(p)))
-    assert abs(quad.value(_unflatten(y0 + delta, grid)) - v_dense) <= 1e-8 * abs(v_dense)
+    basis = _scaled_eigenbasis(quad, spatial_diagonals(p))
+    _, lam, scale = basis
+    w, _, _ = conjugate_gradient(lambda v: _scaled_hessian(p, lam, scale, v),
+                                 -_to_basis(basis, quad.gradient_flat(y0), grid),
+                                 tol=1e-12, max_iter=500)
+    y = y0 + _from_basis(basis, w, grid)
+    assert abs(quad.value(_unflatten(y, grid)) - v_dense) <= 1e-8 * abs(v_dense)
 
     info = {}
     Y = mb.optimize_Y(p, approx, gamma=1.0, rho=0.5, info=info)
