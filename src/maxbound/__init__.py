@@ -36,7 +36,6 @@ from .majorant import (
     default_Y,
     residuals,
     true_error_norms,
-    zero_term,
     zero_term_parts,
 )
 from .operators import (

@@ -15,7 +15,7 @@ _MATERIAL_SCHEMA = {
     "type": "object",
     "additionalProperties": False,
     "properties": {
-        "kind": {"enum": ["scalar", "diagonal", "full"]},
+        "kind": {"enum": ["scalar", "diagonal"]},
         "value": {"type": "number", "exclusiveMinimum": 0},
         "values": {"type": "array"},
     },
@@ -201,14 +201,12 @@ def _material_from_spec(spec, grid, which):
             if "value" not in spec:
                 raise ConfigError("scalar material needs 'value'", f"$['materials']['{which}']")
             return MaterialField.scalar(grid, spec["value"])
-        if "values" not in spec:
-            raise ConfigError(f"{kind} material needs 'values'", f"$['materials']['{which}']")
-        if kind == "diagonal":
-            vals = spec["values"]
-            if len(vals) != 3:
-                raise ConfigError("diagonal material needs 3 values", f"$['materials']['{which}']")
-            return MaterialField.diagonal(grid, *[float(v) for v in vals])
-        return MaterialField.full(grid, spec["values"])
+        vals = spec.get("values")
+        if vals is None:
+            raise ConfigError("diagonal material needs 'values'", f"$['materials']['{which}']")
+        if len(vals) != 3:
+            raise ConfigError("diagonal material needs 3 values", f"$['materials']['{which}']")
+        return MaterialField.diagonal(grid, *[float(v) for v in vals])
     except ConfigError:
         raise
     except Exception as exc:

@@ -1,4 +1,4 @@
-"""Staggered-grid field containers and material tensors.
+"""Staggered-grid field containers and per-cell material coefficients.
 
 Electric-type quantities live on cell edges, magnetic-type quantities on
 cell faces of a uniform rectangular grid covering the box
@@ -256,10 +256,10 @@ class FieldTrajectory(_Components):
 
 @dataclass
 class MaterialField:
-    """Symmetric positive-definite 3x3 tensor per cell (scalar / diagonal / full).
+    """Positive per-cell material coefficients: scalar or diagonal.
 
-    values shape: (nx, ny, nz) for scalar, (nx, ny, nz, 3) for diagonal,
-    (nx, ny, nz, 3, 3) for full tensors.
+    values shape: (nx, ny, nz) for scalar, (nx, ny, nz, 3) for diagonal
+    (one coefficient per Cartesian component).
     """
 
     kind: str
@@ -268,28 +268,20 @@ class MaterialField:
     lambda_max: float = field(init=False)
     # whether values are all ones (all identity matrices), set once from values
     _identity: bool = field(init=False, repr=False, compare=False)
-    # dof-located coefficients by (field kind, component), filled on first use
+    # dof-located coefficients by field kind, filled on first use
     dof_cache: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.kind not in ("scalar", "diagonal"):
+            raise ParameterError(f"unknown material kind {self.kind!r}")
         v = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", v)
-        if self.kind in ("scalar", "diagonal"):
-            lam_min, lam_max = float(v.min()), float(v.max())
-            self._identity = lam_min == lam_max == 1.0
-        elif self.kind == "full":
-            asym = np.abs(v - np.swapaxes(v, -1, -2)).max()
-            if asym > 0:
-                raise ParameterError(f"material tensor not symmetric (max |a_ij - a_ji| = {asym})")
-            eig = np.linalg.eigvalsh(v)
-            lam_min, lam_max = float(eig.min()), float(eig.max())
-            self._identity = bool(np.all(v == np.eye(3)))
-        else:
-            raise ParameterError(f"unknown material kind {self.kind!r}")
-        if lam_min <= 0:
+        lam_min, lam_max = float(v.min()), float(v.max())
+        if not lam_min > 0:  # a NaN coefficient fails too
             raise ParameterError(f"material not positive definite (min eigenvalue {lam_min})")
         self.lambda_min = lam_min
         self.lambda_max = lam_max
+        self._identity = lam_min == lam_max == 1.0
 
     @classmethod
     def scalar(cls, grid, value):
@@ -305,46 +297,17 @@ class MaterialField:
         v[..., 0], v[..., 1], v[..., 2] = dx, dy, dz
         return cls("diagonal", v)
 
-    @classmethod
-    def full(cls, grid, tensor):
-        t = np.asarray(tensor, dtype=float)
-        if t.shape == (3, 3):
-            t = np.broadcast_to(t, (grid.nx, grid.ny, grid.nz, 3, 3)).copy()
-        return cls("full", t)
-
     def inverse(self):
-        if self.kind == "full":
-            inv = np.linalg.inv(self.values)
-            inv = 0.5 * (inv + np.swapaxes(inv, -1, -2))
-            return MaterialField("full", inv)
         return MaterialField(self.kind, 1.0 / self.values)
 
     def is_identity(self):
         return self._identity
 
     def apply_cells(self, v, out=None):
-        """Apply the tensor to a cell-centered vector array of shape (..., 3),
-        into out (v itself, say) when it is given; a scalar or diagonal
-        identity returns v itself (x * 1.0 == x)."""
-        if self.kind in ("scalar", "diagonal") and self._identity:
+        """Apply the coefficients to a cell-centered vector array of shape
+        (..., 3), into out (v itself, say) when it is given; the identity
+        returns v itself (x * 1.0 == x)."""
+        if self._identity:
             return v
-        if self.kind == "scalar":
-            return np.multiply(v, self.values[..., None], out=out)
-        if self.kind == "diagonal":
-            return np.multiply(v, self.values, out=out)
-        # einsum's summation order follows the strides of v: take it C-ordered
-        res = np.einsum("...ij,...j->...i", self.values, np.ascontiguousarray(v))
-        if out is None:
-            return res
-        out[...] = res  # einsum may not write over its own operand
-        return out
-
-    def component_values(self, comp):
-        """Per-cell coefficient seen by one Cartesian component (scalar/diagonal only)."""
-        if self.kind == "scalar":
-            return self.values
-        if self.kind == "diagonal":
-            return self.values[..., _COMPONENTS.index(comp)]
-        raise ParameterError(
-            "full-tensor materials cannot be applied componentwise to staggered fields"
-        )
+        coeff = self.values[..., None] if self.kind == "scalar" else self.values
+        return np.multiply(v, coeff, out=out)

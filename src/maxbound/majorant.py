@@ -197,10 +197,6 @@ def zero_term_parts(p, approx, Y, use_Etilde_t=True):
     )
 
 
-def zero_term(p, approx, Y, variant="z_hat", use_Etilde_t=True):
-    return zero_term_parts(p, approx, Y, use_Etilde_t).value(variant)
-
-
 # ---------------------------------------------------------------------------
 # the per-node series, in one pass over the time nodes
 

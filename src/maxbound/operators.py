@@ -3,8 +3,8 @@
 The two staggered curls are mutually adjoint with respect to the plain
 dof inner product (uniform cell-volume weight) whenever the edge field has
 zero tangential trace; norms used for error reporting average components
-to cell centers first so that full material tensors can be applied with a
-single quadrature rule.
+to cell centers first, where the per-cell material coefficients apply,
+and sum over cells with one quadrature rule.
 """
 
 from __future__ import annotations
@@ -261,56 +261,28 @@ def dof_inner(u, v, grid):
 
 
 def apply_material_staggered(f, w, grid, out=None):
-    """Apply a scalar/diagonal material to a staggered field in place of its dofs.
+    """Apply a material to a staggered field in place of its dofs.
 
-    Cell coefficients are averaged to the dof locations (replicated at the
-    boundary); exact for spatially constant materials.  The averaged
-    coefficients are kept on the material, once per (kind, component).
-    The result goes into out (f itself, say) when it is given.
+    Each dof takes the mean coefficient of its adjacent cells, which is
+    exact for spatially constant materials; the coefficients are kept on
+    the material, once per field kind.  The result goes into out (f
+    itself, say) when it is given.
     """
-    comps = []
-    outs = (None,) * 3 if out is None else out.components()
-    for c, arr, o in zip(_COMPONENTS, f.components(), outs):
-        if w.is_identity() and w.kind != "full":
-            # the coefficient is exactly 1.0: keep f's own values
-            if o is not None and o is not arr:
+    if w.is_identity():
+        # the coefficient is exactly 1.0: keep f's own values
+        if out is None:
+            return _field(grid, f.kind, list(f.components()))
+        for o, arr in zip(out.components(), f.components()):
+            if o is not arr:
                 np.copyto(o, arr)
-                arr = o
-        else:
-            key = (f.kind, c)
-            coeff = w.dof_cache.get(key)
-            if coeff is None:
-                coeff = _cell_coeff_to_dofs(w.component_values(c), grid, f.kind, c)
-                w.dof_cache[key] = coeff
-            arr = np.multiply(arr, coeff, out=o)
-        comps.append(arr)
-    return _field(grid, f.kind, comps) if out is None else out
-
-
-def _cell_coeff_to_dofs(c, grid, kind, comp):
-    own = _COMPONENTS.index(comp)
-    if kind == EDGE:
-        pad = [(1, 1)] * 3
-        pad[own] = (0, 0)
-        cp = np.pad(c, pad, mode="edge")
-        sl = [slice(None)] * 3
-        out = 0.0
-        axes = [d for d in range(3) if d != own]
-        for da in (0, 1):
-            for db in (0, 1):
-                s = list(sl)
-                s[axes[0]] = slice(da, c.shape[axes[0]] + 1 + da)
-                s[axes[1]] = slice(db, c.shape[axes[1]] + 1 + db)
-                out = out + 0.25 * cp[tuple(s)]
         return out
-    pad = [(0, 0)] * 3
-    pad[own] = (1, 1)
-    cp = np.pad(c, pad, mode="edge")
-    s0 = [slice(None)] * 3
-    s1 = [slice(None)] * 3
-    s0[own] = slice(0, c.shape[own] + 1)
-    s1[own] = slice(1, c.shape[own] + 2)
-    return 0.5 * (cp[tuple(s0)] + cp[tuple(s1)])
+    coeff = w.dof_cache.get(f.kind)
+    if coeff is None:
+        ones = np.ones((grid.nx, grid.ny, grid.nz, 3))
+        coeff = cell_average_adjoint(w.apply_cells(ones), grid, f.kind)
+        coeff.apply(np.divide, cell_average_adjoint(ones, grid, f.kind), coeff)
+        w.dof_cache[f.kind] = coeff
+    return f.apply(np.multiply, coeff, out)
 
 
 # ---------------------------------------------------------------------------

@@ -487,8 +487,7 @@ def _scaled_hessian(p, lam, scale, w, out=None, work=None):
     return out
 
 
-def conjugate_gradient(apply_A, rhs, tol=1e-10, max_iter=200, callback=None,
-                       stall_tol=0.0):
+def conjugate_gradient(apply_A, rhs, tol=1e-10, max_iter=200, stall_tol=0.0):
     """Solve A x = rhs for symmetric positive semidefinite A, matrix-free,
     from x = 0.
 
@@ -508,10 +507,9 @@ def conjugate_gradient(apply_A, rhs, tol=1e-10, max_iter=200, callback=None,
     is |r^| / |b^| = sqrt(r.P^-1 r / rhs.P^-1 rhs) for the residual r and
     right-hand side rhs of H delta = rhs and P^-1 = Q S^2 Q^T.
 
-    The iterations allocate nothing beyond what apply_A does and the copy
-    of x handed to callback: every product goes through one scratch
-    vector, and every dot product is a pairwise sum over it, which no BLAS
-    thread count changes.
+    The iterations allocate nothing beyond what apply_A does: every
+    product goes through one scratch vector, and every dot product is a
+    pairwise sum over it, which no BLAS thread count changes.
     """
     scratch = np.empty_like(rhs, dtype=float)
 
@@ -542,8 +540,6 @@ def conjugate_gradient(apply_A, rhs, tol=1e-10, max_iter=200, callback=None,
         rs_old, rs = rs, dot(r, r)
         qs.append(-0.5 * (dot(x, r) + dot(x, rhs)))
         it += 1
-        if callback is not None:
-            callback(x.copy(), it)
         if it >= _STALL_WINDOW and qs[-1 - _STALL_WINDOW] - qs[-1] <= stall_tol:
             break
         d *= rs / rs_old
@@ -552,7 +548,7 @@ def conjugate_gradient(apply_A, rhs, tol=1e-10, max_iter=200, callback=None,
 
 
 def optimize_Y(p, approx, gamma, rho, cfg=None, theorem="T5", zero_variant="z_hat",
-               Y0=None, callback=None, info=None):
+               Y0=None, info=None):
     """Minimize the final-time bound over the free field Y at fixed (gamma, rho).
 
     Conjugate gradients on the collapsed quadratic, in the scaled time
@@ -560,14 +556,12 @@ def optimize_Y(p, approx, gamma, rho, cfg=None, theorem="T5", zero_variant="z_ha
     _scaled_hessian).  The solve also ends once b(T) stalls:
     when _STALL_WINDOW iterations lower it by no more than _Y_STALL_RTOL of
     its value at Y0.  Returns the optimized FieldTrajectory; pass a dict as
-    `info` to receive the iteration count and the relative residual, and a
-    callback(Y, k) to observe iterates (each iterate is itself an
-    admissible free field).
+    `info` to receive the iteration count and the relative residual.
     """
     cfg = cfg if cfg is not None else OptimizeConfig()
     quad = BoundQuadratic(p, approx, rho, gamma, theorem, zero_variant)
     Y0 = _start_Y(p, approx, cfg) if Y0 is None else Y0
-    return _minimize_Y(quad, spatial_diagonals(p), Y0, quad.value(Y0), cfg, callback, info)
+    return _minimize_Y(quad, spatial_diagonals(p), Y0, quad.value(Y0), cfg, info)
 
 
 def _start_Y(p, approx, cfg):
@@ -577,20 +571,19 @@ def _start_Y(p, approx, cfg):
     return default_Y(p, approx)
 
 
-def _minimize_Y(quad, diagonals, Y0, value0, cfg, callback=None, info=None):
+def _minimize_Y(quad, diagonals, Y0, value0, cfg, info=None):
     """optimize_Y from Y0 for the quadratic quad, diagonals being
     spatial_diagonals of its problem and value0 b(T) at Y0.
 
     Plain CG on H delta = -grad in the scaled time eigenbasis (Q, S) of
     _scaled_eigenbasis: delta = Q S w, with S Q^T H Q S w = S Q^T (-grad).
-    The right-hand side is mapped in once and the answer, like each
-    iterate handed to callback, back once; no time operator runs inside
-    the loop.  In exact arithmetic this is PCG on H with P^-1 = Q S^2 Q^T,
-    P = 2 [T1 (x) diag(G_mu) + diag(w_edge) (x) diag(K)] being the entries
-    of H that couple each face dof with itself: the same steps and the
-    same q(x), so the stall rule stops where PCG would.  The buffers of
-    the iterations are made after the gradient, whose residual
-    trajectories are gone by then.
+    The right-hand side is mapped in once and the answer back once; no
+    time operator runs inside the loop.  In exact arithmetic this is PCG
+    on H with P^-1 = Q S^2 Q^T, P = 2 [T1 (x) diag(G_mu) + diag(w_edge)
+    (x) diag(K)] being the entries of H that couple each face dof with
+    itself: the same steps and the same q(x), so the stall rule stops
+    where PCG would.  The buffers of the iterations are made after the
+    gradient, whose residual trajectories are gone by then.
     """
     g = quad.grid
     q, lam, scale = _scaled_eigenbasis(quad, diagonals)
@@ -598,25 +591,17 @@ def _minimize_Y(quad, diagonals, Y0, value0, cfg, callback=None, info=None):
     rhs = _along_time(q.T, quad.gradient_flat(y_start), g)
     rhs *= -scale
 
-    def to_Y(w):
-        return _unflatten(y_start + _along_time(q, w * scale, g), g)
-
-    cb = None
-    if callback is not None:
-        def cb(w, k):
-            callback(to_Y(w), k)
-
     # the partials alone hold the CG buffers, which thus go when the solve
     # returns, before the result is formed
     w, iters, rel_res = conjugate_gradient(
         partial(_scaled_hessian, quad.p, lam, scale, out=np.empty_like(rhs), work=_Work(g)),
-        rhs, tol=cfg.cg_tol, max_iter=cfg.cg_max_iter, callback=cb,
+        rhs, tol=cfg.cg_tol, max_iter=cfg.cg_max_iter,
         stall_tol=_Y_STALL_RTOL * abs(value0),
     )
     if info is not None:
         info["iterations"] = iters
         info["relative_residual"] = rel_res
-    return to_Y(w)
+    return _unflatten(y_start + _along_time(q, w * scale, g), g)
 
 
 # ---------------------------------------------------------------------------

@@ -224,36 +224,30 @@ def get_case(name, **parameters):
 # perturbation bumps
 
 
-def _bump_spatial(grid):
-    bx = math.pi / grid.lx
-    by = math.pi / grid.ly
-    bz = math.pi / grid.lz
-    return StaggeredField.sample(
-        grid,
-        EDGE,
-        lambda X, Y, Z: 0.0 * X,
-        lambda X, Y, Z: 0.0 * X,
-        lambda X, Y, Z: np.sin(bx * X) * np.sin(by * Y) * (1.0 + 0.5 * np.cos(bz * Z)),
-    )
+def _bump_profiles(grid):
+    bx, by, bz = math.pi / grid.lx, math.pi / grid.ly, math.pi / grid.lz
+    return {"bump": (EDGE, None, None, lambda X, Y, Z:
+                     np.sin(bx * X) * np.sin(by * Y) * (1.0 + 0.5 * np.cos(bz * Z)))}
+
+
+_bump_sample = _profile_sampler(_bump_profiles)
 
 
 def bump_field(key, grid, t):
     """Smooth edge-type bump with zero tangential trace, sampled at time t."""
-    w = _bump_spatial(grid)
     if key == "poly_t2":
-        return w * (t / grid.T) ** 2
+        return _bump_sample(grid, "bump", (t / grid.T) ** 2)
     if key == "static":
-        return w
+        return _bump_sample(grid, "bump", 1.0)
     raise UnsupportedCaseError(f"unknown bump key {key!r}")
 
 
 def bump_field_dt(key, grid, t):
     """Analytic time derivative of bump_field."""
-    w = _bump_spatial(grid)
     if key == "poly_t2":
-        return w * (2.0 * t / grid.T**2)
+        return _bump_sample(grid, "bump", 2.0 * t / grid.T**2)
     if key == "static":
-        return w * 0.0
+        return _bump_sample(grid, "bump", 0.0)
     raise UnsupportedCaseError(f"unknown bump key {key!r}")
 
 

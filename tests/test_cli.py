@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -22,6 +23,7 @@ from maxbound.cli import (
     EXIT_VERIFY_FAIL,
     main,
 )
+from maxbound.config import CONFIG_SCHEMA
 
 from conftest import traced_peak
 
@@ -181,6 +183,44 @@ def test_exit_codes_for_bad_inputs(tmp_path, capsys):
     assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == EXIT_STABILITY
 
     capsys.readouterr()
+
+
+# a spec of each material kind the config schema admits; a kind added to
+# the schema without an entry here fails the test below
+_MATERIAL_SPECS = {"scalar": {"value": 2.0}, "diagonal": {"values": [1.5, 0.5, 3.0]}}
+_MATERIAL_KINDS = [(which, kind)
+                   for which, schema in CONFIG_SCHEMA["properties"]["materials"]["properties"].items()
+                   for kind in schema["properties"]["kind"]["enum"]]
+
+
+@pytest.mark.parametrize("which, kind", _MATERIAL_KINDS)
+def test_every_material_kind_the_schema_admits_solves_and_certifies(tmp_path, capsys, which,
+                                                                    kind):
+    doc = {
+        "grid": {"nx": 4, "ny": 4, "nz": 4, "lx": 1.0, "ly": 1.0, "lz": 1.0, "nt": 9, "T": 0.5},
+        "materials": {which: dict(kind=kind, **_MATERIAL_SPECS[kind])},
+        "perturbation": {"bump": "poly_t2", "delta": 1e-2},
+    }
+    cfg = _write(tmp_path, "run.json", doc)
+    out = str(tmp_path / "out")
+    snap = os.path.join(out, "snapshot.bin")
+    assert main(["solve", "--config", cfg, "--out", out]) == EXIT_OK
+    assert main(["certify", "--config", cfg, "--snapshot", snap, "--out", out]) == EXIT_OK
+    with open(os.path.join(out, "report.json")) as fh:
+        rows = json.load(fh)["rows"]
+    assert 0.0 < rows[-1]["bound_b"] < math.inf
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("which", ["eps", "mu"])
+def test_a_full_tensor_material_is_a_config_error_before_any_snapshot(tmp_path, capsys, which):
+    doc = _cavity_cfg(n=4, nt=9)
+    doc["materials"] = {which: {"kind": "full", "values": np.eye(3).tolist()}}
+    cfg = _write(tmp_path, "run.json", doc)
+    out = str(tmp_path / "out")
+    assert main(["solve", "--config", cfg, "--out", out]) == EXIT_CONFIG
+    assert f"$['materials']['{which}']['kind']" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "snapshot.bin"))
 
 
 def test_snapshot_grid_mismatch_exit_code(tmp_path, capsys):

@@ -156,7 +156,7 @@ def test_bound_assembly_matches_manual_reconstruction():
     kc = norm_sq_trajectory(res.Kcheck, p.eps_inv, g)
     rt = norm_sq_trajectory(res.Rt, p.mu, g)
     coup = inner_trajectory(res.Ktilde, res.coupling_curl, g)
-    z = mb.zero_term(p, approx, Y, "z_hat")
+    z = mb.zero_term_parts(p, approx, Y).value("z_hat")
     f_manual = np.empty(g.nt)
     for k in range(g.nt):
         integ = 0.0

@@ -9,7 +9,6 @@ import maxbound as mb
 from maxbound.errors import DimensionError, ParameterError
 from maxbound.fields import EDGE, FACE, StaggeredField
 from maxbound.operators import (
-    _cell_coeff_to_dofs,
     apply_material_staggered,
     cell_average,
     cell_average_adjoint,
@@ -142,26 +141,17 @@ def test_weighted_inner_matches_bruteforce_cell_sum():
     assert got == pytest.approx(total, rel=1e-12)
 
 
-def test_full_tensor_weight_agrees_with_equivalent_diagonal():
-    grid = _grid(4, 3)
-    rng = np.random.default_rng(23)
-    u = random_edge_interior(grid, rng)
-    v = random_edge_interior(grid, rng)
-    w_diag = mb.MaterialField.diagonal(grid, 2.0, 0.5, 1.25)
-    w_full = mb.MaterialField.full(grid, np.diag([2.0, 0.5, 1.25]))
-    a = weighted_inner(u, v, w_diag, grid)
-    b = weighted_inner(u, v, w_full, grid)
-    assert a == pytest.approx(b, rel=1e-13)
-
-
-def test_material_validation_rejects_indefinite_and_asymmetric_tensors():
+def test_material_validation_rejects_nonpositive_coefficients_and_unknown_kinds():
     grid = _grid(3, 3)
     with pytest.raises(ParameterError):
         mb.MaterialField.scalar(grid, -1.0)
     with pytest.raises(ParameterError):
-        mb.MaterialField.full(grid, [[1.0, 0.5, 0.0], [0.4, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        mb.MaterialField.diagonal(grid, 1.0, 1.0, -2.0)
     with pytest.raises(ParameterError):
-        mb.MaterialField.full(grid, np.diag([1.0, 1.0, -2.0]))
+        mb.MaterialField.diagonal(grid, 1.0, np.nan, 2.0)
+    # only per-cell scalar or diagonal coefficients exist
+    with pytest.raises(ParameterError):
+        mb.MaterialField("full", np.broadcast_to(np.eye(3), (3, 3, 3, 3, 3)))
 
 
 def _special_values(rng, shape):
@@ -174,6 +164,12 @@ def _special_values(rng, shape):
     return v
 
 
+def _same_bits(got, want):
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    assert np.array_equal(np.ascontiguousarray(got).view(np.uint64),
+                          np.ascontiguousarray(want).view(np.uint64))
+
+
 @pytest.mark.parametrize("material", ["scalar", "diagonal"])
 def test_the_identity_shortcut_equals_the_multiply_by_ones_bit_for_bit(material):
     grid = _grid(4, 3)
@@ -182,24 +178,71 @@ def test_the_identity_shortcut_equals_the_multiply_by_ones_bit_for_bit(material)
             else mb.MaterialField.diagonal(grid, 1.0, 1.0, 1.0))
     assert ones.is_identity()
     assert not mb.MaterialField.diagonal(grid, 1.0, 1.0, 1.0 + 2**-52).is_identity()
-
-    def same_bits(got, want):
-        assert np.array_equal(np.signbit(got), np.signbit(want))
-        assert np.array_equal(np.ascontiguousarray(got).view(np.uint64),
-                              np.ascontiguousarray(want).view(np.uint64))
+    cells = np.ones((grid.nx, grid.ny, grid.nz, 3))
 
     for kind in (EDGE, FACE):
         f = StaggeredField(kind, *(_special_values(rng, grid.shape(kind, c)) for c in "xyz"))
         got = apply_material_staggered(f, ones, grid)
-        for c, a, b in zip("xyz", got.components(), f.components()):
-            # the shortcut never builds the identity's coefficient; build it here
-            coeff = _cell_coeff_to_dofs(ones.component_values(c), grid, kind, c)
-            assert (coeff == 1.0).all()
-            same_bits(a, b * coeff)
+        # the shortcut never builds the identity's coefficient, the mean of
+        # its adjacent cells' ones; build it here
+        coeff = cell_average_adjoint(ones.apply_cells(cells), grid, kind).apply(
+            np.divide, cell_average_adjoint(cells, grid, kind))
+        for a, b, c in zip(got.components(), f.components(), coeff.components()):
+            assert (c == 1.0).all()
+            _same_bits(a, b * c)
     assert not ones.dof_cache
     v = _special_values(rng, (grid.nx, grid.ny, grid.nz, 3))
     want = v * (ones.values[..., None] if material == "scalar" else ones.values)
-    same_bits(ones.apply_cells(v), want)
+    _same_bits(ones.apply_cells(v), want)
+
+
+@pytest.mark.parametrize("material", ["scalar", "diagonal"])
+def test_a_spatially_constant_material_is_reproduced_exactly_at_every_dof(material):
+    grid = mb.GridSpec(3, 4, 5, 1.0, 1.2, 0.8, 3, 1.0)
+    rng = np.random.default_rng(41)
+    constants = np.concatenate([
+        [0.1, 1.0 / 3.0, 3.0, 1.0 + 2**-52, 1.0 - 2**-53, 1e-300, 1e300],
+        np.exp(rng.uniform(-30.0, 30.0, 60)),
+    ])
+    for c in constants:
+        cs = (c, c, c) if material == "scalar" else (c, 1.0 / c, 2.0 * c)
+        w = (mb.MaterialField.scalar(grid, c) if material == "scalar"
+             else mb.MaterialField.diagonal(grid, *cs))
+        for kind in (EDGE, FACE):
+            ones = StaggeredField(kind, *(np.ones(grid.shape(kind, a)) for a in "xyz"))
+            got = apply_material_staggered(ones, w, grid)
+            for comp, want in zip(got.components(), cs):
+                _same_bits(comp, np.full(comp.shape, want))
+
+
+def _adjacent_cell_mean(values, grid, kind, own, index):
+    """The mean coefficient of the cells around one dof, summed in a loop."""
+    n = (grid.nx, grid.ny, grid.nz)
+    ranges = []
+    for d in range(3):
+        # a dof sits between cells along an axis where it is not cell-centred
+        between = (d != own) if kind == EDGE else (d == own)
+        ranges.append([i for i in (index[d] - 1, index[d]) if 0 <= i < n[d]]
+                      if between else [index[d]])
+    cells = [(i, j, k) for i in ranges[0] for j in ranges[1] for k in ranges[2]]
+    return sum(values[cell] for cell in cells) / len(cells)
+
+
+@pytest.mark.parametrize("material", ["scalar", "diagonal"])
+def test_each_dof_takes_the_mean_coefficient_of_its_adjacent_cells(material):
+    grid = mb.GridSpec(3, 4, 2, 1.0, 1.2, 0.8, 3, 1.0)
+    rng = np.random.default_rng(43)
+    cells = (grid.nx, grid.ny, grid.nz)
+    w = mb.MaterialField(material, rng.uniform(0.5, 4.0, cells if material == "scalar"
+                                                else cells + (3,)))
+    for kind in (EDGE, FACE):
+        ones = StaggeredField(kind, *(np.ones(grid.shape(kind, a)) for a in "xyz"))
+        got = apply_material_staggered(ones, w, grid)
+        for own, comp in enumerate(got.components()):
+            values = w.values if material == "scalar" else w.values[..., own]
+            for index in np.ndindex(comp.shape):
+                want = _adjacent_cell_mean(values, grid, kind, own, index)
+                assert abs(comp[index] - want) <= 2 * np.spacing(want), (kind, own, index)
 
 
 def test_gram_apply_represents_the_weighted_norm():

@@ -3,7 +3,6 @@
 import math
 import tracemalloc
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,7 +21,6 @@ from maxbound.optimize import (
     _Work,
     _along_time,
     _bound_from_series,
-    _comb_diagonals,
     _flatten,
     _scaled_eigenbasis,
     _scaled_hessian,
@@ -123,11 +121,15 @@ def test_an_unfinished_solve_returns_its_last_iterate_even_when_the_residual_ros
     A = Q @ np.diag(np.logspace(0, 6, 80)) @ Q.T
     A = 0.5 * (A + A.T)
     rhs = rng.standard_normal(80)
-    seen = []
-    x, iters, rel = conjugate_gradient(lambda v: A @ v, rhs, max_iter=15,
-                                       callback=lambda xk, k: seen.append(xk))
-    assert iters == 15 and rel > 1.0
-    np.testing.assert_array_equal(x, seen[-1])
+    # CG from zero is deterministic: iterate k is the result at max_iter=k
+    runs = [conjugate_gradient(lambda v: A @ v, rhs, max_iter=k) for k in range(1, 16)]
+    assert [it for _, it, _ in runs] == list(range(1, 16))
+    x, _, rel = runs[-1]
+    assert rel > 1.0
+    assert rel > min(r for _, _, r in runs[:-1])
+    assert rel == pytest.approx(np.linalg.norm(rhs - A @ x) / np.linalg.norm(rhs), rel=1e-6)
+    q = [xk @ A @ xk / 2 - rhs @ xk for xk, _, _ in runs]
+    assert all(q[-1] < qk for qk in q[:-1])
 
 
 def test_conjugate_gradient_from_zero_makes_one_product_per_iteration():
@@ -278,10 +280,13 @@ def test_free_field_minimization_reduces_the_bound():
     Y = mb.optimize_Y(p, approx, gamma=1.0, rho=0.5, Y0=Y0)
     after = quad.value(Y)
     assert after < before
-    # every iterate along the way is itself an admissible free field
-    seen = []
-    mb.optimize_Y(p, approx, gamma=1.0, rho=0.5, Y0=Y0,
-                  callback=lambda Yk, k: seen.append(quad.value(Yk)))
+    # every iterate along the way is itself an admissible free field;
+    # iterate k is the result at cg_max_iter=k
+    info = {}
+    mb.optimize_Y(p, approx, gamma=1.0, rho=0.5, Y0=Y0, info=info)
+    seen = [quad.value(mb.optimize_Y(p, approx, gamma=1.0, rho=0.5, Y0=Y0,
+                                     cfg=mb.OptimizeConfig(cg_max_iter=k)))
+            for k in range(1, info["iterations"] + 1)]
     assert seen and seen[-1] == pytest.approx(after, rel=1e-9)
 
 
@@ -430,9 +435,6 @@ def _material(kind, grid, rng):
         return mb.MaterialField.scalar(grid, 2.5)
     if kind == "diagonal":
         return mb.MaterialField.diagonal(grid, 1.5, 0.5, 3.0)
-    if kind == "full":
-        a = rng.standard_normal(shape + (3, 3))
-        return mb.MaterialField("full", a @ np.swapaxes(a, -1, -2) + 3.0 * np.eye(3))
     return mb.MaterialField("diagonal", rng.uniform(0.5, 4.0, shape + (3,)))
 
 
@@ -451,16 +453,6 @@ def test_spatial_diagonals_equal_unit_vector_probes(n, kind):
     np.testing.assert_array_equal(mass, _unit_probe_diagonal(
         lambda u: gram_apply(u, p.mu, grid), grid))
     np.testing.assert_array_equal(curl, _unit_probe_diagonal(curl_curl, grid))
-
-
-def test_comb_probes_cover_full_tensor_materials():
-    rng = np.random.default_rng(5)
-    grid = mb.GridSpec(4, 3, 4, 1.0, 1.0, 1.0, 5, 0.5)
-    a = rng.standard_normal((4, 3, 4, 3, 3))
-    tensor = mb.MaterialField("full", a @ np.swapaxes(a, -1, -2) + 3.0 * np.eye(3))
-    (diag,) = _comb_diagonals([lambda u, g: gram_apply(u, tensor, g)], grid)
-    np.testing.assert_array_equal(
-        diag, _unit_probe_diagonal(lambda u: gram_apply(u, tensor, grid), grid))
 
 
 def _to_basis(basis, v, grid):
@@ -579,34 +571,25 @@ def test_a_cg_iteration_of_the_y_solve_allocates_no_array():
 
 @pytest.mark.parametrize("theorem", ["T1", "T3", "T4", "T5"])
 @pytest.mark.parametrize("variant", ["z", "z_hat"])
-@pytest.mark.parametrize("kind", ["identity", "scalar", "diagonal", "per-cell", "full"])
+@pytest.mark.parametrize("kind", ["identity", "scalar", "diagonal", "per-cell"])
 def test_explicit_hessian_is_the_symmetric_semidefinite_gradient_difference(
         theorem, variant, kind):
     # in the scaled time eigenbasis: A^ w = S Q^T (grad(Q S w) - grad(0))
     rng = np.random.default_rng(17)
     grid = mb.GridSpec(3, 4, 3, 1.0, 1.2, 0.8, 6, 0.5)
-    eps, mu = _material(kind, grid, rng), _material(kind, grid, rng)
-    if kind == "full":
-        # apply_material_staggered, which builds the Y-independent part, takes
-        # no full tensors; the Hessian and the gradient's Y-dependent part
-        # see the materials only through gram_apply
-        p = mb.assemble_problem(grid)
-    else:
-        p = mb.assemble_problem(grid, eps=eps, mu=mu)
+    p = mb.assemble_problem(grid, eps=_material(kind, grid, rng), mu=_material(kind, grid, rng))
     approx = SolveOutput(*(FieldTrajectory.zeros(grid, k) for k in (EDGE, mb.FACE, EDGE)))
     for traj in (approx.Etilde, approx.Etilde_t):
         for comp in traj.components():
             comp[...] = rng.standard_normal(comp.shape)
     quad = BoundQuadratic(p, approx, rho=0.4, gamma=1.3, theorem=theorem, zero_variant=variant)
-    if kind == "full":
-        quad.p = replace(p, mu=mu, eps_inv=eps.inverse())
-    basis = _scaled_eigenbasis(quad, spatial_diagonals(quad.p))
+    basis = _scaled_eigenbasis(quad, spatial_diagonals(p))
     _, lam, scale = basis
     nd = scale.size
     base = quad.gradient_flat(np.zeros(nd))
     for _ in range(3):
         u, v = rng.standard_normal(nd), rng.standard_normal(nd)
-        hu, hv = (_scaled_hessian(quad.p, lam, scale, x) for x in (u, v))
+        hu, hv = (_scaled_hessian(p, lam, scale, x) for x in (u, v))
         diff = _to_basis(basis, quad.gradient_flat(_from_basis(basis, v, grid)) - base, grid)
         assert np.abs(hv - diff).max() <= 1e-12 * np.abs(diff).max()
         assert abs(u @ hv - v @ hu) <= 1e-12 * np.linalg.norm(u) * np.linalg.norm(hv)
@@ -653,10 +636,13 @@ def test_conjugate_gradient_stops_once_the_quadratic_stalls():
     A = 0.5 * (A + A.T)
     rhs = rng.standard_normal(80)
     stall_tol = 1e-3 * abs(rhs @ np.linalg.solve(A, rhs)) / 2
-    qs = [0.0]
-    x, iters, _ = conjugate_gradient(lambda v: A @ v, rhs, max_iter=500, stall_tol=stall_tol,
-                                     callback=lambda xk, k: qs.append(xk @ A @ xk / 2 - rhs @ xk))
-    assert _STALL_WINDOW <= iters < 500 and len(qs) == iters + 1
+    x, iters, _ = conjugate_gradient(lambda v: A @ v, rhs, max_iter=500, stall_tol=stall_tol)
+    assert _STALL_WINDOW <= iters < 500
+    # CG from zero is deterministic: iterate k is the result at max_iter=k
+    iterates = [conjugate_gradient(lambda v: A @ v, rhs, max_iter=k, stall_tol=stall_tol)[0]
+                for k in range(iters + 1)]
+    np.testing.assert_array_equal(iterates[-1], x)
+    qs = [xk @ A @ xk / 2 - rhs @ xk for xk in iterates]
     gains = [qs[k - _STALL_WINDOW] - qs[k] for k in range(_STALL_WINDOW, len(qs))]
     assert gains[-1] <= stall_tol * (1.0 + 1e-9)
     assert all(gain > stall_tol * (1.0 - 1e-9) for gain in gains[:-1])
