@@ -84,7 +84,7 @@ def _initial_energy(p):
 
 
 def _out_dir(args):
-    out = getattr(args, "out", None) or "."
+    out = args.out or "."
     os.makedirs(out, exist_ok=True)
     return out
 
@@ -389,25 +389,28 @@ def build_parser():
     parser.add_argument("--version", action="version", version=f"maxbound {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON configuration file")
-    common.add_argument("--snapshot", help="field snapshot archive path")
-    common.add_argument("--out", help="output directory (default: current)")
-    common.add_argument("--theorem", choices=["T1", "T3", "T4", "T5"], default=None)
-    common.add_argument("--optimize", choices=["none", "params", "full"], default=None)
-
-    p_solve = sub.add_parser("solve", parents=[common],
-                             help="run the forward solver, write a snapshot archive")
-    p_solve.set_defaults(func=cmd_solve)
-    p_cert = sub.add_parser("certify", parents=[common],
-                            help="compute guaranteed error bounds for a snapshot")
-    p_cert.set_defaults(func=cmd_certify)
-    p_ver = sub.add_parser("verify", parents=[common],
-                           help="run a refinement study on a catalog case")
-    p_ver.set_defaults(func=cmd_verify)
-    p_gron = sub.add_parser("gronwall", parents=[common],
-                            help="check the Gronwall bounds against an ODE oracle")
-    p_gron.set_defaults(func=cmd_gronwall)
+    flags = {
+        "--config": dict(help="JSON configuration file"),
+        "--snapshot": dict(help="field snapshot archive path"),
+        "--out": dict(help="output directory (default: current)"),
+        "--theorem": dict(choices=["T1", "T3", "T4", "T5"], default=None),
+        "--optimize": dict(choices=["none", "params", "full"], default=None),
+    }
+    # each subcommand takes only the flags it reads; any other is an unknown flag
+    for name, func, reads, text in (
+        ("solve", cmd_solve, ("--config", "--snapshot", "--out"),
+         "run the forward solver, write a snapshot archive"),
+        ("certify", cmd_certify, tuple(flags),
+         "compute guaranteed error bounds for a snapshot"),
+        ("verify", cmd_verify, ("--config", "--out", "--theorem"),
+         "run a refinement study on a catalog case"),
+        ("gronwall", cmd_gronwall, ("--config",),
+         "check the Gronwall bounds against an ODE oracle"),
+    ):
+        command = sub.add_parser(name, help=text)
+        for flag in reads:
+            command.add_argument(flag, **flags[flag])
+        command.set_defaults(func=func)
     return parser
 
 

@@ -4,10 +4,17 @@ Electric-type quantities live on cell edges, magnetic-type quantities on
 cell faces of a uniform rectangular grid covering the box
 (0, lx) x (0, ly) x (0, lz).  Time samples sit on a uniform node grid
 t_k = k * dt over [0, T].
+
+The Yee layout is one rule, nodal_axes: a component sits on the n + 1 grid
+nodes along the axes across its edge (two) or its face (one), and on the n
+cell midpoints along the others.  Grid shapes, dof coordinates, the cell
+average and its adjoint (the two dofs across each nodal axis) and the
+tangential trace (both ends of an edge component's nodal axes) all read it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -17,6 +24,12 @@ from .errors import DimensionError, ParameterError
 EDGE = "edge"
 FACE = "face"
 _COMPONENTS = ("x", "y", "z")
+
+
+def nodal_axes(kind, i):
+    """The axes along which component i of a field of this kind sits on grid
+    nodes: the two axes across an edge, the one axis across a face."""
+    return tuple(d for d in range(3) if (d == i) == (kind == FACE))
 
 
 @dataclass(frozen=True)
@@ -43,6 +56,13 @@ class GridSpec:
                 raise ParameterError(f"{name} must be > 0, got {getattr(self, name)}")
         if not min(self.hx, self.hy, self.hz, self.dt) > 0:
             raise ParameterError("a cell size or the time step underflows to 0")
+        if not all(math.isfinite(length * length) for length in (self.lx, self.ly, self.lz)):
+            # the case profiles and the stability limit square the lengths
+            raise ParameterError("a box length squared overflows")
+        n = (self.nx, self.ny, self.nz)
+        object.__setattr__(self, "_shapes", {
+            (kind, c): tuple(n[d] + (d in nodal_axes(kind, i)) for d in range(3))
+            for kind in (EDGE, FACE) for i, c in enumerate(_COMPONENTS)})
 
     @property
     def hx(self):
@@ -68,39 +88,16 @@ class GridSpec:
     def times(self):
         return np.linspace(0.0, self.T, self.nt)
 
-    def edge_shape(self, comp):
-        nx, ny, nz = self.nx, self.ny, self.nz
-        return {
-            "x": (nx, ny + 1, nz + 1),
-            "y": (nx + 1, ny, nz + 1),
-            "z": (nx + 1, ny + 1, nz),
-        }[comp]
-
-    def face_shape(self, comp):
-        nx, ny, nz = self.nx, self.ny, self.nz
-        return {
-            "x": (nx + 1, ny, nz),
-            "y": (nx, ny + 1, nz),
-            "z": (nx, ny, nz + 1),
-        }[comp]
-
     def shape(self, kind, comp):
-        return self.edge_shape(comp) if kind == EDGE else self.face_shape(comp)
+        """Dof counts of one component: n + 1 along its nodal axes, n along the others."""
+        return self._shapes[kind, comp]
 
     def component_coords(self, kind, comp):
         """Physical coordinates (sparse meshgrids, ij indexing) of the dofs of one component."""
         h = (self.hx, self.hy, self.hz)
-        n = (self.nx, self.ny, self.nz)
-        # Edge components are staggered along their own axis, face components
-        # along the two transverse axes.
-        axes = []
-        own = _COMPONENTS.index(comp)
-        for d in range(3):
-            staggered = (d == own) if kind == EDGE else (d != own)
-            if staggered:
-                axes.append((np.arange(n[d]) + 0.5) * h[d])
-            else:
-                axes.append(np.arange(n[d] + 1) * h[d])
+        nodal = nodal_axes(kind, _COMPONENTS.index(comp))
+        axes = [(np.arange(m) + (d not in nodal) * 0.5) * h[d]
+                for d, m in enumerate(self.shape(kind, comp))]
         return np.meshgrid(*axes, indexing="ij", sparse=True)
 
 

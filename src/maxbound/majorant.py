@@ -116,35 +116,23 @@ def _check_Y(Y, grid):
         raise GridMismatchError(f"Y has {Y.grid.nt} nodes, problem has {grid.nt}")
 
 
-def residuals(p, approx, Y, theorem=None):
+def residuals(p, approx, Y, theorem):
     """The residual trajectories for the given free field Y that the theorem
-    reads, the others None (all of them for theorem None); the
-    Y-optimizer's gradient reads them."""
+    reads, the others None; the Y-optimizer's gradient reads them."""
     g = p.grid
+    _check_theorem(theorem, g, approx)
     _check_Y(Y, g)
-    high = theorem in (None, "T1", "T3")
-    low = theorem in (None, "T4", "T5")
-
     Ktilde = mu_inv_curl(p, approx.Etilde) - Y
-    dt_Ktilde = trajectory_derivative(Ktilde) if high else None
     curl_Y = curl_face_to_edge(Y, g)
-
     dE = trajectory_derivative(approx.Etilde)
-
-    Khat = None
-    if high and g.nt >= 5:
-        ddE = trajectory_derivative(dE)
-        Khat = apply_material_staggered(ddE, p.eps, g) + curl_Y - p.K
-
-    Kcheck = None
-    Rt = None
-    coupling_curl = None
-    if low and approx.Etilde_t is not None:
-        dEt = trajectory_derivative(approx.Etilde_t)
-        Kcheck = apply_material_staggered(dEt, p.eps, g) + curl_Y - p.K
-        Rt = mu_inv_curl(p, approx.Etilde_t) - trajectory_derivative(Y)
-        coupling_curl = curl_edge_to_face(approx.Etilde_t - dE, g)
-    return Residuals(Khat, Ktilde, Kcheck, Rt, dt_Ktilde, coupling_curl)
+    if theorem in ("T1", "T3"):
+        Khat = apply_material_staggered(trajectory_derivative(dE), p.eps, g) + curl_Y - p.K
+        return Residuals(Khat, Ktilde, None, None, trajectory_derivative(Ktilde), None)
+    dEt = trajectory_derivative(approx.Etilde_t)
+    Kcheck = apply_material_staggered(dEt, p.eps, g) + curl_Y - p.K
+    Rt = mu_inv_curl(p, approx.Etilde_t) - trajectory_derivative(Y)
+    coupling_curl = curl_edge_to_face(approx.Etilde_t - dE, g)
+    return Residuals(None, Ktilde, Kcheck, Rt, None, coupling_curl)
 
 
 def norm_sq_trajectory(traj, w, grid):

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .errors import DimensionError, ParameterError
-from .fields import EDGE, FACE, FieldTrajectory, GridSpec, StaggeredField
+from .fields import EDGE, FACE, FieldTrajectory, GridSpec, StaggeredField, nodal_axes
 
 _COMPONENTS = ("x", "y", "z")
 
@@ -42,6 +42,15 @@ def _lower_upper(a, axis):
     hi = list(lo)
     lo[axis], hi[axis] = slice(None, -1), slice(1, None)
     return a[tuple(lo)], a[tuple(hi)]
+
+
+def _corners(a, axes):
+    """The views of a shifted by 0 or 1 along each of the spatial axes given,
+    the last one fastest: per cell, its dofs across those axes."""
+    views = [a]
+    for axis in axes:
+        views = [v for base in views for v in _lower_upper(base, axis - 3)]
+    return views
 
 
 def _curl_rows(terms, work):
@@ -122,16 +131,12 @@ def gradient_node_to_edge(phi, grid):
 
 
 def zero_tangential(e):
-    """Zero the tangential boundary components of an edge field in place;
-    returns the field."""
-    for own, comp in zip((-3, -2, -1), e.components()):
-        # a component is tangential on both ends of the two other axes
-        for axis in (-3, -2, -1):
-            if axis != own:
-                index = [slice(None)] * comp.ndim
-                for end in (0, -1):
-                    index[axis] = end
-                    comp[tuple(index)] = 0.0
+    """Zero the tangential boundary components of an edge field, at both ends
+    of their nodal axes, in place; returns the field."""
+    for i, comp in enumerate(e.components()):
+        for d in nodal_axes(EDGE, i):
+            for end in (0, -1):
+                comp[(..., end) + (slice(None),) * (2 - d)] = 0.0
     return e
 
 
@@ -150,12 +155,8 @@ def cell_average(f, grid, out=None):
     planar = out[..., 0].flags.c_contiguous
     scratch = None if planar else np.empty(out.shape[:-1])
     for i, comp in enumerate(f.components()):
-        # an edge component's 4 dofs around the cell on its transverse axes, a
-        # face component's 2 on its own axis, summed with the first axis fastest
-        axes = [d for d in (-3, -2, -1) if (d == i - 3) != (f.kind == EDGE)]
-        terms = [comp]
-        for axis in reversed(axes):
-            terms = [t for base in terms for t in _lower_upper(base, axis)]
+        # the cell's dofs across the nodal axes, summed with the first axis fastest
+        terms = _corners(comp, reversed(nodal_axes(f.kind, i)))
         total = out[..., i] if planar else scratch
         np.add(terms[0], terms[1], out=total)
         for term in terms[2:]:
@@ -185,28 +186,10 @@ def _scatter_to_dofs(v, grid, kind, out):
     if out is None:
         out = _field(grid, kind, [np.empty(v.shape[:-4] + grid.shape(kind, c))
                                   for c in _COMPONENTS])
-    ox, oy, oz = out.components()
-    nx, ny, nz = grid.nx, grid.ny, grid.nz
-    vx, vy, vz = (v[..., i] for i in range(3))
-    for o in (ox, oy, oz):
+    for i, o in enumerate(out.components()):
         o.fill(0.0)
-    if kind == EDGE:
-        for dy in (0, 1):
-            for dz in (0, 1):
-                ox[..., dy : ny + dy, dz : nz + dz] += vx
-        for dx in (0, 1):
-            for dz in (0, 1):
-                oy[..., dx : nx + dx, :, dz : nz + dz] += vy
-        for dx in (0, 1):
-            for dy in (0, 1):
-                oz[..., dx : nx + dx, dy : ny + dy, :] += vz
-    else:
-        for dx in (0, 1):
-            ox[..., dx : nx + dx, :, :] += vx
-        for dy in (0, 1):
-            oy[..., dy : ny + dy, :] += vy
-        for dz in (0, 1):
-            oz[..., dz : nz + dz] += vz
+        for corner in _corners(o, nodal_axes(kind, i)):
+            corner += v[..., i]
     return out
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import inspect
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional
 
@@ -87,6 +88,14 @@ def _profile_sampler(profiles):
     return sample
 
 
+def _amplitude(value):
+    """value as a float; float() would also read a boolean as 0 or 1 and a
+    string such as "2" or "nan", so only a finite real number passes."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Real) and math.isfinite(value)):
+        raise UnsupportedCaseError(f"amplitude must be a finite number, got {value!r}")
+    return float(value)
+
+
 def cavity_mode(m=1, n=1, amplitude=1.0):
     """Source-free TM standing mode of the unit-material box cavity.
 
@@ -94,10 +103,10 @@ def cavity_mode(m=1, n=1, amplitude=1.0):
     w = pi sqrt((m / lx)^2 + (n / ly)^2); H follows from the magnetic
     equation with G = 0.  Requires eps = mu = identity.
     """
-    if not all(isinstance(i, int) and i >= 1 for i in (m, n)):
+    if not all(isinstance(i, int) and not isinstance(i, bool) and i >= 1 for i in (m, n)):
         raise UnsupportedCaseError(f"cavity mode indices must be positive integers, "
                                    f"got ({m!r}, {n!r})")
-    A = float(amplitude)
+    A = _amplitude(amplitude)
 
     def _omega(grid):
         return math.pi * math.hypot(m / grid.lx, n / grid.ly)
@@ -148,7 +157,7 @@ def polynomial_source(amplitude=1.0):
     are exact on these polynomials, so the sampled solution has zero
     discrete residual.
     """
-    A = float(amplitude)
+    A = _amplitude(amplitude)
 
     def _profiles(grid):
         lx, ly = grid.lx, grid.ly

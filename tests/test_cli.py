@@ -21,6 +21,7 @@ from maxbound.cli import (
     EXIT_PRECONDITION,
     EXIT_STABILITY,
     EXIT_VERIFY_FAIL,
+    build_parser,
     main,
 )
 from maxbound.config import CONFIG_SCHEMA
@@ -513,6 +514,45 @@ def test_unknown_case_parameter_is_a_config_error(tmp_path, capsys):
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "bogus" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("doc", [
+    {"grid": {"nx": 3, "ny": 3, "nz": 3, "lx": 1e300, "ly": 1e300, "lz": 1e300, "nt": 9,
+              "T": 1.0}, "case": {"name": "cavity_mode"}},
+    {"grid": {"nx": 3, "ny": 3, "nz": 3, "lx": 1e200, "ly": 1.0, "lz": 1.0, "nt": 9, "T": 1.0},
+     "case": {"name": "polynomial_source"}, "solver": {"method": "exact"}},
+])
+def test_a_box_length_whose_square_overflows_is_a_config_error(tmp_path, capsys, doc):
+    cfg = _write(tmp_path, "huge.json", doc)
+    capsys.readouterr()
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "squared overflows" in err
+    assert not os.path.exists(tmp_path / "out" / "snapshot.bin")
+
+
+# the flags each subcommand reads; every other flag is refused as unknown
+_FLAGS_READ = {
+    "solve": ("--config", "--snapshot", "--out"),
+    "certify": ("--config", "--snapshot", "--out", "--theorem", "--optimize"),
+    "verify": ("--config", "--out", "--theorem"),
+    "gronwall": ("--config",),
+}
+_FLAG_VALUES = {"--config": "run.json", "--snapshot": "missing.bin", "--out": "out",
+                "--theorem": "T1", "--optimize": "full"}
+
+
+@pytest.mark.parametrize("command", sorted(_FLAGS_READ))
+def test_each_subcommand_takes_only_the_flags_it_reads(capsys, command):
+    parser = build_parser()
+    for flag, value in _FLAG_VALUES.items():
+        if flag in _FLAGS_READ[command]:
+            assert getattr(parser.parse_args([command, flag, value]), flag[2:]) == value
+        else:
+            with pytest.raises(SystemExit) as exc:
+                main([command, flag, value])
+            assert exc.value.code == EXIT_CONFIG
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def test_the_removed_track_energy_key_is_a_config_error(tmp_path, capsys):

@@ -166,7 +166,9 @@ def test_a_snapshot_of_another_grid_exits_with_mismatch(tmp_path, capsys):
 @pytest.mark.parametrize("block, entries", [
     ("grid", {"nt": 9.0}), ("grid", {"lx": 5e-324}), ("grid", {"T": 5e-324}),
     ("case", {"parameters": {"m": "a"}}), ("case", {"parameters": {"m": 1.5}}),
-    ("case", {"parameters": {"amplitude": [1]}}),
+    ("case", {"parameters": {"amplitude": [1]}}), ("case", {"parameters": {"m": True}}),
+    ("case", {"parameters": {"amplitude": True}}), ("case", {"parameters": {"amplitude": "2"}}),
+    ("case", {"parameters": {"amplitude": "nan"}}),
     ("majorant", {"optimize": "full", "optimizeConfig": {"sweeps": 1.0}}),
 ])
 def test_malformed_values_are_config_errors(tmp_path, capsys, block, entries):

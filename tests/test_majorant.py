@@ -74,8 +74,9 @@ def test_certify_preconditions():
 def test_default_free_field_zeroes_the_curl_mismatch_residual():
     p, approx, _ = cavity_setup(6, 13)
     Y = mb.default_Y(p, approx)
-    res = mb.residuals(p, approx, Y)
-    assert norm_sq_trajectory(res.Ktilde, p.mu, p.grid).max() == 0.0
+    for theorem in ("T1", "T5"):
+        res = mb.residuals(p, approx, Y, theorem)
+        assert norm_sq_trajectory(res.Ktilde, p.mu, p.grid).max() == 0.0
 
 
 @pytest.mark.parametrize("theorem", ["T1", "T3", "T4", "T5"])
@@ -83,17 +84,18 @@ def test_residuals_builds_only_what_the_theorem_reads(theorem):
     p, exact = polynomial_setup(4, 9)
     approx = _perturbed_exact(p, exact, 1e-2)
     Y = mb.default_Y(p, approx) + 0.1 * mb.default_Y(p, exact)
-    every = mb.residuals(p, approx, Y)
     some = mb.residuals(p, approx, Y, theorem)
+    # the other regularity path builds the shared Ktilde from the same inputs
+    other = mb.residuals(p, approx, Y, "T5" if theorem in ("T1", "T3") else "T1")
     read = (("Khat", "dt_Ktilde") if theorem in ("T1", "T3")
             else ("Kcheck", "Rt", "coupling_curl"))
-    for name in ("Khat", "Ktilde", "Kcheck", "Rt", "dt_Ktilde", "coupling_curl"):
-        got = getattr(some, name)
-        if name == "Ktilde" or name in read:
-            for a, b in zip(got.components(), getattr(every, name).components()):
-                np.testing.assert_array_equal(a, b)
-        else:
-            assert got is None
+    for a, b in zip(some.Ktilde.components(), other.Ktilde.components()):
+        np.testing.assert_array_equal(a, b)
+    for name in ("Khat", "Kcheck", "Rt", "dt_Ktilde", "coupling_curl"):
+        assert (getattr(some, name) is None) == (name not in read)
+        assert (getattr(other, name) is None) == (name in read)
+    with pytest.raises(ParameterError):
+        mb.residuals(p, approx, Y, None)
 
 
 def test_exact_polynomial_samples_give_identically_zero_bound():
@@ -151,7 +153,7 @@ def test_bound_assembly_matches_manual_reconstruction():
     rep = mb.certify(p, approx, params, theorem="T5")
 
     g = p.grid
-    res = mb.residuals(p, approx, Y)
+    res = mb.residuals(p, approx, Y, "T5")
     kt = norm_sq_trajectory(res.Ktilde, p.mu, g)
     kc = norm_sq_trajectory(res.Kcheck, p.eps_inv, g)
     rt = norm_sq_trajectory(res.Rt, p.mu, g)

@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import maxbound as mb
 from maxbound.errors import DimensionError, ParameterError
-from maxbound.fields import EDGE, FACE, StaggeredField
+from maxbound.fields import EDGE, FACE, StaggeredField, nodal_axes
 from maxbound.operators import (
     apply_material_staggered,
     cell_average,
@@ -86,6 +88,45 @@ def test_zero_tangential_is_a_projection():
     assert tangential_trace_max(z1) == 0.0
     for a, b in zip(z1.components(), z2.components()):
         assert np.array_equal(a, b)
+
+
+# the explicit Yee table that nodal_axes replaces: each component's dof counts
+_YEE_TABLE = {
+    EDGE: {"x": (0, 1, 1), "y": (1, 0, 1), "z": (1, 1, 0)},
+    FACE: {"x": (1, 0, 0), "y": (0, 1, 0), "z": (0, 0, 1)},
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.tuples(*[st.integers(2, 7)] * 3),
+       lengths=st.tuples(*[st.floats(1e-3, 1e3)] * 3), seed=st.integers(0, 2**32 - 1))
+def test_the_nodal_axes_rule_matches_the_explicit_yee_table(n, lengths, seed):
+    grid = mb.GridSpec(*n, *lengths, 2, 1.0)
+    rng = np.random.default_rng(seed)
+    e = StaggeredField(EDGE, *(rng.uniform(1.0, 2.0, np.add(n, _YEE_TABLE[EDGE][c]))
+                               for c in "xyz"))
+    zero_tangential(e)
+    for kind, table in _YEE_TABLE.items():
+        for i, c in enumerate("xyz"):
+            want = tuple(np.add(n, table[c]))
+            assert grid.shape(kind, c) == want
+            assert nodal_axes(kind, i) == tuple(d for d in range(3) if table[c][d])
+            for d, coords in enumerate(grid.component_coords(kind, c)):
+                assert coords.shape == tuple(want[d] if a == d else 1 for a in range(3))
+                # grid nodes span [0, l], cell midpoints [h/2, l - h/2]
+                h = lengths[d] / n[d]
+                end = 0.0 if table[c][d] else 0.5 * h
+                np.testing.assert_allclose(coords.ravel(),
+                                           np.linspace(end, lengths[d] - end, want[d]),
+                                           rtol=1e-13, atol=1e-13 * lengths[d])
+            if kind == EDGE:
+                # the tangential boundary: both ends of each axis with n + 1 dofs
+                index = np.indices(want)
+                boundary = np.zeros(want, dtype=bool)
+                for d in range(3):
+                    if table[c][d]:
+                        boundary |= (index[d] == 0) | (index[d] == want[d] - 1)
+                np.testing.assert_array_equal(getattr(e, c) == 0.0, boundary)
 
 
 def test_curl_kind_checks():

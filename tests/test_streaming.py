@@ -64,7 +64,7 @@ def _reference(p, approx, Y, theorem):
     """The series from whole trajectories: residuals, then per-node norms."""
     g = p.grid
     Y = Y if Y is not None else mb.default_Y(p, approx)
-    res = mb.residuals(p, approx, Y)
+    res = mb.residuals(p, approx, Y, theorem)
     kt_sq = norm_sq_trajectory(res.Ktilde, p.mu, g)
     if theorem in ("T1", "T3"):
         edge_sq = norm_sq_trajectory(res.Khat, p.eps_inv, g)
