@@ -380,8 +380,20 @@ def cmd_gronwall(args):
 # entry point
 
 
+class _UsageError(Exception):
+    """An unknown, misplaced or malformed command-line argument."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose errors raise _UsageError, where argparse
+    prints a usage line and exits; its subcommand parsers are _Parsers too."""
+
+    def error(self, message):
+        raise _UsageError(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="maxbound",
         description="Guaranteed a-posteriori error bounds for time-dependent "
         "Maxwell approximations on staggered grids.",
@@ -415,8 +427,11 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except _UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     if args.command in ("solve", "certify", "verify") and not args.config:
         print("error: --config is required", file=sys.stderr)
         return EXIT_CONFIG

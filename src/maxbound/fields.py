@@ -59,6 +59,9 @@ class GridSpec:
         if not all(math.isfinite(length * length) for length in (self.lx, self.ly, self.lz)):
             # the case profiles and the stability limit square the lengths
             raise ParameterError("a box length squared overflows")
+        if not 0.0 < self.cell_volume < math.inf:
+            # every norm is a sum times the cell volume
+            raise ParameterError(f"the cell volume {self.cell_volume} is not finite and positive")
         n = (self.nx, self.ny, self.nz)
         object.__setattr__(self, "_shapes", {
             (kind, c): tuple(n[d] + (d in nodal_axes(kind, i)) for d in range(3))

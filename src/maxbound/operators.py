@@ -144,6 +144,16 @@ def zero_tangential(e):
 # cell-centered averaging and weighted inner products
 
 
+def _corner_sum(comp, kind, i, out):
+    """Sum each cell's dofs of component i across its nodal axes, the first
+    axis fastest, into out."""
+    terms = _corners(comp, reversed(nodal_axes(kind, i)))
+    np.add(terms[0], terms[1], out=out)
+    for term in terms[2:]:
+        out += term
+    return out
+
+
 def cell_average(f, grid, out=None):
     """Average staggered components to cell centers; returns (..., nx, ny, nz, 3)."""
     f.check_extents(grid)
@@ -155,12 +165,7 @@ def cell_average(f, grid, out=None):
     planar = out[..., 0].flags.c_contiguous
     scratch = None if planar else np.empty(out.shape[:-1])
     for i, comp in enumerate(f.components()):
-        # the cell's dofs across the nodal axes, summed with the first axis fastest
-        terms = _corners(comp, reversed(nodal_axes(f.kind, i)))
-        total = out[..., i] if planar else scratch
-        np.add(terms[0], terms[1], out=total)
-        for term in terms[2:]:
-            total += term
+        total = _corner_sum(comp, f.kind, i, out[..., i] if planar else scratch)
         total *= weight
         if not planar:
             out[..., i] = total
@@ -199,23 +204,42 @@ def weighted_inner(u, v, w, grid, out=None):
     Both fields are averaged to cell centers, the weight (a MaterialField
     or None for the identity) is applied there, and the result is summed
     with the uniform cell volume: sum_cells (w u_bar) . v_bar * dV.  out,
-    a cell array, takes the average of u in place of a new array.
+    a C-contiguous cell array, takes the cell products in place of a new
+    array.
     """
     if u.kind != v.kind:
         raise DimensionError(f"kind mismatch: {u.kind} vs {v.kind}")
-    ub = cell_average(u, grid, out)
-    vb = cell_average(v, grid)
-    if w is not None:
-        ub = w.apply_cells(ub)
-    return float(np.sum(np.multiply(ub, vb, out=vb)) * grid.cell_volume)
+    return _cell_products(u, v, w, grid, out)
 
 
 def weighted_norm_sq(u, w, grid, out=None):
-    """weighted_inner(u, u, w, grid, out), with u averaged to cell centers once."""
-    ub = cell_average(u, grid, out)
-    wb = ub if w is None else w.apply_cells(ub)
-    # wb is new or ub itself, so the square can take its place
-    return float(np.sum(np.multiply(wb, ub, out=wb)) * grid.cell_volume)
+    """weighted_inner(u, u, w, grid, out), with one corner sum per component."""
+    return _cell_products(u, u, w, grid, out)
+
+
+def _cell_products(u, v, w, grid, out):
+    """weighted_inner(u, v, w, grid, out) from the cell sums of the dofs:
+    each component's (w sum_u) sum_v goes into its slot of the cell array,
+    and the squared averaging weight multiplies the total once.  It is a
+    power of two, so the bits are those of averaging first."""
+    u.check_extents(grid)
+    v.check_extents(grid)
+    cells = np.empty(u.x.shape[:-3] + (grid.nx, grid.ny, grid.nz, 3)) if out is None else out
+    su = np.empty(cells.shape[:-1])
+    sv = su if v is u else np.empty_like(su)
+    coeff = None if w is None or w.is_identity() else w.values
+    for i, (a, b) in enumerate(zip(u.components(), v.components())):
+        _corner_sum(a, u.kind, i, su)
+        if v is not u:
+            _corner_sum(b, u.kind, i, sv)
+        slot = cells[..., i]
+        if coeff is None:
+            np.multiply(su, sv, out=slot)
+        else:
+            np.multiply(su, coeff if w.kind == "scalar" else coeff[..., i], out=slot)
+            slot *= sv
+    weight = 0.25 if u.kind == EDGE else 0.5
+    return float(np.sum(cells) * (weight * weight) * grid.cell_volume)
 
 
 def gram_apply(u, w, grid, out=None, work=None):

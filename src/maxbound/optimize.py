@@ -3,8 +3,8 @@
 Three layers: a golden-section scalar search over gamma (log-scaled) nested
 in a coarse rho grid, a matrix-free conjugate-gradient minimization of the
 bound as a convex quadratic in the stacked space-time free field Y, run in
-a scaled time eigenbasis where its Hessian is time-diagonal, and an
-alternating driver that takes one series pass per free field it visits.
+a scaled time eigenbasis where its Hessian is block diagonal with one CG
+per block, and an alternating driver that takes one series pass per free field it visits.
 Every iterate of every layer is an admissible parameter choice, so the
 bound stays guaranteed throughout; the objective is the final-time bound
 value b(T) itself, which makes the alternation monotone by construction.
@@ -16,7 +16,6 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -46,9 +45,10 @@ from .operators import (
 )
 
 _SMOOTH_VARIANTS = ("z", "z_hat")
-# The Y solve ends once _STALL_WINDOW CG iterations together lower b(T)
-# by no more than _Y_STALL_RTOL of its starting value: the residual stalls
-# far above cg_tol (the Hessian is singular), while b(T) settles.
+# A block of the Y solve stops once _STALL_WINDOW of its CG steps together
+# lower b(T) by no more than _Y_STALL_RTOL / nt of its starting value, so
+# all nt blocks by no more than _Y_STALL_RTOL: the residual stalls far
+# above cg_tol (the Hessian is singular), while b(T) settles.
 _STALL_WINDOW = 10
 _Y_STALL_RTOL = 1e-5
 
@@ -61,9 +61,10 @@ class OptimizeConfig:
     longer sequences are treated as an explicit candidate grid.  y_init
     selects the starting free field: the natural choice mu^-1 curl(Etilde)
     or the zero trajectory.  cg_tol bounds the relative residual of each
-    Y solve in the scaled time eigenbasis it runs in, |r^| / |b^| =
-    sqrt(r.P^-1 r / rhs.P^-1 rhs) (see conjugate_gradient), which is also
-    what a report's cg_sweeps[*].relative_residual gives.
+    block of a Y solve in the scaled time eigenbasis it runs in; a
+    report's cg_sweeps[*].relative_residual gives it over all blocks,
+    |r^| / |b^| = sqrt(r.P^-1 r / rhs.P^-1 rhs) (see conjugate_gradient).
+    cg_max_iter caps the lockstep steps of a Y solve.
     """
 
     gamma_bracket: Sequence[float] = (1e-3, 1e3)
@@ -244,19 +245,33 @@ def _per_node(w):
     return w[:, None, None, None]
 
 
+# A Y vector is an nt x face-dof array of rows: row k holds the x, y and z
+# face dofs of time node k in turn, and in the scaled time eigenbasis row j
+# holds eigen-block j, so that a time operator is one nt x nt matmul and
+# each block of the Hessian acts on one row.
+
+
 def _flatten(traj):
-    return np.concatenate([c.ravel() for c in traj.components()])
+    """The rows of a face trajectory, as a new array."""
+    return np.concatenate([c.reshape(len(c), -1) for c in traj.components()], axis=1)
 
 
-def _unflatten(vec, grid):
-    """The face trajectory whose components are views of the flat vec."""
+def _unflatten(rows, grid, kind=FACE):
+    """The field of this kind whose components are views of the rows (or
+    of the rows raveled): a trajectory with one node per row, or for a
+    single row a StaggeredField (a GridSpec has nt >= 2)."""
+    shapes = [grid.shape(kind, c) for c in ("x", "y", "z")]
+    rows = np.reshape(rows, (-1, sum(math.prod(shape) for shape in shapes)))
+    m = len(rows)
+    lead = (m,) if m > 1 else ()
     comps, lo = [], 0
-    for c in ("x", "y", "z"):
-        shape = (grid.nt,) + grid.shape(FACE, c)
+    for shape in shapes:
         hi = lo + math.prod(shape)
-        comps.append(vec[lo:hi].reshape(shape))
+        comps.append(rows[:, lo:hi].reshape(lead + shape))
         lo = hi
-    return FieldTrajectory(FACE, grid, *comps)
+    if m == 1:
+        return StaggeredField(kind, *comps)
+    return FieldTrajectory(kind, grid if grid.nt == m else replace(grid, nt=m), *comps)
 
 
 # Same-colour dofs of a comb are three apart along some axis, so the cells
@@ -267,8 +282,8 @@ _COMB_OFFSETS = tuple(itertools.product(range(3), repeat=3))
 
 
 def _comb_diagonals(ops, grid):
-    """The diagonals of symmetric operators op(u, grid) on face fields, flat
-    in _flatten order, probed with combs: every third dof along each axis
+    """The diagonals of symmetric operators op(u, grid) on face fields, in
+    the dof order of a Y row, probed with combs: every third dof along each axis
     of one component, all 27 offsets of a component in one batched call
     (the probes stand on the leading axis of a trajectory)."""
     probe_grid = replace(grid, nt=len(_COMB_OFFSETS))
@@ -297,7 +312,7 @@ def _curl_curl(p, u, grid, out=None, edge=None, work=None):
 
 def spatial_diagonals(p):
     """The diagonals of G_mu and of K = C^T Z G_eps^-1 Z C (_curl_curl),
-    flat over the face dofs in _flatten order.
+    over the face dofs in the order of a Y row.
 
     The Hessian of BoundQuadratic is 2 [T1 (x) G_mu + diag(w_edge) (x) K];
     only its nt x nt time matrices depend on (gamma, rho), so these
@@ -395,8 +410,10 @@ class BoundQuadratic:
             comp[0] -= z
         return grad
 
-    def gradient_flat(self, y_vec):
-        return _flatten(self.gradient(_unflatten(y_vec, self.grid)))
+    def gradient_flat(self, y):
+        """gradient() at the Y rows y, as rows in the shape of y (which may
+        also be the rows raveled)."""
+        return _flatten(self.gradient(_unflatten(y, self.grid))).reshape(np.shape(y))
 
 
 def _time_eigenbasis(t1, w_edge):
@@ -422,129 +439,190 @@ def _scaled_eigenbasis(quad, diagonals):
 
     Q^T (2 T1) Q = I and Q^T diag(2 w_edge) Q = diag(lam)
     (_time_eigenbasis) make Q^T H Q = I (x) G_mu + diag(lam) (x) K, with
-    no coupling between different time indices j.  S = Dt^-1/2, flat in
-    _flatten order, scales it to a unit diagonal: Dt[j, dof] =
-    m + lam_j c, m and c being the dof's entries of the two diagonals.
-    lam is clipped at 0 (it is >= 0 exactly, w_edge being so), which
-    keeps every block G_mu + lam_j K semidefinite.  This is the time half
-    of the fast diagonalisation method (Lynch, Rice and Thomas 1964).
+    no coupling between different time indices j.  S = Dt^-1/2, nt x
+    face-dof rows, scales it to a unit diagonal: Dt[j, dof] = m + lam_j c,
+    m and c being the dof's entries of the two diagonals.  lam is clipped
+    at 0 (it is >= 0 exactly, w_edge being so), which keeps every block
+    G_mu + lam_j K semidefinite.  This is the time half of the fast
+    diagonalisation method (Lynch, Rice and Thomas 1964).
     """
-    g = quad.grid
     q, lam = _time_eigenbasis(2.0 * quad.t1, 2.0 * quad.w_edge)
     lam = np.maximum(lam, 0.0)
-    cuts = np.cumsum([math.prod(g.shape(FACE, c)) for c in "xy"])
-    scale = []
-    for m, c in zip(*(np.split(d, cuts) for d in diagonals)):
-        d_tilde = m + lam[:, None] * c
-        if not np.all(d_tilde > 0.0):
-            raise MaxboundError("the Hessian has a diagonal entry <= 0 in the time eigenbasis")
-        scale.append(1.0 / np.sqrt(d_tilde.ravel()))
-    return q, lam, np.concatenate(scale)
-
-
-def _along_time(mat, v, grid):
-    """A new flat Y vector: the nt x nt matrix mat applied along the time
-    axis of every component of the flat Y vector v."""
-    out = np.empty_like(v)
-    for src, dst in zip(_unflatten(v, grid).components(), _unflatten(out, grid).components()):
-        np.matmul(mat, src.reshape(grid.nt, -1), out=dst.reshape(grid.nt, -1))
-    return out
+    mass, curl = diagonals
+    d_tilde = mass + lam[:, None] * curl
+    if not np.all(d_tilde > 0.0):
+        raise MaxboundError("the Hessian has a diagonal entry <= 0 in the time eigenbasis")
+    return q, lam, 1.0 / np.sqrt(d_tilde)
 
 
 class _Work:
-    """The buffers of _scaled_hessian: an edge trajectory, a flat Y vector
-    seen as the face trajectory face, and one flat scratch, which also
-    holds gram_apply's cell averages."""
+    """The buffers of _scaled_hessian for up to grid.nt rows: edge rows,
+    face rows vec and one flat scratch, which also holds gram_apply's cell
+    averages."""
 
     def __init__(self, grid):
-        self.edge = FieldTrajectory.zeros(grid, EDGE)
-        self.vec = _flatten(FieldTrajectory.zeros(grid, FACE))
-        self.face = _unflatten(self.vec, grid)
+        def dofs(kind):
+            return sum(math.prod(grid.shape(kind, c)) for c in ("x", "y", "z"))
+
+        self.edge = np.zeros((grid.nt, dofs(EDGE)))
+        self.vec = np.zeros((grid.nt, dofs(FACE)))
         # three times the largest component of either trajectory
-        self.flat = np.zeros(3 * max(c.size for c in self.edge.components()
-                                     + self.face.components()))
+        self.flat = np.zeros(3 * grid.nt * max(math.prod(grid.shape(kind, c))
+                                               for kind in (EDGE, FACE) for c in "xyz"))
 
 
-def _scaled_hessian(p, lam, scale, w, out=None, work=None):
-    """S (I (x) G_mu + diag(lam) (x) K) S w for a flat w: the Hessian of
+def _scaled_hessian(p, lam, scale, w, rows=None, out=None, work=None):
+    """S (I (x) G_mu + diag(lam) (x) K) S w for rows w: the Hessian of
     BoundQuadratic in the scaled time eigenbasis whose lam and S
-    _scaled_eigenbasis gives.  One _curl_curl scaled by lam per node and
-    one gram_apply, with no time operator.
+    _scaled_eigenbasis gives, on the eigen-blocks rows (all of them, in
+    order, by default), row i of w being block rows[i].  One _curl_curl
+    scaled by lam per row and one gram_apply, with no time operator.
 
-    Into out through the buffers of the _Work work, each made anew when
-    it is not given.
+    Into out, w's shape, through the buffers of the _Work work, each made
+    anew when it is not given.
     """
     g = p.grid
+    m = len(w)
+    rows = np.arange(m) if rows is None else rows
     work = _Work(g) if work is None else work
     out = np.empty_like(w) if out is None else out
-    np.multiply(w, scale, out=work.vec)
-    H = _unflatten(out, g)
-    _curl_curl(p, work.face, g, H, work.edge, work.flat)
-    H.apply(np.multiply, _per_node(lam), H)
-    gram_apply(work.face, p.mu, g, work.face, work.flat)
-    out += work.vec
-    out *= scale
+    sw = work.vec[:m]
+    # mode="wrap" gathers straight into sw; "raise" would buffer a copy
+    np.take(scale, rows, axis=0, out=sw, mode="wrap")
+    sw *= w
+    face, H = _unflatten(sw, g), _unflatten(out, g)
+    _curl_curl(p, face, g, H, _unflatten(work.edge[:m], g, EDGE), work.flat)
+    H.apply(np.multiply, lam[rows].reshape(H.x.shape[:-3] + (1, 1, 1)), H)
+    gram_apply(face, p.mu, g, face, work.flat)
+    out += sw
+    np.take(scale, rows, axis=0, out=sw, mode="wrap")
+    out *= sw
     return out
 
 
-def conjugate_gradient(apply_A, rhs, tol=1e-10, max_iter=200, stall_tol=0.0):
+def conjugate_gradient(apply_A, rhs, tol=1e-10, max_iter=200, stall_tol=0.0, info=None):
     """Solve A x = rhs for symmetric positive semidefinite A, matrix-free,
     from x = 0.
 
-    apply_A may return the same buffer at every call: a result is read
-    before the next call.  Stops at relative residual |rhs - A x| / |rhs|
-    <= tol, after max_iter iterations, or once the last _STALL_WINDOW
-    iterations together lowered q(x) = x.A x / 2 - rhs.x = -x.(r + rhs) / 2
-    by no more than stall_tol.  CG lowers q at every step in exact
-    arithmetic, so the default stall_tol of 0 ends only a solve whose
-    iterates drift off, as those of a singular system whose A carries
-    rounding noise do once the residual reaches its floor.  A genuinely
-    negative curvature direction (inconsistent with a convex objective) is
-    a hard error.  Returns (x, iterations, relative residual).
+    A 1-D rhs is one system, and apply_A(v) gives A v.  A 2-D rhs holds
+    the right-hand sides of a block-diagonal A = diag(A_0, A_1, ...), one
+    per row, and each row is solved by a CG of its own, all in lockstep:
+    apply_A(d, rows) gives the products A_rows[i] d[i] of the active rows
+    d, rows being their indices in rhs (read it before returning; it
+    changes).  apply_A may return the same buffer at every call: a result
+    is read before the next call.
 
-    The residual is measured in the basis A and rhs are given in.  For
-    the Y solve (_minimize_Y) that is the scaled time eigenbasis, where it
-    is |r^| / |b^| = sqrt(r.P^-1 r / rhs.P^-1 rhs) for the residual r and
+    Row j stops at relative residual |rhs_j - A_j x_j| / |rhs_j| <= tol
+    (at once for a zero rhs_j), at a null direction of A_j, or once its
+    last _STALL_WINDOW steps together lowered q_j(x) = x.A_j x / 2 -
+    rhs_j.x = -x.(r_j + rhs_j) / 2 by no more than stall_tol / len(rhs),
+    so that the rows together lower q by no more than stall_tol.  CG
+    lowers q at every step in exact arithmetic, so the default stall_tol
+    of 0 ends only a solve whose iterates drift off, as those of a
+    singular system whose A carries rounding noise do once the residual
+    reaches its floor.  A stopped row leaves the active rows, so later
+    products run on the others alone.  A genuinely negative curvature
+    direction (inconsistent with a convex objective) is a hard error.  The
+    solve ends once no row is active or after max_iter lockstep steps.
+
+    Returns (x, iterations, relative residual): the lockstep steps taken
+    and |rhs - A x| / |rhs| over all rows.  A dict info, when given,
+    receives "row_steps", the steps each row took.  The residual is
+    measured in the basis A and rhs are given in.  For the Y solve
+    (_minimize_Y) that is the scaled time eigenbasis, where it is
+    |r^| / |b^| = sqrt(r.P^-1 r / rhs.P^-1 rhs) for the residual r and
     right-hand side rhs of H delta = rhs and P^-1 = Q S^2 Q^T.
 
-    The iterations allocate nothing beyond what apply_A does: every
-    product goes through one scratch vector, and every dot product is a
-    pairwise sum over it, which no BLAS thread count changes.
+    The steps allocate nothing of rhs's size beyond what apply_A does:
+    the active rows stay in front of x, r and d, moved there by swapping
+    rows, every product goes through one scratch, and every dot product
+    is a pairwise sum over a row of it, which no BLAS thread count changes.
     """
-    scratch = np.empty_like(rhs, dtype=float)
+    b = np.asarray(rhs, dtype=float)
+    if b.ndim == 1:
+        b = b[None]
+        product = apply_A
 
-    def dot(a, b):
-        return float(np.multiply(a, b, out=scratch).sum())
+        def apply_A(d, rows):
+            return product(d[0])[None]
 
-    x = np.zeros_like(rhs, dtype=float)
-    r = np.array(rhs, dtype=float)  # A 0 = 0
-    d = r.copy()
-    rs = dot(r, r)
-    ref = math.sqrt(rs) or 1.0
-    qs = [0.0]  # q(0)
+    nb = len(b)
+    scratch = np.empty_like(b)
+    x = np.zeros_like(b)
+    r = b.copy()  # A 0 = 0
+    d = b.copy()
+    spare = np.empty(b.shape[1])
+
+    def dots(u, v):
+        m = len(u)
+        return np.multiply(u, v, out=scratch[:m]).sum(axis=1)
+
+    # per row of rhs: squared residual, |rhs_j| (1 for a zero row), steps
+    # taken and the last _STALL_WINDOW + 1 values of q_j, by step modulo
+    rs = dots(r, r)
+    ref = np.sqrt(rs)
+    ref[ref == 0.0] = 1.0
+    ref0 = math.sqrt(float(rs.sum())) or 1.0
+    steps = np.zeros(nb, dtype=int)
+    qs = np.zeros((_STALL_WINDOW + 1, nb))  # q(0) = 0
+    order = np.arange(nb)  # the row of rhs at each position of x, r and d
+
+    def retire(stop, m):
+        """Move the rows at the positions stop (of the first m) behind the
+        active ones; returns their new count."""
+        for i in np.flatnonzero(stop)[::-1]:
+            m -= 1
+            if i != m:
+                for a in (x, r, d):
+                    spare[:] = a[i]
+                    a[i] = a[m]
+                    a[m] = spare
+                order[[i, m]] = order[[m, i]]
+        return m
+
+    m = retire(~(np.sqrt(rs) > tol * ref), nb)
     it = 0
-    while it < max_iter and math.sqrt(rs) > tol * ref:
-        Ad = apply_A(d)
-        dAd = dot(d, Ad)
-        if dAd <= 0.0:
-            scale = math.sqrt(dot(d, d) * dot(Ad, Ad))
-            if dAd < -1e-10 * max(scale, 1e-300):
+    while m and it < max_iter:
+        rows = order[:m]
+        xa, ra, da = x[:m], r[:m], d[:m]
+        Ad = apply_A(da, rows)
+        dAd = dots(da, Ad)
+        null = ~(dAd > 0.0)
+        for i in np.flatnonzero(null):
+            scale = math.sqrt(float(dots(da[i:i + 1], da[i:i + 1])[0]
+                                    * dots(Ad[i:i + 1], Ad[i:i + 1])[0]))
+            if dAd[i] < -1e-10 * max(scale, 1e-300):
                 raise MaxboundError(
                     "conjugate gradients hit a negative-curvature direction; "
                     "the quadratic assembly is not positive semidefinite"
                 )
-            break  # null direction of a singular but consistent system
-        alpha = rs / dAd
-        x += np.multiply(d, alpha, out=scratch)
-        r -= np.multiply(Ad, alpha, out=scratch)
-        rs_old, rs = rs, dot(r, r)
-        qs.append(-0.5 * (dot(x, r) + dot(x, rhs)))
+        # a null direction of a singular but consistent system ends its row
+        rs_old = rs[rows]
+        alpha = np.divide(rs_old, dAd, out=np.zeros(m), where=~null)[:, None]
+        xa += np.multiply(da, alpha, out=scratch[:m])
+        ra -= np.multiply(Ad, alpha, out=scratch[:m])
+        rs[rows] = dots(ra, ra)
+        xb = scratch[:m]
+        for i, j in enumerate(rows):
+            np.multiply(xa[i], b[j], out=xb[i])
+        xb = xb.sum(axis=1)
+        q = -0.5 * (dots(xa, ra) + xb)
         it += 1
-        if it >= _STALL_WINDOW and qs[-1 - _STALL_WINDOW] - qs[-1] <= stall_tol:
-            break
-        d *= rs / rs_old
-        d += r
-    return x, it, math.sqrt(rs) / ref
+        steps[rows[~null]] += 1
+        qs[it % (_STALL_WINDOW + 1), rows] = q
+        stalled = False
+        if it >= _STALL_WINDOW:
+            stalled = qs[(it - _STALL_WINDOW) % (_STALL_WINDOW + 1), rows] - q <= stall_tol / nb
+        done = null | stalled | ~(np.sqrt(rs[rows]) > tol * ref[rows])
+        da *= (rs[rows] / rs_old)[:, None]
+        da += ra
+        m = retire(done, m)
+    if info is not None:
+        info["row_steps"] = steps
+    # x back in the order of rhs, in the scratch
+    scratch[order] = x
+    x = scratch[0] if np.ndim(rhs) == 1 else scratch
+    return x, int(steps.max()), math.sqrt(float(rs.sum())) / ref0
 
 
 def optimize_Y(p, approx, gamma, rho, cfg=None, theorem="T5", zero_variant="z_hat",
@@ -552,11 +630,12 @@ def optimize_Y(p, approx, gamma, rho, cfg=None, theorem="T5", zero_variant="z_ha
     """Minimize the final-time bound over the free field Y at fixed (gamma, rho).
 
     Conjugate gradients on the collapsed quadratic, in the scaled time
-    eigenbasis where its Hessian is time-diagonal (_scaled_eigenbasis,
-    _scaled_hessian).  The solve also ends once b(T) stalls:
-    when _STALL_WINDOW iterations lower it by no more than _Y_STALL_RTOL of
-    its value at Y0.  Returns the optimized FieldTrajectory; pass a dict as
-    `info` to receive the iteration count and the relative residual.
+    eigenbasis where its Hessian is block diagonal, one block per time
+    eigen-index (_scaled_eigenbasis, _scaled_hessian); each block runs a
+    CG of its own.  A block also stops once b(T) stalls on it (see
+    _STALL_WINDOW), and the solve once every block has stopped.  Returns
+    the optimized FieldTrajectory; pass a dict as `info` to receive the
+    iteration count, the Hessian work in blocks and the relative residual.
     """
     cfg = cfg if cfg is not None else OptimizeConfig()
     quad = BoundQuadratic(p, approx, rho, gamma, theorem, zero_variant)
@@ -571,37 +650,43 @@ def _start_Y(p, approx, cfg):
     return default_Y(p, approx)
 
 
+def _block_hessian(p, lam, scale):
+    """The apply_A of conjugate_gradient for the rows of _scaled_hessian,
+    into buffers of its own, which go with it."""
+    out, work = np.empty_like(scale), _Work(p.grid)
+    return lambda w, rows: _scaled_hessian(p, lam, scale, w, rows, out[:len(w)], work)
+
+
 def _minimize_Y(quad, diagonals, Y0, value0, cfg, info=None):
     """optimize_Y from Y0 for the quadratic quad, diagonals being
     spatial_diagonals of its problem and value0 b(T) at Y0.
 
-    Plain CG on H delta = -grad in the scaled time eigenbasis (Q, S) of
+    CG on H delta = -grad in the scaled time eigenbasis (Q, S) of
     _scaled_eigenbasis: delta = Q S w, with S Q^T H Q S w = S Q^T (-grad).
-    The right-hand side is mapped in once and the answer back once; no
-    time operator runs inside the loop.  In exact arithmetic this is PCG
-    on H with P^-1 = Q S^2 Q^T, P = 2 [T1 (x) diag(G_mu) + diag(w_edge)
-    (x) diag(K)] being the entries of H that couple each face dof with
-    itself: the same steps and the same q(x), so the stall rule stops
-    where PCG would.  The buffers of the iterations are made after the
-    gradient, whose residual trajectories are gone by then.
+    That system is block diagonal, one block per row of w, so
+    conjugate_gradient runs one CG per row in lockstep, each with its own
+    step lengths and stall rule, and drops a row from the products once it
+    stops.  The right-hand side is mapped in once and the answer back
+    once; no time operator runs inside the loop.  The buffers of the
+    iterations are made after the gradient, whose residual trajectories
+    are gone by then.
     """
     g = quad.grid
     q, lam, scale = _scaled_eigenbasis(quad, diagonals)
-    y_start = _flatten(Y0)
-    rhs = _along_time(q.T, quad.gradient_flat(y_start), g)
+    y = _flatten(Y0)
+    rhs = q.T @ quad.gradient_flat(y)
     rhs *= -scale
-
-    # the partials alone hold the CG buffers, which thus go when the solve
-    # returns, before the result is formed
+    cg = {}
     w, iters, rel_res = conjugate_gradient(
-        partial(_scaled_hessian, quad.p, lam, scale, out=np.empty_like(rhs), work=_Work(g)),
-        rhs, tol=cfg.cg_tol, max_iter=cfg.cg_max_iter,
-        stall_tol=_Y_STALL_RTOL * abs(value0),
-    )
+        _block_hessian(quad.p, lam, scale), rhs, tol=cfg.cg_tol, max_iter=cfg.cg_max_iter,
+        stall_tol=_Y_STALL_RTOL * abs(value0), info=cg)
     if info is not None:
         info["iterations"] = iters
+        info["block_iterations"] = int(cg["row_steps"].sum())
         info["relative_residual"] = rel_res
-    return _unflatten(y_start + _along_time(q, w * scale, g), g)
+    w *= scale
+    y += np.matmul(q, w, out=rhs)  # rhs is spent
+    return _unflatten(y, g)
 
 
 # ---------------------------------------------------------------------------

@@ -112,6 +112,8 @@ def test_full_optimization_reports_each_cg_solve_byte_identically(tmp_path):
     assert len(sweeps) == 2
     for solve in sweeps:
         assert solve["iterations"] == 7
+        # the Hessian work in blocks: at most one per time node and step
+        assert 7 <= solve["block_iterations"] <= 9 * 7
         assert 0.0 < solve["relative_residual"] < 1.0
     assert params["cg_iterations"] == 7 * sum(solve["accepted"] for solve in sweeps)
 
@@ -549,10 +551,46 @@ def test_each_subcommand_takes_only_the_flags_it_reads(capsys, command):
         if flag in _FLAGS_READ[command]:
             assert getattr(parser.parse_args([command, flag, value]), flag[2:]) == value
         else:
-            with pytest.raises(SystemExit) as exc:
-                main([command, flag, value])
-            assert exc.value.code == EXIT_CONFIG
-            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+            assert main([command, flag, value]) == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert len(err.strip().splitlines()) == 1
+            assert f"unrecognized arguments: {flag}" in err
+
+
+@pytest.mark.parametrize("argv", [[], ["bogus"], ["verify", "--snapshot", "x"],
+                                  ["certify", "--theorem", "T9"], ["solve", "--config"]])
+def test_a_bad_command_line_returns_a_config_error_in_one_line(capsys, argv):
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and err.startswith("usage error: ")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], ["certify", "--help"]])
+def test_help_and_version_still_exit_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out
+
+
+@pytest.mark.parametrize("length, volume", [(1e150, "inf"), (1e-120, "0.0")])
+@pytest.mark.parametrize("case", ["cavity_mode", "polynomial_source"])
+def test_a_cell_volume_that_is_not_finite_and_positive_is_a_config_error(tmp_path, capsys,
+                                                                         length, volume, case):
+    # h^3 overflows at 1e150 and underflows at 1e-120, while h and h^2 do not;
+    # every norm, and with them b, would read inf or 0
+    doc = {"grid": {"nx": 3, "ny": 3, "nz": 3, "lx": length, "ly": length, "lz": length,
+                    "nt": 9, "T": 1.0}, "case": {"name": case}, "solver": {"method": "exact"}}
+    cfg = _write(tmp_path, "box.json", doc)
+    capsys.readouterr()
+    for argv in (["solve", "--config", cfg, "--out", str(tmp_path / "out")],
+                 ["certify", "--config", cfg, "--snapshot", str(tmp_path / "missing.bin"),
+                  "--out", str(tmp_path / "out")]):
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert f"cell volume {volume} is not finite and positive" in err
+    assert not os.path.exists(tmp_path / "out" / "snapshot.bin")
 
 
 def test_the_removed_track_energy_key_is_a_config_error(tmp_path, capsys):

@@ -19,7 +19,6 @@ from maxbound.optimize import (
     _Y_STALL_RTOL,
     BoundQuadratic,
     _Work,
-    _along_time,
     _bound_from_series,
     _flatten,
     _scaled_eigenbasis,
@@ -162,6 +161,139 @@ def test_conjugate_gradient_handles_singular_consistent_systems():
     assert x[0] == pytest.approx(2.0, rel=1e-12)
 
 
+def _plain_cg(A, rhs, tol=1e-10, max_iter=200, stall_tol=0.0):
+    """Textbook CG from zero with the stall rule of conjugate_gradient, one
+    system at a time: the oracle of its one-row solves."""
+    x, r = np.zeros_like(rhs), rhs.copy()
+    d, rs = r.copy(), float(np.sum(r * r))
+    ref = math.sqrt(rs) or 1.0
+    qs, it = [0.0], 0
+    while it < max_iter and math.sqrt(rs) > tol * ref:
+        Ad = A @ d
+        dAd = float(np.sum(d * Ad))
+        if dAd <= 0.0:
+            break
+        alpha = rs / dAd
+        x += d * alpha
+        r -= Ad * alpha
+        rs_old, rs = rs, float(np.sum(r * r))
+        qs.append(-0.5 * (float(np.sum(x * r)) + float(np.sum(x * rhs))))
+        it += 1
+        if it >= _STALL_WINDOW and qs[-1 - _STALL_WINDOW] - qs[-1] <= stall_tol:
+            break
+        d *= rs / rs_old
+        d += r
+    return x, it, math.sqrt(rs) / ref
+
+
+def _blocks(mats):
+    """apply_A of conjugate_gradient for the block-diagonal diag(mats),
+    recording the rows of every call."""
+    calls = []
+
+    def apply_A(d, rows):
+        calls.append(list(rows))
+        return np.stack([mats[j] @ v for j, v in zip(rows, d)])
+
+    return apply_A, calls
+
+
+def _slow_system(rng, n=80):
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    A = Q @ np.diag(np.logspace(0, 6, n)) @ Q.T
+    return 0.5 * (A + A.T)
+
+
+def test_a_one_row_solve_is_the_plain_cg_bit_for_bit():
+    rng = np.random.default_rng(3)
+    A = _slow_system(rng)
+    rhs = rng.standard_normal(80)
+    for kw in (dict(max_iter=7), dict(max_iter=500, stall_tol=1e-3), dict(tol=1e-3)):
+        want = _plain_cg(A, rhs, **kw)
+        flat = conjugate_gradient(lambda v: A @ v, rhs, **kw)
+        row = conjugate_gradient(lambda d, rows: (A @ d[0])[None], rhs[None], **kw)
+        for x, it, rel in (flat, (row[0][0], row[1], row[2])):
+            np.testing.assert_array_equal(x, want[0])
+            assert (it, rel) == want[1:]
+        assert flat[0].shape == (80,) and row[0].shape == (1, 80)
+
+
+def test_each_row_of_a_block_diagonal_system_is_its_own_solve():
+    rng = np.random.default_rng(5)
+    n, nb = 20, 6
+    mats = []
+    for j in range(nb):
+        M = rng.standard_normal((n, n))
+        mats.append(M @ M.T + 10.0 ** (j - 2) * np.eye(n))
+    rhs = rng.standard_normal((nb, n)) * np.logspace(-3, 3, nb)[:, None]
+    apply_A, calls = _blocks(mats)
+    info = {}
+    x, iters, rel = conjugate_gradient(apply_A, rhs, tol=1e-13, max_iter=500, info=info)
+    for j in range(nb):
+        want = np.linalg.solve(mats[j], rhs[j])
+        np.testing.assert_allclose(x[j], want, rtol=1e-10, atol=1e-10 * np.abs(want).max())
+    # every call is a lockstep step on the rows still active: a row leaves
+    # for good once it stops, and no call holds a stopped row
+    steps = info["row_steps"]
+    assert len(calls) == iters == steps.max()
+    assert [sum(j in c for c in calls) for j in range(nb)] == list(steps)
+    assert all(set(b) <= set(a) for a, b in zip(calls, calls[1:]))
+    assert len(set(steps)) > 1  # the rows did stop at different steps
+    residual = np.stack([rhs[j] - mats[j] @ x[j] for j in range(nb)])
+    assert rel == pytest.approx(np.linalg.norm(residual) / np.linalg.norm(rhs), rel=1e-3)
+
+
+def test_zero_singular_and_stalling_rows_stop_without_disturbing_the_others():
+    rng = np.random.default_rng(7)
+    n = 80
+    slow = _slow_system(rng, n)
+    singular = np.diag(np.r_[1.0, 2.0, 3.0, np.zeros(n - 3)])
+    mats = [slow, np.eye(n), singular, slow, slow]
+    rhs = rng.standard_normal((5, n))
+    rhs[1] = 0.0
+    rhs[2, 3:] = 0.0  # in the range of the singular block, with 3 eigenvalues
+    rhs[3] *= 1e-6  # its q moves by 1e-12 of the others': it stalls at once
+    stall_tol = 1e-3 * abs(rhs[0] @ np.linalg.solve(slow, rhs[0]))
+    apply_A, calls = _blocks(mats)
+    info = {}
+    x, _, _ = conjugate_gradient(apply_A, rhs, tol=1e-12, max_iter=500, stall_tol=stall_tol,
+                                 info=info)
+    steps = info["row_steps"]
+    assert steps[1] == 0 and not x[1].any() and all(1 not in c for c in calls)
+    np.testing.assert_allclose(x[2], np.linalg.pinv(singular) @ rhs[2], rtol=1e-12)
+    assert steps[2] == 3
+    assert steps[3] == _STALL_WINDOW < min(steps[0], steps[4])
+    # each row is the one-row solve of its block, to the bit, its share of
+    # the stall tolerance being stall_tol / 5
+    for j in (0, 2, 3, 4):
+        alone = conjugate_gradient(lambda v: mats[j] @ v, rhs[j], tol=1e-12, max_iter=500,
+                                   stall_tol=stall_tol / 5)
+        np.testing.assert_array_equal(x[j], alone[0])
+        assert steps[j] == alone[1]
+
+
+def test_a_row_that_meets_a_null_direction_stops_there():
+    # the second direction of the singular row is (0, 1.0625), in its null
+    # space; the other row converges at step 2
+    mats = [np.diag([2.0, 0.0]), np.diag([1.0, 3.0])]
+    apply_A, calls = _blocks(mats)
+    info = {}
+    x, iters, _ = conjugate_gradient(apply_A, np.array([[4.0, 1.0], [1.0, 1.0]]), tol=1e-12,
+                                     info=info)
+    np.testing.assert_array_equal(x[0], [2.125, 0.53125])  # its first step, untouched
+    np.testing.assert_allclose(x[1], [1.0, 1.0 / 3.0], rtol=1e-14)
+    assert list(info["row_steps"]) == [1, 2] and iters == 2
+    assert calls == [[0, 1], [0, 1]]
+
+
+def test_a_negative_curvature_row_raises():
+    rng = np.random.default_rng(9)
+    mats = [np.eye(4), np.diag([1.0, -1.0, 2.0, 3.0]), 2.0 * np.eye(4)]
+    apply_A, _ = _blocks(mats)
+    with pytest.raises(MaxboundError, match="negative-curvature"):
+        conjugate_gradient(apply_A, rng.standard_normal((3, 4)))
+
+
 # ---------------------------------------------------------------------------
 # the bound as a quadratic in the free field
 
@@ -182,13 +314,13 @@ def test_quadratic_gradient_matches_finite_differences():
     rng = np.random.default_rng(101)
     x0 = _flatten(mb.default_Y(p, approx))
     g0 = quad.gradient_flat(x0)
-    d = rng.standard_normal(x0.size)
+    d = rng.standard_normal(x0.shape)
     d /= np.linalg.norm(d)
     h = 1e-6
     fp = quad.value(_unflatten(x0 + h * d, grid))
     fm = quad.value(_unflatten(x0 - h * d, grid))
     fd = (fp - fm) / (2.0 * h)
-    assert fd == pytest.approx(float(g0 @ d), rel=1e-6)
+    assert fd == pytest.approx(np.vdot(g0, d), rel=1e-6)
 
 
 def test_quadratic_hessian_is_symmetric_positive_semidefinite():
@@ -417,7 +549,7 @@ def test_piecewise_gamma_keeps_to_an_unordered_candidate_grid(theorem):
 
 
 def _unit_probe_diagonal(op, grid):
-    """Diagonal of a face-field operator, one unit vector per dof, in _flatten order."""
+    """Diagonal of a face-field operator, one unit vector per dof, in the order of a Y row."""
     diag = []
     for c in "xyz":
         for index in np.ndindex(grid.shape(mb.FACE, c)):
@@ -455,17 +587,17 @@ def test_spatial_diagonals_equal_unit_vector_probes(n, kind):
     np.testing.assert_array_equal(curl, _unit_probe_diagonal(curl_curl, grid))
 
 
-def _to_basis(basis, v, grid):
-    """S Q^T v: a flat Y vector (or gradient) mapped into the scaled time
+def _to_basis(basis, v):
+    """S Q^T v: Y rows (or a gradient) mapped into the scaled time
     eigenbasis, the transpose of _from_basis."""
     q, _, scale = basis
-    return scale * _along_time(q.T, v, grid)
+    return scale * (q.T @ v)
 
 
-def _from_basis(basis, w, grid):
-    """Q S w: the flat Y vector of the basis coordinates w."""
+def _from_basis(basis, w):
+    """Q S w: the Y rows of the basis coordinates w."""
     q, _, scale = basis
-    return _along_time(q, scale * w, grid)
+    return q @ (scale * w)
 
 
 @pytest.mark.parametrize("theorem", ["T1", "T3", "T4", "T5"])
@@ -479,22 +611,15 @@ def test_scaled_eigenbasis_makes_the_dof_restricted_hessian_the_identity(theorem
     quad = BoundQuadratic(p, approx, rho=0.4, gamma=1.3, theorem=theorem, zero_variant=variant)
     diagonals = spatial_diagonals(p)
     basis = _scaled_eigenbasis(quad, diagonals)
-    cuts = np.cumsum([int(np.prod(grid.shape(mb.FACE, c))) for c in "xy"])
+    m, c = diagonals
 
     def apply_P(v):
-        out = np.empty_like(v)
-        for src, dst, m, c in zip(_unflatten(v, grid).components(),
-                                  _unflatten(out, grid).components(),
-                                  *(np.split(d, cuts) for d in diagonals)):
-            x = src.reshape(grid.nt, -1)
-            dst.reshape(grid.nt, -1)[...] = 2.0 * (quad.t1 @ (x * m)
-                                                   + quad.w_edge[:, None] * (x * c))
-        return out
+        return 2.0 * (quad.t1 @ (v * m) + quad.w_edge[:, None] * (v * c))
 
     rng = np.random.default_rng(13)
     for _ in range(3):
-        w = rng.standard_normal(basis[2].size)
-        back = _to_basis(basis, apply_P(_from_basis(basis, w, grid)), grid)
+        w = rng.standard_normal(basis[2].shape)
+        back = _to_basis(basis, apply_P(_from_basis(basis, w)))
         assert np.abs(back - w).max() <= 1e-10 * np.abs(w).max()
 
 
@@ -507,18 +632,17 @@ def test_the_hessian_is_time_diagonal_in_the_scaled_eigenbasis(variant):
     quad = BoundQuadratic(p, mb.leapfrog_solve(p), rho=0.5, gamma=1.0, zero_variant=variant)
     basis = _scaled_eigenbasis(quad, spatial_diagonals(p))
     q, lam, scale = basis
-    nd = scale.size
-    base = quad.gradient_flat(np.zeros(nd))
-    eye = np.eye(nd)
+    nt, n = scale.shape
+    base = quad.gradient_flat(np.zeros(nt * n))
+    eye = np.eye(nt * n)
     H = np.stack([quad.gradient_flat(e) - base for e in eye], axis=1)
-    Q = np.stack([_along_time(q, e, grid) for e in eye], axis=1)
-    sizes = [int(np.prod(grid.shape(mb.FACE, c))) for c in "xyz"]
-    # the time index of each flat entry: components in turn, each time first
-    time = np.concatenate([np.repeat(np.arange(grid.nt), s) for s in sizes])
+    Q = np.kron(q, np.eye(n))  # q along the time axis of raveled rows
+    # the time index of each raveled entry: one row per node
+    time = np.repeat(np.arange(nt), n)
     in_time = Q.T @ H @ Q
     coupled = time[:, None] != time[None, :]
     assert np.abs(in_time[coupled]).max() <= 1e-10 * np.abs(in_time).max()
-    unit = [(_scaled_hessian(p, lam, scale, e) @ e) for e in eye]
+    unit = [_scaled_hessian(p, lam, scale, e.reshape(nt, n)).ravel() @ e for e in eye]
     np.testing.assert_allclose(unit, 1.0, rtol=1e-12)
 
 
@@ -539,14 +663,46 @@ def test_scaled_hessian_into_out_equals_the_fresh_call():
     quad = BoundQuadratic(p, _perturbed(p, exact), rho=0.4, gamma=1.3)
     _, lam, scale = _scaled_eigenbasis(quad, spatial_diagonals(p))
     rng = np.random.default_rng(23)
-    out, work = np.empty(scale.size), _Work(p.grid)
+    out, work = np.empty(scale.shape), _Work(p.grid)
     for _ in range(2):  # the second round reuses the buffers
-        v = rng.standard_normal(scale.size)
+        v = rng.standard_normal(scale.shape)
         fresh = _scaled_hessian(p, lam, scale, v)
-        assert _scaled_hessian(p, lam, scale, v, out, work) is out
+        assert _scaled_hessian(p, lam, scale, v, out=out, work=work) is out
         np.testing.assert_array_equal(out, fresh)
         # the call without out returns an array of its own
         assert not np.shares_memory(_scaled_hessian(p, lam, scale, v), fresh)
+
+
+def test_the_scaled_hessian_of_some_blocks_is_those_rows_of_the_full_product():
+    # each eigen-block is its own product, so rows in any order, down to a
+    # single one (a StaggeredField inside), give the full product's rows
+    p, exact = polynomial_setup(4, 9)
+    quad = BoundQuadratic(p, _perturbed(p, exact), rho=0.4, gamma=1.3)
+    _, lam, scale = _scaled_eigenbasis(quad, spatial_diagonals(p))
+    v = np.random.default_rng(31).standard_normal(scale.shape)
+    full = _scaled_hessian(p, lam, scale, v)
+    work = _Work(p.grid)
+    for rows in (np.array([8, 2, 5]), np.array([1, 0]), np.array([6])):
+        out = np.empty((len(rows), scale.shape[1]))
+        got = _scaled_hessian(p, lam, scale, v[rows], rows, out, work)
+        assert got is out
+        np.testing.assert_array_equal(got, full[rows])
+
+
+def test_the_y_solve_reports_its_hessian_work_in_blocks(monkeypatch):
+    p, exact = polynomial_setup(4, 9)
+    rows_seen = []
+    scaled_hessian = maxbound.optimize._scaled_hessian
+
+    def counted(p, lam, scale, w, *args, **kwargs):
+        rows_seen.append(len(w))
+        return scaled_hessian(p, lam, scale, w, *args, **kwargs)
+
+    monkeypatch.setattr(maxbound.optimize, "_scaled_hessian", counted)
+    info = {}
+    mb.optimize_Y(p, _perturbed(p, exact), gamma=1.0, rho=0.5, info=info)
+    assert info["iterations"] == len(rows_seen)
+    assert info["block_iterations"] == sum(rows_seen) < p.grid.nt * len(rows_seen)
 
 
 def test_a_cg_iteration_of_the_y_solve_allocates_no_array():
@@ -560,9 +716,14 @@ def test_a_cg_iteration_of_the_y_solve_allocates_no_array():
     assert node > 3 * 8 * np.getbufsize()
     quad = BoundQuadratic(p, exact, rho=0.5, gamma=1.0)
     _, lam, scale = _scaled_eigenbasis(quad, spatial_diagonals(p))
-    v = np.random.default_rng(29).standard_normal(scale.size)
+    v = np.random.default_rng(29).standard_normal(scale.shape)
     Ad, work = np.empty_like(v), _Work(grid)
-    assert traced_peak(lambda: _scaled_hessian(p, lam, scale, v, Ad, work)) < node
+    assert traced_peak(lambda: _scaled_hessian(p, lam, scale, v, None, Ad, work)) < node
+    # and on some of the blocks, down to one
+    for rows in (np.array([3, 0]), np.array([2])):
+        w = v[rows]
+        assert traced_peak(lambda: _scaled_hessian(p, lam, scale, w, rows,
+                                                   Ad[:len(rows)], work)) < node
 
 
 # ---------------------------------------------------------------------------
@@ -585,15 +746,15 @@ def test_explicit_hessian_is_the_symmetric_semidefinite_gradient_difference(
     quad = BoundQuadratic(p, approx, rho=0.4, gamma=1.3, theorem=theorem, zero_variant=variant)
     basis = _scaled_eigenbasis(quad, spatial_diagonals(p))
     _, lam, scale = basis
-    nd = scale.size
-    base = quad.gradient_flat(np.zeros(nd))
+    base = quad.gradient_flat(np.zeros(scale.shape))
     for _ in range(3):
-        u, v = rng.standard_normal(nd), rng.standard_normal(nd)
+        u, v = rng.standard_normal(scale.shape), rng.standard_normal(scale.shape)
         hu, hv = (_scaled_hessian(p, lam, scale, x) for x in (u, v))
-        diff = _to_basis(basis, quad.gradient_flat(_from_basis(basis, v, grid)) - base, grid)
+        diff = _to_basis(basis, quad.gradient_flat(_from_basis(basis, v)) - base)
         assert np.abs(hv - diff).max() <= 1e-12 * np.abs(diff).max()
-        assert abs(u @ hv - v @ hu) <= 1e-12 * np.linalg.norm(u) * np.linalg.norm(hv)
-        assert v @ hv >= 0.0
+        assert abs(np.vdot(u, hv) - np.vdot(v, hu)) <= (
+            1e-12 * np.linalg.norm(u) * np.linalg.norm(hv))
+        assert np.vdot(v, hv) >= 0.0
 
 
 def test_preconditioned_free_field_matches_the_dense_oracle():
@@ -610,15 +771,15 @@ def test_preconditioned_free_field_matches_the_dense_oracle():
     eye = np.eye(nd)
     A = np.stack([quad.gradient_flat(e) - base for e in eye], axis=1)
     dense, *_ = np.linalg.lstsq(A, -base, rcond=None)
-    v_dense = quad.value(_unflatten(dense, grid))
+    v_dense = quad.value(_unflatten(dense.reshape(grid.nt, -1), grid))
 
     y0 = _flatten(mb.default_Y(p, approx))
     basis = _scaled_eigenbasis(quad, spatial_diagonals(p))
     _, lam, scale = basis
-    w, _, _ = conjugate_gradient(lambda v: _scaled_hessian(p, lam, scale, v),
-                                 -_to_basis(basis, quad.gradient_flat(y0), grid),
+    w, _, _ = conjugate_gradient(lambda v, rows: _scaled_hessian(p, lam, scale, v, rows),
+                                 -_to_basis(basis, quad.gradient_flat(y0)),
                                  tol=1e-12, max_iter=500)
-    y = y0 + _from_basis(basis, w, grid)
+    y = y0 + _from_basis(basis, w)
     assert abs(quad.value(_unflatten(y, grid)) - v_dense) <= 1e-8 * abs(v_dense)
 
     info = {}
