@@ -28,7 +28,7 @@ from .errors import (
 )
 from .fields import GridSpec
 from .gronwall import gronwall_differential, gronwall_oracle_check, oracle_report
-from .majorant import MajorantParams, certify
+from .majorant import THEOREMS, MajorantParams, certify
 from .operators import weighted_norm_sq
 from .optimize import OptimizeConfig, optimize_all, optimize_gamma_rho
 from .problem import assemble_problem, bump_field, bump_field_dt
@@ -363,7 +363,7 @@ def _run_gronwall_case(case):
 def cmd_gronwall(args):
     spec = load_config(args.config, CHECK_SPEC_SCHEMA) if args.config else {}
     all_ok = True
-    for case in spec.get("cases") or _BUILTIN_GRONWALL_SUITE:
+    for case in spec.get("cases", _BUILTIN_GRONWALL_SUITE):
         rep = _run_gronwall_case(case)
         status = "PASS" if rep.passed else "FAIL"
         print(f"{status} {case.get('name', 'unnamed')} "
@@ -405,7 +405,7 @@ def build_parser():
         "--config": dict(help="JSON configuration file"),
         "--snapshot": dict(help="field snapshot archive path"),
         "--out": dict(help="output directory (default: current)"),
-        "--theorem": dict(choices=["T1", "T3", "T4", "T5"], default=None),
+        "--theorem": dict(choices=list(THEOREMS), default=None),
         "--optimize": dict(choices=["none", "params", "full"], default=None),
     }
     # each subcommand takes only the flags it reads; any other is an unknown flag

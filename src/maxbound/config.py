@@ -9,7 +9,8 @@ import jsonschema
 
 from .errors import ConfigError
 from .fields import GridSpec, MaterialField
-from .problem import assemble_problem, get_case
+from .majorant import THEOREMS
+from .problem import BUMPS, assemble_problem, get_case
 
 _MATERIAL_SCHEMA = {
     "type": "object",
@@ -76,7 +77,7 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
             "required": ["bump", "delta"],
             "properties": {
-                "bump": {"type": "string"},
+                "bump": {"enum": list(BUMPS)},
                 "delta": {"type": "number"},
             },
         },
@@ -92,7 +93,7 @@ CONFIG_SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "theorem": {"enum": ["T1", "T3", "T4", "T5"]},
+                "theorem": {"enum": list(THEOREMS)},
                 "rho": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
                 "gamma": {"type": "number", "exclusiveMinimum": 0},
                 "zeroTermVariant": {"enum": ["z", "z_tilde", "z_hat"]},
@@ -129,6 +130,7 @@ CHECK_SPEC_SCHEMA = {
     "properties": {
         "cases": {
             "type": "array",
+            "minItems": 1,
             "items": {
                 "type": "object",
                 "additionalProperties": False,

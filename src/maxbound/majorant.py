@@ -14,7 +14,8 @@ for every admissible choice of the tuning variables (Y, gamma, rho).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
@@ -33,7 +34,13 @@ from .operators import (
     weighted_norm_sq,
 )
 
-THEOREMS = ("T1", "T3", "T4", "T5")
+# The two facts that set a theorem apart: derived_velocity, whether Etilde_t
+# is read as dEtilde/dt (the high-regularity T1/T3, whose coupling
+# <Ktilde, curl(Etilde_t - dEtilde/dt)> is then 0), and nodal_weights,
+# whether rho and gamma may vary by node (T3/T4, whose N is gamma-weighted).
+Theorem = namedtuple("Theorem", "derived_velocity nodal_weights")
+THEOREMS = {"T1": Theorem(True, False), "T3": Theorem(True, True),
+            "T4": Theorem(False, True), "T5": Theorem(False, False)}
 ZERO_VARIANTS = ("z", "z_tilde", "z_hat")
 
 _EFFICIENCY_FLOOR = 1e3 * np.finfo(float).eps
@@ -81,20 +88,20 @@ def _nodes_in_range(v, nt, name, lo, hi):
 
 @dataclass
 class Residuals:
-    """Residual trajectories of the approximation against the curl-curl system.
+    """Residual trajectories of the approximation against the curl-curl system,
+    Etilde_t being dEtilde/dt for T1/T3:
 
-    Khat   (edge): eps d2E/dt2 + curl Y - K        (high-regularity path)
     Ktilde (face): mu^-1 curl Etilde - Y
-    Kcheck (edge): eps dEtilde_t/dt + curl Y - K   (weak-regularity path)
+    Kcheck (edge): eps dEtilde_t/dt + curl Y - K
     Rt     (face): mu^-1 curl Etilde_t - dY/dt
+    coupling_curl (face): curl(Etilde_t - dEtilde/dt), None for T1/T3,
+    where it is 0
     """
 
-    Khat: Optional[FieldTrajectory]
     Ktilde: FieldTrajectory
-    Kcheck: Optional[FieldTrajectory]
-    Rt: Optional[FieldTrajectory]
-    dt_Ktilde: Optional[FieldTrajectory] = None
-    coupling_curl: Optional[FieldTrajectory] = None  # curl(Etilde_t - dEtilde/dt)
+    Kcheck: FieldTrajectory
+    Rt: FieldTrajectory
+    coupling_curl: Optional[FieldTrajectory]
 
 
 def mu_inv_curl(p, e, out=None):
@@ -117,22 +124,19 @@ def _check_Y(Y, grid):
 
 
 def residuals(p, approx, Y, theorem):
-    """The residual trajectories for the given free field Y that the theorem
-    reads, the others None; the Y-optimizer's gradient reads them."""
+    """The residual trajectories of the theorem for the given free field Y;
+    the Y-optimizer's gradient reads them."""
     g = p.grid
-    _check_theorem(theorem, g, approx)
+    derived = _check_theorem(theorem, g, approx).derived_velocity
     _check_Y(Y, g)
     Ktilde = mu_inv_curl(p, approx.Etilde) - Y
     curl_Y = curl_face_to_edge(Y, g)
     dE = trajectory_derivative(approx.Etilde)
-    if theorem in ("T1", "T3"):
-        Khat = apply_material_staggered(trajectory_derivative(dE), p.eps, g) + curl_Y - p.K
-        return Residuals(Khat, Ktilde, None, None, trajectory_derivative(Ktilde), None)
-    dEt = trajectory_derivative(approx.Etilde_t)
-    Kcheck = apply_material_staggered(dEt, p.eps, g) + curl_Y - p.K
-    Rt = mu_inv_curl(p, approx.Etilde_t) - trajectory_derivative(Y)
-    coupling_curl = curl_edge_to_face(approx.Etilde_t - dE, g)
-    return Residuals(None, Ktilde, Kcheck, Rt, None, coupling_curl)
+    Et = dE if derived else approx.Etilde_t
+    Kcheck = apply_material_staggered(trajectory_derivative(Et), p.eps, g) + curl_Y - p.K
+    Rt = mu_inv_curl(p, Et) - trajectory_derivative(Y)
+    coupling_curl = None if derived else curl_edge_to_face(Et - dE, g)
+    return Residuals(Ktilde, Kcheck, Rt, coupling_curl)
 
 
 def norm_sq_trajectory(traj, w, grid):
@@ -161,18 +165,18 @@ class ZeroTermParts:
         raise ParameterError(f"unknown zero-term variant {variant!r}")
 
 
-def zero_term_parts(p, approx, Y, use_Etilde_t=True):
+def zero_term_parts(p, approx, Y, theorem="T5"):
     """Initial-condition error contributions, computable from given data only.
 
-    curl e(0) = curl E0 - curl Etilde(0); the first slot error uses
-    E0' - Etilde_t(0) (or E0' - dEtilde/dt(0) on the high-regularity path).
-    Y None stands for the default free field, for which Ktilde(0) = 0.
+    curl e(0) = curl E0 - curl Etilde(0); the first slot error is
+    E0' - Etilde_t(0), Etilde_t being dEtilde/dt for T1/T3.  Y None stands
+    for the default free field, for which Ktilde(0) = 0.
     """
     g = p.grid
-    if use_Etilde_t:
-        first0 = approx.Etilde_t.node(0)
-    else:
+    if _check_theorem(theorem, g, approx).derived_velocity:
         first0 = ddt_node(approx.Etilde.node, 0, g)
+    else:
+        first0 = approx.Etilde_t.node(0)
     et0_err = p.E0prime - first0
     curl_e0 = curl_edge_to_face(p.E0 - approx.Etilde.node(0), g)
     m0 = mu_inv_curl(p, approx.Etilde.node(0))
@@ -214,9 +218,9 @@ class _Window:
 class NodeSeries:
     """Per-node residual norms whose weighted combination is the functional f.
 
-    edge_sq is ||Khat||^2_{eps^-1} (T1/T3) or ||Kcheck||^2_{eps^-1} (T4/T5);
-    face_sq is ||dKtilde/dt||^2_mu (T1/T3) or ||Rt||^2_mu (T4/T5); coup is
-    <Ktilde, curl(Etilde_t - dEtilde/dt)> on T4/T5 and None otherwise.
+    kt_sq is ||Ktilde||^2_mu, edge_sq ||Kcheck||^2_{eps^-1}, face_sq
+    ||Rt||^2_mu and coup <Ktilde, curl(Etilde_t - dEtilde/dt)> (see
+    Residuals); coup is 0 for T1/T3, whose Etilde_t is dEtilde/dt.
     error_sq, given an exact reference, holds ||e_t||^2_eps and
     ||curl e||^2_{mu^-1} at every node (see true_error_norms), else None.
     """
@@ -224,18 +228,21 @@ class NodeSeries:
     kt_sq: np.ndarray
     edge_sq: np.ndarray
     face_sq: np.ndarray
-    coup: Optional[np.ndarray]
+    coup: np.ndarray
     zp: ZeroTermParts
     error_sq: Optional[tuple] = None
 
 
 def _check_theorem(theorem, grid, approx):
-    if theorem not in THEOREMS:
-        raise ParameterError(f"unknown theorem {theorem!r}; choose from {THEOREMS}")
-    if theorem in ("T1", "T3") and grid.nt < 5:
+    """The Theorem that THEOREMS names, once approx and grid meet it."""
+    if not isinstance(theorem, str) or theorem not in THEOREMS:
+        raise ParameterError(f"unknown theorem {theorem!r}; choose from {tuple(THEOREMS)}")
+    th = THEOREMS[theorem]
+    if th.derived_velocity and grid.nt < 5:
         raise PreconditionError(f"{theorem} needs nt >= 5 for second time differences")
-    if theorem in ("T4", "T5") and approx.Etilde_t is None:
+    if not th.derived_velocity and approx.Etilde_t is None:
         raise PreconditionError(f"{theorem} requires the Etilde_t trajectory")
+    return th
 
 
 class _Work:
@@ -251,16 +258,16 @@ def series(p, approx, Y, theorem, exact=None):
     """The theorem's per-node series in one pass over the time nodes.
 
     Every node sees the operations of `residuals` followed by a spatial
-    norm, but only three nodes of Etilde, Y, Ktilde, Etilde_t and (T1/T3)
-    dEtilde/dt are held, each input node is read once, and the residuals
-    go into buffers made once per call.  Y None stands for the default free
-    field mu^-1 curl Etilde, built node by node; Ktilde is then zero, and
-    kt_sq, the T4/T5 coupling and the T1/T3 face term are left at 0.0
-    uncomputed.  Given an exact reference, the pass takes the true-error
-    norms of every node too.
+    norm, but only three nodes of Etilde, Y, Ktilde, Etilde_t and
+    dEtilde/dt are held (for T1/T3 the last two are one), each input node
+    is read once, and the residuals go into buffers made once per call.
+    Y None stands for the default free field mu^-1 curl Etilde, built node
+    by node; Ktilde is then zero, and kt_sq and the coupling are left at
+    0.0 uncomputed, as the coupling of T1/T3 always is.  Given an exact
+    reference, the pass takes the true-error norms of every node too.
     """
     g = p.grid
-    _check_theorem(theorem, g, approx)
+    derived = _check_theorem(theorem, g, approx).derived_velocity
     if Y is not None:
         _check_Y(Y, g)
     nt = g.nt
@@ -270,16 +277,14 @@ def series(p, approx, Y, theorem, exact=None):
     Yw = M if Y is None else _Window(lambda j, _: Y.node(j))
     Kt = _Window(lambda j, out: M(j).apply(np.subtract, Yw(j), out))
     dE = _Window(lambda j, out: ddt_node(E, j, g, out))
-    Et = _Window(lambda j, _: approx.Etilde_t.node(j))
-    high = theorem in ("T1", "T3")
+    Et = dE if derived else _Window(lambda j, _: approx.Etilde_t.node(j))
 
-    kt_sq, edge_sq, face_sq = np.zeros(nt), np.zeros(nt), np.zeros(nt)
-    coup = None if high else np.zeros(nt)
+    kt_sq, edge_sq, face_sq, coup = (np.zeros(nt) for _ in range(4))
     error_sq = None if exact is None else (np.zeros(nt), np.zeros(nt))
     for k in range(nt):
         # the true error first: its node k of Etilde has not yet left the window
         if exact is not None:
-            first = exact.Etilde_t.node(k).apply(np.subtract, dE(k) if high else Et(k), work.edge)
+            first = exact.Etilde_t.node(k).apply(np.subtract, Et(k), work.edge)
             error_sq[0][k] = weighted_norm_sq(first, p.eps, g, work.cells)
             diff = exact.Etilde.node(k).apply(np.subtract, E(k), work.edge)
             curl_err = curl_edge_to_face(diff, g, work.face)
@@ -287,25 +292,20 @@ def series(p, approx, Y, theorem, exact=None):
         if Y is not None:
             kt_sq[k] = weighted_norm_sq(Kt(k), p.mu, g, work.cells)
         Yk = Yw(k)  # made before the derivatives below move the Etilde window on
-        edge = ddt_node(dE if high else Et, k, g, work.edge, work.edge2)
+        edge = ddt_node(Et, k, g, work.edge, work.edge2)
         apply_material_staggered(edge, p.eps, g, edge)
         edge += curl_face_to_edge(Yk, g, work.edge2)
         edge -= p.K.node(k)
         edge_sq[k] = weighted_norm_sq(edge, p.eps_inv, g, work.cells)
-        if high:
-            if Y is not None:
-                face = ddt_node(Kt, k, g, work.face, work.face2)
-                face_sq[k] = weighted_norm_sq(face, p.mu, g, work.cells)
-        else:
-            dY = ddt_node(Yw, k, g, work.face2, work.face)
-            face = mu_inv_curl(p, Et(k), work.face)
-            face -= dY
-            face_sq[k] = weighted_norm_sq(face, p.mu, g, work.cells)
-            if Y is not None:
-                diff = Et(k).apply(np.subtract, dE(k), work.edge)
-                coupling_curl = curl_edge_to_face(diff, g, work.face)
-                coup[k] = weighted_inner(Kt(k), coupling_curl, None, g, work.cells)
-    zp = zero_term_parts(p, approx, Y, use_Etilde_t=not high)
+        dY = ddt_node(Yw, k, g, work.face2, work.face)
+        face = mu_inv_curl(p, Et(k), work.face)
+        face -= dY
+        face_sq[k] = weighted_norm_sq(face, p.mu, g, work.cells)
+        if Y is not None and not derived:
+            diff = Et(k).apply(np.subtract, dE(k), work.edge)
+            coupling_curl = curl_edge_to_face(diff, g, work.face)
+            coup[k] = weighted_inner(Kt(k), coupling_curl, None, g, work.cells)
+    zp = zero_term_parts(p, approx, Y, theorem)
     return NodeSeries(kt_sq, edge_sq, face_sq, coup, zp, error_sq)
 
 
@@ -320,10 +320,8 @@ def functional(s, rho, gamma, variant, dt, absolute_coupling=False):
            [+ 2 coup]) + z,
     with the coupling absolute-valued when absolute_coupling is set.
     """
-    integrand = s.edge_sq / gamma + s.face_sq / (gamma * rho)
-    if s.coup is not None:
-        coup = np.abs(s.coup) if absolute_coupling else s.coup
-        integrand = integrand + 2.0 * coup
+    coup = np.abs(s.coup) if absolute_coupling else s.coup
+    integrand = s.edge_sq / gamma + s.face_sq / (gamma * rho) + 2.0 * coup
     return s.kt_sq / (1.0 - rho) + cumulative_trapezoid(integrand, dt) + s.zp.value(variant)
 
 
@@ -350,22 +348,22 @@ def bound_b_and_B(f, gamma, dt, gamma_weighted_N=False):
 def true_error_norms(exact, approx, p, params, theorem="T5"):
     """Per-node energy error n and its cumulative integral N vs an exact output.
 
-    For T1/T3 the first slot is the discrete time derivative of the error;
-    for T4/T5 it is the Etilde_t error.  N is gamma-weighted exactly when
-    the theorem uses trajectory weights (T3/T4).  The norms are taken in
-    the one pass of series, the pass certify makes.
+    The first slot is the error of Etilde_t, which is dEtilde/dt for
+    T1/T3.  N is gamma-weighted exactly when the theorem uses trajectory
+    weights (T3/T4).  The norms are taken in the one pass of series, the
+    pass certify makes.
     """
     s = series(p, approx, None, theorem, exact)
-    return _error_norms(s.error_sq, params, theorem, p.grid)
+    return _error_norms(s.error_sq, params, THEOREMS[theorem].nodal_weights, p.grid)
 
 
-def _error_norms(error_sq, params, theorem, grid):
+def _error_norms(error_sq, params, nodal_weights, grid):
     """n = ||e_t||^2_eps + rho ||curl e||^2_{mu^-1} per node from the two
-    norms of NodeSeries.error_sq, and N."""
+    norms of NodeSeries.error_sq, and N, gamma-weighted for nodal_weights."""
     first_sq, curl_sq = error_sq
     n = first_sq + params.rho_nodes(grid.nt) * curl_sq
     gam = params.gamma_nodes(grid.nt)
-    weight = gam if theorem in ("T3", "T4") else np.ones_like(gam)
+    weight = gam if nodal_weights else np.ones_like(gam)
     return n, cumulative_trapezoid(weight * n, grid.dt)
 
 
@@ -404,22 +402,23 @@ def certify(p, approx, params, theorem="T5", exact=None):
     """Assemble the majorant of the chosen theorem and optionally compare
     against an exact reference.
 
-    T1: constant weights, high-regularity (discrete second time derivative).
-    T3: trajectory weights, high-regularity.
-    T4: trajectory weights, weak regularity (needs Etilde_t).
-    T5: constant weights, weak regularity.
+    T5: constant weights, weak regularity (reads Etilde_t).
+    T4: trajectory weights, weak regularity.
+    T1: T5 with Etilde_t read as dEtilde/dt (high regularity), so that
+        the coupling term is 0.
+    T3: T4 with Etilde_t read as dEtilde/dt.
 
     The working memory beyond the inputs is a few node fields, whatever nt.
     """
     g = p.grid
-    if theorem in ("T1", "T5") and not params.is_constant():
+    th = _check_theorem(theorem, g, approx)
+    if not th.nodal_weights and not params.is_constant():
         raise PreconditionError(f"{theorem} requires constant rho and gamma")
     rho = params.rho_nodes(g.nt)
     gam = params.gamma_nodes(g.nt)
     s = series(p, approx, params.Y, theorem, exact)
     f = functional(s, rho, gam, params.zero_variant, g.dt, params.absolute_coupling)
-    gamma_weighted = theorem in ("T3", "T4")
-    b, B = bound_b_and_B(f, gam, g.dt, gamma_weighted_N=gamma_weighted)
+    b, B = bound_b_and_B(f, gam, g.dt, gamma_weighted_N=th.nodal_weights)
     if not np.isfinite(b).all():
         raise MaxboundError(f"{theorem} bound is not finite; no bound was certified")
     if np.any(b < 0.0):
@@ -438,7 +437,7 @@ def certify(p, approx, params, theorem="T5", exact=None):
         zero_variant=params.zero_variant,
     )
     if exact is not None:
-        n, N = _error_norms(s.error_sq, params, theorem, g)
+        n, N = _error_norms(s.error_sq, params, th.nodal_weights, g)
         report.trueN = n
         report.trueBigN = N
         scale = max(float(np.max(n)), float(np.max(b)), 1e-300)
@@ -474,7 +473,7 @@ def combined_estimate(p, approx, params, exact=None, theorem="T5"):
     g = p.grid
     if approx.Htilde is None:
         raise PreconditionError("combined estimate requires the magnetic approximation")
-    if theorem not in ("T4", "T5"):
+    if theorem not in [name for name, th in THEOREMS.items() if not th.derived_velocity]:
         raise ParameterError("combined estimate uses the weak-regularity bounds (T4/T5)")
     Htilde_t = approx.Htilde_t
     if Htilde_t is None:

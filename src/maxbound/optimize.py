@@ -23,6 +23,7 @@ import numpy as np
 from .errors import MaxboundError, ParameterError
 from .fields import EDGE, FACE, FieldTrajectory, StaggeredField
 from .majorant import (
+    THEOREMS,
     MajorantParams,
     _check_theorem,
     _nodes_in_range,
@@ -197,7 +198,7 @@ def _search_gamma_rho(s, cfg, theorem, zero_variant, grid):
             RuntimeWarning,
         )
     gamma, rho, value = best
-    if cfg.gamma_pieces > 1 and theorem in ("T3", "T4"):
+    if cfg.gamma_pieces > 1 and THEOREMS[theorem].nodal_weights:
         gamma, value = _refine_gamma_pieces(s, rho, gamma, zero_variant, cfg, grid)
     return gamma, rho, value
 
@@ -393,17 +394,15 @@ class BoundQuadratic:
         g = self.grid
         p = self.p
         res = residuals(p, self.approx, Y, self.theorem)
-        high = self.theorem in ("T1", "T3")
         mass = gram_apply(res.Ktilde, p.mu, g)
-        face = res.dt_Ktilde if high else res.Rt
-        scaled = gram_apply(face, p.mu, g) * _per_node(self.w_face)
-        ge = gram_apply(res.Khat if high else res.Kcheck, p.eps_inv, g)
+        scaled = gram_apply(res.Rt, p.mu, g) * _per_node(self.w_face)
+        ge = gram_apply(res.Kcheck, p.eps_inv, g)
         grad = (
             mass * _per_node(-2.0 * self.w_pt)
             + curl_edge_to_face(zero_tangential(ge), g) * _per_node(2.0 * self.w_edge)
             - 2.0 * trajectory_derivative(scaled, transpose=True)
         )
-        if not high:
+        if res.coupling_curl is not None:
             grad = grad - gram_apply(res.coupling_curl, None, g) * _per_node(2.0 * self.w_coup)
         zero = self.zero_grad if self.variant == "z" else (2.0 * self.Cz) * mass.node(0)
         for comp, z in zip(grad.components(), zero.components()):
@@ -504,13 +503,12 @@ def conjugate_gradient(apply_A, rhs, tol=1e-10, max_iter=200, stall_tol=0.0, inf
     """Solve A x = rhs for symmetric positive semidefinite A, matrix-free,
     from x = 0.
 
-    A 1-D rhs is one system, and apply_A(v) gives A v.  A 2-D rhs holds
-    the right-hand sides of a block-diagonal A = diag(A_0, A_1, ...), one
-    per row, and each row is solved by a CG of its own, all in lockstep:
-    apply_A(d, rows) gives the products A_rows[i] d[i] of the active rows
-    d, rows being their indices in rhs (read it before returning; it
-    changes).  apply_A may return the same buffer at every call: a result
-    is read before the next call.
+    rhs, a 2-D array, holds the right-hand sides of a block-diagonal
+    A = diag(A_0, A_1, ...), one per row, and each row is solved by a CG
+    of its own, all in lockstep: apply_A(d, rows) gives the products
+    A_rows[i] d[i] of the active rows d, rows being their indices in rhs
+    (read it before returning; it changes).  apply_A may return the same
+    buffer at every call: a result is read before the next call.
 
     Row j stops at relative residual |rhs_j - A_j x_j| / |rhs_j| <= tol
     (at once for a zero rhs_j), at a null direction of A_j, or once its
@@ -539,13 +537,6 @@ def conjugate_gradient(apply_A, rhs, tol=1e-10, max_iter=200, stall_tol=0.0, inf
     is a pairwise sum over a row of it, which no BLAS thread count changes.
     """
     b = np.asarray(rhs, dtype=float)
-    if b.ndim == 1:
-        b = b[None]
-        product = apply_A
-
-        def apply_A(d, rows):
-            return product(d[0])[None]
-
     nb = len(b)
     scratch = np.empty_like(b)
     x = np.zeros_like(b)
@@ -621,8 +612,7 @@ def conjugate_gradient(apply_A, rhs, tol=1e-10, max_iter=200, stall_tol=0.0, inf
         info["row_steps"] = steps
     # x back in the order of rhs, in the scratch
     scratch[order] = x
-    x = scratch[0] if np.ndim(rhs) == 1 else scratch
-    return x, int(steps.max()), math.sqrt(float(rs.sum())) / ref0
+    return scratch, int(steps.max()), math.sqrt(float(rs.sum())) / ref0
 
 
 def optimize_Y(p, approx, gamma, rho, cfg=None, theorem="T5", zero_variant="z_hat",

@@ -242,22 +242,25 @@ def _bump_profiles(grid):
 _bump_sample = _profile_sampler(_bump_profiles)
 
 
+# the time factor of each bump and of its time derivative, of (t, T)
+BUMPS = {"poly_t2": (lambda t, T: (t / T) ** 2, lambda t, T: 2.0 * t / T**2),
+         "static": (lambda t, T: 1.0, lambda t, T: 0.0)}
+
+
+def _bump(key, grid, t, factor):
+    if key not in BUMPS:
+        raise UnsupportedCaseError(f"unknown bump key {key!r}")
+    return _bump_sample(grid, "bump", BUMPS[key][factor](t, grid.T))
+
+
 def bump_field(key, grid, t):
     """Smooth edge-type bump with zero tangential trace, sampled at time t."""
-    if key == "poly_t2":
-        return _bump_sample(grid, "bump", (t / grid.T) ** 2)
-    if key == "static":
-        return _bump_sample(grid, "bump", 1.0)
-    raise UnsupportedCaseError(f"unknown bump key {key!r}")
+    return _bump(key, grid, t, 0)
 
 
 def bump_field_dt(key, grid, t):
     """Analytic time derivative of bump_field."""
-    if key == "poly_t2":
-        return _bump_sample(grid, "bump", 2.0 * t / grid.T**2)
-    if key == "static":
-        return _bump_sample(grid, "bump", 0.0)
-    raise UnsupportedCaseError(f"unknown bump key {key!r}")
+    return _bump(key, grid, t, 1)
 
 
 def perturb(traj, delta, bump):

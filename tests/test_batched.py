@@ -143,21 +143,20 @@ def test_trajectory_kernels_check_spatial_extents():
 def _reference_gradient(quad, Y):
     """The gradient as a loop over time nodes, one StaggeredField at a time;
     the time derivative D and its transpose act along the time axis, as in
-    the gradient."""
+    the gradient.  T1/T3 are T5/T4 with Etilde_t = dEtilde/dt, whose
+    coupling is 0."""
     p, approx, g, nt = quad.p, quad.approx, quad.grid, quad.grid.nt
     M = default_Y(p, approx)
-    if quad.theorem in ("T1", "T3"):
-        face_res = trajectory_derivative(M - Y)
-        base = trajectory_derivative(trajectory_derivative(approx.Etilde))
-        coupling = None
-    else:
-        face_const = FieldTrajectory.from_fields(g, [
-            apply_material_staggered(curl_edge_to_face(approx.Etilde_t.node(k), g), p.mu_inv, g)
-            for k in range(nt)
-        ])
-        face_res = face_const - trajectory_derivative(Y)
-        base = trajectory_derivative(approx.Etilde_t)
-        coupling = approx.Etilde_t - trajectory_derivative(approx.Etilde)
+    dE = trajectory_derivative(approx.Etilde)
+    derived = quad.theorem in ("T1", "T3")
+    Et = dE if derived else approx.Etilde_t
+    face_const = FieldTrajectory.from_fields(g, [
+        apply_material_staggered(curl_edge_to_face(Et.node(k), g), p.mu_inv, g)
+        for k in range(nt)
+    ])
+    face_res = face_const - trajectory_derivative(Y)
+    base = trajectory_derivative(Et)
+    coupling = None if derived else Et - dE
     scaled = FieldTrajectory.from_fields(
         g, [gram_apply(face_res.node(k), p.mu, g) * quad.w_face[k] for k in range(nt)]
     )

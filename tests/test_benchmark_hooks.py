@@ -49,10 +49,10 @@ def test_every_traced_name_resolves(layers):
 def test_conjugate_gradient_keeps_the_signature_the_tracer_reads():
     assert "tol" in inspect.signature(conjugate_gradient).parameters
     A = np.diag([2.0, 3.0])
-    result = conjugate_gradient(lambda v: A @ v, np.array([1.0, 1.0]), tol=1e-12)
+    result = conjugate_gradient(lambda d, rows: d @ A, np.array([[1.0, 1.0]]), tol=1e-12)
     assert isinstance(result, tuple) and len(result) == 3
     x, iterations, rel = result
-    assert np.allclose(x, [0.5, 1.0 / 3.0])
+    assert np.allclose(x, [[0.5, 1.0 / 3.0]])
     assert isinstance(iterations, int) and rel <= 1e-12
 
 

@@ -294,14 +294,15 @@ _CONSTANT = {"kind": "constant", "value": 1.0}
     {"cases": [{"phi": _CONSTANT, "psi": _CONSTANT, "nt": 1}]},
     {"cases": [{"phi": {"kind": "constant", "value": "a"}, "psi": _CONSTANT}]},
     {"cases": "abc"},
-], ids=["missing-phi", "one-node", "string-value", "cases-not-a-list"])
+    {"cases": []},
+], ids=["missing-phi", "one-node", "string-value", "cases-not-a-list", "no-cases"])
 def test_malformed_gronwall_spec_is_a_config_error(tmp_path, capsys, spec):
     path = _write(tmp_path, "check.json", spec)
     capsys.readouterr()
     assert main(["gronwall", "--config", path]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
-    assert "Traceback" not in err
+    assert err.startswith("config error at $['cases']") and "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------
@@ -506,6 +507,19 @@ def test_solve_refuses_a_non_finite_node_and_leaves_no_file(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
     assert "non-finite" in err and "Traceback" not in err
     assert not out.exists() or not os.listdir(out)
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.01])
+def test_unknown_bump_is_a_config_error_before_any_snapshot(tmp_path, capsys, delta):
+    doc = _cavity_cfg(n=4, nt=9, extra={"perturbation": {"bump": "bogus", "delta": delta}})
+    cfg = _write(tmp_path, "bump.json", doc)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("config error at $['perturbation']['bump']")
+    assert not out.exists()
 
 
 def test_unknown_case_parameter_is_a_config_error(tmp_path, capsys):

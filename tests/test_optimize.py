@@ -102,14 +102,19 @@ def test_parameter_search_warns_when_the_optimum_sits_on_the_bracket_edge():
 # conjugate gradients
 
 
+def _one_row(A):
+    """apply_A of conjugate_gradient for the one-row system A x = rhs[0]."""
+    return lambda d, rows: (A @ d[0])[None]
+
+
 def test_conjugate_gradient_solves_a_random_spd_system():
     rng = np.random.default_rng(91)
     M = rng.standard_normal((30, 30))
     A = M @ M.T + 30.0 * np.eye(30)
     rhs = rng.standard_normal(30)
-    x, iters, rel = conjugate_gradient(lambda v: A @ v, rhs, tol=1e-12, max_iter=200)
+    x, iters, rel = conjugate_gradient(_one_row(A), rhs[None], tol=1e-12, max_iter=200)
     assert rel < 1e-10
-    assert np.allclose(x, np.linalg.solve(A, rhs), rtol=1e-8, atol=1e-10)
+    assert np.allclose(x[0], np.linalg.solve(A, rhs), rtol=1e-8, atol=1e-10)
 
 
 def test_an_unfinished_solve_returns_its_last_iterate_even_when_the_residual_rose():
@@ -121,8 +126,9 @@ def test_an_unfinished_solve_returns_its_last_iterate_even_when_the_residual_ros
     A = 0.5 * (A + A.T)
     rhs = rng.standard_normal(80)
     # CG from zero is deterministic: iterate k is the result at max_iter=k
-    runs = [conjugate_gradient(lambda v: A @ v, rhs, max_iter=k) for k in range(1, 16)]
+    runs = [conjugate_gradient(_one_row(A), rhs[None], max_iter=k) for k in range(1, 16)]
     assert [it for _, it, _ in runs] == list(range(1, 16))
+    runs = [(xk[0], it, rel) for xk, it, rel in runs]
     x, _, rel = runs[-1]
     assert rel > 1.0
     assert rel > min(r for _, _, r in runs[:-1])
@@ -138,27 +144,27 @@ def test_conjugate_gradient_from_zero_makes_one_product_per_iteration():
     A = M @ M.T + 30.0 * np.eye(30)
     products = []
 
-    def apply_A(v):
-        products.append(v.copy())
-        return A @ v
+    def apply_A(d, rows):
+        products.append(d[0].copy())
+        return (A @ d[0])[None]
 
-    _, iters, _ = conjugate_gradient(apply_A, rng.standard_normal(30), max_iter=5)
+    _, iters, _ = conjugate_gradient(apply_A, rng.standard_normal((1, 30)), max_iter=5)
     assert iters == 5 and len(products) == 5
     assert all(np.any(v != 0.0) for v in products)
 
 
 def test_conjugate_gradient_rejects_indefinite_systems():
     A = np.diag([1.0, -1.0])
-    rhs = np.array([0.0, 1.0])
+    rhs = np.array([[0.0, 1.0]])
     with pytest.raises(MaxboundError):
-        conjugate_gradient(lambda v: A @ v, rhs)
+        conjugate_gradient(_one_row(A), rhs)
 
 
 def test_conjugate_gradient_handles_singular_consistent_systems():
     A = np.diag([2.0, 0.0])
-    rhs = np.array([4.0, 0.0])
-    x, _, _ = conjugate_gradient(lambda v: A @ v, rhs, tol=1e-14)
-    assert x[0] == pytest.approx(2.0, rel=1e-12)
+    rhs = np.array([[4.0, 0.0]])
+    x, _, _ = conjugate_gradient(_one_row(A), rhs, tol=1e-14)
+    assert x[0, 0] == pytest.approx(2.0, rel=1e-12)
 
 
 def _plain_cg(A, rhs, tol=1e-10, max_iter=200, stall_tol=0.0):
@@ -210,12 +216,10 @@ def test_a_one_row_solve_is_the_plain_cg_bit_for_bit():
     rhs = rng.standard_normal(80)
     for kw in (dict(max_iter=7), dict(max_iter=500, stall_tol=1e-3), dict(tol=1e-3)):
         want = _plain_cg(A, rhs, **kw)
-        flat = conjugate_gradient(lambda v: A @ v, rhs, **kw)
-        row = conjugate_gradient(lambda d, rows: (A @ d[0])[None], rhs[None], **kw)
-        for x, it, rel in (flat, (row[0][0], row[1], row[2])):
-            np.testing.assert_array_equal(x, want[0])
-            assert (it, rel) == want[1:]
-        assert flat[0].shape == (80,) and row[0].shape == (1, 80)
+        x, it, rel = conjugate_gradient(_one_row(A), rhs[None], **kw)
+        assert x.shape == (1, 80)
+        np.testing.assert_array_equal(x[0], want[0])
+        assert (it, rel) == want[1:]
 
 
 def test_each_row_of_a_block_diagonal_system_is_its_own_solve():
@@ -266,9 +270,9 @@ def test_zero_singular_and_stalling_rows_stop_without_disturbing_the_others():
     # each row is the one-row solve of its block, to the bit, its share of
     # the stall tolerance being stall_tol / 5
     for j in (0, 2, 3, 4):
-        alone = conjugate_gradient(lambda v: mats[j] @ v, rhs[j], tol=1e-12, max_iter=500,
+        alone = conjugate_gradient(_one_row(mats[j]), rhs[j][None], tol=1e-12, max_iter=500,
                                    stall_tol=stall_tol / 5)
-        np.testing.assert_array_equal(x[j], alone[0])
+        np.testing.assert_array_equal(x[j], alone[0][0])
         assert steps[j] == alone[1]
 
 
@@ -797,10 +801,11 @@ def test_conjugate_gradient_stops_once_the_quadratic_stalls():
     A = 0.5 * (A + A.T)
     rhs = rng.standard_normal(80)
     stall_tol = 1e-3 * abs(rhs @ np.linalg.solve(A, rhs)) / 2
-    x, iters, _ = conjugate_gradient(lambda v: A @ v, rhs, max_iter=500, stall_tol=stall_tol)
+    x, iters, _ = conjugate_gradient(_one_row(A), rhs[None], max_iter=500, stall_tol=stall_tol)
+    x = x[0]
     assert _STALL_WINDOW <= iters < 500
     # CG from zero is deterministic: iterate k is the result at max_iter=k
-    iterates = [conjugate_gradient(lambda v: A @ v, rhs, max_iter=k, stall_tol=stall_tol)[0]
+    iterates = [conjugate_gradient(_one_row(A), rhs[None], max_iter=k, stall_tol=stall_tol)[0][0]
                 for k in range(iters + 1)]
     np.testing.assert_array_equal(iterates[-1], x)
     qs = [xk @ A @ xk / 2 - rhs @ xk for xk in iterates]

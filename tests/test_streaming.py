@@ -15,13 +15,14 @@ from hypothesis import strategies as st
 
 import maxbound as mb
 from maxbound.fields import EDGE, FACE, FieldTrajectory, MaterialField, StaggeredField
-from maxbound.majorant import ZeroTermParts, norm_sq_trajectory, series
+from maxbound.majorant import THEOREMS, ZeroTermParts, norm_sq_trajectory, series
 from maxbound.operators import (
     curl_edge_to_face,
     trajectory_derivative,
     weighted_inner,
     weighted_norm_sq,
 )
+from maxbound.optimize import BoundQuadratic
 from maxbound.solver import SolveOutput
 
 from conftest import cavity_setup, inner_trajectory
@@ -60,20 +61,28 @@ def _random_inputs(grid, rng, diagonal):
     return p, approx
 
 
+def _random_problem(grid, rng, material):
+    """_random_inputs, with identity materials for material "identity"."""
+    p, approx = _random_inputs(grid, rng, material == "diagonal")
+    if material == "identity":
+        p = mb.assemble_problem(grid, eps=MaterialField.identity(grid),
+                                mu=MaterialField.identity(grid), F=p.F, G=p.G, E0=p.E0, H0=p.H0)
+    return p, approx
+
+
 def _reference(p, approx, Y, theorem):
-    """The series from whole trajectories: residuals, then per-node norms."""
+    """The series from whole trajectories: residuals, then per-node norms.
+    T1/T3 are T5/T4 with Etilde_t = dEtilde/dt, whose coupling is 0."""
     g = p.grid
     Y = Y if Y is not None else mb.default_Y(p, approx)
     res = mb.residuals(p, approx, Y, theorem)
     kt_sq = norm_sq_trajectory(res.Ktilde, p.mu, g)
+    edge_sq = norm_sq_trajectory(res.Kcheck, p.eps_inv, g)
+    face_sq = norm_sq_trajectory(res.Rt, p.mu, g)
     if theorem in ("T1", "T3"):
-        edge_sq = norm_sq_trajectory(res.Khat, p.eps_inv, g)
-        face_sq = norm_sq_trajectory(res.dt_Ktilde, p.mu, g)
-        coup = None
+        coup = np.zeros(g.nt)
         first0 = trajectory_derivative(approx.Etilde).node(0)
     else:
-        edge_sq = norm_sq_trajectory(res.Kcheck, p.eps_inv, g)
-        face_sq = norm_sq_trajectory(res.Rt, p.mu, g)
         coup = inner_trajectory(res.Ktilde, res.coupling_curl, g)
         first0 = approx.Etilde_t.node(0)
     curl_e0 = curl_edge_to_face(p.E0 - approx.Etilde.node(0), g)
@@ -112,10 +121,7 @@ def test_series_equals_the_whole_trajectory_reference(theorem, nt, explicit_Y, d
     _close(s.kt_sq, kt_sq)
     _close(s.edge_sq, edge_sq)
     _close(s.face_sq, face_sq)
-    if coup is None:
-        assert s.coup is None
-    else:
-        _close(s.coup, coup)
+    _close(s.coup, coup)
     for name in ("et0_sq", "curl_e0_sq", "cross", "ktilde0_sq"):
         _close(getattr(s.zp, name), getattr(zp, name))
     if not explicit_Y:
@@ -132,17 +138,52 @@ def test_series_equals_the_whole_trajectory_reference(theorem, nt, explicit_Y, d
 def test_the_default_free_field_skips_only_terms_that_are_zero(theorem, nt, material, seed):
     rng = np.random.default_rng(seed)
     grid = mb.GridSpec(3, 2, 3, 1.0, 0.7, 1.3, nt, 0.8)
-    p, approx = _random_inputs(grid, rng, material == "diagonal")
-    if material == "identity":
-        p = mb.assemble_problem(grid, eps=MaterialField.identity(grid),
-                                mu=MaterialField.identity(grid), F=p.F, G=p.G, E0=p.E0, H0=p.H0)
+    p, approx = _random_problem(grid, rng, material)
 
     skipped = series(p, approx, None, theorem)
     computed = series(p, approx, mb.default_Y(p, approx), theorem)
     for name in ("kt_sq", "edge_sq", "face_sq", "coup"):
-        a, b = getattr(skipped, name), getattr(computed, name)
-        assert (a is None and b is None) or np.array_equal(a, b)
+        assert np.array_equal(getattr(skipped, name), getattr(computed, name))
     assert skipped.zp == computed.zp
+
+
+def _same(got, want):
+    """Equal bit for bit."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    pair=st.sampled_from((("T1", "T5"), ("T3", "T4"))),
+    nt=st.sampled_from((5, 6, 9)),
+    material=st.sampled_from(("identity", "scalar", "diagonal")),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_t1_and_t3_are_t5_and_t4_with_the_derived_velocity(pair, nt, material, seed):
+    # T1/T3 read Etilde_t as dEtilde/dt: on (Etilde, dEtilde/dt) T5/T4
+    # give the same bound, true error and Y-gradient, to the bit, and the
+    # Etilde_t that T1/T3 are given is never read
+    derived, weak = pair
+    rng = np.random.default_rng(seed)
+    grid = mb.GridSpec(3, 2, 3, 1.0, 0.7, 1.3, nt, 0.8)
+    p, approx = _random_problem(grid, rng, material)
+    velocity = SolveOutput(approx.Etilde, approx.Htilde, trajectory_derivative(approx.Etilde))
+    exact = SolveOutput(_random_traj(grid, EDGE, rng), None, _random_traj(grid, EDGE, rng))
+    Y = _random_traj(grid, FACE, rng)
+    shape = (nt,) if THEOREMS[derived].nodal_weights else ()
+    rho, gamma = rng.uniform(0.1, 0.9, shape), rng.uniform(0.5, 2.0, shape)
+    params = mb.MajorantParams(rho=rho, gamma=gamma, Y=Y)
+    got = mb.certify(p, approx, params, theorem=derived, exact=exact)
+    want = mb.certify(p, velocity, params, theorem=weak, exact=exact)
+    for name in ("f", "bound_b", "bound_B", "trueN", "trueBigN"):
+        _same(getattr(got, name), getattr(want, name))
+    for variant in ("z", "z_hat"):
+        g_derived = BoundQuadratic(p, approx, rho, gamma, derived, variant).gradient(Y)
+        g_weak = BoundQuadratic(p, velocity, rho, gamma, weak, variant).gradient(Y)
+        for a, b in zip(g_derived.components(), g_weak.components()):
+            _same(a, b)
 
 
 def _certify_peak(nt, theorem):
