@@ -139,11 +139,6 @@ def residuals(p, approx, Y, theorem):
     return Residuals(Ktilde, Kcheck, Rt, coupling_curl)
 
 
-def norm_sq_trajectory(traj, w, grid):
-    """Spatial weighted squared norm at each time node."""
-    return np.array([weighted_norm_sq(traj.node(k), w, grid) for k in range(grid.nt)])
-
-
 # ---------------------------------------------------------------------------
 # zero term
 
@@ -309,6 +304,21 @@ def series(p, approx, Y, theorem, exact=None):
     return NodeSeries(kt_sq, edge_sq, face_sq, coup, zp, error_sq)
 
 
+def residual_series(p, approx, Y, theorem):
+    """series(p, approx, Y, theorem) for an explicit Y, bit for bit, from the
+    whole trajectories of one residuals call, each norm taken at every node
+    in one call: for a caller that holds whole trajectories already, at the
+    memory of a few of them."""
+    g = p.grid
+    res = residuals(p, approx, Y, theorem)
+    coup = (np.zeros(g.nt) if res.coupling_curl is None
+            else weighted_inner(res.Ktilde, res.coupling_curl, None, g))
+    return NodeSeries(weighted_norm_sq(res.Ktilde, p.mu, g),
+                      weighted_norm_sq(res.Kcheck, p.eps_inv, g),
+                      weighted_norm_sq(res.Rt, p.mu, g), coup,
+                      zero_term_parts(p, approx, Y, theorem))
+
+
 # ---------------------------------------------------------------------------
 # the functional f and its Gronwall transform
 
@@ -318,7 +328,9 @@ def functional(s, rho, gamma, variant, dt, absolute_coupling=False):
 
     f(t) = ||Ktilde||^2_mu(t) / (1-rho) + int (edge / gamma + face / (gamma rho)
            [+ 2 coup]) + z,
-    with the coupling absolute-valued when absolute_coupling is set.
+    with the coupling absolute-valued when absolute_coupling is set.  rho
+    and gamma may carry leading candidate axes (a trailing axis of length 1
+    holds a weight constant in time); f then has one row per candidate.
     """
     coup = np.abs(s.coup) if absolute_coupling else s.coup
     integrand = s.edge_sq / gamma + s.face_sq / (gamma * rho) + 2.0 * coup
@@ -484,8 +496,8 @@ def combined_estimate(p, approx, params, exact=None, theorem="T5"):
     curl_H = curl_face_to_edge(approx.Htilde, g)
     f_res = p.F - approx.Etilde_t + apply_material_staggered(curl_H, p.eps_inv, g)
     g_res = p.G - Htilde_t - default_Y(p, approx)
-    f_sq = norm_sq_trajectory(f_res, p.eps, g)
-    g_sq = norm_sq_trajectory(g_res, p.mu, g)
+    f_sq = weighted_norm_sq(f_res, p.eps, g)
+    g_sq = weighted_norm_sq(g_res, p.mu, g)
     bound = 3.0 * report.bound_b + 2.0 * f_sq + 2.0 * g_sq
 
     true_combined = None
@@ -498,7 +510,7 @@ def combined_estimate(p, approx, params, exact=None, theorem="T5"):
             exact_Ht = trajectory_derivative(exact.Htilde)
         ht_err = exact_Ht - Htilde_t
         curl_h = curl_face_to_edge(h_err, g)
-        n_h = rho * norm_sq_trajectory(ht_err, p.mu, g) + norm_sq_trajectory(curl_h, p.eps_inv, g)
+        n_h = rho * weighted_norm_sq(ht_err, p.mu, g) + weighted_norm_sq(curl_h, p.eps_inv, g)
         true_combined = n_e + n_h
     return CombinedReport(
         times=g.times,

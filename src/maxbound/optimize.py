@@ -1,10 +1,11 @@
 """Minimization of the guaranteed bound over its free parameters.
 
-Three layers: a golden-section scalar search over gamma (log-scaled) nested
-in a coarse rho grid, a matrix-free conjugate-gradient minimization of the
-bound as a convex quadratic in the stacked space-time free field Y, run in
-a scaled time eigenbasis where its Hessian is block diagonal with one CG
-per block, and an alternating driver that takes one series pass per free field it visits.
+Three layers: golden-section searches over gamma (log-scaled), one per
+value of a coarse rho grid, run in lockstep; a matrix-free
+conjugate-gradient minimization of the bound as a convex quadratic in the
+stacked space-time free field Y, run in a scaled time eigenbasis where its
+Hessian is block diagonal with one CG per block; and an alternating driver
+that takes one residual assembly per free field it visits.
 Every iterate of every layer is an admissible parameter choice, so the
 bound stays guaranteed throughout; the objective is the final-time bound
 value b(T) itself, which makes the alternation monotone by construction.
@@ -23,14 +24,13 @@ import numpy as np
 from .errors import MaxboundError, ParameterError
 from .fields import EDGE, FACE, FieldTrajectory, StaggeredField
 from .majorant import (
-    THEOREMS,
     MajorantParams,
     _check_theorem,
     _nodes_in_range,
-    bound_b_and_B,
     certify,
     default_Y,
     functional,
+    residual_series,
     residuals,
     series,
 )
@@ -39,6 +39,7 @@ from .operators import (
     curl_edge_to_face,
     curl_face_to_edge,
     ddt_stencil,
+    exp_weighted_cumulative,
     gram_apply,
     trajectory_derivative,
     trapezoid_weights,
@@ -59,7 +60,9 @@ class OptimizeConfig:
     """Search controls for the parameter optimization.
 
     gamma_bracket of length 2 is a golden-section bracket (log scale);
-    longer sequences are treated as an explicit candidate grid.  y_init
+    longer sequences are treated as an explicit candidate grid.
+    gamma_pieces > 1 searches a piecewise-constant gamma of that many
+    pieces, which only the theorems with nodal weights (T3/T4) admit.  y_init
     selects the starting free field: the natural choice mu^-1 curl(Etilde)
     or the zero trajectory.  cg_tol bounds the relative residual of each
     block of a Y solve in the scaled time eigenbasis it runs in; a
@@ -79,8 +82,8 @@ class OptimizeConfig:
 
     def __post_init__(self):
         gb = tuple(float(v) for v in self.gamma_bracket)
-        if len(gb) < 2 or any(v <= 0.0 for v in gb):
-            raise ParameterError("gamma bracket/grid needs >= 2 positive values")
+        if len(gb) < 2 or any(not 0.0 < v < math.inf for v in gb):
+            raise ParameterError("gamma bracket/grid needs >= 2 positive finite values")
         if len(gb) == 2 and gb[0] >= gb[1]:
             raise ParameterError("gamma bracket must be ordered (lo, hi)")
         rg = tuple(float(v) for v in self.rho_grid)
@@ -103,13 +106,15 @@ class OptimizeConfig:
 
 
 # ---------------------------------------------------------------------------
-# scalar series: bound evaluation with Y fixed
+# bound evaluation with Y fixed
 
 
 def _bound_from_series(s, rho, gamma, variant, dt):
-    """Final-node bound b(T) of a NodeSeries; the same assembly as certify."""
-    b, _ = bound_b_and_B(functional(s, rho, gamma, variant, dt), gamma, dt)
-    return float(b[-1])
+    """Final-node bound b(T) of a NodeSeries, the same assembly as certify,
+    for nodal rho and gamma or for candidates of them on leading axes (see
+    functional): one value per candidate."""
+    f = functional(s, rho, gamma, variant, dt)
+    return exp_weighted_cumulative(f, gamma, dt)[..., -1] + f[..., -1]
 
 
 # ---------------------------------------------------------------------------
@@ -120,85 +125,114 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def golden_section(fn, lo, hi, tol=1e-3, max_iter=200):
-    """Minimize a scalar function on [lo, hi]; ties shrink toward lo.
+    """Minimize independent scalar functions, each on its bracket [lo, hi],
+    by golden-section searches run in lockstep; ties shrink toward lo.
 
-    Returns (x, fn(x)) for the best point found.
+    lo and hi broadcast to the shape of the searches, and fn maps an array
+    of that shape, one point per search, to the array of their values.
+    Each search takes the steps, stopping rule and tie-breaks of a scalar
+    search of its own, which is the case of scalar lo and hi: it stops once
+    its bracket is no wider than tol, or after max_iter steps, and the
+    values fn gives it afterwards go unread.
+
+    Returns (x, fn(x)) for the best point of each search: arrays in the
+    shape of the searches, scalars for scalar lo and hi.
     """
-    if not lo < hi:
+    a, b = (np.array(v, dtype=float) for v in np.broadcast_arrays(lo, hi))
+    if not np.all(a < b):
         raise ParameterError(f"empty bracket [{lo}, {hi}]")
-    a, b = float(lo), float(hi)
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = fn(c), fn(d)
     it = 0
-    while b - a > tol and it < max_iter:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = fn(d)
+    active = b - a > tol
+    while active.any() and it < max_iter:
+        left = active & (fc <= fd)
+        right = active & ~(fc <= fd)
+        # left: b, d, fd = d, c, fc and c is the new point;
+        # right: a, c, fc = c, d, fd and d is the new point
+        b, d, fd, a, c, fc = (np.where(left, d, b), np.where(left, c, d), np.where(left, fc, fd),
+                              np.where(right, c, a), np.where(right, d, c), np.where(right, fd, fc))
+        x = np.where(left, b - _INVPHI * (b - a), a + _INVPHI * (b - a))
+        fx = fn(x)
+        c, fc = np.where(left, x, c), np.where(left, fx, fc)
+        d, fd = np.where(right, x, d), np.where(right, fx, fd)
         it += 1
-    x = c if fc <= fd else d
-    fx = fc if fc <= fd else fd
+        active &= b - a > tol
+    x = np.where(fc <= fd, c, d)
+    fx = np.where(fc <= fd, fc, fd)
     fa, fb = fn(a), fn(b)
     for cand, fcand in ((a, fa), (b, fb)):
-        if fcand < fx or (fcand == fx and cand < x):
-            x, fx = cand, fcand
-    return x, fx
+        better = (fcand < fx) | ((fcand == fx) & (cand < x))
+        x, fx = np.where(better, cand, x), np.where(better, fcand, fx)
+    return x[()], fx[()]
 
 
-def _search_gamma(obj, cfg):
-    """Best gamma over the configured bracket or grid; warns at endpoints."""
+# gamma = exp(u) of each candidate by math.exp, which numpy's exp need not
+# match to the last bit
+_exp = np.vectorize(math.exp, otypes=[float])
+
+
+def _search_gamma(obj, cfg, rows):
+    """The best gamma of each of `rows` objectives over cfg's bracket or
+    grid, with its value and whether it sits at an end of the bracket or
+    grid, each an array of one entry per objective; ties go to the first
+    candidate of a grid.  obj maps an array of gamma candidates, row i for
+    objective i, to their values; the searches run in lockstep, and a grid
+    is one call."""
     gb = cfg.gamma_bracket
     if len(gb) > 2:
-        best_g, best_v = gb[0], obj(gb[0])
-        for g in gb[1:]:
-            v = obj(g)
-            if v < best_v:
-                best_g, best_v = g, v
-        edge = best_g in (min(gb), max(gb))
-        return best_g, best_v, edge
+        grid = np.array(gb)
+        values = obj(np.tile(grid, (rows, 1)))
+        best = grid[np.argmin(values, axis=1)]
+        return best, values.min(axis=1), (best == min(gb)) | (best == max(gb))
     llo, lhi = math.log(gb[0]), math.log(gb[1])
-    x, v = golden_section(lambda u: obj(math.exp(u)), llo, lhi, tol=cfg.gamma_tol)
-    edge = (x - llo) <= cfg.gamma_tol or (lhi - x) <= cfg.gamma_tol
-    return math.exp(x), v, edge
+    x, v = golden_section(lambda u: obj(_exp(u)), np.full(rows, llo), lhi, tol=cfg.gamma_tol)
+    edge = (x - llo <= cfg.gamma_tol) | (lhi - x <= cfg.gamma_tol)
+    return _exp(x), v, edge
+
+
+def _check_gamma_pieces(p, approx, cfg, theorem):
+    """Refuse a piecewise gamma (cfg.gamma_pieces > 1) for a theorem whose
+    weights are constant in time, before any work."""
+    if cfg.gamma_pieces > 1 and not _check_theorem(theorem, p.grid, approx).nodal_weights:
+        raise ParameterError(f"gamma_pieces = {cfg.gamma_pieces} needs a theorem with "
+                             f"nodal weights (T3, T4); {theorem} takes a constant gamma")
 
 
 def optimize_gamma_rho(p, approx, Y, cfg=None, theorem="T5", zero_variant="z_hat"):
     """Minimize the final-time bound over (gamma, rho) with Y fixed.
 
-    Golden-section on log(gamma) nested in an ascending scan of the rho
-    grid; ties resolve to the smallest gamma, then the smallest rho.  Y None
-    stands for the default free field.  Returns (gamma, rho, bound value).
+    Golden-section on log(gamma) for every value of the rho grid, in
+    lockstep; ties resolve to the smallest gamma, then the smallest rho.  Y
+    None stands for the default free field.  Returns (gamma, rho, bound
+    value).
     """
     cfg = cfg if cfg is not None else OptimizeConfig()
-    return _search_gamma_rho(series(p, approx, Y, theorem), cfg, theorem, zero_variant, p.grid)
+    _check_gamma_pieces(p, approx, cfg, theorem)
+    return _search_gamma_rho(series(p, approx, Y, theorem), cfg, zero_variant, p.grid)
 
 
-def _search_gamma_rho(s, cfg, theorem, zero_variant, grid):
+def _search_gamma_rho(s, cfg, zero_variant, grid):
     """optimize_gamma_rho on the NodeSeries s of its Y, which (gamma, rho)
-    do not change."""
-    dt = grid.dt
-    best = None
-    best_edge = False
-    for rho in cfg.rho_grid:
-        g, v, edge = _search_gamma(
-            lambda gam: _bound_from_series(s, rho, gam, zero_variant, dt), cfg
-        )
-        if best is None or v < best[2]:
-            best = (g, rho, v)
-            best_edge = edge
-    if best_edge:
+    do not change: one gamma search per rho, all in one lockstep call."""
+    rhos = np.array(cfg.rho_grid)
+
+    def bound(gam):
+        # row i of the gamma candidates goes with rhos[i]; time is the last axis
+        rho = rhos.reshape(rhos.shape + (1,) * gam.ndim)
+        return _bound_from_series(s, rho, gam[..., None], zero_variant, grid.dt)
+
+    gammas, values, edges = _search_gamma(bound, cfg, len(rhos))
+    i = int(np.argmin(values))
+    if edges[i]:
         warnings.warn(
             "gamma search selected a bracket endpoint; widen gamma_bracket, "
             "the optimum may lie outside",
             RuntimeWarning,
         )
-    gamma, rho, value = best
-    if cfg.gamma_pieces > 1 and THEOREMS[theorem].nodal_weights:
+    gamma, rho, value = float(gammas[i]), float(rhos[i]), float(values[i])
+    if cfg.gamma_pieces > 1:
         gamma, value = _refine_gamma_pieces(s, rho, gamma, zero_variant, cfg, grid)
     return gamma, rho, value
 
@@ -214,27 +248,21 @@ def _refine_gamma_pieces(s, rho, gamma0, variant, cfg, grid):
     nt = grid.nt
     pieces = min(cfg.gamma_pieces, nt)
     edges = np.linspace(0, nt, pieces + 1).astype(int)
-    vals = np.full(pieces, float(gamma0))
-
-    def assemble(v):
-        gam = np.empty(nt)
-        for i in range(pieces):
-            gam[edges[i] : edges[i + 1]] = v[i]
-        return gam
-
-    best_val = _bound_from_series(s, rho, assemble(vals), variant, grid.dt)
+    gam = np.full(nt, float(gamma0))
+    best_val = float(_bound_from_series(s, rho, gam, variant, grid.dt))
     for _ in range(2):
-        for i in range(pieces):
-            def obj(gam, i=i):
-                trial = vals.copy()
-                trial[i] = gam
-                return _bound_from_series(s, rho, assemble(trial), variant, grid.dt)
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            def obj(cand, lo=lo, hi=hi):
+                # gam with the piece set to each candidate
+                trial = np.broadcast_to(gam, cand.shape + (nt,)).copy()
+                trial[..., lo:hi] = cand[..., None]
+                return _bound_from_series(s, rho, trial, variant, grid.dt)
 
-            x, v, _ = _search_gamma(obj, cfg)
-            if v < best_val:
-                vals[i] = x
-                best_val = v
-    return assemble(vals), best_val
+            x, v, _ = _search_gamma(obj, cfg, 1)
+            if v[0] < best_val:
+                gam[lo:hi] = x[0]
+                best_val = float(v[0])
+    return gam, best_val
 
 
 # ---------------------------------------------------------------------------
@@ -381,8 +409,8 @@ class BoundQuadratic:
         self.zero_grad = (2.0 * self.Cz) * gram_apply(curl_e0, None, g)
 
     def value(self, Y):
-        s = series(self.p, self.approx, Y, self.theorem)
-        return _bound_from_series(s, self.rho_n, self.gam_n, self.variant, self.grid.dt)
+        s = residual_series(self.p, self.approx, Y, self.theorem)
+        return float(_bound_from_series(s, self.rho_n, self.gam_n, self.variant, self.grid.dt))
 
     def gradient(self, Y):
         """Euclidean gradient of value() with respect to the Y dof values.
@@ -696,12 +724,14 @@ def optimize_all(p, approx, cfg=None, theorem="T5", zero_variant="z_hat",
     """
     cfg = cfg if cfg is not None else OptimizeConfig()
     g = p.grid
-    Y = _start_Y(p, approx, cfg)
+    _check_gamma_pieces(p, approx, cfg, theorem)
     gamma, rho = float(gamma0), float(rho0)
-    # s is the series of Y, current the bound at (Y, gamma, rho): one series
-    # pass for every Y the driver visits
-    s = series(p, approx, Y, theorem)
-    current = _bound_from_series(s, rho, gamma, zero_variant, g.dt)
+    _nodes_in_range(gamma, 1, "gamma", 0.0, np.inf)  # as certify would refuse it
+    Y = _start_Y(p, approx, cfg)
+    # s is the series of Y, current the bound at (Y, gamma, rho): one residual
+    # assembly for every Y the driver visits
+    s = residual_series(p, approx, Y, theorem)
+    current = float(_bound_from_series(s, rho, gamma, zero_variant, g.dt))
     history = [current]
     diagonals = None  # probed at the first Y step
     cg_sweeps = []
@@ -714,13 +744,13 @@ def optimize_all(p, approx, cfg=None, theorem="T5", zero_variant="z_hat",
             diagonals = spatial_diagonals(p) if diagonals is None else diagonals
             quad = BoundQuadratic(p, approx, rho, gamma, theorem, zero_variant)
             Y_new = _minimize_Y(quad, diagonals, Y, current, cfg, info=info)
-            s_new = series(p, approx, Y_new, theorem)
-            v_new = _bound_from_series(s_new, rho, gamma, zero_variant, g.dt)
+            s_new = residual_series(p, approx, Y_new, theorem)
+            v_new = float(_bound_from_series(s_new, rho, gamma, zero_variant, g.dt))
             info["accepted"] = v_new <= current
             if info["accepted"]:
                 Y, s, current = Y_new, s_new, v_new
         cg_sweeps.append(info)
-        g_new, r_new, v_par = _search_gamma_rho(s, cfg, theorem, zero_variant, g)
+        g_new, r_new, v_par = _search_gamma_rho(s, cfg, zero_variant, g)
         if v_par <= current:
             gamma, rho, current = g_new, r_new, v_par
         history.append(current)

@@ -109,6 +109,12 @@ def test_kernels_on_a_trajectory_equal_their_nodes(grid, seed):
             for k in range(grid.nt):
                 u = traj.node(k)
                 assert weighted_norm_sq(u, w, grid) == weighted_inner(u, u, w, grid)
+            # of a trajectory, one value per node with the bits of the node's call
+            assert np.array_equal(weighted_norm_sq(traj, w, grid),
+                                  _per_node(lambda f: weighted_norm_sq(f, w, grid), traj))
+            assert np.array_equal(
+                weighted_inner(traj, other, w, grid),
+                [weighted_inner(traj.node(k), other.node(k), w, grid) for k in range(grid.nt)])
             _same_field(gram_apply(traj, w, grid),
                         _per_node(lambda f: gram_apply(f, w, grid), traj))
             if w is not None:

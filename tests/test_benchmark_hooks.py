@@ -1,9 +1,11 @@
 """What the benchmark relies on in the package.
 
 ``benchmark/tracer.py`` wraps every function listed in its ``LAYERS`` by
-name and reads ``conjugate_gradient``'s ``tol`` argument and its
-(x, iterations, relative residual) result, so a refactor that renames
-any of them breaks ``benchmark/run.py --trace 1``.  These tests catch
+name, reads ``conjugate_gradient``'s ``tol`` argument and its
+(x, iterations, relative residual) result, and counts the evaluations of
+``golden_section`` by wrapping its positional argument 0 in a function of
+one argument, so a refactor that renames or reshapes any of them breaks
+``benchmark/run.py --trace 1``.  These tests catch
 that in the suite instead, and hold the poly-optimize bounds to the
 benchmark's one-sided check.
 """
@@ -18,7 +20,7 @@ import numpy as np
 import pytest
 
 from maxbound.cli import EXIT_OK, main
-from maxbound.optimize import conjugate_gradient
+from maxbound.optimize import conjugate_gradient, golden_section
 
 BENCHMARK = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                          "benchmark")
@@ -54,6 +56,18 @@ def test_conjugate_gradient_keeps_the_signature_the_tracer_reads():
     x, iterations, rel = result
     assert np.allclose(x, [[0.5, 1.0 / 3.0]])
     assert isinstance(iterations, int) and rel <= 1e-12
+
+
+def test_golden_section_keeps_the_call_shape_the_tracer_reads():
+    assert next(iter(inspect.signature(golden_section).parameters)) == "fn"
+    calls = []
+
+    def fn(*args, **kwargs):
+        calls.append((len(args), kwargs))
+        return (args[0] - np.array([0.25, 0.5])) ** 2
+
+    golden_section(fn, np.zeros(2), 1.0, 1e-6)
+    assert calls and all(call == (1, {}) for call in calls)
 
 
 # b(T) of the benchmark's poly-optimize inputs (benchmark/workloads.py,

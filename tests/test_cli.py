@@ -522,6 +522,27 @@ def test_unknown_bump_is_a_config_error_before_any_snapshot(tmp_path, capsys, de
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mode", ["params", "full"])
+@pytest.mark.parametrize("theorem", ["T1", "T5"])
+def test_piecewise_gamma_under_a_constant_weight_theorem_is_a_config_error(
+        tmp_path, capsys, mode, theorem):
+    # T1/T5 take a constant gamma: gammaPieces > 1 is refused, not ignored
+    doc = _cavity_cfg(n=4, nt=9, extra={
+        "case": {"name": "polynomial_source"}, "solver": {"method": "exact"},
+        "majorant": {"theorem": theorem, "optimize": mode,
+                     "optimizeConfig": {"gammaPieces": 4, "sweeps": 1}}})
+    cfg = _write(tmp_path, "pieces.json", doc)
+    out = str(tmp_path / "out")
+    assert main(["solve", "--config", cfg, "--out", out]) == EXIT_OK
+    capsys.readouterr()
+    snap = os.path.join(out, "snapshot.bin")
+    assert main(["certify", "--config", cfg, "--snapshot", snap, "--out", out]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("config error:") and "gamma_pieces = 4" in err
+    assert not os.path.exists(os.path.join(out, "report.json"))
+
+
 def test_unknown_case_parameter_is_a_config_error(tmp_path, capsys):
     doc = _cavity_cfg(n=4, nt=9)
     doc["case"]["parameters"] = {"bogus": 1}

@@ -9,10 +9,7 @@ import pytest
 import maxbound as mb
 from maxbound.errors import ParameterError, PreconditionError
 from maxbound.fields import EDGE, FACE, FieldTrajectory
-from maxbound.majorant import (
-    bound_b_and_B,
-    norm_sq_trajectory,
-)
+from maxbound.majorant import bound_b_and_B
 from maxbound.operators import (
     cumulative_trapezoid,
     curl_edge_to_face,
@@ -77,7 +74,7 @@ def test_default_free_field_zeroes_the_curl_mismatch_residual():
     Y = mb.default_Y(p, approx)
     for theorem in ("T1", "T5"):
         res = mb.residuals(p, approx, Y, theorem)
-        assert norm_sq_trajectory(res.Ktilde, p.mu, p.grid).max() == 0.0
+        assert weighted_norm_sq(res.Ktilde, p.mu, p.grid).max() == 0.0
 
 
 @pytest.mark.parametrize("theorem", ["T1", "T3", "T4", "T5"])
@@ -156,9 +153,9 @@ def test_bound_assembly_matches_manual_reconstruction():
 
     g = p.grid
     res = mb.residuals(p, approx, Y, "T5")
-    kt = norm_sq_trajectory(res.Ktilde, p.mu, g)
-    kc = norm_sq_trajectory(res.Kcheck, p.eps_inv, g)
-    rt = norm_sq_trajectory(res.Rt, p.mu, g)
+    kt = weighted_norm_sq(res.Ktilde, p.mu, g)
+    kc = weighted_norm_sq(res.Kcheck, p.eps_inv, g)
+    rt = weighted_norm_sq(res.Rt, p.mu, g)
     coup = inner_trajectory(res.Ktilde, res.coupling_curl, g)
     z = mb.zero_term_parts(p, approx, Y).value("z_hat")
     f_manual = np.empty(g.nt)

@@ -13,7 +13,14 @@ import maxbound.optimize
 from maxbound.errors import MaxboundError, ParameterError
 from maxbound.fields import EDGE, FACE, FieldTrajectory
 from maxbound.majorant import series as node_series
-from maxbound.operators import curl_edge_to_face, curl_face_to_edge, gram_apply, zero_tangential
+from maxbound.operators import (
+    cumulative_trapezoid,
+    curl_edge_to_face,
+    curl_face_to_edge,
+    gram_apply,
+    gronwall_recursion,
+    zero_tangential,
+)
 from maxbound.optimize import (
     _STALL_WINDOW,
     _Y_STALL_RTOL,
@@ -61,9 +68,135 @@ def test_golden_section_returns_endpoint_for_monotone_functions():
         golden_section(lambda u: u, 3.0, 3.0)
 
 
+def _scalar_golden(fn, lo, hi, tol, max_iter):
+    """The golden-section search on one bracket in Python floats: the
+    oracle of each row of the lockstep search."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = float(lo), float(hi)
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = fn(c), fn(d)
+    it = 0
+    while b - a > tol and it < max_iter:
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = fn(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = fn(d)
+        it += 1
+    x = c if fc <= fd else d
+    fx = fc if fc <= fd else fd
+    for cand, fcand in ((a, fn(a)), (b, fn(b))):
+        if fcand < fx or (fcand == fx and cand < x):
+            x, fx = cand, fcand
+    return x, fx
+
+
+def _bits(v):
+    return np.asarray(v, dtype=float).view(np.uint64)
+
+
+# one scalar function per row, with its bracket
+_GOLDEN_ROWS = (
+    (lambda u: (u - 1.7) ** 2 + 0.25, 0.0, 5.0),
+    (lambda u: 3.0, -1.0, 2.0),                                  # ties throughout
+    (lambda u: float(math.floor(u)), 0.5, 5.0),                  # ties on steps
+    (lambda u: u, 2.0, 9.0),                                     # monotone: an endpoint
+    (lambda u: math.nan, 0.0, 1.0),                              # nan everywhere
+    (lambda u: math.nan if u > 3.0 else (u - 2.5) ** 2, 0.0, 5.0),
+    (lambda u: (u - 0.3) ** 2, 0.0, 1.0),                        # stops one step before
+    (lambda u: (u - 0.3) ** 2, 0.0, 1.0 / 0.618),                # this one
+    (lambda u: -math.cos(u), -4.0, 3.0),
+)
+
+
+@pytest.mark.parametrize("tol, max_iter", [(1e-6, 200), (1e-3, 200), (1e-9, 7)])
+def test_lockstep_golden_section_is_the_scalar_search_on_every_row(tol, max_iter):
+    fns = [row[0] for row in _GOLDEN_ROWS]
+    lo = np.array([row[1] for row in _GOLDEN_ROWS])
+    hi = np.array([row[2] for row in _GOLDEN_ROWS])
+    calls = []
+
+    def fn(x):
+        calls.append(x.shape)
+        return np.array([f(float(u)) for f, u in zip(fns, x)])
+
+    x, fx = golden_section(fn, lo, hi, tol=tol, max_iter=max_iter)
+    assert x.shape == fx.shape == (len(fns),) and set(calls) == {(len(fns),)}
+    for i, (f, a, b) in enumerate(_GOLDEN_ROWS):
+        want = _scalar_golden(f, a, b, tol, max_iter)
+        assert _bits(x[i]) == _bits(want[0]) and _bits(fx[i]) == _bits(want[1]), i
+    if max_iter == 200:
+        # the rows on [0, 1] and [0, 1/0.618] stop an iteration apart
+        evals = []
+        for f, a, b in _GOLDEN_ROWS[6:8]:
+            seen = []
+            _scalar_golden(lambda u, f=f: seen.append(u) or f(u), a, b, tol, max_iter)
+            evals.append(len(seen))
+        assert evals[1] == evals[0] + 1
+
+
+def test_lockstep_golden_section_broadcasts_its_bracket_and_takes_scalars():
+    x, fx = golden_section(lambda u: (u - np.array([0.2, 0.7])) ** 2, 0.0, 1.0, tol=1e-8)
+    for i, m in enumerate((0.2, 0.7)):
+        want = _scalar_golden(lambda u: (u - m) ** 2, 0.0, 1.0, 1e-8, 200)
+        assert _bits(x[i]) == _bits(want[0]) and _bits(fx[i]) == _bits(want[1])
+    x, fx = golden_section(lambda u: (u - 1.7) ** 2, 0.0, 5.0, tol=1e-6)
+    assert np.ndim(x) == 0 and np.ndim(fx) == 0
+    with pytest.raises(ParameterError):
+        golden_section(lambda u: u, np.array([0.0, 3.0]), 3.0)
+
+
+def _scalar_recursion(u0, rate, half, dt):
+    """gronwall_recursion's recursion written out for one row, in Python
+    floats: the oracle of the 1-D call."""
+    with np.errstate(over="ignore"):
+        q = np.exp(np.diff(cumulative_trapezoid(rate, dt)))
+    e = float(u0)
+    out = [e]
+    for qk, h_prev, h in zip(q.tolist(), half[:-1].tolist(), half[1:].tolist()):
+        s = e + h_prev
+        e = (qk * s if s else 0.0) + h
+        out.append(e)
+    return np.array(out)
+
+
+def test_gronwall_recursion_on_candidate_rows_is_the_one_row_call():
+    rng = np.random.default_rng(17)
+    nt, dt = 33, 1.0 / 32
+    rate = rng.uniform(0.0, 50.0, (6, nt))
+    half = 0.5 * dt * rng.uniform(-1.0, 4.0, (6, nt))
+    rate[1] = 4e4          # q overflows: +inf from the first nonzero node on
+    half[2] = 0.0          # all zero, also under the overflowing rate
+    rate[2] = 4e4
+    half[3, :5] = 0.0      # zero until node 5, then +inf
+    rate[3] = 4e4
+    half[4] = -half[4]     # sums that cancel to 0 here and there
+    half[4, 1::2] = -half[4, ::2][: nt // 2]
+    for u0 in (0.0, 0.3):
+        got = gronwall_recursion(u0, rate, half, dt)
+        assert got.shape == (6, nt)
+        assert np.isinf(got[1, -1]) and np.isinf(got[3, -1])
+        assert not got[2].any() or u0
+        for i in range(6):
+            one = gronwall_recursion(u0, rate[i], half[i], dt)
+            assert np.array_equal(_bits(got[i]), _bits(one)), i
+            assert np.array_equal(_bits(one), _bits(_scalar_recursion(u0, rate[i], half[i], dt)))
+    # a rate shared by every row broadcasts against them
+    shared = gronwall_recursion(0.0, rate[0], half, dt)
+    for i in range(6):
+        assert np.array_equal(_bits(shared[i]), _bits(gronwall_recursion(0.0, rate[0], half[i], dt)))
+
+
 def test_config_validation():
     with pytest.raises(ParameterError):
         mb.OptimizeConfig(gamma_bracket=(2.0, 1.0))
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ParameterError):
+            mb.OptimizeConfig(gamma_bracket=(1.0, 10.0, bad))
     with pytest.raises(ParameterError):
         mb.OptimizeConfig(rho_grid=(0.5, 0.2))
     with pytest.raises(ParameterError):
@@ -512,6 +645,23 @@ def test_alternating_driver_from_the_zero_free_field_lowers_a_valid_bound():
     assert hist[0] == zero_start.bound_b[-1]
     assert hist[-1] <= hist[0]
     assert np.all(rep.trueN <= rep.bound_b)
+
+
+@pytest.mark.parametrize("theorem", ["T1", "T5"])
+def test_piecewise_gamma_is_refused_before_any_work_for_constant_weights(theorem, monkeypatch):
+    p, exact = polynomial_setup(4, 9)
+    approx = _perturbed(p, exact)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work done before the refusal")
+
+    for name in ("series", "residual_series", "default_Y"):
+        monkeypatch.setattr(maxbound.optimize, name, no_work)
+    cfg = mb.OptimizeConfig(gamma_pieces=2)
+    with pytest.raises(ParameterError, match="gamma_pieces"):
+        mb.optimize_gamma_rho(p, approx, None, cfg, theorem=theorem)
+    with pytest.raises(ParameterError, match="gamma_pieces"):
+        mb.optimize_all(p, approx, cfg, theorem=theorem)
 
 
 @pytest.mark.parametrize("theorem", ["T3", "T4"])

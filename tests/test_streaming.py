@@ -2,8 +2,9 @@
 
 `majorant.series` walks the time nodes once with a small window of node
 fields; these tests pin it to the trajectory-wide reference (`residuals`
-followed by per-node norms) and check that certify's working memory does
-not grow with the number of time nodes.
+followed by per-node norms) and to the optimizer's `residual_series` bit
+for bit, and check that certify's working memory does not grow with the
+number of time nodes.
 """
 
 import tracemalloc
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 import maxbound as mb
 from maxbound.fields import EDGE, FACE, FieldTrajectory, MaterialField, StaggeredField
-from maxbound.majorant import THEOREMS, ZeroTermParts, norm_sq_trajectory, series
+from maxbound.majorant import THEOREMS, ZeroTermParts, residual_series, series
 from maxbound.operators import (
     curl_edge_to_face,
     trajectory_derivative,
@@ -76,9 +77,9 @@ def _reference(p, approx, Y, theorem):
     g = p.grid
     Y = Y if Y is not None else mb.default_Y(p, approx)
     res = mb.residuals(p, approx, Y, theorem)
-    kt_sq = norm_sq_trajectory(res.Ktilde, p.mu, g)
-    edge_sq = norm_sq_trajectory(res.Kcheck, p.eps_inv, g)
-    face_sq = norm_sq_trajectory(res.Rt, p.mu, g)
+    kt_sq = weighted_norm_sq(res.Ktilde, p.mu, g)
+    edge_sq = weighted_norm_sq(res.Kcheck, p.eps_inv, g)
+    face_sq = weighted_norm_sq(res.Rt, p.mu, g)
     if theorem in ("T1", "T3"):
         coup = np.zeros(g.nt)
         first0 = trajectory_derivative(approx.Etilde).node(0)
@@ -184,6 +185,29 @@ def test_t1_and_t3_are_t5_and_t4_with_the_derived_velocity(pair, nt, material, s
         g_weak = BoundQuadratic(p, velocity, rho, gamma, weak, variant).gradient(Y)
         for a, b in zip(g_derived.components(), g_weak.components()):
             _same(a, b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    theorem=st.sampled_from(("T1", "T3", "T4", "T5")),
+    nt=st.sampled_from((5, 6, 9)),
+    material=st.sampled_from(("identity", "scalar", "diagonal")),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_the_optimizer_series_is_the_streamed_series_bit_for_bit(theorem, nt, material, seed):
+    # the optimizer takes its series from whole residual trajectories; its
+    # bound is certify's only when every norm keeps its bits
+    rng = np.random.default_rng(seed)
+    grid = mb.GridSpec(3, 2, 3, 1.0, 0.7, 1.3, nt, 0.8)
+    p, approx = _random_problem(grid, rng, material)
+    Y = _random_traj(grid, FACE, rng)
+    got = residual_series(p, approx, Y, theorem)
+    want = series(p, approx, Y, theorem)
+    for name in ("kt_sq", "edge_sq", "face_sq", "coup"):
+        _same(getattr(got, name), getattr(want, name))
+    for name in ("et0_sq", "curl_e0_sq", "cross", "ktilde0_sq"):
+        _same(getattr(got.zp, name), getattr(want.zp, name))
+    assert got.error_sq is None and want.error_sq is None
 
 
 def _certify_peak(nt, theorem):
