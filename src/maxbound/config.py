@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import json
-from typing import Union
-
-import jsonschema
+import math
+import numbers
+import operator
 
 from .errors import ConfigError
 from .fields import GridSpec, MaterialField
@@ -151,18 +151,102 @@ CHECK_SPEC_SCHEMA = {
 }
 
 
-# JSON Schema counts 9.0 as an integer; a grid size or an iteration count must be 9
-_Validator = jsonschema.validators.extend(
-    jsonschema.Draft202012Validator,
-    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
-        "integer", lambda _, v: isinstance(v, int) and not isinstance(v, bool)))
+def _real(v):
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+def _finite_number(v):
+    return _real(v) and (isinstance(v, numbers.Integral) or math.isfinite(v))
+
+
+# The JSON Schema types the schemas above name, with two departures from the
+# standard: 9.0 is not an integer (a grid size or an iteration count must be
+# 9), and nan and +-inf are not numbers (json reads 1e999 as inf).
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "number": _finite_number,
+}
+
+# keyword: (the test a number fails it by, the wording of the failure)
+_BOUNDS = {
+    "minimum": (operator.lt, "less than the minimum"),
+    "maximum": (operator.gt, "greater than the maximum"),
+    "exclusiveMinimum": (operator.le, "less than or equal to the minimum"),
+    "exclusiveMaximum": (operator.ge, "greater than or equal to the maximum"),
+}
+
+_KEYWORDS = {"type", "enum", *_BOUNDS, "required", "properties", "additionalProperties",
+             "items", "minItems"}
+
+
+def _check_schema(schema):
+    """Refuse a schema that uses a keyword, a type or an additionalProperties
+    other than False that _violations does not implement: it would pass
+    unchecked."""
+    unknown = set(schema) - _KEYWORDS
+    if unknown or schema.get("type", "object") not in tuple(_TYPES) \
+            or schema.get("additionalProperties", False) is not False:
+        raise ValueError(f"schema not supported by the config checker: {schema!r}")
+    for sub in schema.get("properties", {}).values():
+        _check_schema(sub)
+    if "items" in schema:
+        _check_schema(schema["items"])
+
+
+def _violations(schema, value, path=()):
+    """Yield (path, message) for each way value breaks schema, keyword by
+    keyword in the schema's order, in the wording of the jsonschema package
+    (draft 2020-12)."""
+    for key, arg in schema.items():
+        if key == "type":
+            if not _TYPES[arg](value):
+                kind = "a finite number" if arg == "number" and _real(value) else f"of type {arg!r}"
+                yield path, f"{value!r} is not {kind}"
+        elif key == "enum":
+            if value not in arg:
+                yield path, f"{value!r} is not one of {arg!r}"
+        elif key in _BOUNDS:
+            beyond, wording = _BOUNDS[key]
+            if _finite_number(value) and beyond(value, arg):
+                yield path, f"{value!r} is {wording} of {arg!r}"
+        elif isinstance(value, list):
+            if key == "minItems" and len(value) < arg:
+                yield path, f"{value!r} " + ("should be non-empty" if arg == 1 else "is too short")
+            elif key == "items":
+                for i, item in enumerate(value):
+                    yield from _violations(arg, item, path + (i,))
+        elif isinstance(value, dict):
+            if key == "required":
+                for name in arg:
+                    if name not in value:
+                        yield path, f"{name!r} is a required property"
+            elif key == "properties":
+                for name, sub in arg.items():
+                    if name in value:
+                        yield from _violations(sub, value[name], path + (name,))
+            elif key == "additionalProperties":
+                known = schema.get("properties", {})
+                extra = sorted((k for k in value if k not in known), key=str)
+                if extra:
+                    yield path, ("Additional properties are not allowed "
+                                 f"({', '.join(map(repr, extra))} "
+                                 f"{'was' if len(extra) == 1 else 'were'} unexpected)")
+
+
+_check_schema(CONFIG_SCHEMA)
+_check_schema(CHECK_SPEC_SCHEMA)
 
 
 def load_config(source, schema=CONFIG_SCHEMA):
     """Read a JSON document from a path (or take a dict) and validate it
     against schema, the run config by default or CHECK_SPEC_SCHEMA; the first
     violation is a ConfigError at its JSON path.  The literals NaN, Infinity
-    and -Infinity are refused."""
+    and -Infinity are refused, and so is any other non-finite number (1e999
+    reads as inf) where the schema asks for a number."""
     if isinstance(source, dict):
         doc = source
     else:
@@ -180,14 +264,11 @@ def load_config(source, schema=CONFIG_SCHEMA):
             doc = json.loads(text, parse_constant=refuse)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"invalid JSON: {exc}", origin)
-    validator = _Validator(schema)
-    errors = sorted(validator.iter_errors(doc), key=lambda e: list(e.absolute_path))
-    if errors:
-        err = errors[0]
-        path = "$" + "".join(
-            f"[{p!r}]" if isinstance(p, str) else f"[{p}]" for p in err.absolute_path
-        )
-        raise ConfigError(f"{err.message}", path)
+    # the first violation in path order, the first by schema order at its path
+    first = min(_violations(schema, doc), key=lambda v: v[0], default=None)
+    if first is not None:
+        path, message = first
+        raise ConfigError(message, "$" + "".join(f"[{p!r}]" for p in path))
     return doc
 
 

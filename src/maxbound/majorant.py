@@ -308,7 +308,7 @@ def residual_series(p, approx, Y, theorem):
     """series(p, approx, Y, theorem) for an explicit Y, bit for bit, from the
     whole trajectories of one residuals call, each norm taken at every node
     in one call: for a caller that holds whole trajectories already, at the
-    memory of a few of them."""
+    memory of a few of them.  Returns the NodeSeries and the Residuals."""
     g = p.grid
     res = residuals(p, approx, Y, theorem)
     coup = (np.zeros(g.nt) if res.coupling_curl is None
@@ -316,7 +316,7 @@ def residual_series(p, approx, Y, theorem):
     return NodeSeries(weighted_norm_sq(res.Ktilde, p.mu, g),
                       weighted_norm_sq(res.Kcheck, p.eps_inv, g),
                       weighted_norm_sq(res.Rt, p.mu, g), coup,
-                      zero_term_parts(p, approx, Y, theorem))
+                      zero_term_parts(p, approx, Y, theorem)), res
 
 
 # ---------------------------------------------------------------------------

@@ -409,19 +409,20 @@ class BoundQuadratic:
         self.zero_grad = (2.0 * self.Cz) * gram_apply(curl_e0, None, g)
 
     def value(self, Y):
-        s = residual_series(self.p, self.approx, Y, self.theorem)
+        s, _ = residual_series(self.p, self.approx, Y, self.theorem)
         return float(_bound_from_series(s, self.rho_n, self.gam_n, self.variant, self.grid.dt))
 
-    def gradient(self, Y):
+    def gradient(self, Y, res=None):
         """Euclidean gradient of value() with respect to the Y dof values.
 
         One pass over whole trajectories, on the residuals of
-        majorant.residuals; each node gets the same operations, in the same
-        order, as a loop over the nodes would apply.
+        majorant.residuals, or on res when the caller holds those of Y
+        already; each node gets the same operations, in the same order, as a
+        loop over the nodes would apply.
         """
         g = self.grid
         p = self.p
-        res = residuals(p, self.approx, Y, self.theorem)
+        res = residuals(p, self.approx, Y, self.theorem) if res is None else res
         mass = gram_apply(res.Ktilde, p.mu, g)
         scaled = gram_apply(res.Rt, p.mu, g) * _per_node(self.w_face)
         ge = gram_apply(res.Kcheck, p.eps_inv, g)
@@ -437,10 +438,10 @@ class BoundQuadratic:
             comp[0] -= z
         return grad
 
-    def gradient_flat(self, y):
+    def gradient_flat(self, y, res=None):
         """gradient() at the Y rows y, as rows in the shape of y (which may
         also be the rows raveled)."""
-        return _flatten(self.gradient(_unflatten(y, self.grid))).reshape(np.shape(y))
+        return _flatten(self.gradient(_unflatten(y, self.grid), res)).reshape(np.shape(y))
 
 
 def _time_eigenbasis(t1, w_edge):
@@ -675,9 +676,11 @@ def _block_hessian(p, lam, scale):
     return lambda w, rows: _scaled_hessian(p, lam, scale, w, rows, out[:len(w)], work)
 
 
-def _minimize_Y(quad, diagonals, Y0, value0, cfg, info=None):
+def _minimize_Y(quad, diagonals, Y0, value0, cfg, info=None, held=None):
     """optimize_Y from Y0 for the quadratic quad, diagonals being
-    spatial_diagonals of its problem and value0 b(T) at Y0.
+    spatial_diagonals of its problem and value0 b(T) at Y0.  held, a list
+    that may hold the Residuals of Y0, hands them to the gradient: they are
+    taken out of it, so that they are freed with the gradient's own.
 
     CG on H delta = -grad in the scaled time eigenbasis (Q, S) of
     _scaled_eigenbasis: delta = Q S w, with S Q^T H Q S w = S Q^T (-grad).
@@ -692,7 +695,7 @@ def _minimize_Y(quad, diagonals, Y0, value0, cfg, info=None):
     g = quad.grid
     q, lam, scale = _scaled_eigenbasis(quad, diagonals)
     y = _flatten(Y0)
-    rhs = q.T @ quad.gradient_flat(y)
+    rhs = q.T @ quad.gradient_flat(y, held.pop() if held else None)
     rhs *= -scale
     cg = {}
     w, iters, rel_res = conjugate_gradient(
@@ -728,9 +731,10 @@ def optimize_all(p, approx, cfg=None, theorem="T5", zero_variant="z_hat",
     gamma, rho = float(gamma0), float(rho0)
     _nodes_in_range(gamma, 1, "gamma", 0.0, np.inf)  # as certify would refuse it
     Y = _start_Y(p, approx, cfg)
-    # s is the series of Y, current the bound at (Y, gamma, rho): one residual
-    # assembly for every Y the driver visits
-    s = residual_series(p, approx, Y, theorem)
+    # s is the series of Y, current the bound at (Y, gamma, rho), and held the
+    # Residuals of Y until the next Y step's gradient takes them: one residual
+    # assembly for every Y the driver visits and keeps
+    s, *held = residual_series(p, approx, Y, theorem)
     current = float(_bound_from_series(s, rho, gamma, zero_variant, g.dt))
     history = [current]
     diagonals = None  # probed at the first Y step
@@ -743,12 +747,13 @@ def optimize_all(p, approx, cfg=None, theorem="T5", zero_variant="z_hat",
             info = {}
             diagonals = spatial_diagonals(p) if diagonals is None else diagonals
             quad = BoundQuadratic(p, approx, rho, gamma, theorem, zero_variant)
-            Y_new = _minimize_Y(quad, diagonals, Y, current, cfg, info=info)
-            s_new = residual_series(p, approx, Y_new, theorem)
+            Y_new = _minimize_Y(quad, diagonals, Y, current, cfg, info=info, held=held)
+            s_new, *held_new = residual_series(p, approx, Y_new, theorem)
             v_new = float(_bound_from_series(s_new, rho, gamma, zero_variant, g.dt))
             info["accepted"] = v_new <= current
             if info["accepted"]:
-                Y, s, current = Y_new, s_new, v_new
+                Y, s, current, held = Y_new, s_new, v_new, held_new
+            del held_new  # a rejected Y's residuals are not kept
         cg_sweeps.append(info)
         g_new, r_new, v_par = _search_gamma_rho(s, cfg, zero_variant, g)
         if v_par <= current:

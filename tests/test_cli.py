@@ -522,6 +522,31 @@ def test_unknown_bump_is_a_config_error_before_any_snapshot(tmp_path, capsys, de
     assert not out.exists()
 
 
+def test_an_overflowing_number_is_a_config_error_before_any_snapshot(tmp_path, capsys):
+    # json reads 1e999 as inf, which the NaN/Infinity literal check never sees
+    doc = _cavity_cfg(n=4, nt=9, extra={"perturbation": {"bump": "poly_t2", "delta": 0.5}})
+    path = tmp_path / "inf.json"
+    path.write_text(json.dumps(doc).replace('"delta": 0.5', '"delta": 1e999'))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["solve", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("config error at $['perturbation']['delta']")
+    assert not out.exists()
+
+
+def test_cli_start_up_imports_no_schema_validator():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mb.__file__)))
+    code = ("import sys, maxbound, maxbound.cli; print(sorted(m for m in sys.modules if "
+            "m.split('.')[0] in ('jsonschema', 'referencing', 'rpds', "
+            "'jsonschema_specifications')))")
+    done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
 @pytest.mark.parametrize("mode", ["params", "full"])
 @pytest.mark.parametrize("theorem", ["T1", "T5"])
 def test_piecewise_gamma_under_a_constant_weight_theorem_is_a_config_error(

@@ -582,6 +582,29 @@ def test_alternating_driver_runs_one_series_pass_per_free_field(monkeypatch):
     assert hist[-1] == pytest.approx(again.bound_b[-1], rel=1e-12)
 
 
+def test_alternating_driver_assembles_the_residuals_once_per_kept_free_field(monkeypatch):
+    # the Y step's gradient reads the residuals the driver assembled for the
+    # series of the same Y; they depend on Y alone, not on (gamma, rho)
+    p, exact = polynomial_setup(4, 9)
+    approx = _perturbed(p, exact)
+    calls = []
+    real_residuals = maxbound.majorant.residuals
+
+    def counted(*args):
+        calls.append(args[2])
+        return real_residuals(*args)
+
+    monkeypatch.setattr(maxbound.majorant, "residuals", counted)
+    monkeypatch.setattr(maxbound.optimize, "residuals", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        rep, params = mb.optimize_all(p, approx, mb.OptimizeConfig(sweeps=2))
+    assert [info["accepted"] for info in rep.cg_sweeps] == [True, True]
+    # the start Y and each sweep's new Y, each assembled once
+    assert len(calls) == 3 and len({id(Y) for Y in calls}) == 3
+    assert calls[-1] is params.Y
+
+
 @pytest.mark.parametrize("sweeps, probes", [(0, 0), (2, 1)])
 def test_optimize_all_probes_the_spatial_diagonals_once(monkeypatch, sweeps, probes):
     # they depend on the grid and the materials alone, not on (gamma, rho),
