@@ -59,7 +59,6 @@ class MajorantParams:
     gamma: Union[float, np.ndarray] = 1.0
     Y: Optional[FieldTrajectory] = None
     zero_variant: str = "z_hat"
-    absolute_coupling: bool = False
 
     def __post_init__(self):
         if self.zero_variant not in ZERO_VARIANTS:
@@ -81,7 +80,7 @@ def _nodes_in_range(v, nt, name, lo, hi):
         arr = np.full(nt, float(arr))
     elif arr.shape != (nt,):
         raise ParameterError(f"{name} trajectory length {arr.shape} != nt = {nt}")
-    if np.any(arr <= lo) or np.any(arr >= hi):
+    if not np.all((arr > lo) & (arr < hi)):  # nan too
         raise ParameterError(f"{name} must lie in ({lo}, {hi}) on all nodes")
     return arr
 
@@ -323,17 +322,16 @@ def residual_series(p, approx, Y, theorem):
 # the functional f and its Gronwall transform
 
 
-def functional(s, rho, gamma, variant, dt, absolute_coupling=False):
+def functional(s, rho, gamma, variant, dt):
     """The functional f at every node from a NodeSeries and nodal rho, gamma:
 
     f(t) = ||Ktilde||^2_mu(t) / (1-rho) + int (edge / gamma + face / (gamma rho)
-           [+ 2 coup]) + z,
-    with the coupling absolute-valued when absolute_coupling is set.  rho
-    and gamma may carry leading candidate axes (a trailing axis of length 1
-    holds a weight constant in time); f then has one row per candidate.
+           + 2 coup) + z.
+    rho and gamma may carry leading candidate axes (a trailing axis of
+    length 1 holds a weight constant in time); f then has one row per
+    candidate.
     """
-    coup = np.abs(s.coup) if absolute_coupling else s.coup
-    integrand = s.edge_sq / gamma + s.face_sq / (gamma * rho) + 2.0 * coup
+    integrand = s.edge_sq / gamma + s.face_sq / (gamma * rho) + 2.0 * s.coup
     return s.kt_sq / (1.0 - rho) + cumulative_trapezoid(integrand, dt) + s.zp.value(variant)
 
 
@@ -342,15 +340,34 @@ def bound_b_and_B(f, gamma, dt, gamma_weighted_N=False):
 
     b(t) = exp-weighted Gronwall integral of f plus f(t); B(t) bounds the
     time-integrated energy norm: the gamma-weighted integral itself for
-    trajectory gamma, divided by the constant gamma otherwise.
+    trajectory gamma, divided by the constant gamma otherwise.  f and
+    gamma may carry leading candidate axes, as functional gives them.
     """
     f = np.asarray(f, dtype=float)
-    nt = len(f)
-    gam = _nodes_in_range(gamma, nt, "gamma", 0.0, np.inf)
-    ewi = exp_weighted_cumulative(f, gam, dt)
+    ewi = exp_weighted_cumulative(f, gamma, dt)
     b = ewi + f
-    B = ewi if gamma_weighted_N else ewi / gam
+    B = ewi if gamma_weighted_N else ewi / gamma
     return b, B
+
+
+def final_bound(s, rho, gamma, variant, dt):
+    """b(T) of a NodeSeries by certify's assembly, for nodal rho and gamma
+    or for candidates of them on leading axes (see functional): one value
+    per candidate."""
+    return bound_b_and_B(functional(s, rho, gamma, variant, dt), gamma, dt)[0][..., -1]
+
+
+def final_bound_weights(gamma, dt):
+    """The weights of b(T), linear in the functional at fixed nodal gamma:
+    (c, w_int) with b(T) = sum_k c_k f_k, c_k being b(T) of the unit
+    functional at node k, and w_int = cumulative_trapezoid(I) c the weight
+    of node j of f's integrand.  Both come from the assembly's own kernels
+    run on the identity stack; c_k is +inf where its true value overflows.
+    """
+    eye = np.eye(len(gamma))
+    c = bound_b_and_B(eye, gamma, dt)[0][:, -1]
+    with np.errstate(invalid="ignore"):  # inf * 0 where c overflows
+        return c, cumulative_trapezoid(eye, dt) @ c
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +446,7 @@ def certify(p, approx, params, theorem="T5", exact=None):
     rho = params.rho_nodes(g.nt)
     gam = params.gamma_nodes(g.nt)
     s = series(p, approx, params.Y, theorem, exact)
-    f = functional(s, rho, gam, params.zero_variant, g.dt, params.absolute_coupling)
+    f = functional(s, rho, gam, params.zero_variant, g.dt)
     b, B = bound_b_and_B(f, gam, g.dt, gamma_weighted_N=th.nodal_weights)
     if not np.isfinite(b).all():
         raise MaxboundError(f"{theorem} bound is not finite; no bound was certified")

@@ -403,12 +403,3 @@ def trajectory_derivative(traj, transpose=False):
                 out[k] = w[0] * a[lo] + w[1] * a[lo + 1] + w[2] * a[lo + 2]
         comps.append(out)
     return FieldTrajectory(traj.kind, traj.grid, *comps)
-
-
-def trapezoid_weights(n_nodes, dt):
-    w = np.full(n_nodes, dt)
-    w[0] = 0.5 * dt
-    w[-1] = 0.5 * dt
-    if n_nodes == 1:
-        w[0] = 0.0
-    return w

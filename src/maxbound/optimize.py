@@ -29,20 +29,18 @@ from .majorant import (
     _nodes_in_range,
     certify,
     default_Y,
-    functional,
+    final_bound,
+    final_bound_weights,
     residual_series,
     residuals,
     series,
 )
 from .operators import (
-    cumulative_trapezoid,
     curl_edge_to_face,
     curl_face_to_edge,
     ddt_stencil,
-    exp_weighted_cumulative,
     gram_apply,
     trajectory_derivative,
-    trapezoid_weights,
     zero_tangential,
 )
 
@@ -103,18 +101,6 @@ class OptimizeConfig:
             raise ParameterError("gamma_pieces must be positive")
         self.gamma_bracket = gb
         self.rho_grid = rg
-
-
-# ---------------------------------------------------------------------------
-# bound evaluation with Y fixed
-
-
-def _bound_from_series(s, rho, gamma, variant, dt):
-    """Final-node bound b(T) of a NodeSeries, the same assembly as certify,
-    for nodal rho and gamma or for candidates of them on leading axes (see
-    functional): one value per candidate."""
-    f = functional(s, rho, gamma, variant, dt)
-    return exp_weighted_cumulative(f, gamma, dt)[..., -1] + f[..., -1]
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +207,7 @@ def _search_gamma_rho(s, cfg, zero_variant, grid):
     def bound(gam):
         # row i of the gamma candidates goes with rhos[i]; time is the last axis
         rho = rhos.reshape(rhos.shape + (1,) * gam.ndim)
-        return _bound_from_series(s, rho, gam[..., None], zero_variant, grid.dt)
+        return final_bound(s, rho, gam[..., None], zero_variant, grid.dt)
 
     gammas, values, edges = _search_gamma(bound, cfg, len(rhos))
     i = int(np.argmin(values))
@@ -249,14 +235,14 @@ def _refine_gamma_pieces(s, rho, gamma0, variant, cfg, grid):
     pieces = min(cfg.gamma_pieces, nt)
     edges = np.linspace(0, nt, pieces + 1).astype(int)
     gam = np.full(nt, float(gamma0))
-    best_val = float(_bound_from_series(s, rho, gam, variant, grid.dt))
+    best_val = float(final_bound(s, rho, gam, variant, grid.dt))
     for _ in range(2):
         for lo, hi in zip(edges[:-1], edges[1:]):
             def obj(cand, lo=lo, hi=hi):
                 # gam with the piece set to each candidate
                 trial = np.broadcast_to(gam, cand.shape + (nt,)).copy()
                 trial[..., lo:hi] = cand[..., None]
-                return _bound_from_series(s, rho, trial, variant, grid.dt)
+                return final_bound(s, rho, trial, variant, grid.dt)
 
             x, v, _ = _search_gamma(obj, cfg, 1)
             if v[0] < best_val:
@@ -354,11 +340,12 @@ def spatial_diagonals(p):
 class BoundQuadratic:
     """The final-time bound b(T) as a convex quadratic in the stacked Y.
 
-    Collapses the Gronwall-weighted time quadrature into fixed per-node
-    weights, so that a Euclidean gradient evaluation is a single pass over
-    the trajectory, and into the nt x nt time matrix T1 of the Hessian
-    (see spatial_diagonals).  Supports the smooth zero-term variants only
-    (the absolute-valued one is not differentiable).
+    Collapses the Gronwall-weighted time quadrature into the per-node
+    weights of b(T) that majorant.final_bound_weights derives from the
+    bound's own assembly, so that a Euclidean gradient evaluation is a
+    single pass over the trajectory, and into the nt x nt time matrix T1 of
+    the Hessian (see spatial_diagonals).  Supports the smooth zero-term
+    variants only (the absolute-valued one is not differentiable).
     """
 
     def __init__(self, p, approx, rho, gamma, theorem="T5", zero_variant="z_hat"):
@@ -377,20 +364,12 @@ class BoundQuadratic:
         self.rho_n = _nodes_in_range(rho, nt, "rho", 0.0, 1.0)
         self.gam_n = _nodes_in_range(gamma, nt, "gamma", 0.0, np.inf)
 
-        # Gronwall quadrature collapsed to per-node weights.
-        tau = trapezoid_weights(nt, g.dt)
-        big_gamma = cumulative_trapezoid(self.gam_n, g.dt)
-        with np.errstate(over="ignore"):
-            c = tau * np.exp(big_gamma[-1] - big_gamma) * self.gam_n
-        if not np.all(np.isfinite(c)):
-            raise MaxboundError(f"Gronwall weight exp(Gamma(T) - Gamma) overflows at "
-                                f"Gamma(T) = {big_gamma[-1]:.6g}: the bound is not finite")
-        c[-1] += 1.0
+        # b(T) = sum_k c_k f_k, f's integrand weighted by w_int
+        c, w_int = final_bound_weights(self.gam_n, g.dt)
+        if not (np.isfinite(c).all() and np.isfinite(w_int).all()):
+            raise MaxboundError("a Gronwall weight of b(T) overflows: the bound is not finite")
         self.Cz = float(c.sum())
         self.w_pt = c / (1.0 - self.rho_n)
-        w_int = np.zeros(nt)
-        for j in range(1, nt):
-            w_int[: j + 1] += c[j] * trapezoid_weights(j + 1, g.dt)
         self.w_edge = w_int / self.gam_n
         self.w_face = w_int / (self.gam_n * self.rho_n)
         self.w_coup = w_int
@@ -410,7 +389,7 @@ class BoundQuadratic:
 
     def value(self, Y):
         s, _ = residual_series(self.p, self.approx, Y, self.theorem)
-        return float(_bound_from_series(s, self.rho_n, self.gam_n, self.variant, self.grid.dt))
+        return float(final_bound(s, self.rho_n, self.gam_n, self.variant, self.grid.dt))
 
     def gradient(self, Y, res=None):
         """Euclidean gradient of value() with respect to the Y dof values.
@@ -729,13 +708,14 @@ def optimize_all(p, approx, cfg=None, theorem="T5", zero_variant="z_hat",
     g = p.grid
     _check_gamma_pieces(p, approx, cfg, theorem)
     gamma, rho = float(gamma0), float(rho0)
-    _nodes_in_range(gamma, 1, "gamma", 0.0, np.inf)  # as certify would refuse it
+    _nodes_in_range(gamma, 1, "gamma", 0.0, np.inf)  # as certify would refuse them
+    _nodes_in_range(rho, 1, "rho", 0.0, 1.0)
     Y = _start_Y(p, approx, cfg)
     # s is the series of Y, current the bound at (Y, gamma, rho), and held the
     # Residuals of Y until the next Y step's gradient takes them: one residual
     # assembly for every Y the driver visits and keeps
     s, *held = residual_series(p, approx, Y, theorem)
-    current = float(_bound_from_series(s, rho, gamma, zero_variant, g.dt))
+    current = float(final_bound(s, rho, gamma, zero_variant, g.dt))
     history = [current]
     diagonals = None  # probed at the first Y step
     cg_sweeps = []
@@ -749,7 +729,7 @@ def optimize_all(p, approx, cfg=None, theorem="T5", zero_variant="z_hat",
             quad = BoundQuadratic(p, approx, rho, gamma, theorem, zero_variant)
             Y_new = _minimize_Y(quad, diagonals, Y, current, cfg, info=info, held=held)
             s_new, *held_new = residual_series(p, approx, Y_new, theorem)
-            v_new = float(_bound_from_series(s_new, rho, gamma, zero_variant, g.dt))
+            v_new = float(final_bound(s_new, rho, gamma, zero_variant, g.dt))
             info["accepted"] = v_new <= current
             if info["accepted"]:
                 Y, s, current, held = Y_new, s_new, v_new, held_new

@@ -175,8 +175,8 @@ def exact_reference(case, grid):
     """The exact E and dE/dt of a catalog case, sampled node by node on demand.
 
     Holds no trajectory, and node k equals that of project_exact bit for
-    bit.  H and dH/dt are left out: this is the reference true_error_norms
-    (and so certify) reads, not an approximation.
+    bit.  H and dH/dt are left out: it is the exact reference of certify
+    and true_error_norms, whose series pass reads E and dE/dt alone.
     """
     return SolveOutput(_NodeSampler(grid, case.sample_E), None,
                        _NodeSampler(grid, case.sample_dtE))

@@ -9,7 +9,7 @@ import pytest
 import maxbound as mb
 from maxbound.errors import ParameterError, PreconditionError
 from maxbound.fields import EDGE, FACE, FieldTrajectory
-from maxbound.majorant import bound_b_and_B
+from maxbound.majorant import bound_b_and_B, final_bound_weights
 from maxbound.operators import (
     cumulative_trapezoid,
     curl_edge_to_face,
@@ -46,6 +46,10 @@ def test_parameter_validation():
         params.rho_nodes(5)
     with pytest.raises(ParameterError):
         mb.MajorantParams(gamma=-1.0).gamma_nodes(5)
+    with pytest.raises(ParameterError):
+        mb.MajorantParams(rho=np.array([0.5, np.nan, 0.5, 0.5, 0.5])).rho_nodes(5)
+    with pytest.raises(ParameterError):
+        mb.MajorantParams(gamma=np.nan).gamma_nodes(5)
 
 
 def test_certify_preconditions():
@@ -181,6 +185,38 @@ def test_bound_assembly_matches_manual_reconstruction():
     assert np.allclose(rep.bound_B, (b_manual - f_manual) / gamma, rtol=1e-11, atol=1e-18)
 
 
+def test_final_bound_weights_are_the_linear_form_of_b_T():
+    # b(T) = c.f and the integrand's weight w_int, for the bound's own
+    # assembly; for constant gamma, c is the closed form tau exp(Gamma(T) -
+    # Gamma) gamma plus 1 at T
+    rng = np.random.default_rng(52)
+    nt, dt = 17, 1.0 / 16
+    for gamma in (rng.uniform(1e-2, 50.0, nt), np.full(nt, 1.7)):
+        c, w_int = final_bound_weights(gamma, dt)
+        f = rng.uniform(-1.0, 2.0, (4, nt))
+        b_T = bound_b_and_B(f, gamma, dt)[0][:, -1]
+        np.testing.assert_allclose(f @ c, b_T, rtol=1e-13)
+        v = rng.uniform(0.0, 2.0, nt)
+        b_T = bound_b_and_B(cumulative_trapezoid(v, dt), gamma, dt)[0][-1]
+        assert v @ w_int == pytest.approx(b_T, rel=1e-13)
+    tau = np.full(nt, dt)
+    tau[[0, -1]] = 0.5 * dt
+    closed = tau * np.exp(1.7 * (1.0 - np.arange(nt) / (nt - 1))) * 1.7
+    closed[-1] += 1.0
+    np.testing.assert_allclose(c, closed, rtol=1e-13)
+
+
+@pytest.mark.filterwarnings("error")
+def test_final_bound_weights_overflow_to_inf_only_where_their_value_does():
+    # exp(Gamma(T)) = exp(1000): the weights of the early nodes are out of
+    # range, those of the last nodes are not
+    nt, dt = 33, 1.0 / 32
+    c, _ = final_bound_weights(np.full(nt, 1000.0), dt)
+    closed_log = np.log(dt * 1000.0) + 1000.0 * (1.0 - np.arange(nt) / (nt - 1))
+    assert np.array_equal(np.isinf(c[:-1]), closed_log[:-1] > np.log(np.finfo(float).max))
+    assert np.isinf(c[0]) and np.isfinite(c[-2])
+
+
 def test_integrated_bound_is_gamma_weighted_for_trajectory_weight_theorems():
     p, approx, _ = cavity_setup(6, 13)
     params = mb.MajorantParams(rho=0.5, gamma=2.0)
@@ -283,21 +319,7 @@ def _rand_edge(grid, rng):
 
 
 # ---------------------------------------------------------------------------
-# absolute coupling and efficiency reporting
-
-
-def test_absolute_coupling_never_shrinks_the_bound():
-    p, exact = polynomial_setup(5, 9)
-    approx = _perturbed_exact(p, exact, 2e-2, key="static")
-    rng = np.random.default_rng(81)
-    Y = mb.default_Y(p, approx) + FieldTrajectory.from_fields(
-        p.grid, [0.05 * random_face(p.grid, rng) for _ in range(p.grid.nt)]
-    )
-    signed = mb.certify(p, approx, mb.MajorantParams(Y=Y), theorem="T5")
-    taken = mb.certify(
-        p, approx, mb.MajorantParams(Y=Y, absolute_coupling=True), theorem="T5"
-    )
-    assert np.all(taken.bound_b >= signed.bound_b - 1e-15)
+# efficiency reporting
 
 
 def test_efficiency_reported_only_above_the_noise_floor():

@@ -23,7 +23,6 @@ from maxbound.operators import (
     gradient_node_to_edge,
     gram_apply,
     trajectory_derivative,
-    trapezoid_weights,
     weighted_inner,
     weighted_norm_sq,
     zero_tangential,
@@ -509,12 +508,3 @@ def test_stencil_time_axis_matches_the_dense_matrix_and_its_transpose(nt):
     du = trajectory_derivative(u)
     for k in range(nt):
         np.testing.assert_array_equal(du.node(k).x, ddt_node(u.node, k, grid).x)
-
-
-def test_trapezoid_weights_reproduce_the_trapezoid_rule():
-    rng = np.random.default_rng(43)
-    v = rng.standard_normal(6)
-    dt = 0.21
-    w = trapezoid_weights(6, dt)
-    assert float(w @ v) == pytest.approx(np.trapezoid(v, dx=dt), rel=1e-14)
-    assert trapezoid_weights(1, dt)[0] == 0.0

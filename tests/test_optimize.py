@@ -12,6 +12,7 @@ import maxbound.majorant
 import maxbound.optimize
 from maxbound.errors import MaxboundError, ParameterError
 from maxbound.fields import EDGE, FACE, FieldTrajectory
+from maxbound.majorant import final_bound
 from maxbound.majorant import series as node_series
 from maxbound.operators import (
     cumulative_trapezoid,
@@ -26,7 +27,6 @@ from maxbound.optimize import (
     _Y_STALL_RTOL,
     BoundQuadratic,
     _Work,
-    _bound_from_series,
     _flatten,
     _scaled_eigenbasis,
     _scaled_hessian,
@@ -212,14 +212,14 @@ def test_parameter_search_never_worse_than_the_default_point():
     approx = _perturbed(p, exact)
     Y = mb.default_Y(p, approx)
     series = node_series(p, approx, Y, "T5")
-    base = _bound_from_series(series, 0.5, 1.0, "z_hat", p.grid.dt)
+    base = final_bound(series, 0.5, 1.0, "z_hat", p.grid.dt)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         gamma, rho, value = mb.optimize_gamma_rho(p, approx, Y)
     assert value <= base + 1e-15
     assert 0.0 < rho < 1.0 and gamma > 0.0
     assert value == pytest.approx(
-        _bound_from_series(series, rho, gamma, "z_hat", p.grid.dt), rel=1e-12
+        final_bound(series, rho, gamma, "z_hat", p.grid.dt), rel=1e-12
     )
 
 
@@ -443,21 +443,46 @@ def test_quadratic_value_matches_certification_at_the_final_node():
     assert quad.value(Y) == rep.bound_b[-1]
 
 
-def test_quadratic_gradient_matches_finite_differences():
+# (theorem, rho, gamma, Y off the default, zero variant); "nodal" draws rho
+# in (0.1, 0.9) and gamma in (1e-2, 50) per node, and gamma = 600 on
+# T = 0.5 puts exp(Gamma(T)) at e^300
+_GRADIENT_CASES = [
+    ("T5", 0.4, 1.2, False, "z_hat"),
+    ("T4", "nodal", "nodal", False, "z_hat"),
+    ("T1", 0.4, 1.2, False, "z_hat"),
+    ("T5", 0.4, 1.2, True, "z"),
+    ("T4", "nodal", "nodal", True, "z"),
+    ("T3", "nodal", "nodal", True, "z_hat"),
+    ("T5", 0.4, 600.0, True, "z_hat"),
+]
+
+
+@pytest.mark.parametrize("theorem, rho, gamma, off_default, variant", _GRADIENT_CASES)
+def test_quadratic_gradient_matches_finite_differences(theorem, rho, gamma, off_default,
+                                                        variant):
     grid = mb.GridSpec(4, 4, 4, 1.0, 1.0, 1.0, 5, 0.5)
     p = mb.assemble_problem(grid, case=mb.cavity_mode())
     approx = mb.leapfrog_solve(p)
-    quad = BoundQuadratic(p, approx, rho=0.4, gamma=1.2)
     rng = np.random.default_rng(101)
-    x0 = _flatten(mb.default_Y(p, approx))
+    if rho == "nodal":
+        rho, gamma = rng.uniform(0.1, 0.9, grid.nt), rng.uniform(1e-2, 50.0, grid.nt)
+    quad = BoundQuadratic(p, approx, rho=rho, gamma=gamma, theorem=theorem,
+                          zero_variant=variant)
+    Y = mb.default_Y(p, approx)
+    if off_default:
+        Y = Y + FieldTrajectory.from_fields(
+            grid, [0.1 * random_face(grid, rng) for _ in range(grid.nt)])
+    x0 = _flatten(Y)
     g0 = quad.gradient_flat(x0)
     d = rng.standard_normal(x0.shape)
     d /= np.linalg.norm(d)
-    h = 1e-6
+    # value() is quadratic in Y, so the central difference is exact but for
+    # the rounding of value(), which a long step divides down
+    h = 1e-2
     fp = quad.value(_unflatten(x0 + h * d, grid))
     fm = quad.value(_unflatten(x0 - h * d, grid))
     fd = (fp - fm) / (2.0 * h)
-    assert fd == pytest.approx(np.vdot(g0, d), rel=1e-6)
+    assert fd == pytest.approx(np.vdot(g0, d), rel=1e-8)
 
 
 def test_quadratic_hessian_is_symmetric_positive_semidefinite():
@@ -625,11 +650,28 @@ def test_optimize_all_probes_the_spatial_diagonals_once(monkeypatch, sweeps, pro
     assert len(calls) == probes
 
 
+@pytest.mark.parametrize("rho0, gamma0", [(1.5, 1000.0), (1.5, 1.0), (math.nan, 1.0)])
+def test_optimize_all_refuses_rho0_before_any_work(rho0, gamma0, monkeypatch):
+    # as it refuses gamma0: rho0 is no admissible rho, whether or not gamma0
+    # makes the starting bound +inf
+    p, exact = polynomial_setup(4, 9)
+    approx = _perturbed(p, exact)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work done before the refusal")
+
+    for name in ("series", "residual_series", "residuals", "default_Y"):
+        monkeypatch.setattr(maxbound.optimize, name, no_work)
+    with pytest.raises(ParameterError, match="rho"):
+        mb.optimize_all(p, approx, mb.OptimizeConfig(sweeps=1), rho0=rho0, gamma0=gamma0)
+
+
 @pytest.mark.parametrize("n, nt", [(4, 9), (8, 17)])
 def test_optimize_all_refuses_a_negative_bound(n, nt):
     # with Etilde_t left exact the signed coupling term drives the optimized
-    # bound below zero (to about -1.22 on 4^3 x 9, -2.16e6 on 8^3 x 17);
-    # certify refuses it rather than report it
+    # bound below zero: on 4^3 x 9 b(T) is -1.24, the most negative b; on
+    # 8^3 x 17 b(T) is 5.18e-5 (below trueN(T) = 5.27e-5), and b dips to
+    # -1.60e-8 at node 2 alone; certify refuses it rather than report it
     p, exact = polynomial_setup(n, nt)
     grid = p.grid
     shift = FieldTrajectory.sample(grid, EDGE, lambda t: bump_field("poly_t2", grid, t))
