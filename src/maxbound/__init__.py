@@ -49,6 +49,7 @@ from .operators import (
 from .optimize import (
     BoundQuadratic,
     OptimizeConfig,
+    certify_gamma_rho,
     conjugate_gradient,
     golden_section,
     optimize_Y,

@@ -30,7 +30,7 @@ from .fields import GridSpec
 from .gronwall import gronwall_differential, gronwall_oracle_check, oracle_report
 from .majorant import THEOREMS, MajorantParams, certify
 from .operators import weighted_norm_sq
-from .optimize import OptimizeConfig, optimize_all, optimize_gamma_rho
+from .optimize import OptimizeConfig, certify_gamma_rho, optimize_all
 from .problem import assemble_problem, bump_field, bump_field_dt
 from .snapshot import load_snapshot, snapshot_reader, snapshot_writer
 from .solver import exact_reference, leapfrog_solve, project_exact
@@ -196,10 +196,8 @@ def cmd_certify(args):
         if mode == "none":
             report = certify(p, approx, params, theorem=theorem, exact=exact)
         elif mode == "params":
-            ocfg = _optimize_config(maj)
-            gamma, rho, _ = optimize_gamma_rho(p, approx, None, ocfg, theorem, variant)
-            params = MajorantParams(rho=rho, gamma=gamma, zero_variant=variant)
-            report = certify(p, approx, params, theorem=theorem, exact=exact)
+            report, _ = certify_gamma_rho(p, approx, _optimize_config(maj), theorem, variant,
+                                          exact)
         else:
             ocfg = _optimize_config(maj)
             report, _ = optimize_all(p, approx, ocfg, theorem=theorem, zero_variant=variant,

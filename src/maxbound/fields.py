@@ -29,7 +29,11 @@ _COMPONENTS = ("x", "y", "z")
 def nodal_axes(kind, i):
     """The axes along which component i of a field of this kind sits on grid
     nodes: the two axes across an edge, the one axis across a face."""
-    return tuple(d for d in range(3) if (d == i) == (kind == FACE))
+    return _NODAL_AXES[kind, i]
+
+
+_NODAL_AXES = {(kind, i): tuple(d for d in range(3) if (d == i) == (kind == FACE))
+               for kind in (EDGE, FACE) for i in range(3)}
 
 
 @dataclass(frozen=True)

@@ -266,23 +266,17 @@ def series(p, approx, Y, theorem, exact=None):
         _check_Y(Y, g)
     nt = g.nt
     work = _Work(g)
-    E = _Window(lambda j, _: approx.Etilde.node(j))
+    E, dE, Et = _velocity_windows(approx, derived, g)
     M = _Window(lambda j, out: mu_inv_curl(p, E(j), out))
     Yw = M if Y is None else _Window(lambda j, _: Y.node(j))
     Kt = _Window(lambda j, out: M(j).apply(np.subtract, Yw(j), out))
-    dE = _Window(lambda j, out: ddt_node(E, j, g, out))
-    Et = dE if derived else _Window(lambda j, _: approx.Etilde_t.node(j))
 
     kt_sq, edge_sq, face_sq, coup = (np.zeros(nt) for _ in range(4))
     error_sq = None if exact is None else (np.zeros(nt), np.zeros(nt))
     for k in range(nt):
         # the true error first: its node k of Etilde has not yet left the window
         if exact is not None:
-            first = exact.Etilde_t.node(k).apply(np.subtract, Et(k), work.edge)
-            error_sq[0][k] = weighted_norm_sq(first, p.eps, g, work.cells)
-            diff = exact.Etilde.node(k).apply(np.subtract, E(k), work.edge)
-            curl_err = curl_edge_to_face(diff, g, work.face)
-            error_sq[1][k] = weighted_norm_sq(curl_err, p.mu_inv, g, work.cells)
+            _error_node(p, exact, E, Et, k, work, error_sq)
         if Y is not None:
             kt_sq[k] = weighted_norm_sq(Kt(k), p.mu, g, work.cells)
         Yk = Yw(k)  # made before the derivatives below move the Etilde window on
@@ -301,6 +295,40 @@ def series(p, approx, Y, theorem, exact=None):
             coup[k] = weighted_inner(Kt(k), coupling_curl, None, g, work.cells)
     zp = zero_term_parts(p, approx, Y, theorem)
     return NodeSeries(kt_sq, edge_sq, face_sq, coup, zp, error_sq)
+
+
+def _velocity_windows(approx, derived, grid):
+    """The windows of Etilde, dEtilde/dt and the theorem's Etilde_t, the
+    last being dEtilde/dt for derived_velocity (T1/T3)."""
+    E = _Window(lambda j, _: approx.Etilde.node(j))
+    dE = _Window(lambda j, out: ddt_node(E, j, grid, out))
+    return E, dE, dE if derived else _Window(lambda j, _: approx.Etilde_t.node(j))
+
+
+def _error_node(p, exact, E, Et, k, work, error_sq):
+    """Node k of the true-error norms ||e_t||^2_eps and ||curl e||^2_{mu^-1}
+    into the two arrays error_sq, from the windows E and Et, through the
+    buffers of work."""
+    g = p.grid
+    first = exact.Etilde_t.node(k).apply(np.subtract, Et(k), work.edge)
+    error_sq[0][k] = weighted_norm_sq(first, p.eps, g, work.cells)
+    diff = exact.Etilde.node(k).apply(np.subtract, E(k), work.edge)
+    curl_err = curl_edge_to_face(diff, g, work.face)
+    error_sq[1][k] = weighted_norm_sq(curl_err, p.mu_inv, g, work.cells)
+
+
+def error_series(p, approx, exact, theorem):
+    """The true-error norms of series(p, approx, Y, theorem, exact).error_sq,
+    bit for bit, in a pass that takes no residual: the error block of
+    series, node by node, in the same windows."""
+    g = p.grid
+    derived = _check_theorem(theorem, g, approx).derived_velocity
+    work = _Work(g)
+    E, _, Et = _velocity_windows(approx, derived, g)
+    error_sq = (np.zeros(g.nt), np.zeros(g.nt))
+    for k in range(g.nt):
+        _error_node(p, exact, E, Et, k, work, error_sq)
+    return error_sq
 
 
 def residual_series(p, approx, Y, theorem):
@@ -379,11 +407,11 @@ def true_error_norms(exact, approx, p, params, theorem="T5"):
 
     The first slot is the error of Etilde_t, which is dEtilde/dt for
     T1/T3.  N is gamma-weighted exactly when the theorem uses trajectory
-    weights (T3/T4).  The norms are taken in the one pass of series, the
-    pass certify makes.
+    weights (T3/T4).  The norms are those certify reports, from the error
+    block of its pass alone (error_series).
     """
-    s = series(p, approx, None, theorem, exact)
-    return _error_norms(s.error_sq, params, THEOREMS[theorem].nodal_weights, p.grid)
+    error_sq = error_series(p, approx, exact, theorem)
+    return _error_norms(error_sq, params, THEOREMS[theorem].nodal_weights, p.grid)
 
 
 def _error_norms(error_sq, params, nodal_weights, grid):
@@ -437,15 +465,31 @@ def certify(p, approx, params, theorem="T5", exact=None):
         the coupling term is 0.
     T3: T4 with Etilde_t read as dEtilde/dt.
 
-    The working memory beyond the inputs is a few node fields, whatever nt.
+    One streamed series pass, then report_from_series.  The working memory
+    beyond the inputs is a few node fields, whatever nt.
     """
+    _checked_weights(p, approx, params, theorem)  # before the pass
+    s = series(p, approx, params.Y, theorem, exact)
+    return report_from_series(p, approx, params, theorem, s)
+
+
+def _checked_weights(p, approx, params, theorem):
+    """The Theorem and nodal rho and gamma of a report, once theorem,
+    approx and params meet."""
     g = p.grid
     th = _check_theorem(theorem, g, approx)
     if not th.nodal_weights and not params.is_constant():
         raise PreconditionError(f"{theorem} requires constant rho and gamma")
-    rho = params.rho_nodes(g.nt)
-    gam = params.gamma_nodes(g.nt)
-    s = series(p, approx, params.Y, theorem, exact)
+    return th, params.rho_nodes(g.nt), params.gamma_nodes(g.nt)
+
+
+def report_from_series(p, approx, params, theorem, s):
+    """certify's report from the NodeSeries s of params.Y: f, b and B, the
+    refusal of a b that is not finite or is negative, and, when s carries
+    error_sq, the true-error norms and the efficiency.  certify, the
+    optimizer and the CLI's parameter search all report through it."""
+    g = p.grid
+    th, rho, gam = _checked_weights(p, approx, params, theorem)
     f = functional(s, rho, gam, params.zero_variant, g.dt)
     b, B = bound_b_and_B(f, gam, g.dt, gamma_weighted_N=th.nodal_weights)
     if not np.isfinite(b).all():
@@ -465,7 +509,7 @@ def certify(p, approx, params, theorem="T5", exact=None):
         gamma=gam,
         zero_variant=params.zero_variant,
     )
-    if exact is not None:
+    if s.error_sq is not None:
         n, N = _error_norms(s.error_sq, params, th.nodal_weights, g)
         report.trueN = n
         report.trueBigN = N

@@ -37,11 +37,14 @@ def _field(grid, kind, comps):
 
 
 def _lower_upper(a, axis):
-    """The views a[:-1] and a[1:] along one axis."""
-    lo = [slice(None)] * a.ndim
-    hi = list(lo)
-    lo[axis], hi[axis] = slice(None, -1), slice(1, None)
-    return a[tuple(lo)], a[tuple(hi)]
+    """The views a[:-1] and a[1:] along one of the spatial axes -3, -2, -1."""
+    lo, hi = _LOWER_UPPER[axis]
+    return a[lo], a[hi]
+
+
+_LOWER_UPPER = {axis: tuple((...,) + (end,) + (slice(None),) * (-1 - axis)
+                            for end in (slice(None, -1), slice(1, None)))
+                for axis in (-3, -2, -1)}
 
 
 def _corners(a, axes):
@@ -133,11 +136,16 @@ def gradient_node_to_edge(phi, grid):
 def zero_tangential(e):
     """Zero the tangential boundary components of an edge field, at both ends
     of their nodal axes, in place; returns the field."""
-    for i, comp in enumerate(e.components()):
-        for d in nodal_axes(EDGE, i):
-            for end in (0, -1):
-                comp[(..., end) + (slice(None),) * (2 - d)] = 0.0
+    for comp, ends in zip(e.components(), _TANGENTIAL_ENDS):
+        for end in ends:
+            comp[end] = 0.0
     return e
+
+
+# per edge component, the index of each end of each of its nodal axes
+_TANGENTIAL_ENDS = tuple(tuple((..., end) + (slice(None),) * (2 - d)
+                               for d in nodal_axes(EDGE, i) for end in (0, -1))
+                         for i in range(3))
 
 
 # ---------------------------------------------------------------------------

@@ -27,10 +27,11 @@ from .majorant import (
     MajorantParams,
     _check_theorem,
     _nodes_in_range,
-    certify,
     default_Y,
+    error_series,
     final_bound,
     final_bound_weights,
+    report_from_series,
     residual_series,
     residuals,
     series,
@@ -197,6 +198,19 @@ def optimize_gamma_rho(p, approx, Y, cfg=None, theorem="T5", zero_variant="z_hat
     cfg = cfg if cfg is not None else OptimizeConfig()
     _check_gamma_pieces(p, approx, cfg, theorem)
     return _search_gamma_rho(series(p, approx, Y, theorem), cfg, zero_variant, p.grid)
+
+
+def certify_gamma_rho(p, approx, cfg=None, theorem="T5", zero_variant="z_hat", exact=None):
+    """certify at the (gamma, rho) that optimize_gamma_rho picks for the
+    default free field, from one series pass: the search and the report
+    read the same NodeSeries, which (gamma, rho) do not change.  Returns
+    the report and its MajorantParams."""
+    cfg = cfg if cfg is not None else OptimizeConfig()
+    _check_gamma_pieces(p, approx, cfg, theorem)
+    s = series(p, approx, None, theorem, exact)
+    gamma, rho, _ = _search_gamma_rho(s, cfg, zero_variant, p.grid)
+    params = MajorantParams(rho=rho, gamma=gamma, zero_variant=zero_variant)
+    return report_from_series(p, approx, params, theorem, s), params
 
 
 def _search_gamma_rho(s, cfg, zero_variant, grid):
@@ -463,19 +477,36 @@ def _scaled_eigenbasis(quad, diagonals):
 
 
 class _Work:
-    """The buffers of _scaled_hessian for up to grid.nt rows: edge rows,
-    face rows vec and one flat scratch, which also holds gram_apply's cell
-    averages."""
+    """The buffers of _scaled_hessian for up to grid.nt rows: edge rows, face
+    rows vec and out, and one flat scratch, which also holds gram_apply's
+    cell averages; and the fields over the first m rows of vec, edge and
+    out (see fields)."""
 
     def __init__(self, grid):
         def dofs(kind):
             return sum(math.prod(grid.shape(kind, c)) for c in ("x", "y", "z"))
 
+        self.grid = grid
         self.edge = np.zeros((grid.nt, dofs(EDGE)))
-        self.vec = np.zeros((grid.nt, dofs(FACE)))
+        self.vec, self.out = (np.zeros((grid.nt, dofs(FACE))) for _ in range(2))
         # three times the largest component of either trajectory
         self.flat = np.zeros(3 * grid.nt * max(math.prod(grid.shape(kind, c))
                                                for kind in (EDGE, FACE) for c in "xyz"))
+        self._m = self._fields = None
+
+    def fields(self, m):
+        """The face field over vec[:m], the edge field over edge[:m], and
+        out[:m] with the face field over it (see _unflatten), made anew
+        only when m differs from the last call's: in a CG solve, whose
+        active rows only fall, once for each count of them.  Holding one
+        set alone keeps the small objects of every count from piling up
+        in the heap, which raises the solve's peak RSS."""
+        if m != self._m:
+            g, out = self.grid, self.out[:m]
+            self._m, self._fields = m, (_unflatten(self.vec[:m], g),
+                                        _unflatten(self.edge[:m], g, EDGE),
+                                        out, _unflatten(out, g))
+        return self._fields
 
 
 def _scaled_hessian(p, lam, scale, w, rows=None, out=None, work=None):
@@ -485,21 +516,28 @@ def _scaled_hessian(p, lam, scale, w, rows=None, out=None, work=None):
     order, by default), row i of w being block rows[i].  One _curl_curl
     scaled by lam per row and one gram_apply, with no time operator.
 
-    Into out, w's shape, through the buffers of the _Work work, each made
-    anew when it is not given.
+    Into out, w's shape, when it is given, else into the rows of the
+    work's own out, which the next call with that work overwrites; through
+    the buffers and fields of the _Work work, made anew when it is not
+    given.
     """
     g = p.grid
     m = len(w)
     rows = np.arange(m) if rows is None else rows
     work = _Work(g) if work is None else work
-    out = np.empty_like(w) if out is None else out
+    face, edge, held, H = work.fields(m)
+    if out is None:
+        out = held
+    else:
+        H = _unflatten(out, g)
     sw = work.vec[:m]
-    # mode="wrap" gathers straight into sw; "raise" would buffer a copy
+    # mode="wrap" gathers straight into sw; "raise" would buffer a copy.  The
+    # rows of S are gathered twice: holding them through the product takes
+    # a third face buffer, which would be the solve's peak
     np.take(scale, rows, axis=0, out=sw, mode="wrap")
     sw *= w
-    face, H = _unflatten(sw, g), _unflatten(out, g)
-    _curl_curl(p, face, g, H, _unflatten(work.edge[:m], g, EDGE), work.flat)
-    H.apply(np.multiply, lam[rows].reshape(H.x.shape[:-3] + (1, 1, 1)), H)
+    _curl_curl(p, face, g, H, edge, work.flat)
+    out *= lam[rows][:, None]
     gram_apply(face, p.mu, g, face, work.flat)
     out += sw
     np.take(scale, rows, axis=0, out=sw, mode="wrap")
@@ -600,11 +638,10 @@ def conjugate_gradient(apply_A, rhs, tol=1e-10, max_iter=200, stall_tol=0.0, inf
         alpha = np.divide(rs_old, dAd, out=np.zeros(m), where=~null)[:, None]
         xa += np.multiply(da, alpha, out=scratch[:m])
         ra -= np.multiply(Ad, alpha, out=scratch[:m])
-        rs[rows] = dots(ra, ra)
-        xb = scratch[:m]
-        for i, j in enumerate(rows):
-            np.multiply(xa[i], b[j], out=xb[i])
-        xb = xb.sum(axis=1)
+        rs_new = rs[rows] = dots(ra, ra)
+        # <x, rhs>, the rows of rhs gathered into the scratch
+        xb = np.take(b, rows, axis=0, out=scratch[:m], mode="wrap")
+        xb = np.multiply(xb, xa, out=xb).sum(axis=1)
         q = -0.5 * (dots(xa, ra) + xb)
         it += 1
         steps[rows[~null]] += 1
@@ -612,8 +649,8 @@ def conjugate_gradient(apply_A, rhs, tol=1e-10, max_iter=200, stall_tol=0.0, inf
         stalled = False
         if it >= _STALL_WINDOW:
             stalled = qs[(it - _STALL_WINDOW) % (_STALL_WINDOW + 1), rows] - q <= stall_tol / nb
-        done = null | stalled | ~(np.sqrt(rs[rows]) > tol * ref[rows])
-        da *= (rs[rows] / rs_old)[:, None]
+        done = null | stalled | ~(np.sqrt(rs_new) > tol * ref[rows])
+        da *= (rs_new / rs_old)[:, None]
         da += ra
         m = retire(done, m)
     if info is not None:
@@ -650,9 +687,9 @@ def _start_Y(p, approx, cfg):
 
 def _block_hessian(p, lam, scale):
     """The apply_A of conjugate_gradient for the rows of _scaled_hessian,
-    into buffers of its own, which go with it."""
-    out, work = np.empty_like(scale), _Work(p.grid)
-    return lambda w, rows: _scaled_hessian(p, lam, scale, w, rows, out[:len(w)], work)
+    into the buffers and fields of a _Work of its own, which goes with it."""
+    work = _Work(p.grid)
+    return lambda w, rows: _scaled_hessian(p, lam, scale, w, rows, None, work)
 
 
 def _minimize_Y(quad, diagonals, Y0, value0, cfg, info=None, held=None):
@@ -740,8 +777,12 @@ def optimize_all(p, approx, cfg=None, theorem="T5", zero_variant="z_hat",
             gamma, rho, current = g_new, r_new, v_par
         history.append(current)
 
+    # certify's report at the optimized parameters, from the series of Y
+    # held already, which is certify's own bit for bit
     params = MajorantParams(rho=rho, gamma=gamma, Y=Y, zero_variant=zero_variant)
-    report = certify(p, approx, params, theorem=theorem, exact=exact)
+    if exact is not None:
+        s = replace(s, error_sq=error_series(p, approx, exact, theorem))
+    report = report_from_series(p, approx, params, theorem, s)
     report.optimize_history = history
     report.cg_sweeps = cg_sweeps
     return report, params

@@ -170,6 +170,36 @@ def test_certify_with_parameter_optimization(tmp_path):
     assert all(row["bound_b"] >= row["trueN"] for row in rows)
 
 
+def test_parameter_optimization_makes_one_series_pass(tmp_path, monkeypatch):
+    # the (gamma, rho) search and the report read the one pass, which takes
+    # the true error too
+    import maxbound.majorant
+    import maxbound.optimize
+
+    doc = _cavity_cfg(n=4, nt=9, extra={
+        "perturbation": {"bump": "poly_t2", "delta": 0.01},
+        "solver": {"method": "exact"},
+        "majorant": {"optimize": "params"},
+    })
+    cfg = _write(tmp_path, "run.json", doc)
+    out = str(tmp_path / "out")
+    assert main(["solve", "--config", cfg, "--out", out]) == EXIT_OK
+    calls = []
+    stream = maxbound.majorant.series
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("exact", args[4] if len(args) > 4 else None))
+        return stream(*args, **kwargs)
+
+    for module in (maxbound.majorant, maxbound.optimize):
+        monkeypatch.setattr(module, "series", counted)
+    snap = os.path.join(out, "snapshot.bin")
+    assert main(["certify", "--config", cfg, "--snapshot", snap, "--out", out]) == EXIT_OK
+    assert len(calls) == 1 and calls[0] is not None
+    with open(os.path.join(out, "report.json")) as fh:
+        assert all(row["trueN"] is not None for row in json.load(fh)["rows"])
+
+
 def test_exit_codes_for_bad_inputs(tmp_path, capsys):
     # schema violation
     bad = _cavity_cfg()

@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import maxbound as mb
 import maxbound.majorant
@@ -27,6 +29,7 @@ from maxbound.optimize import (
     _Y_STALL_RTOL,
     BoundQuadratic,
     _Work,
+    _block_hessian,
     _flatten,
     _scaled_eigenbasis,
     _scaled_hessian,
@@ -682,6 +685,73 @@ def test_optimize_all_refuses_a_negative_bound(n, nt):
             mb.optimize_all(p, approx, mb.OptimizeConfig(sweeps=2), exact=exact)
 
 
+def _counted_series(monkeypatch):
+    """The list of the streamed series passes made from here on, by certify
+    or by the optimizer."""
+    calls = []
+    stream = maxbound.majorant.series
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return stream(*args, **kwargs)
+
+    for module in (maxbound.majorant, maxbound.optimize):
+        monkeypatch.setattr(module, "series", counted)
+    return calls
+
+
+def _random_inputs(kind, seed):
+    """(problem, approx, exact) on a non-cubic grid in the material kind:
+    random edge trajectories of zero tangential trace, and an approx that
+    departs from the exact one in Etilde and, independently, in Etilde_t."""
+    rng = np.random.default_rng(seed)
+    grid = mb.GridSpec(3, 4, 3, 1.0, 1.2, 0.8, 7, 0.5)
+    p = mb.assemble_problem(grid, eps=_material(kind, grid, rng), mu=_material(kind, grid, rng))
+    trajs = [FieldTrajectory.zeros(grid, EDGE) for _ in range(4)]
+    for traj in trajs:
+        for comp in traj.components():
+            comp[...] = rng.standard_normal(comp.shape)
+        zero_tangential(traj)
+    E, Et, dE, dEt = trajs
+    exact = SolveOutput(E, FieldTrajectory.zeros(grid, FACE), Et)
+    return p, SolveOutput(E + 0.1 * dE, exact.Htilde, Et + 0.1 * dEt), exact
+
+
+@settings(max_examples=16, deadline=None)
+@given(theorem=st.sampled_from(["T1", "T3", "T4", "T5"]), variant=st.sampled_from(["z", "z_hat"]),
+       kind=st.sampled_from(["identity", "scalar", "diagonal"]), pieces=st.sampled_from([1, 2]),
+       with_exact=st.booleans(), seed=st.integers(0, 2**16))
+def test_the_optimizer_reports_what_certify_reports_at_its_parameters(
+        theorem, variant, kind, pieces, with_exact, seed):
+    # the report comes from the series the driver holds, with no pass of
+    # its own, and is certify's at the returned parameters bit for bit
+    if pieces > 1 and theorem in ("T1", "T5"):
+        pieces = 1  # a piecewise gamma needs nodal weights
+    p, approx, exact = _random_inputs(kind, seed)
+    exact = exact if with_exact else None
+    cfg = mb.OptimizeConfig(sweeps=2, gamma_pieces=pieces)
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        calls = _counted_series(mp)
+        rep, params = mb.optimize_all(p, approx, cfg, theorem, variant, exact=exact)
+        assert calls == []
+    assert np.ndim(params.gamma) == (pieces > 1)
+    want = mb.certify(p, approx, params, theorem, exact)
+    assert (rep.trueN is None) == (exact is None)
+    for name in ("bound_b", "bound_B", "f", "zero_value", "trueN", "trueBigN", "efficiency"):
+        got, ref = getattr(rep, name), getattr(want, name)
+        assert (got is None) == (ref is None), name
+        np.testing.assert_array_equal(got, ref, err_msg=name)
+
+
+def test_the_true_error_pass_is_the_error_block_of_series():
+    p, approx, exact = _random_inputs("diagonal", 3)
+    for theorem in ("T1", "T3", "T4", "T5"):
+        want = node_series(p, approx, None, theorem, exact).error_sq
+        for got, ref in zip(maxbound.majorant.error_series(p, approx, exact, theorem), want):
+            np.testing.assert_array_equal(got, ref)
+
+
 def test_alternating_driver_history_is_monotone_and_bound_still_valid():
     p, approx, exact = cavity_setup(6, 13)
     with warnings.catch_warnings():
@@ -906,6 +976,34 @@ def test_the_scaled_hessian_of_some_blocks_is_those_rows_of_the_full_product():
         got = _scaled_hessian(p, lam, scale, v[rows], rows, out, work)
         assert got is out
         np.testing.assert_array_equal(got, full[rows])
+
+
+def test_the_block_hessian_keeps_its_fields_and_gives_the_fresh_products(monkeypatch):
+    # the fields over the block product's buffers are made again only when
+    # the count of active rows changes, in any order of counts and of rows
+    p, exact = polynomial_setup(4, 33)
+    quad = BoundQuadratic(p, _perturbed(p, exact), rho=0.4, gamma=1.3)
+    _, lam, scale = _scaled_eigenbasis(quad, spatial_diagonals(p))
+    rng = np.random.default_rng(37)
+    nt = p.grid.nt
+    made = []
+    unflatten = maxbound.optimize._unflatten
+
+    def counted(rows, *args):
+        made.append(len(rows))
+        return unflatten(rows, *args)
+
+    apply_A = _block_hessian(p, lam, scale)
+    counts = (33, 30, 1, 2, 33)
+    for m in counts:
+        for _ in range(2):  # the second product of a count makes no field
+            rows = rng.permutation(nt)[:m]
+            w = rng.standard_normal((m, scale.shape[1]))
+            with monkeypatch.context() as mp:
+                mp.setattr(maxbound.optimize, "_unflatten", counted)
+                got = apply_A(w, rows).copy()
+            np.testing.assert_array_equal(got, _scaled_hessian(p, lam, scale, w, rows))
+    assert made == [m for m in counts for _ in range(3)]
 
 
 def test_the_y_solve_reports_its_hessian_work_in_blocks(monkeypatch):
