@@ -15,8 +15,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import __version__
-from .config import (CHECK_SPEC_SCHEMA, case_from_config, grid_from_config, load_config,
-                     materials_from_config, problem_from_config)
+from .config import CHECK_SPEC_SCHEMA, load_config, problem_from_config
 from .errors import (
     ConfigError,
     GridMismatchError,
@@ -26,12 +25,11 @@ from .errors import (
     StabilityError,
     UnsupportedCaseError,
 )
-from .fields import GridSpec
 from .gronwall import gronwall_differential, gronwall_oracle_check, oracle_report
 from .majorant import THEOREMS, MajorantParams, certify
 from .operators import weighted_norm_sq
 from .optimize import OptimizeConfig, certify_gamma_rho, optimize_all
-from .problem import assemble_problem, bump_field, bump_field_dt
+from .problem import bump_field, bump_field_dt
 from .snapshot import load_snapshot, snapshot_reader, snapshot_writer
 from .solver import exact_reference, leapfrog_solve, project_exact
 
@@ -77,6 +75,13 @@ def _field_name(key):
 def _optimize_config(maj_block):
     oc = maj_block.get("optimizeConfig", {})
     return OptimizeConfig(**{_field_name(key): value for key, value in oc.items()})
+
+
+def _majorant_params(maj_block):
+    """The MajorantParams of the block's rho, gamma and zeroTermVariant, the
+    library's defaults standing for those it leaves out."""
+    names = {"rho": "rho", "gamma": "gamma", "zeroTermVariant": "zero_variant"}
+    return MajorantParams(**{names[key]: maj_block[key] for key in names if key in maj_block})
 
 
 def _initial_energy(p):
@@ -128,10 +133,27 @@ def _report_rows(report):
         }
         if report.trueN is not None:
             row["trueN"] = _round17(report.trueN[k])
-            eff = report.efficiency[k]
-            row["efficiency"] = None if not np.isfinite(eff) else _round17(eff)
+            row["efficiency"] = _finite_or_none(_round17(report.efficiency[k]))
         rows.append(row)
     return rows
+
+
+def _write_json(out, name, doc):
+    """Write doc as strict JSON to the file name in out; returns its path.  A
+    nan or inf is an error, not a literal that a strict reader refuses."""
+    try:
+        text = json.dumps(doc, indent=1, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise MaxboundError(f"{name} is not strict JSON: {exc}") from None
+    path = os.path.join(out, name)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text + "\n")
+    return path
+
+
+def _finite_or_none(v):
+    """v, or None where it is undefined (nan or +-inf)."""
+    return v if math.isfinite(v) else None
 
 
 def _write_reports(out, cfg, report, theorem):
@@ -153,13 +175,7 @@ def _write_reports(out, cfg, report, theorem):
         },
         "rows": rows,
     }
-    try:
-        text = json.dumps(doc, indent=1, sort_keys=True, allow_nan=False)
-    except ValueError as exc:
-        raise MaxboundError(f"report is not strict JSON: {exc}") from None
-    json_path = os.path.join(out, "report.json")
-    with open(json_path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+    json_path = _write_json(out, "report.json", doc)
 
     columns = ["t", "bound_b", "bound_B"]
     if report.trueN is not None:
@@ -188,21 +204,18 @@ def cmd_certify(args):
         snapshot = snapshot_reader(args.snapshot, p.grid)
     with snapshot as (_, approx):
         theorem = args.theorem or maj.get("theorem", "T5")
-        variant = maj.get("zeroTermVariant", "z_hat")
-        params = MajorantParams(rho=maj.get("rho", 0.5), gamma=maj.get("gamma", 1.0),
-                                zero_variant=variant)
+        params = _majorant_params(maj)
         exact = exact_reference(case, p.grid) if case is not None else None
 
         if mode == "none":
             report = certify(p, approx, params, theorem=theorem, exact=exact)
         elif mode == "params":
-            report, _ = certify_gamma_rho(p, approx, _optimize_config(maj), theorem, variant,
-                                          exact)
+            report, _ = certify_gamma_rho(p, approx, _optimize_config(maj), theorem,
+                                          params.zero_variant, exact)
         else:
-            ocfg = _optimize_config(maj)
-            report, _ = optimize_all(p, approx, ocfg, theorem=theorem, zero_variant=variant,
-                                     rho0=maj.get("rho", 0.5), gamma0=maj.get("gamma", 1.0),
-                                     exact=exact)
+            report, _ = optimize_all(p, approx, _optimize_config(maj), theorem=theorem,
+                                     zero_variant=params.zero_variant, rho0=params.rho,
+                                     gamma0=params.gamma, exact=exact)
 
     out = _out_dir(args)
     json_path, csv_path = _write_reports(out, cfg, report, theorem)
@@ -219,40 +232,31 @@ def cmd_certify(args):
 
 def cmd_verify(args):
     cfg = load_config(args.config)
-    case = case_from_config(cfg)
-    if case is None:
+    if "case" not in cfg:
         raise ConfigError("verify needs a case block", "$['case']")
-    base = grid_from_config(cfg)
     levels = cfg.get("verify", {}).get("levels", 2)
     maj = cfg.get("majorant", {})
     theorem = args.theorem or maj.get("theorem", "T5")
-    variant = maj.get("zeroTermVariant", "z_hat")
+    params = _majorant_params(maj)
     method = cfg.get("solver", {}).get("method", "leapfrog")
 
+    g = cfg["grid"]
     rows = []
     for lev in range(levels):
         f = 2**lev
-        grid = GridSpec(
-            base.nx * f, base.ny * f, base.nz * f,
-            base.lx, base.ly, base.lz,
-            (base.nt - 1) * f + 1, base.T,
-        )
-        eps, mu = materials_from_config(cfg, grid)
-        p = assemble_problem(grid, eps=eps, mu=mu, case=case)
+        refined = dict(g, nx=g["nx"] * f, ny=g["ny"] * f, nz=g["nz"] * f,
+                       nt=(g["nt"] - 1) * f + 1)
+        p, case = problem_from_config(dict(cfg, grid=refined))
         # refinement studies measure discretization error, not injected bumps
         approx = _solve(p, case, cfg.get("solver", {}))
-        exact = exact_reference(case, grid)
-        params = MajorantParams(
-            rho=maj.get("rho", 0.5), gamma=maj.get("gamma", 1.0), zero_variant=variant
-        )
+        exact = exact_reference(case, p.grid)
         report = certify(p, approx, params, theorem=theorem, exact=exact)
-        eff = report.efficiency[-1] if report.efficiency is not None else float("nan")
         rows.append({
-            "cells": f"{grid.nx}x{grid.ny}x{grid.nz}",
-            "nt": grid.nt,
+            "cells": f"{p.grid.nx}x{p.grid.ny}x{p.grid.nz}",
+            "nt": p.grid.nt,
             "trueN_T": float(report.trueN[-1]),
             "bound_b_T": float(report.bound_b[-1]),
-            "efficiency_T": float(eff),
+            "efficiency_T": float(report.efficiency[-1]),
             "energy_scale": _initial_energy(p),
         })
 
@@ -274,14 +278,12 @@ def cmd_verify(args):
         print("observed orders (bound):", ", ".join(f"{o:.3f}" for o in orders_bound))
         print("observed orders (trueN):", ", ".join(f"{o:.3f}" for o in orders_true))
 
-    out = _out_dir(args)
-    table_path = os.path.join(out, "verify.json")
-    with open(table_path, "w", encoding="utf-8") as fh:
-        json.dump(
-            {"rows": rows, "orders_bound": orders_bound, "orders_true": orders_true},
-            fh, indent=1, sort_keys=True,
-        )
-        fh.write("\n")
+    # an efficiency or an order that is undefined (a zero error) is null
+    table_path = _write_json(_out_dir(args), "verify.json", {
+        "rows": [dict(row, efficiency_T=_finite_or_none(row["efficiency_T"])) for row in rows],
+        "orders_bound": [_finite_or_none(o) for o in orders_bound],
+        "orders_true": [_finite_or_none(o) for o in orders_true],
+    })
     print(f"table written: {table_path}")
 
     if method == "exact":

@@ -72,12 +72,12 @@ def _curl_rows(terms, work):
         out -= tmp
 
 
-# The curls, cell_average, cell_average_adjoint and gram_apply write into out,
-# a field of the result's kind and type (a cell array for cell_average), when
-# it is given, and into new arrays otherwise: the same code and the same
-# operations either way.  work, a flat float array with at least three times
-# as many elements as the largest component of the result, takes the place
-# of the scratch the curls and gram_apply would otherwise allocate, so that a
+# The curls, cell_average and gram_apply write into out, a field of the
+# result's kind and type (a cell array for cell_average), when it is given,
+# and into new arrays otherwise: the same code and the same operations
+# either way.  work, a flat float array with at least three times as many
+# elements as the largest component of the result, takes the place of the
+# scratch the curls and gram_apply would otherwise allocate, so that a
 # caller that passes both out and work allocates no array.
 
 
@@ -165,18 +165,14 @@ def _corner_sum(comp, kind, i, out):
 def cell_average(f, grid, out=None):
     """Average staggered components to cell centers; returns (..., nx, ny, nz, 3)."""
     f.check_extents(grid)
+    # summing in contiguous memory is faster, so the new array's slots are
+    # planar (see _planar_cells); any layout of out gets the same bits
     if out is None:
-        out = np.empty(f.x.shape[:-3] + (grid.nx, grid.ny, grid.nz, 3))
+        out = _planar_cells(f.x.shape[:-3], grid)
     weight = 0.25 if f.kind == EDGE else 0.5
-    # summing in contiguous memory is faster: into out's own slots when they
-    # are contiguous (see _planar_cells), else into a scratch copied over
-    planar = out[..., 0].flags.c_contiguous
-    scratch = None if planar else np.empty(out.shape[:-1])
     for i, comp in enumerate(f.components()):
-        total = _corner_sum(comp, f.kind, i, out[..., i] if planar else scratch)
+        total = _corner_sum(comp, f.kind, i, out[..., i])
         total *= weight
-        if not planar:
-            out[..., i] = total
     return out
 
 
@@ -189,9 +185,9 @@ def _planar_cells(lead, grid, work=None):
     return np.moveaxis(flat.reshape(shape), 0, -1)
 
 
-def cell_average_adjoint(v, grid, kind, out=None):
+def cell_average_adjoint(v, grid, kind):
     """Euclidean adjoint of cell_average: scatter cell values back to dofs."""
-    return _scatter_to_dofs(v * (0.25 if kind == EDGE else 0.5), grid, kind, out)
+    return _scatter_to_dofs(v * (0.25 if kind == EDGE else 0.5), grid, kind, None)
 
 
 def _scatter_to_dofs(v, grid, kind, out):

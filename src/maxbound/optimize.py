@@ -476,73 +476,51 @@ def _scaled_eigenbasis(quad, diagonals):
     return q, lam, 1.0 / np.sqrt(d_tilde)
 
 
-class _Work:
-    """The buffers of _scaled_hessian for up to grid.nt rows: edge rows, face
-    rows vec and out, and one flat scratch, which also holds gram_apply's
-    cell averages; and the fields over the first m rows of vec, edge and
-    out (see fields)."""
-
-    def __init__(self, grid):
-        def dofs(kind):
-            return sum(math.prod(grid.shape(kind, c)) for c in ("x", "y", "z"))
-
-        self.grid = grid
-        self.edge = np.zeros((grid.nt, dofs(EDGE)))
-        self.vec, self.out = (np.zeros((grid.nt, dofs(FACE))) for _ in range(2))
-        # three times the largest component of either trajectory
-        self.flat = np.zeros(3 * grid.nt * max(math.prod(grid.shape(kind, c))
-                                               for kind in (EDGE, FACE) for c in "xyz"))
-        self._m = self._fields = None
-
-    def fields(self, m):
-        """The face field over vec[:m], the edge field over edge[:m], and
-        out[:m] with the face field over it (see _unflatten), made anew
-        only when m differs from the last call's: in a CG solve, whose
-        active rows only fall, once for each count of them.  Holding one
-        set alone keeps the small objects of every count from piling up
-        in the heap, which raises the solve's peak RSS."""
-        if m != self._m:
-            g, out = self.grid, self.out[:m]
-            self._m, self._fields = m, (_unflatten(self.vec[:m], g),
-                                        _unflatten(self.edge[:m], g, EDGE),
-                                        out, _unflatten(out, g))
-        return self._fields
-
-
-def _scaled_hessian(p, lam, scale, w, rows=None, out=None, work=None):
-    """S (I (x) G_mu + diag(lam) (x) K) S w for rows w: the Hessian of
-    BoundQuadratic in the scaled time eigenbasis whose lam and S
-    _scaled_eigenbasis gives, on the eigen-blocks rows (all of them, in
-    order, by default), row i of w being block rows[i].  One _curl_curl
+def _block_hessian(p, lam, scale):
+    """The apply_A of conjugate_gradient for the Y solve: S (I (x) G_mu +
+    diag(lam) (x) K) S w for rows w, the Hessian of BoundQuadratic in the
+    scaled time eigenbasis whose lam and S _scaled_eigenbasis gives, on the
+    eigen-blocks rows, row i of w being block rows[i].  One _curl_curl
     scaled by lam per row and one gram_apply, with no time operator.
 
-    Into out, w's shape, when it is given, else into the rows of the
-    work's own out, which the next call with that work overwrites; through
-    the buffers and fields of the _Work work, made anew when it is not
-    given.
+    The product goes into the rows of a buffer of its own, which the next
+    product overwrites.  Its edge, face and flat buffers are made here,
+    once per solve, for up to nt rows; the flat one also holds gram_apply's
+    cell averages.  The fields over the first m rows are made anew only when
+    m differs from the last product's: in a CG solve, whose active rows
+    only fall, once for each count of them.  Holding one set alone keeps the
+    small objects of every count from piling up in the heap, which raises
+    the solve's peak RSS.
     """
     g = p.grid
-    m = len(w)
-    rows = np.arange(m) if rows is None else rows
-    work = _Work(g) if work is None else work
-    face, edge, held, H = work.fields(m)
-    if out is None:
-        out = held
-    else:
-        H = _unflatten(out, g)
-    sw = work.vec[:m]
-    # mode="wrap" gathers straight into sw; "raise" would buffer a copy.  The
-    # rows of S are gathered twice: holding them through the product takes
-    # a third face buffer, which would be the solve's peak
-    np.take(scale, rows, axis=0, out=sw, mode="wrap")
-    sw *= w
-    _curl_curl(p, face, g, H, edge, work.flat)
-    out *= lam[rows][:, None]
-    gram_apply(face, p.mu, g, face, work.flat)
-    out += sw
-    np.take(scale, rows, axis=0, out=sw, mode="wrap")
-    out *= sw
-    return out
+    edge = np.zeros((g.nt, sum(math.prod(g.shape(EDGE, c)) for c in "xyz")))
+    vec, result = (np.zeros_like(scale) for _ in range(2))  # nt x face-dof rows
+    # three times the largest component of either trajectory
+    flat = np.zeros(3 * g.nt * max(math.prod(g.shape(kind, c))
+                                   for kind in (EDGE, FACE) for c in "xyz"))
+    held = [None, None]  # the last row count and its fields
+
+    def apply(w, rows):
+        m = len(w)
+        if m != held[0]:
+            held[:] = m, (_unflatten(vec[:m], g), _unflatten(edge[:m], g, EDGE),
+                          result[:m], _unflatten(result[:m], g))
+        face, edge_m, out, H = held[1]
+        sw = vec[:m]
+        # mode="wrap" gathers straight into sw; "raise" would buffer a copy.  The
+        # rows of S are gathered twice: holding them through the product takes
+        # a third face buffer, which would be the solve's peak
+        np.take(scale, rows, axis=0, out=sw, mode="wrap")
+        sw *= w
+        _curl_curl(p, face, g, H, edge_m, flat)
+        out *= lam[rows][:, None]
+        gram_apply(face, p.mu, g, face, flat)
+        out += sw
+        np.take(scale, rows, axis=0, out=sw, mode="wrap")
+        out *= sw
+        return out
+
+    return apply
 
 
 def conjugate_gradient(apply_A, rhs, tol=1e-10, max_iter=200, stall_tol=0.0, info=None):
@@ -666,7 +644,7 @@ def optimize_Y(p, approx, gamma, rho, cfg=None, theorem="T5", zero_variant="z_ha
 
     Conjugate gradients on the collapsed quadratic, in the scaled time
     eigenbasis where its Hessian is block diagonal, one block per time
-    eigen-index (_scaled_eigenbasis, _scaled_hessian); each block runs a
+    eigen-index (_scaled_eigenbasis, _block_hessian); each block runs a
     CG of its own.  A block also stops once b(T) stalls on it (see
     _STALL_WINDOW), and the solve once every block has stopped.  Returns
     the optimized FieldTrajectory; pass a dict as `info` to receive the
@@ -675,7 +653,10 @@ def optimize_Y(p, approx, gamma, rho, cfg=None, theorem="T5", zero_variant="z_ha
     cfg = cfg if cfg is not None else OptimizeConfig()
     quad = BoundQuadratic(p, approx, rho, gamma, theorem, zero_variant)
     Y0 = _start_Y(p, approx, cfg) if Y0 is None else Y0
-    return _minimize_Y(quad, spatial_diagonals(p), Y0, quad.value(Y0), cfg, info)
+    # one residual assembly of Y0: b(T) from its series, the gradient from it
+    s, *held = residual_series(p, approx, Y0, theorem)
+    value0 = float(final_bound(s, quad.rho_n, quad.gam_n, zero_variant, p.grid.dt))
+    return _minimize_Y(quad, spatial_diagonals(p), Y0, value0, cfg, info, held)
 
 
 def _start_Y(p, approx, cfg):
@@ -683,13 +664,6 @@ def _start_Y(p, approx, cfg):
     if cfg.y_init == "zero":
         return FieldTrajectory.zeros(p.grid, FACE)
     return default_Y(p, approx)
-
-
-def _block_hessian(p, lam, scale):
-    """The apply_A of conjugate_gradient for the rows of _scaled_hessian,
-    into the buffers and fields of a _Work of its own, which goes with it."""
-    work = _Work(p.grid)
-    return lambda w, rows: _scaled_hessian(p, lam, scale, w, rows, None, work)
 
 
 def _minimize_Y(quad, diagonals, Y0, value0, cfg, info=None, held=None):

@@ -294,9 +294,18 @@ def test_refinement_study_passes_for_exact_samples(tmp_path, capsys):
     doc = _cavity_cfg(n=4, nt=9)
     doc["case"] = {"name": "polynomial_source"}
     doc["solver"] = {"method": "exact"}
-    cfg = _write(tmp_path, "verify.json", doc)
+    cfg = _write(tmp_path, "config.json", doc)
     assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
     capsys.readouterr()
+
+    # the error is 0, so the efficiency and the orders are undefined: null,
+    # which a strict reader takes, where a NaN literal is refused
+    def refuse(literal):
+        raise ValueError(f"verify.json holds {literal}")
+
+    table = json.loads((tmp_path / "verify.json").read_text(), parse_constant=refuse)
+    assert [row["efficiency_T"] for row in table["rows"]] == [None, None]
+    assert table["orders_bound"] == table["orders_true"] == [None]
 
 
 def test_gronwall_subcommand_runs_builtin_suite(tmp_path, capsys):

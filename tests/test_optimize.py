@@ -28,11 +28,9 @@ from maxbound.optimize import (
     _STALL_WINDOW,
     _Y_STALL_RTOL,
     BoundQuadratic,
-    _Work,
     _block_hessian,
     _flatten,
     _scaled_eigenbasis,
-    _scaled_hessian,
     _time_eigenbasis,
     _unflatten,
     conjugate_gradient,
@@ -633,6 +631,36 @@ def test_alternating_driver_assembles_the_residuals_once_per_kept_free_field(mon
     assert calls[-1] is params.Y
 
 
+@pytest.mark.parametrize("theorem", ["T1", "T4", "T5"])
+@pytest.mark.parametrize("variant", ["z", "z_hat"])
+def test_optimize_y_assembles_the_residuals_of_its_start_once(monkeypatch, theorem, variant):
+    # b(T) at Y0, which sets the stall rule, and the first gradient read one
+    # assembly; Y and info are those of a solve that assembles Y0 twice
+    p, exact = polynomial_setup(4, 9)
+    approx = _perturbed(p, exact)
+    quad = BoundQuadratic(p, approx, 0.5, 1.3, theorem, variant)
+    Y0 = mb.default_Y(p, approx)
+    want_info = {}
+    want = maxbound.optimize._minimize_Y(quad, spatial_diagonals(p), Y0, quad.value(Y0),
+                                         mb.OptimizeConfig(), want_info)
+    calls = []
+    real_residuals = maxbound.majorant.residuals
+
+    def counted(*args):
+        calls.append(args[2])
+        return real_residuals(*args)
+
+    monkeypatch.setattr(maxbound.majorant, "residuals", counted)
+    monkeypatch.setattr(maxbound.optimize, "residuals", counted)
+    info = {}
+    Y = mb.optimize_Y(p, approx, gamma=1.3, rho=0.5, theorem=theorem, zero_variant=variant,
+                      Y0=Y0, info=info)
+    assert len(calls) == 1 and calls[0] is Y0
+    for got, ref in zip(Y.components(), want.components()):
+        np.testing.assert_array_equal(got, ref)
+    assert info == want_info
+
+
 @pytest.mark.parametrize("sweeps, probes", [(0, 0), (2, 1)])
 def test_optimize_all_probes_the_spatial_diagonals_once(monkeypatch, sweeps, probes):
     # they depend on the grid and the materials alone, not on (gamma, rho),
@@ -931,7 +959,8 @@ def test_the_hessian_is_time_diagonal_in_the_scaled_eigenbasis(variant):
     in_time = Q.T @ H @ Q
     coupled = time[:, None] != time[None, :]
     assert np.abs(in_time[coupled]).max() <= 1e-10 * np.abs(in_time).max()
-    unit = [_scaled_hessian(p, lam, scale, e.reshape(nt, n)).ravel() @ e for e in eye]
+    apply_A, rows = _block_hessian(p, lam, scale), np.arange(nt)
+    unit = [apply_A(e.reshape(nt, n), rows).ravel() @ e for e in eye]
     np.testing.assert_allclose(unit, 1.0, rtol=1e-12)
 
 
@@ -947,35 +976,39 @@ def test_time_eigenbasis_diagonalises_T1_and_the_edge_weights(gamma, variant):
     assert np.abs(q.T @ np.diag(quad.w_edge) @ q - np.diag(lam)).max() <= 1e-10 * lam.max()
 
 
-def test_scaled_hessian_into_out_equals_the_fresh_call():
+def _fresh_product(p, lam, scale, w, rows=None):
+    """The first product of a fresh _block_hessian, on the rows (all of them,
+    in order, by default), in an array of its own."""
+    rows = np.arange(len(w)) if rows is None else rows
+    return _block_hessian(p, lam, scale)(w, rows).copy()
+
+
+def test_the_block_hessian_reuses_its_buffer_for_the_fresh_products():
     p, exact = polynomial_setup(4, 9)
     quad = BoundQuadratic(p, _perturbed(p, exact), rho=0.4, gamma=1.3)
     _, lam, scale = _scaled_eigenbasis(quad, spatial_diagonals(p))
     rng = np.random.default_rng(23)
-    out, work = np.empty(scale.shape), _Work(p.grid)
+    apply_A, rows = _block_hessian(p, lam, scale), np.arange(p.grid.nt)
+    held = None
     for _ in range(2):  # the second round reuses the buffers
         v = rng.standard_normal(scale.shape)
-        fresh = _scaled_hessian(p, lam, scale, v)
-        assert _scaled_hessian(p, lam, scale, v, out=out, work=work) is out
-        np.testing.assert_array_equal(out, fresh)
-        # the call without out returns an array of its own
-        assert not np.shares_memory(_scaled_hessian(p, lam, scale, v), fresh)
+        got = apply_A(v, rows)
+        assert held is None or got is held
+        np.testing.assert_array_equal(got, _fresh_product(p, lam, scale, v))
+        held = got
 
 
-def test_the_scaled_hessian_of_some_blocks_is_those_rows_of_the_full_product():
+def test_the_block_hessian_of_some_blocks_is_those_rows_of_the_full_product():
     # each eigen-block is its own product, so rows in any order, down to a
     # single one (a StaggeredField inside), give the full product's rows
     p, exact = polynomial_setup(4, 9)
     quad = BoundQuadratic(p, _perturbed(p, exact), rho=0.4, gamma=1.3)
     _, lam, scale = _scaled_eigenbasis(quad, spatial_diagonals(p))
     v = np.random.default_rng(31).standard_normal(scale.shape)
-    full = _scaled_hessian(p, lam, scale, v)
-    work = _Work(p.grid)
+    full = _fresh_product(p, lam, scale, v)
+    apply_A = _block_hessian(p, lam, scale)
     for rows in (np.array([8, 2, 5]), np.array([1, 0]), np.array([6])):
-        out = np.empty((len(rows), scale.shape[1]))
-        got = _scaled_hessian(p, lam, scale, v[rows], rows, out, work)
-        assert got is out
-        np.testing.assert_array_equal(got, full[rows])
+        np.testing.assert_array_equal(apply_A(v[rows], rows), full[rows])
 
 
 def test_the_block_hessian_keeps_its_fields_and_gives_the_fresh_products(monkeypatch):
@@ -1002,20 +1035,24 @@ def test_the_block_hessian_keeps_its_fields_and_gives_the_fresh_products(monkeyp
             with monkeypatch.context() as mp:
                 mp.setattr(maxbound.optimize, "_unflatten", counted)
                 got = apply_A(w, rows).copy()
-            np.testing.assert_array_equal(got, _scaled_hessian(p, lam, scale, w, rows))
+            np.testing.assert_array_equal(got, _fresh_product(p, lam, scale, w, rows))
     assert made == [m for m in counts for _ in range(3)]
 
 
 def test_the_y_solve_reports_its_hessian_work_in_blocks(monkeypatch):
     p, exact = polynomial_setup(4, 9)
     rows_seen = []
-    scaled_hessian = maxbound.optimize._scaled_hessian
+    block_hessian = maxbound.optimize._block_hessian
 
-    def counted(p, lam, scale, w, *args, **kwargs):
-        rows_seen.append(len(w))
-        return scaled_hessian(p, lam, scale, w, *args, **kwargs)
+    def counted(*args):
+        apply_A = block_hessian(*args)
 
-    monkeypatch.setattr(maxbound.optimize, "_scaled_hessian", counted)
+        def product(w, rows):
+            rows_seen.append(len(w))
+            return apply_A(w, rows)
+        return product
+
+    monkeypatch.setattr(maxbound.optimize, "_block_hessian", counted)
     info = {}
     mb.optimize_Y(p, _perturbed(p, exact), gamma=1.0, rho=0.5, info=info)
     assert info["iterations"] == len(rows_seen)
@@ -1023,10 +1060,10 @@ def test_the_y_solve_reports_its_hessian_work_in_blocks(monkeypatch):
 
 
 def test_a_cg_iteration_of_the_y_solve_allocates_no_array():
-    # a product into a given vector and buffers allocates less than one
-    # face node.  numpy's ufuncs buffer non-contiguous operands in at most
-    # getbufsize() elements each, whatever the grid; 24^3 makes a node
-    # larger than three such buffers
+    # a product of a block Hessian, whose buffers are made with it,
+    # allocates less than one face node.  numpy's ufuncs buffer
+    # non-contiguous operands in at most getbufsize() elements each,
+    # whatever the grid; 24^3 makes a node larger than three such buffers
     p, exact = polynomial_setup(24, 5)
     grid = p.grid
     node = 8 * sum(math.prod(grid.shape(FACE, c)) for c in "xyz")
@@ -1034,13 +1071,12 @@ def test_a_cg_iteration_of_the_y_solve_allocates_no_array():
     quad = BoundQuadratic(p, exact, rho=0.5, gamma=1.0)
     _, lam, scale = _scaled_eigenbasis(quad, spatial_diagonals(p))
     v = np.random.default_rng(29).standard_normal(scale.shape)
-    Ad, work = np.empty_like(v), _Work(grid)
-    assert traced_peak(lambda: _scaled_hessian(p, lam, scale, v, None, Ad, work)) < node
+    apply_A = _block_hessian(p, lam, scale)
+    assert traced_peak(lambda: apply_A(v, np.arange(grid.nt))) < node
     # and on some of the blocks, down to one
     for rows in (np.array([3, 0]), np.array([2])):
         w = v[rows]
-        assert traced_peak(lambda: _scaled_hessian(p, lam, scale, w, rows,
-                                                   Ad[:len(rows)], work)) < node
+        assert traced_peak(lambda: apply_A(w, rows)) < node
 
 
 # ---------------------------------------------------------------------------
@@ -1066,7 +1102,7 @@ def test_explicit_hessian_is_the_symmetric_semidefinite_gradient_difference(
     base = quad.gradient_flat(np.zeros(scale.shape))
     for _ in range(3):
         u, v = rng.standard_normal(scale.shape), rng.standard_normal(scale.shape)
-        hu, hv = (_scaled_hessian(p, lam, scale, x) for x in (u, v))
+        hu, hv = (_fresh_product(p, lam, scale, x) for x in (u, v))
         diff = _to_basis(basis, quad.gradient_flat(_from_basis(basis, v)) - base)
         assert np.abs(hv - diff).max() <= 1e-12 * np.abs(diff).max()
         assert abs(np.vdot(u, hv) - np.vdot(v, hu)) <= (
@@ -1093,7 +1129,7 @@ def test_preconditioned_free_field_matches_the_dense_oracle():
     y0 = _flatten(mb.default_Y(p, approx))
     basis = _scaled_eigenbasis(quad, spatial_diagonals(p))
     _, lam, scale = basis
-    w, _, _ = conjugate_gradient(lambda v, rows: _scaled_hessian(p, lam, scale, v, rows),
+    w, _, _ = conjugate_gradient(_block_hessian(p, lam, scale),
                                  -_to_basis(basis, quad.gradient_flat(y0)),
                                  tol=1e-12, max_iter=500)
     y = y0 + _from_basis(basis, w)
