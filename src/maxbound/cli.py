@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import json
 import math
@@ -30,8 +29,8 @@ from .majorant import THEOREMS, MajorantParams, certify
 from .operators import weighted_norm_sq
 from .optimize import OptimizeConfig, certify_gamma_rho, optimize_all
 from .problem import bump_field, bump_field_dt
-from .snapshot import load_snapshot, snapshot_reader, snapshot_writer
-from .solver import exact_reference, leapfrog_solve, project_exact
+from .snapshot import snapshot_reader, snapshot_writer
+from .solver import SolveOutput, exact_reference, leapfrog_solve, project_exact
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -58,7 +57,9 @@ def _solve(p, case, solver_block, out=None):
     """Run the configured solver into out (in-memory trajectories when None)."""
     if solver_block.get("method") == "exact":
         return project_exact(case, p.grid, out)
-    return leapfrog_solve(p, cfl=solver_block.get("cfl", 0.9), out=out)
+    # the solver's own default cfl stands where the block gives none
+    cfl = {"cfl": solver_block["cfl"]} if "cfl" in solver_block else {}
+    return leapfrog_solve(p, out=out, **cfl)
 
 
 def _shifted(sink, bump, key, delta, grid):
@@ -88,9 +89,17 @@ def _initial_energy(p):
     return weighted_norm_sq(p.E0, p.eps, p.grid) + weighted_norm_sq(p.H0, p.mu, p.grid)
 
 
+def _unwritable(path, exc):
+    """The error of an OSError met while writing path: a bad output argument."""
+    return ConfigError(f"cannot write {path}: {exc.strerror or exc}")
+
+
 def _out_dir(args):
     out = args.out or "."
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise _unwritable(out, exc) from None
     return out
 
 
@@ -108,13 +117,16 @@ def cmd_solve(args):
     names = ("Etilde", "Htilde", "Etilde_t") + (("Htilde_t",) if exact else ())
     out = _out_dir(args)
     snap_path = args.snapshot or os.path.join(out, "snapshot.bin")
-    with snapshot_writer(snap_path, p.grid, names) as sinks:
-        pert = cfg.get("perturbation")
-        if pert is not None and pert["delta"] != 0.0:
-            delta, key = float(pert["delta"]), pert["bump"]
-            sinks.Etilde = _shifted(sinks.Etilde, bump_field, key, delta, p.grid)
-            sinks.Etilde_t = _shifted(sinks.Etilde_t, bump_field_dt, key, delta, p.grid)
-        _solve(p, case, solver_block, sinks)
+    try:
+        with snapshot_writer(snap_path, p.grid, names) as sinks:
+            pert = cfg.get("perturbation")
+            if pert is not None and pert["delta"] != 0.0:
+                delta, key = float(pert["delta"]), pert["bump"]
+                sinks.Etilde = _shifted(sinks.Etilde, bump_field, key, delta, p.grid)
+                sinks.Etilde_t = _shifted(sinks.Etilde_t, bump_field_dt, key, delta, p.grid)
+            _solve(p, case, solver_block, sinks)
+    except OSError as exc:
+        raise _unwritable(snap_path, exc) from None
     print(f"snapshot written: {snap_path}")
     return EXIT_OK
 
@@ -146,8 +158,11 @@ def _write_json(out, name, doc):
     except ValueError as exc:
         raise MaxboundError(f"{name} is not strict JSON: {exc}") from None
     path = os.path.join(out, name)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+    except OSError as exc:
+        raise _unwritable(path, exc) from None
     return path
 
 
@@ -181,13 +196,16 @@ def _write_reports(out, cfg, report, theorem):
     if report.trueN is not None:
         columns += ["trueN", "efficiency"]
     csv_path = os.path.join(out, "report.csv")
-    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow(
-                ["" if row.get(c) is None else _fmt(row[c]) for c in columns]
-            )
+    try:
+        with open(csv_path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(columns)
+            for row in rows:
+                writer.writerow(
+                    ["" if row.get(c) is None else _fmt(row[c]) for c in columns]
+                )
+    except OSError as exc:
+        raise _unwritable(csv_path, exc) from None
     return json_path, csv_path
 
 
@@ -198,11 +216,7 @@ def cmd_certify(args):
     p, case = problem_from_config(cfg)
     maj = cfg.get("majorant", {})
     mode = args.optimize or maj.get("optimize", "none")
-    if mode == "full":  # the Y-optimizer works on whole trajectories
-        snapshot = contextlib.nullcontext(load_snapshot(args.snapshot, p.grid))
-    else:
-        snapshot = snapshot_reader(args.snapshot, p.grid)
-    with snapshot as (_, approx):
+    with snapshot_reader(args.snapshot, p.grid) as (_, approx):
         theorem = args.theorem or maj.get("theorem", "T5")
         params = _majorant_params(maj)
         exact = exact_reference(case, p.grid) if case is not None else None
@@ -212,7 +226,8 @@ def cmd_certify(args):
         elif mode == "params":
             report, _ = certify_gamma_rho(p, approx, _optimize_config(maj), theorem,
                                           params.zero_variant, exact)
-        else:
+        else:  # the Y-optimizer works on whole trajectories of E~ and E~_t
+            approx = SolveOutput(approx.Etilde.load(), None, approx.Etilde_t.load())
             report, _ = optimize_all(p, approx, _optimize_config(maj), theorem=theorem,
                                      zero_variant=params.zero_variant, rho0=params.rho,
                                      gamma0=params.gamma, exact=exact)
@@ -234,6 +249,7 @@ def cmd_verify(args):
     cfg = load_config(args.config)
     if "case" not in cfg:
         raise ConfigError("verify needs a case block", "$['case']")
+    out = _out_dir(args)  # before the study, which an unwritable --out would lose
     levels = cfg.get("verify", {}).get("levels", 2)
     maj = cfg.get("majorant", {})
     theorem = args.theorem or maj.get("theorem", "T5")
@@ -279,7 +295,7 @@ def cmd_verify(args):
         print("observed orders (trueN):", ", ".join(f"{o:.3f}" for o in orders_true))
 
     # an efficiency or an order that is undefined (a zero error) is null
-    table_path = _write_json(_out_dir(args), "verify.json", {
+    table_path = _write_json(out, "verify.json", {
         "rows": [dict(row, efficiency_T=_finite_or_none(row["efficiency_T"])) for row in rows],
         "orders_bound": [_finite_or_none(o) for o in orders_bound],
         "orders_true": [_finite_or_none(o) for o in orders_true],
@@ -457,6 +473,10 @@ def main(argv=None):
         return EXIT_CONFIG
     except MaxboundError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VERIFY_FAIL
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory",
+              file=sys.stderr)
         return EXIT_VERIFY_FAIL
 
 

@@ -6,6 +6,7 @@ import json
 import math
 import numbers
 import operator
+import sys
 
 from .errors import ConfigError
 from .fields import GridSpec, MaterialField
@@ -18,7 +19,8 @@ _MATERIAL_SCHEMA = {
     "properties": {
         "kind": {"enum": ["scalar", "diagonal"]},
         "value": {"type": "number", "exclusiveMinimum": 0},
-        "values": {"type": "array"},
+        "values": {"type": "array", "items": {"type": "number", "exclusiveMinimum": 0},
+                   "minItems": 3, "maxItems": 3},
     },
     "required": ["kind"],
 }
@@ -161,14 +163,15 @@ def _finite_number(v):
 
 # The JSON Schema types the schemas above name, with two departures from the
 # standard: 9.0 is not an integer (a grid size or an iteration count must be
-# 9), and nan and +-inf are not numbers (json reads 1e999 as inf).
+# 9), and nan, +-inf and an int beyond the range of a double are not numbers
+# (json reads 1e999 as inf).
 _TYPES = {
     "object": lambda v: isinstance(v, dict),
     "array": lambda v: isinstance(v, list),
     "string": lambda v: isinstance(v, str),
     "boolean": lambda v: isinstance(v, bool),
     "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
-    "number": _finite_number,
+    "number": lambda v: _finite_number(v) and abs(v) <= sys.float_info.max,
 }
 
 # keyword: (the test a number fails it by, the wording of the failure)
@@ -180,7 +183,7 @@ _BOUNDS = {
 }
 
 _KEYWORDS = {"type", "enum", *_BOUNDS, "required", "properties", "additionalProperties",
-             "items", "minItems"}
+             "items", "minItems", "maxItems"}
 
 
 def _check_schema(schema):
@@ -216,6 +219,8 @@ def _violations(schema, value, path=()):
         elif isinstance(value, list):
             if key == "minItems" and len(value) < arg:
                 yield path, f"{value!r} " + ("should be non-empty" if arg == 1 else "is too short")
+            elif key == "maxItems" and len(value) > arg:
+                yield path, f"{value!r} is too long"
             elif key == "items":
                 for i, item in enumerate(value):
                     yield from _violations(arg, item, path + (i,))
@@ -256,13 +261,16 @@ def load_config(source, schema=CONFIG_SCHEMA):
                 text = fh.read()
         except OSError as exc:
             raise ConfigError(f"cannot read config: {exc}", origin)
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"invalid JSON: {exc}", origin)
 
         def refuse(literal):
             raise ConfigError(f"invalid JSON: {literal} is not a finite number", origin)
 
         try:
             doc = json.loads(text, parse_constant=refuse)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
+            # a document nested deeper than the interpreter's recursion limit
             raise ConfigError(f"invalid JSON: {exc}", origin)
     # the first violation in path order, the first by schema order at its path
     first = min(_violations(schema, doc), key=lambda v: v[0], default=None)
@@ -278,22 +286,15 @@ def grid_from_config(cfg):
 
 
 def _material_from_spec(spec, grid, which):
-    kind = spec["kind"]
-    try:
-        if kind == "scalar":
-            if "value" not in spec:
-                raise ConfigError("scalar material needs 'value'", f"$['materials']['{which}']")
-            return MaterialField.scalar(grid, spec["value"])
-        vals = spec.get("values")
-        if vals is None:
-            raise ConfigError("diagonal material needs 'values'", f"$['materials']['{which}']")
-        if len(vals) != 3:
-            raise ConfigError("diagonal material needs 3 values", f"$['materials']['{which}']")
-        return MaterialField.diagonal(grid, *[float(v) for v in vals])
-    except ConfigError:
-        raise
-    except Exception as exc:
-        raise ConfigError(f"invalid material: {exc}", f"$['materials']['{which}']")
+    """The material of a validated spec, whose numbers the schema has typed."""
+    where = f"$['materials']['{which}']"
+    if spec["kind"] == "scalar":
+        if "value" not in spec:
+            raise ConfigError("scalar material needs 'value'", where)
+        return MaterialField.scalar(grid, spec["value"])
+    if "values" not in spec:
+        raise ConfigError("diagonal material needs 'values'", where)
+    return MaterialField.diagonal(grid, *spec["values"])
 
 
 def materials_from_config(cfg, grid):

@@ -24,6 +24,8 @@ from .errors import DimensionError, ParameterError
 EDGE = "edge"
 FACE = "face"
 _COMPONENTS = ("x", "y", "z")
+# the most float64 values one numpy array can hold: its bytes must fit an intp
+MAX_FLOATS = np.iinfo(np.intp).max // 8
 
 
 def nodal_axes(kind, i):
@@ -55,6 +57,10 @@ class GridSpec:
                 raise ParameterError(f"{name} must be >= 2, got {getattr(self, name)}")
         if self.nt < 2:
             raise ParameterError(f"nt must be >= 2, got {self.nt}")
+        if self.nt * 3 * math.prod(n + 1 for n in (self.nx, self.ny, self.nz)) > MAX_FLOATS:
+            # the nt rows of a trajectory's dofs are one array
+            raise ParameterError(f"a {self.nx}x{self.ny}x{self.nz} grid with {self.nt} time "
+                                 "nodes is too large for its trajectories to fit an array")
         for name in ("lx", "ly", "lz", "T"):
             if not getattr(self, name) > 0:
                 raise ParameterError(f"{name} must be > 0, got {getattr(self, name)}")

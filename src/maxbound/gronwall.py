@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError
+from .fields import MAX_FLOATS
 from .operators import gronwall_recursion
 
 
@@ -83,6 +84,8 @@ def gronwall_oracle_check(phi, psi, u0, T, nt, refine=8, tol=1e-6):
     equality, so the bound must dominate the solution everywhere and be
     tight up to quadrature error.
     """
+    if (nt - 1) * refine + 1 > MAX_FLOATS:
+        raise ParameterError(f"nt={nt} is too large for the refined oracle grid to fit an array")
     t_nodes = np.linspace(0.0, T, nt)
 
     def fn_and_nodes(v):

@@ -680,12 +680,11 @@ def _minimize_Y(quad, diagonals, Y0, value0, cfg, info=None, held=None):
     stops.  The right-hand side is mapped in once and the answer back
     once; no time operator runs inside the loop.  The buffers of the
     iterations are made after the gradient, whose residual trajectories
-    are gone by then.
+    are gone by then.  The gradient reads Y0 itself and the rows of the new
+    Y are made after the CG, so that the solve holds Y once.
     """
-    g = quad.grid
     q, lam, scale = _scaled_eigenbasis(quad, diagonals)
-    y = _flatten(Y0)
-    rhs = q.T @ quad.gradient_flat(y, held.pop() if held else None)
+    rhs = q.T @ _flatten(quad.gradient(Y0, held.pop() if held else None))
     rhs *= -scale
     cg = {}
     w, iters, rel_res = conjugate_gradient(
@@ -696,8 +695,9 @@ def _minimize_Y(quad, diagonals, Y0, value0, cfg, info=None, held=None):
         info["block_iterations"] = int(cg["row_steps"].sum())
         info["relative_residual"] = rel_res
     w *= scale
+    y = _flatten(Y0)
     y += np.matmul(q, w, out=rhs)  # rhs is spent
-    return _unflatten(y, g)
+    return _unflatten(y, quad.grid)
 
 
 # ---------------------------------------------------------------------------

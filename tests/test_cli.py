@@ -783,3 +783,168 @@ def test_cli_peak_does_not_grow_with_the_time_nodes(tmp_path, capsys, command):
     capsys.readouterr()
     # edge is the bytes of one edge trajectory at nt = 129
     assert peaks[1] - peaks[0] < edge / 4
+
+
+# ---------------------------------------------------------------------------
+# one snapshot path: every mode reads through snapshot_reader
+
+
+@pytest.mark.parametrize("mode, loaded", [("none", []), ("params", []),
+                                          ("full", ["Etilde", "Etilde_t"])])
+def test_certify_loads_only_the_trajectories_the_optimizer_differentiates(
+        tmp_path, capsys, monkeypatch, mode, loaded):
+    # H~ enters no bound that certify reports, so no mode reads it whole
+    from maxbound import snapshot
+
+    doc = _cavity_cfg(n=4, nt=9, extra={
+        "perturbation": {"bump": "poly_t2", "delta": 0.01}, "solver": {"method": "exact"},
+        "majorant": {"optimize": mode, "optimizeConfig": {"sweeps": 1}}})
+    cfg = _write(tmp_path, "run.json", doc)
+    out = str(tmp_path / "out")
+    assert main(["solve", "--config", cfg, "--out", out]) == EXIT_OK
+    names = []
+    load = snapshot._Stored.load
+
+    def recorded(self):
+        names.append(self.name)
+        return load(self)
+
+    monkeypatch.setattr(snapshot._Stored, "load", recorded)
+    snap = os.path.join(out, "snapshot.bin")
+    assert main(["certify", "--config", cfg, "--snapshot", snap, "--out", out]) == EXIT_OK
+    capsys.readouterr()
+    assert names == loaded
+
+
+def test_the_solve_passes_cfl_only_when_the_solver_block_gives_it(tmp_path, capsys,
+                                                                  monkeypatch):
+    import maxbound.cli as cli
+
+    calls = []
+    solve = cli.leapfrog_solve
+
+    def recorded(*args, **kwargs):
+        calls.append(kwargs)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "leapfrog_solve", recorded)
+    for solver in ({}, {"method": "leapfrog"}, {"cfl": 0.5}):
+        cfg = _write(tmp_path, "run.json", _cavity_cfg(n=4, nt=17, extra={"solver": solver}))
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
+    capsys.readouterr()
+    assert [sorted(kw) for kw in calls] == [["out"], ["out"], ["cfl", "out"]]
+    assert calls[2]["cfl"] == 0.5
+
+
+# ---------------------------------------------------------------------------
+# inputs that once ended in a traceback: one stderr line and an exit code
+
+
+def _one_line_error(capsys, argv, code):
+    capsys.readouterr()
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+    return err
+
+
+@pytest.mark.parametrize("command", ["solve", "certify", "verify"])
+def test_an_output_directory_that_cannot_be_made_is_a_config_error(tmp_path, capsys,
+                                                                  command):
+    cfg, _, snap = _small_snapshot(tmp_path)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    for out in (blocker / "x", blocker):  # below a file, and a file itself
+        argv = [command, "--config", cfg, "--out", str(out)]
+        if command == "certify":
+            argv += ["--snapshot", snap]
+        err = _one_line_error(capsys, argv, EXIT_CONFIG)
+        assert err.startswith("config error: cannot write ") and str(out) in err
+    assert blocker.read_text() == ""
+
+
+@pytest.mark.parametrize("where", ["below-a-file", "a-directory"])
+def test_a_snapshot_path_that_cannot_be_written_is_a_config_error_and_leaves_no_file(
+        tmp_path, capsys, where):
+    cfg = _write(tmp_path, "run.json", _cavity_cfg(n=4, nt=9))
+    (tmp_path / "file").write_text("")
+    (tmp_path / "dir").mkdir()
+    snap = tmp_path / ("file/s.bin" if where == "below-a-file" else "dir")
+    before = sorted(os.listdir(tmp_path))
+    err = _one_line_error(capsys, ["solve", "--config", cfg, "--out", str(tmp_path),
+                                   "--snapshot", str(snap)], EXIT_CONFIG)
+    assert err.startswith("config error: cannot write ") and str(snap) in err
+    # neither the archive nor its temporary sibling is left behind
+    assert sorted(os.listdir(tmp_path)) == before
+    assert not os.listdir(tmp_path / "dir")
+
+
+@pytest.mark.parametrize("name", ["report.json", "report.csv"])
+def test_a_report_that_cannot_be_written_is_a_config_error(tmp_path, capsys, name):
+    cfg, out, snap = _small_snapshot(tmp_path)
+    os.mkdir(os.path.join(out, name))  # a directory where the report goes
+    err = _one_line_error(capsys, ["certify", "--config", cfg, "--snapshot", snap,
+                                   "--out", out], EXIT_CONFIG)
+    assert err.startswith("config error: cannot write ") and os.path.join(out, name) in err
+
+
+@pytest.mark.parametrize("command", ["solve", "gronwall"])
+@pytest.mark.parametrize("text", [b"\xff\xfe{}", b"[" * 100000 + b"]" * 100000],
+                         ids=["not-utf-8", "nested-100000-deep"])
+def test_a_config_that_cannot_be_read_as_json_is_a_config_error(tmp_path, capsys, command,
+                                                                text):
+    path = tmp_path / "doc.json"
+    path.write_bytes(text)
+    # a run config and a gronwall check spec go through the same loader
+    err = _one_line_error(capsys, [command, "--config", str(path)], EXIT_CONFIG)
+    assert err.startswith(f"config error at {path}: invalid JSON: ")
+
+
+@pytest.mark.parametrize("n", [10**12, 10**400], ids=["1e12", "1e400"])
+def test_a_grid_too_large_to_index_is_a_config_error(tmp_path, capsys, n):
+    doc = _cavity_cfg(n=4, nt=9)
+    doc["grid"].update(nx=n, ny=n, nz=n)
+    cfg = _write(tmp_path, "big.json", doc)
+    for argv in (["solve", "--config", cfg, "--out", str(tmp_path / "out")],
+                 ["certify", "--config", cfg, "--snapshot", str(tmp_path / "missing.bin")]):
+        err = _one_line_error(capsys, argv, EXIT_CONFIG)
+        assert "too large" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_gronwall_case_too_long_to_index_is_a_config_error(tmp_path, capsys):
+    spec = _write(tmp_path, "spec.json", {"cases": [
+        {"phi": {"value": 1.0}, "psi": {"value": 1.0}, "nt": 10**19}]})
+    err = _one_line_error(capsys, ["gronwall", "--config", spec], EXIT_CONFIG)
+    assert "nt=10000000000000000000 is too large" in err
+
+
+def test_running_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch):
+    import maxbound.cli as cli
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 56.8 PiB for an array")
+
+    monkeypatch.setattr(cli, "leapfrog_solve", exhausted)
+    cfg = _write(tmp_path, "run.json", _cavity_cfg(n=4, nt=9))
+    out = tmp_path / "out"
+    err = _one_line_error(capsys, ["solve", "--config", cfg, "--out", str(out)],
+                          EXIT_VERIFY_FAIL)
+    assert err == "error: out of memory: Unable to allocate 56.8 PiB for an array\n"
+    assert not os.listdir(out)
+
+
+@pytest.mark.parametrize("item", ["true", '"2"', "1e400", "1" + "0" * 400, "0", "-1.5"],
+                         ids=["true", "string", "1e400", "int-1e400", "zero", "negative"])
+def test_a_diagonal_material_value_that_is_not_a_positive_number_is_a_config_error(
+        tmp_path, capsys, item):
+    # written as JSON text: 1e400 reads as inf, and 10^400 as an int no double holds
+    doc = _cavity_cfg(n=4, nt=9)
+    text = json.dumps(dict(doc, materials={"eps": {"kind": "diagonal",
+                                                   "values": [1.0, 1.0, "ITEM"]}}))
+    path = tmp_path / "run.json"
+    path.write_text(text.replace('"ITEM"', item))
+    err = _one_line_error(capsys, ["solve", "--config", str(path), "--out",
+                                   str(tmp_path / "out")], EXIT_CONFIG)
+    assert err.startswith("config error at $['materials']['eps']['values'][2]: ")
+    assert not (tmp_path / "out").exists()

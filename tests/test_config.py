@@ -243,7 +243,9 @@ def test_the_full_documents_are_valid():
     assert load_config(copy.deepcopy(_FULL_SPEC), CHECK_SPEC_SCHEMA) == _FULL_SPEC
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+# an int that no double holds has no float value either
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf,
+                                   pytest.param(-10**400, id="int-beyond-double")])
 @pytest.mark.parametrize("schema, full, path", [
     (CONFIG_SCHEMA, _FULL_CONFIG, ("majorant", "rho")),
     (CONFIG_SCHEMA, _FULL_CONFIG, ("majorant", "gamma")),
@@ -270,9 +272,20 @@ def test_a_non_finite_number_is_a_config_error_at_its_path(schema, full, path, v
     {"type": "object", "additionalProperties": True},
     {"type": "object", "additionalProperties": {"type": "number"}},
     {"type": "object", "properties": {"a": {"type": "number", "multipleOf": 2}}},
-    {"type": "array", "items": {"type": "array", "maxItems": 2}},
+    {"type": "array", "items": {"type": "array", "uniqueItems": True}},
     {"type": "null"},
 ])
 def test_a_schema_keyword_the_checker_does_not_implement_is_refused(schema):
     with pytest.raises(ValueError, match="not supported"):
         _check_schema(schema)
+
+
+@pytest.mark.parametrize("values", [[], [1.0], [1.0, 2.0], [1.0, 2.0, 3.0],
+                                    [1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0, 4.0, 5.0],
+                                    [1.0, True, 3.0], [1.0, 2.0, "3"], [0, 2.0, 3.0],
+                                    [1.0, 2.0, 3.0, -4.0], "1 2 3"])
+def test_the_checker_agrees_with_jsonschema_on_diagonal_material_values(values):
+    doc = copy.deepcopy(_FULL_CONFIG)
+    doc["materials"] = {"eps": {"kind": "diagonal", "values": values}}
+    assert _first_violation(CONFIG_SCHEMA, doc) == _oracle_first_violation(CONFIG_SCHEMA, doc)
+    assert (_first_violation(CONFIG_SCHEMA, doc) is None) == (values == [1.0, 2.0, 3.0])

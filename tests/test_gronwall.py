@@ -194,3 +194,10 @@ def test_a_late_source_under_fast_growth_gives_a_finite_bound():
     expect = float(np.sum(w * np.exp(c * dt * lag)))
     assert b_diff[-1] == pytest.approx(expect, rel=1e-12)
     assert b_int[-1] == pytest.approx(c * expect + 1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("nt", [10**19, 2**63 // 64 + 2])
+def test_an_oracle_grid_too_long_to_index_is_refused_before_any_array(nt):
+    # (nt - 1) * 8 + 1 nodes of 8 bytes each overflow an array's byte count
+    with pytest.raises(ParameterError, match="too large"):
+        gronwall_oracle_check(1.0, 1.0, 0.0, 1.0, nt)

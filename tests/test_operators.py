@@ -181,6 +181,18 @@ def test_weighted_inner_matches_bruteforce_cell_sum():
     assert got == pytest.approx(total, rel=1e-12)
 
 
+def test_a_grid_is_refused_exactly_when_its_trajectory_rows_exceed_one_array():
+    # the rule reads the counts alone: neither grid below allocates anything
+    from maxbound.fields import MAX_FLOATS
+
+    n = 1000
+    nt = MAX_FLOATS // (3 * (n + 1) ** 3)
+    assert mb.GridSpec(n, n, n, 1.0, 1.0, 1.0, nt, 1.0).nt == nt
+    for counts in ((n, n, n, nt + 1), (10**12, 10**12, 10**12, 2), (10**400, 2, 2, 2)):
+        with pytest.raises(ParameterError, match="too large"):
+            mb.GridSpec(*counts[:3], 1.0, 1.0, 1.0, counts[3], 1.0)
+
+
 def test_material_validation_rejects_nonpositive_coefficients_and_unknown_kinds():
     grid = _grid(3, 3)
     with pytest.raises(ParameterError):

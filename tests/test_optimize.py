@@ -661,6 +661,34 @@ def test_optimize_y_assembles_the_residuals_of_its_start_once(monkeypatch, theor
     assert info == want_info
 
 
+def test_the_y_solve_holds_y_once(monkeypatch):
+    # the gradient's rows are freed before the CG, no copy of Y0's rows is
+    # made before it, and the rows of the new Y are made after it
+    import weakref
+
+    p, exact = polynomial_setup(4, 9)
+    approx = _perturbed(p, exact)
+    Y0 = mb.default_Y(p, approx)
+    events, rows = [], []
+
+    def flatten(traj):
+        out = _flatten(traj)
+        events.append("Y0" if traj is Y0 else "gradient")
+        rows.append(weakref.ref(out))
+        return out
+
+    def cg(*args, **kwargs):
+        events.append("cg")
+        assert all(ref() is None for ref in rows)
+        return conjugate_gradient(*args, **kwargs)
+
+    monkeypatch.setattr(maxbound.optimize, "_flatten", flatten)
+    monkeypatch.setattr(maxbound.optimize, "conjugate_gradient", cg)
+    Y = mb.optimize_Y(p, approx, gamma=1.3, rho=0.5, Y0=Y0)
+    assert events == ["gradient", "cg", "Y0"]
+    assert Y.x.base is rows[-1]()
+
+
 @pytest.mark.parametrize("sweeps, probes", [(0, 0), (2, 1)])
 def test_optimize_all_probes_the_spatial_diagonals_once(monkeypatch, sweeps, probes):
     # they depend on the grid and the materials alone, not on (gamma, rho),
