@@ -9,6 +9,7 @@ import math
 import os
 import re
 import sys
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -226,8 +227,10 @@ def cmd_certify(args):
         elif mode == "params":
             report, _ = certify_gamma_rho(p, approx, _optimize_config(maj), theorem,
                                           params.zero_variant, exact)
-        else:  # the Y-optimizer works on whole trajectories of E~ and E~_t
-            approx = SolveOutput(approx.Etilde.load(), None, approx.Etilde_t.load())
+        else:  # the Y-optimizer works on whole trajectories of E~, and of E~_t for T4/T5
+            Etilde = approx.Etilde.load()
+            Etilde_t = None if THEOREMS[theorem].derived_velocity else approx.Etilde_t.load()
+            approx = SolveOutput(Etilde, None, Etilde_t)
             report, _ = optimize_all(p, approx, _optimize_config(maj), theorem=theorem,
                                      zero_variant=params.zero_variant, rho0=params.rho,
                                      gamma0=params.gamma, exact=exact)
@@ -442,6 +445,12 @@ def build_parser():
     return parser
 
 
+def _warning_line(message, category, filename, lineno, file=None, line=None):
+    """A warning as one stderr line, without the source location and line
+    that Python's own format adds."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
@@ -452,8 +461,11 @@ def main(argv=None):
         print("error: --config is required", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        # overflows end in a refused bound or snapshot: one error line, no warnings
-        with np.errstate(all="ignore"):
+        # overflows end in a refused bound or snapshot: one error line, no
+        # numpy warnings; any other warning is a line of its own
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("default")
+            warnings.showwarning = _warning_line
             return args.func(args)
     except ConfigError as exc:
         loc = f" at {exc.path}" if exc.path else ""

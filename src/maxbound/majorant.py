@@ -163,17 +163,14 @@ def zero_term_parts(p, approx, Y, theorem="T5"):
     """Initial-condition error contributions, computable from given data only.
 
     curl e(0) = curl E0 - curl Etilde(0); the first slot error is
-    E0' - Etilde_t(0), Etilde_t being dEtilde/dt for T1/T3.  Y None stands
-    for the default free field, for which Ktilde(0) = 0.
+    E0' - Etilde_t(0), both nodes 0 read through _velocity_windows.  Y None
+    stands for the default free field, for which Ktilde(0) = 0.
     """
     g = p.grid
-    if _check_theorem(theorem, g, approx).derived_velocity:
-        first0 = ddt_node(approx.Etilde.node, 0, g)
-    else:
-        first0 = approx.Etilde_t.node(0)
-    et0_err = p.E0prime - first0
-    curl_e0 = curl_edge_to_face(p.E0 - approx.Etilde.node(0), g)
-    m0 = mu_inv_curl(p, approx.Etilde.node(0))
+    E, _, Et = _velocity_windows(approx, theorem, g)
+    et0_err = p.E0prime - Et(0)
+    curl_e0 = curl_edge_to_face(p.E0 - E(0), g)
+    m0 = mu_inv_curl(p, E(0))
     ktilde0 = m0 - (m0 if Y is None else Y.node(0))
     return ZeroTermParts(
         et0_sq=weighted_norm_sq(et0_err, p.eps, g),
@@ -261,16 +258,17 @@ def series(p, approx, Y, theorem, exact=None):
     reference, the pass takes the true-error norms of every node too.
     """
     g = p.grid
-    derived = _check_theorem(theorem, g, approx).derived_velocity
+    E, dE, Et = _velocity_windows(approx, theorem, g)
     if Y is not None:
         _check_Y(Y, g)
     nt = g.nt
     work = _Work(g)
-    E, dE, Et = _velocity_windows(approx, derived, g)
     M = _Window(lambda j, out: mu_inv_curl(p, E(j), out))
     Yw = M if Y is None else _Window(lambda j, _: Y.node(j))
     Kt = _Window(lambda j, out: M(j).apply(np.subtract, Yw(j), out))
 
+    # before the loop: on top of full windows its node fields made the pass's peak
+    zp = zero_term_parts(p, approx, Y, theorem)
     kt_sq, edge_sq, face_sq, coup = (np.zeros(nt) for _ in range(4))
     error_sq = None if exact is None else (np.zeros(nt), np.zeros(nt))
     for k in range(nt):
@@ -289,17 +287,17 @@ def series(p, approx, Y, theorem, exact=None):
         face = mu_inv_curl(p, Et(k), work.face)
         face -= dY
         face_sq[k] = weighted_norm_sq(face, p.mu, g, work.cells)
-        if Y is not None and not derived:
+        if Y is not None and Et is not dE:  # else the coupling curl is 0
             diff = Et(k).apply(np.subtract, dE(k), work.edge)
             coupling_curl = curl_edge_to_face(diff, g, work.face)
             coup[k] = weighted_inner(Kt(k), coupling_curl, None, g, work.cells)
-    zp = zero_term_parts(p, approx, Y, theorem)
     return NodeSeries(kt_sq, edge_sq, face_sq, coup, zp, error_sq)
 
 
-def _velocity_windows(approx, derived, grid):
-    """The windows of Etilde, dEtilde/dt and the theorem's Etilde_t, the
-    last being dEtilde/dt for derived_velocity (T1/T3)."""
+def _velocity_windows(approx, theorem, grid):
+    """The windows of Etilde, dEtilde/dt and the theorem's Etilde_t, the one
+    choice of a node read's velocity: dEtilde/dt for derived_velocity (T1/T3)."""
+    derived = _check_theorem(theorem, grid, approx).derived_velocity
     E = _Window(lambda j, _: approx.Etilde.node(j))
     dE = _Window(lambda j, out: ddt_node(E, j, grid, out))
     return E, dE, dE if derived else _Window(lambda j, _: approx.Etilde_t.node(j))
@@ -322,9 +320,8 @@ def error_series(p, approx, exact, theorem):
     bit for bit, in a pass that takes no residual: the error block of
     series, node by node, in the same windows."""
     g = p.grid
-    derived = _check_theorem(theorem, g, approx).derived_velocity
+    E, _, Et = _velocity_windows(approx, theorem, g)
     work = _Work(g)
-    E, _, Et = _velocity_windows(approx, derived, g)
     error_sq = (np.zeros(g.nt), np.zeros(g.nt))
     for k in range(g.nt):
         _error_node(p, exact, E, Et, k, work, error_sq)

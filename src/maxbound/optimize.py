@@ -54,6 +54,12 @@ _STALL_WINDOW = 10
 _Y_STALL_RTOL = 1e-5
 
 
+class _Unformable(MaxboundError):
+    """A Y step whose quadratic cannot be formed in floating point: Gronwall
+    weights that overflow, or a time basis that is not positive definite,
+    where b(T) itself may be finite.  optimize_all skips such a step."""
+
+
 @dataclass
 class OptimizeConfig:
     """Search controls for the parameter optimization.
@@ -381,7 +387,7 @@ class BoundQuadratic:
         # b(T) = sum_k c_k f_k, f's integrand weighted by w_int
         c, w_int = final_bound_weights(self.gam_n, g.dt)
         if not (np.isfinite(c).all() and np.isfinite(w_int).all()):
-            raise MaxboundError("a Gronwall weight of b(T) overflows: the bound is not finite")
+            raise _Unformable("a Gronwall weight of b(T) overflows: the bound is not finite")
         self.Cz = float(c.sum())
         self.w_pt = c / (1.0 - self.rho_n)
         self.w_edge = w_int / self.gam_n
@@ -448,7 +454,7 @@ def _time_eigenbasis(t1, w_edge):
     try:
         chol = np.linalg.cholesky(s[:, None] * t1 * s)
     except np.linalg.LinAlgError as exc:
-        raise MaxboundError("the time matrix T1 is not positive definite") from exc
+        raise _Unformable("the time matrix T1 is not positive definite") from exc
     back = np.linalg.inv(chol).T  # L^-T
     lam, u = np.linalg.eigh(back.T @ ((w_edge * s * s)[:, None] * back))
     return s[:, None] * (back @ u), lam
@@ -472,7 +478,7 @@ def _scaled_eigenbasis(quad, diagonals):
     mass, curl = diagonals
     d_tilde = mass + lam[:, None] * curl
     if not np.all(d_tilde > 0.0):
-        raise MaxboundError("the Hessian has a diagonal entry <= 0 in the time eigenbasis")
+        raise _Unformable("the Hessian has a diagonal entry <= 0 in the time eigenbasis")
     return q, lam, 1.0 / np.sqrt(d_tilde)
 
 
@@ -656,7 +662,8 @@ def optimize_Y(p, approx, gamma, rho, cfg=None, theorem="T5", zero_variant="z_ha
     # one residual assembly of Y0: b(T) from its series, the gradient from it
     s, *held = residual_series(p, approx, Y0, theorem)
     value0 = float(final_bound(s, quad.rho_n, quad.gam_n, zero_variant, p.grid.dt))
-    return _minimize_Y(quad, spatial_diagonals(p), Y0, value0, cfg, info, held)
+    basis = _scaled_eigenbasis(quad, spatial_diagonals(p))
+    return _minimize_Y(quad, basis, Y0, value0, cfg, info, held)
 
 
 def _start_Y(p, approx, cfg):
@@ -666,11 +673,11 @@ def _start_Y(p, approx, cfg):
     return default_Y(p, approx)
 
 
-def _minimize_Y(quad, diagonals, Y0, value0, cfg, info=None, held=None):
-    """optimize_Y from Y0 for the quadratic quad, diagonals being
-    spatial_diagonals of its problem and value0 b(T) at Y0.  held, a list
-    that may hold the Residuals of Y0, hands them to the gradient: they are
-    taken out of it, so that they are freed with the gradient's own.
+def _minimize_Y(quad, basis, Y0, value0, cfg, info=None, held=None):
+    """optimize_Y from Y0 for the quadratic quad, basis being its
+    _scaled_eigenbasis and value0 b(T) at Y0.  held, a list that may hold
+    the Residuals of Y0, hands them to the gradient: they are taken out of
+    it, so that they are freed with the gradient's own.
 
     CG on H delta = -grad in the scaled time eigenbasis (Q, S) of
     _scaled_eigenbasis: delta = Q S w, with S Q^T H Q S w = S Q^T (-grad).
@@ -683,7 +690,7 @@ def _minimize_Y(quad, diagonals, Y0, value0, cfg, info=None, held=None):
     are gone by then.  The gradient reads Y0 itself and the rows of the new
     Y are made after the CG, so that the solve holds Y once.
     """
-    q, lam, scale = _scaled_eigenbasis(quad, diagonals)
+    q, lam, scale = basis
     rhs = q.T @ _flatten(quad.gradient(Y0, held.pop() if held else None))
     rhs *= -scale
     cg = {}
@@ -713,7 +720,8 @@ def optimize_all(p, approx, cfg=None, theorem="T5", zero_variant="z_hat",
     bound at the initial parameters.  Returns the certification report at
     the optimized parameters, carrying the optimization history and each
     sweep's CG solve: the optimize_Y info dict plus whether its Y was
-    accepted, None where the Y step was skipped.
+    accepted, None where the Y step was skipped: where b(T) overflows, or
+    its quadratic in Y cannot be formed (_Unformable).
     """
     cfg = cfg if cfg is not None else OptimizeConfig()
     g = p.grid
@@ -731,14 +739,20 @@ def optimize_all(p, approx, cfg=None, theorem="T5", zero_variant="z_hat",
     diagonals = None  # probed at the first Y step
     cg_sweeps = []
     for _ in range(cfg.sweeps):
-        # at parameters where the bound overflows the quadratic in Y has no
-        # finite weights; the (gamma, rho) step below moves away from them
-        info = None
+        # at parameters where the bound overflows, or its quadratic in Y
+        # cannot be formed, the Y step is skipped; the (gamma, rho) step below
+        # moves away from them
+        info = step = None
         if math.isfinite(current):
-            info = {}
             diagonals = spatial_diagonals(p) if diagonals is None else diagonals
-            quad = BoundQuadratic(p, approx, rho, gamma, theorem, zero_variant)
-            Y_new = _minimize_Y(quad, diagonals, Y, current, cfg, info=info, held=held)
+            try:
+                quad = BoundQuadratic(p, approx, rho, gamma, theorem, zero_variant)
+                step = quad, _scaled_eigenbasis(quad, diagonals)
+            except _Unformable:
+                pass
+        if step is not None:
+            info = {}
+            Y_new = _minimize_Y(*step, Y, current, cfg, info=info, held=held)
             s_new, *held_new = residual_series(p, approx, Y_new, theorem)
             v_new = float(final_bound(s_new, rho, gamma, zero_variant, g.dt))
             info["accepted"] = v_new <= current

@@ -25,6 +25,7 @@ from maxbound.cli import (
     main,
 )
 from maxbound.config import CONFIG_SCHEMA
+from maxbound.majorant import THEOREMS
 
 from conftest import traced_peak
 
@@ -789,16 +790,20 @@ def test_cli_peak_does_not_grow_with_the_time_nodes(tmp_path, capsys, command):
 # one snapshot path: every mode reads through snapshot_reader
 
 
-@pytest.mark.parametrize("mode, loaded", [("none", []), ("params", []),
-                                          ("full", ["Etilde", "Etilde_t"])])
+@pytest.mark.parametrize("theorem", list(THEOREMS))
+@pytest.mark.parametrize("mode", ["none", "params", "full"])
 def test_certify_loads_only_the_trajectories_the_optimizer_differentiates(
-        tmp_path, capsys, monkeypatch, mode, loaded):
-    # H~ enters no bound that certify reports, so no mode reads it whole
+        tmp_path, capsys, monkeypatch, mode, theorem):
+    # H~ enters no bound that certify reports, so no mode reads it whole, and
+    # T1/T3 read dEtilde/dt where T4/T5 read E~_t
     from maxbound import snapshot
 
+    loaded = []
+    if mode == "full":
+        loaded = ["Etilde"] if THEOREMS[theorem].derived_velocity else ["Etilde", "Etilde_t"]
     doc = _cavity_cfg(n=4, nt=9, extra={
         "perturbation": {"bump": "poly_t2", "delta": 0.01}, "solver": {"method": "exact"},
-        "majorant": {"optimize": mode, "optimizeConfig": {"sweeps": 1}}})
+        "majorant": {"optimize": mode, "theorem": theorem, "optimizeConfig": {"sweeps": 1}}})
     cfg = _write(tmp_path, "run.json", doc)
     out = str(tmp_path / "out")
     assert main(["solve", "--config", cfg, "--out", out]) == EXIT_OK
@@ -948,3 +953,97 @@ def test_a_diagonal_material_value_that_is_not_a_positive_number_is_a_config_err
                                    str(tmp_path / "out")], EXIT_CONFIG)
     assert err.startswith("config error at $['materials']['eps']['values'][2]: ")
     assert not (tmp_path / "out").exists()
+
+
+# ---------------------------------------------------------------------------
+# the poly-optimize kind of input on a 4^3 x 17 grid
+
+
+def _poly_doc(majorant=None):
+    doc = _cavity_cfg(n=4, nt=17, extra={
+        "case": {"name": "polynomial_source"}, "solver": {"method": "exact"},
+        "perturbation": {"bump": "poly_t2", "delta": 8e-3}})
+    doc["majorant"] = dict({"theorem": "T5", "optimizeConfig": {"sweeps": 2}}, **(majorant or {}))
+    return doc
+
+
+def _poly_certify(tmp_path, capsys, doc, mode):
+    """solve, then certify under mode: (exit code, stderr, b(T) or None)."""
+    cfg = _write(tmp_path, "poly.json", doc)
+    out = str(tmp_path / mode)
+    assert main(["solve", "--config", cfg, "--out", out]) == EXIT_OK
+    capsys.readouterr()
+    code = main(["certify", "--config", cfg, "--snapshot", os.path.join(out, "snapshot.bin"),
+                 "--out", out, "--optimize", mode])
+    err = capsys.readouterr().err
+    if code != EXIT_OK:
+        return code, err, None
+    with open(os.path.join(out, "report.json")) as fh:
+        return code, err, json.load(fh)["rows"][-1]["bound_b"]
+
+
+@pytest.mark.parametrize("start", [{"gamma": 720}, {"rho": 1e-100}, {"gamma": 1e-200}],
+                         ids=["gamma-720", "rho-1e-100", "gamma-1e-200"])
+@pytest.mark.parametrize("theorem", ["T1", "T5"])
+def test_full_optimization_skips_a_y_step_whose_quadratic_cannot_be_formed(
+        tmp_path, capsys, start, theorem):
+    # b(T) is finite at each start, but its Y-quadratic's Gronwall weights
+    # overflow (gamma 720) or its time matrix fails Cholesky: the (gamma, rho)
+    # step moves off, and full gives a bound no higher than none's
+    doc = _poly_doc(dict(start, theorem=theorem))
+    code, _, plain = _poly_certify(tmp_path, capsys, doc, "none")
+    assert code == EXIT_OK and math.isfinite(plain)
+    code, err, optimized = _poly_certify(tmp_path, capsys, doc, "full")
+    assert code == EXIT_OK, err
+    assert optimized <= plain
+    with open(os.path.join(tmp_path, "full", "report.json")) as fh:
+        assert json.load(fh)["parameters"]["cg_sweeps"][0] is None
+
+
+def test_full_optimization_from_a_start_whose_bound_overflows(tmp_path, capsys):
+    doc = _poly_doc({"gamma": 800})
+    code, err, _ = _poly_certify(tmp_path, capsys, doc, "none")
+    assert code == EXIT_VERIFY_FAIL and "not finite" in err
+    code, err, optimized = _poly_certify(tmp_path, capsys, doc, "full")
+    assert code == EXIT_OK, err
+    assert optimized == pytest.approx(4.6375e-4, rel=1e-4)
+
+
+@pytest.mark.parametrize("mode, gammas, T", [
+    ("params", [700, 800], 1.0), ("params", [1, 1, 1], 1.0), ("full", None, 1e-12),
+], ids=["bracket-end", "one-value-grid", "tiny-T"])
+def test_a_warning_is_one_stderr_line(tmp_path, capsys, mode, gammas, T):
+    # the gamma search warns that it chose an end of its bracket or grid
+    doc = _poly_doc()
+    doc["grid"]["T"] = T
+    if gammas:
+        doc["majorant"]["optimizeConfig"]["gammaBracket"] = gammas
+    code, err, _ = _poly_certify(tmp_path, capsys, doc, mode)
+    assert code == EXIT_OK
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("warning: gamma search selected")
+    assert ".py:" not in err
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+def test_full_optimization_of_an_independent_velocity_certifies_a_bound_or_refuses(
+        tmp_path, capsys):
+    # a snapshot written elsewhere: E~ perturbed by 1e-2 poly_t2, E~_t left
+    # exact, so that E~_t is not dE~/dt; today b < trueN at 12 of 17 rows
+    doc = _poly_doc()
+    del doc["perturbation"]
+    cfg = _write(tmp_path, "run.json", doc)
+    grid = mb.GridSpec(4, 4, 4, 1.0, 1.0, 1.0, 17, 1.0)
+    exact = mb.project_exact(mb.polynomial_source(), grid)
+    snap = str(tmp_path / "independent.bin")
+    mb.save_snapshot(snap, grid, mb.SolveOutput(mb.perturb(exact.Etilde, 1e-2, "poly_t2"),
+                                                exact.Htilde, exact.Etilde_t))
+    out = str(tmp_path / "out")
+    code = main(["certify", "--config", cfg, "--snapshot", snap, "--out", out,
+                 "--optimize", "full"])
+    capsys.readouterr()
+    if code != EXIT_OK:
+        return
+    with open(os.path.join(out, "report.json")) as fh:
+        rows = json.load(fh)["rows"]
+    assert all(row["bound_b"] >= row["trueN"] for row in rows)

@@ -484,7 +484,7 @@ class _Counted:
 
 @pytest.mark.parametrize("explicit_Y", [False, True])
 @pytest.mark.parametrize("theorem", ["T1", "T3", "T4", "T5"])
-def test_certify_reads_each_node_once_plus_three_for_the_zero_term(theorem, explicit_Y):
+def test_certify_reads_each_node_once_plus_the_zero_term_s_window(theorem, explicit_Y):
     p, approx, exact = _certify_inputs("random", 5)
     g = p.grid
     reads = []
@@ -495,13 +495,14 @@ def test_certify_reads_each_node_once_plus_three_for_the_zero_term(theorem, expl
     params = mb.MajorantParams(rho=0.5 if constant else np.full(g.nt, 0.5), Y=Y)
     mb.certify(p, counted, params, theorem=theorem, exact=exact)
     # Etilde once per node and Etilde_t too when the theorem reads it; the
-    # zero term reads node 0 twice, and Etilde_t(0) or dEtilde/dt(0)
+    # zero term's windows read Etilde(0) and Etilde_t(0), or the three nodes
+    # of dEtilde/dt(0)
     per_node = 2 if theorem in ("T4", "T5") else 1
-    zero_term = 3 if theorem in ("T4", "T5") else 5
+    zero_term = 2 if theorem in ("T4", "T5") else 3
     assert len(reads) == per_node * g.nt + zero_term
 
 
-def test_cli_certify_reads_2nt_plus_3_archived_nodes(tmp_path, capsys, monkeypatch):
+def test_cli_certify_reads_2nt_plus_2_archived_nodes(tmp_path, capsys, monkeypatch):
     cfg = tmp_path / "run.json"
     cfg.write_text('{"grid": {"nx": 8, "ny": 8, "nz": 8, "lx": 1.0, "ly": 1.0, "lz": 1.0, '
                    '"nt": 33, "T": 1.0}, "case": {"name": "cavity_mode"}}')
@@ -514,7 +515,7 @@ def test_cli_certify_reads_2nt_plus_3_archived_nodes(tmp_path, capsys, monkeypat
     assert main(["certify", "--config", str(cfg), "--snapshot", out + "/snapshot.bin",
                  "--out", out]) == 0
     capsys.readouterr()
-    assert len(reads) == 2 * 33 + 3
+    assert len(reads) == 2 * 33 + 2
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import maxbound as mb
 from maxbound.errors import ParameterError, PreconditionError
 from maxbound.fields import EDGE, FACE, FieldTrajectory
-from maxbound.majorant import bound_b_and_B, final_bound_weights
+from maxbound.majorant import THEOREMS, bound_b_and_B, final_bound_weights
 from maxbound.operators import (
     cumulative_trapezoid,
     curl_edge_to_face,
@@ -107,6 +109,20 @@ def test_exact_polynomial_samples_give_identically_zero_bound():
         rep = mb.certify(p, exact, mb.MajorantParams(), theorem=theorem, exact=exact)
         assert np.abs(rep.bound_b).max() == 0.0
         assert np.abs(rep.trueN).max() == 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.tuples(*[st.integers(2, 6)] * 3), nt=st.sampled_from((5, 9, 17)),
+       T=st.floats(1e-2, 10.0), theorem=st.sampled_from(tuple(THEOREMS)))
+def test_exact_polynomial_samples_give_a_zero_bound_on_any_grid(n, nt, T, theorem):
+    # the tolerance of acceptance criterion 2: 1e-8 of the initial energy
+    grid = mb.GridSpec(*n, 1.0, 1.0, 1.0, nt, T)
+    case = mb.polynomial_source()
+    p = mb.assemble_problem(grid, case=case)
+    exact = mb.project_exact(case, grid)
+    rep = mb.certify(p, exact, mb.MajorantParams(), theorem=theorem)
+    energy = weighted_norm_sq(p.E0, p.eps, grid) + weighted_norm_sq(p.H0, p.mu, grid)
+    assert float(np.abs(rep.bound_b).max()) <= 1e-8 * energy
 
 
 def test_bound_dominates_error_for_perturbed_exact_samples():

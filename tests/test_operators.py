@@ -56,6 +56,18 @@ def test_curl_of_gradient_vanishes():
         assert np.abs(comp).max() < 1e-12
 
 
+@settings(max_examples=60, deadline=None)
+@given(n=st.tuples(*[st.integers(2, 7)] * 3),
+       lengths=st.tuples(*[st.floats(1e-3, 1e3)] * 3), seed=st.integers(0, 2**32 - 1))
+def test_curl_of_gradient_vanishes_on_any_grid(n, lengths, seed):
+    grid = mb.GridSpec(*n, *lengths, 2, 1.0)
+    phi = np.random.default_rng(seed).standard_normal(tuple(np.add(n, 1)))
+    c = curl_edge_to_face(gradient_node_to_edge(phi, grid), grid)
+    # a curl entry is phi over a product of two cell sizes
+    worst = max(float(np.abs(comp).max()) for comp in c.components())
+    assert worst * min(grid.hx, grid.hy, grid.hz) ** 2 / np.abs(phi).max() <= 1e-12
+
+
 def test_curls_are_mutually_adjoint_for_zero_trace_fields():
     grid = _grid()
     rng = np.random.default_rng(3)

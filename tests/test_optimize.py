@@ -641,7 +641,8 @@ def test_optimize_y_assembles_the_residuals_of_its_start_once(monkeypatch, theor
     quad = BoundQuadratic(p, approx, 0.5, 1.3, theorem, variant)
     Y0 = mb.default_Y(p, approx)
     want_info = {}
-    want = maxbound.optimize._minimize_Y(quad, spatial_diagonals(p), Y0, quad.value(Y0),
+    want = maxbound.optimize._minimize_Y(quad, _scaled_eigenbasis(quad, spatial_diagonals(p)),
+                                         Y0, quad.value(Y0),
                                          mb.OptimizeConfig(), want_info)
     calls = []
     real_residuals = maxbound.majorant.residuals

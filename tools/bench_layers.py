@@ -1,5 +1,6 @@
-"""Layer harness: wall time and traced peak memory of the certify path and
-the optimizer, size by size, each size in a process of its own.
+"""Layer harness: wall time and traced peak memory of the certify path,
+the optimizer and CLI certify, size by size, each size in a process of its
+own.
 
     python3 tools/bench_layers.py --src SRC --label NAME --out BENCH.json
         [--sizes 8x33 16x65] [--repeats 5]
@@ -21,23 +22,32 @@ the tracemalloc peak of one further call:
 - ``optimize_all``: two sweeps from the default start;
 - ``closing_report``: the report optimize_all closes with, at its
   parameters: from the series of its Y, which it holds, and a true-error
-  pass, when the program has ``majorant.report_from_series``; a full
-  certify otherwise;
+  pass;
 - ``hessian_m1`` and ``hessian_mnt``: one product of the Y solve's block
   Hessian on 1 and on all nt eigen-blocks, its buffers made by an
   earlier product, as in the solve's loop;
+- ``cli_full_T1`` and ``cli_full_T5``: CLI ``certify --optimize full``
+  (two sweeps) under T1 and T5, reading the input from a snapshot file and
+  writing both reports;
 
-and b(T) of certify and of optimize_all, which must not move with a
-speed-up.
+b(T) of certify, of optimize_all and of both CLI runs, which must not move
+with a speed-up; and ``margin``, the minimum over the nodes of b - trueN
+for certify at rho = 0.5, gamma = 1 and for optimize_all, on the same
+input with Etilde_t left exact, so that Etilde_t is not dEtilde/dt.  A
+negative margin is a b below the true error; a bound the program refuses
+is recorded as its error message.
 """
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 from dataclasses import replace
@@ -48,7 +58,9 @@ BLAS_ENV = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                                     "MKL_NUM_THREADS")}
 
 
-def _inputs(n, nt):
+def _inputs(n, nt, perturb_velocity=True):
+    """(problem, approx, exact); approx's Etilde_t is exact's when
+    perturb_velocity is false."""
     import maxbound as mb
     from maxbound.problem import bump_field, bump_field_dt
 
@@ -58,8 +70,8 @@ def _inputs(n, nt):
     exact = mb.project_exact(case, grid)
     bump, bump_dt = (mb.FieldTrajectory.sample(grid, mb.EDGE, lambda t, f=f: f("poly_t2", grid, t))
                      for f in (bump_field, bump_field_dt))
-    approx = mb.SolveOutput(exact.Etilde + 1e-2 * bump, exact.Htilde,
-                            exact.Etilde_t + 1e-2 * bump_dt)
+    velocity = exact.Etilde_t + 1e-2 * bump_dt if perturb_velocity else exact.Etilde_t
+    approx = mb.SolveOutput(exact.Etilde + 1e-2 * bump, exact.Htilde, velocity)
     return p, approx, exact
 
 
@@ -77,6 +89,51 @@ def _measure(fn, repeats):
     finally:
         tracemalloc.stop()
     return {"wall_s": statistics.median(times), "peak_mb": peak / 2**20}
+
+
+def _margin(run):
+    """min(b - trueN) of the report run() returns, or the refusal's message."""
+    from maxbound.errors import MaxboundError
+
+    try:
+        report = run()
+    except MaxboundError as exc:
+        return f"refused: {exc}"
+    return float((report.bound_b - report.trueN).min())
+
+
+def _cli_full(n, nt, approx, repeats, workdir):
+    """The records of CLI certify --optimize full under T1 and T5 on approx,
+    written to a snapshot in workdir, and their b(T)."""
+    import maxbound as mb
+    from maxbound.cli import main
+
+    grid = mb.GridSpec(n, n, n, 1.0, 1.0, 1.0, nt, 1.0)
+    snap = os.path.join(workdir, "snapshot.bin")
+    mb.save_snapshot(snap, grid, approx)
+    records, bounds = {}, {}
+    for theorem in ("T1", "T5"):
+        cfg = os.path.join(workdir, f"{theorem}.json")
+        with open(cfg, "w", encoding="utf-8") as fh:
+            json.dump({"grid": {"nx": n, "ny": n, "nz": n, "lx": 1.0, "ly": 1.0, "lz": 1.0,
+                                "nt": nt, "T": 1.0},
+                       "case": {"name": "polynomial_source"},
+                       "majorant": {"theorem": theorem, "optimize": "full",
+                                    "optimizeConfig": {"sweeps": 2}}}, fh)
+        out = os.path.join(workdir, theorem)
+        argv = ["certify", "--config", cfg, "--snapshot", snap, "--out", out]
+
+        def certify():
+            # main reports on stdout and warns on stderr; the record is stdout's last line
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                if main(argv) != 0:
+                    raise RuntimeError(f"certify {theorem} failed")
+
+        records[f"cli_full_{theorem}"] = _measure(certify, repeats)
+        with open(os.path.join(out, "report.json"), encoding="utf-8") as fh:
+            bounds[f"cli_full_{theorem}"] = json.load(fh)["rows"][-1]["bound_b"]
+    return records, bounds
 
 
 def measure_size(n, nt, repeats=5):
@@ -102,15 +159,12 @@ def measure_size(n, nt, repeats=5):
 
     record["optimize_all"] = _measure(optimize_all, repeats)
     report, best = optimize_all()
-    if hasattr(majorant, "report_from_series"):
-        s, _ = majorant.residual_series(p, approx, best.Y, "T5")
+    s, _ = majorant.residual_series(p, approx, best.Y, "T5")
 
-        def closing():
-            held = replace(s, error_sq=majorant.error_series(p, approx, exact, "T5"))
-            return majorant.report_from_series(p, approx, best, "T5", held)
-    else:
-        def closing():
-            return mb.certify(p, approx, best, "T5", exact)
+    def closing():
+        held = replace(s, error_sq=majorant.error_series(p, approx, exact, "T5"))
+        return majorant.report_from_series(p, approx, best, "T5", held)
+
     record["closing_report"] = _measure(closing, repeats)
 
     quad = optimize.BoundQuadratic(p, approx, best.rho, best.gamma)
@@ -122,10 +176,21 @@ def measure_size(n, nt, repeats=5):
         apply_A(w[:m], rows)
         record[name] = _measure(lambda: apply_A(w[:m], rows), 10 * repeats)
 
-    record["bound_T"] = {
-        "certify": float(mb.certify(p, approx, params, "T5", exact).bound_b[-1]),
-        "optimize_all": float(report.bound_b[-1]),
-    }
+    with tempfile.TemporaryDirectory() as workdir:
+        cli_records, cli_bounds = _cli_full(n, nt, approx, repeats, workdir)
+    record.update(cli_records)
+    record["bound_T"] = dict(
+        certify=float(mb.certify(p, approx, params, "T5", exact).bound_b[-1]),
+        optimize_all=float(report.bound_b[-1]), **cli_bounds)
+
+    _, independent, _ = _inputs(n, nt, perturb_velocity=False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        record["margin"] = {
+            "certify": _margin(lambda: mb.certify(p, independent, params, "T5", exact)),
+            "optimize_all": _margin(
+                lambda: mb.optimize_all(p, independent, cfg, "T5", exact=exact)[0]),
+        }
     return record
 
 
