@@ -385,8 +385,9 @@ def cmd_gronwall(args):
     for case in spec.get("cases", _BUILTIN_GRONWALL_SUITE):
         rep = _run_gronwall_case(case)
         status = "PASS" if rep.passed else "FAIL"
-        print(f"{status} {case.get('name', 'unnamed')} "
-              f"(max_violation={rep.max_violation:.3e}, max_rel_gap={rep.max_rel_gap:.3e})")
+        detail = (f"{' and '.join(rep.not_finite)} not finite" if rep.not_finite else
+                  f"max_violation={rep.max_violation:.3e}, max_rel_gap={rep.max_rel_gap:.3e}")
+        print(f"{status} {case.get('name', 'unnamed')} ({detail})")
         all_ok = all_ok and rep.passed
     if not all_ok:
         print("gronwall suite FAILED")

@@ -29,13 +29,11 @@ _OPTIMIZE_CFG_SCHEMA = {
     "type": "object",
     "additionalProperties": False,
     "properties": {
-        "gammaBracket": {"type": "array", "items": {"type": "number"}, "minItems": 2},
-        "rhoGrid": {"type": "array", "items": {"type": "number"}, "minItems": 1},
+        "gammaBracket": {"type": "array", "items": {"type": "number"},
+                         "minItems": 2, "maxItems": 2},
         "cgMaxIter": {"type": "integer", "minimum": 1},
         "cgTol": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-        "yInit": {"enum": ["zero", "muInvCurlE"]},
         "sweeps": {"type": "integer", "minimum": 0},
-        "gammaTol": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
         "gammaPieces": {"type": "integer", "minimum": 1},
     },
 }

@@ -54,13 +54,16 @@ def gronwall_integral(phi, psi, dt):
 
 @dataclass
 class OracleReport:
-    """Outcome of checking a Gronwall bound against a direct ODE solve."""
+    """Outcome of checking a Gronwall bound against a direct ODE solve;
+    not_finite names those of "bound" and "oracle solution" not finite at
+    some node, where the check fails and measures nothing (nan)."""
 
     passed: bool
     max_violation: float
     max_rel_gap: float
     bound: np.ndarray = field(repr=False)
     solution: np.ndarray = field(repr=False)
+    not_finite: tuple = ()
 
 
 def _rk4(u0, rhs, times):
@@ -105,6 +108,10 @@ def gronwall_oracle_check(phi, psi, u0, T, nt, refine=8, tol=1e-6):
 def oracle_report(bound, solution, tol):
     """Compare a nodal bound with the oracle solution: the bound must
     dominate it and be tight to tol, both relative to their common scale."""
+    not_finite = tuple(name for name, v in (("bound", bound), ("oracle solution", solution))
+                       if not np.isfinite(v).all())
+    if not_finite:
+        return OracleReport(False, np.nan, np.nan, bound, solution, not_finite)
     scale = max(np.abs(solution).max(), np.abs(bound).max(), 1.0)
     gap = bound - solution
     max_violation = float(max(0.0, -(gap.min())))

@@ -64,50 +64,35 @@ class _Unformable(MaxboundError):
 class OptimizeConfig:
     """Search controls for the parameter optimization.
 
-    gamma_bracket of length 2 is a golden-section bracket (log scale);
-    longer sequences are treated as an explicit candidate grid.
-    gamma_pieces > 1 searches a piecewise-constant gamma of that many
-    pieces, which only the theorems with nodal weights (T3/T4) admit.  y_init
-    selects the starting free field: the natural choice mu^-1 curl(Etilde)
-    or the zero trajectory.  cg_tol bounds the relative residual of each
-    block of a Y solve in the scaled time eigenbasis it runs in; a
-    report's cg_sweeps[*].relative_residual gives it over all blocks,
+    gamma_bracket is the golden-section bracket (lo, hi) of the gamma
+    search, on a log scale.  gamma_pieces > 1 searches a piecewise-constant
+    gamma of that many pieces, which only the theorems with nodal weights
+    (T3/T4) admit.  cg_tol bounds the relative residual of each block of a
+    Y solve in the scaled time eigenbasis it runs in; a report's
+    cg_sweeps[*].relative_residual gives it over all blocks,
     |r^| / |b^| = sqrt(r.P^-1 r / rhs.P^-1 rhs) (see conjugate_gradient).
     cg_max_iter caps the lockstep steps of a Y solve.
     """
 
     gamma_bracket: Sequence[float] = (1e-3, 1e3)
-    rho_grid: Sequence[float] = tuple(np.linspace(0.1, 0.9, 9))
     cg_max_iter: int = 200
     cg_tol: float = 1e-10
-    y_init: str = "muInvCurlE"
     sweeps: int = 3
-    gamma_tol: float = 1e-3
     gamma_pieces: int = 1
 
     def __post_init__(self):
         gb = tuple(float(v) for v in self.gamma_bracket)
-        if len(gb) < 2 or any(not 0.0 < v < math.inf for v in gb):
-            raise ParameterError("gamma bracket/grid needs >= 2 positive finite values")
-        if len(gb) == 2 and gb[0] >= gb[1]:
-            raise ParameterError("gamma bracket must be ordered (lo, hi)")
-        rg = tuple(float(v) for v in self.rho_grid)
-        if not rg or any(not 0.0 < v < 1.0 for v in rg):
-            raise ParameterError("rho grid values must lie in (0, 1)")
-        if list(rg) != sorted(rg):
-            raise ParameterError("rho grid must be ascending")
+        if len(gb) != 2 or not 0.0 < gb[0] < gb[1] < math.inf:
+            raise ParameterError("gamma bracket must be two finite values 0 < lo < hi")
         if self.cg_max_iter < 1:
             raise ParameterError("cg_max_iter must be positive")
-        if not 0.0 < self.cg_tol < 1.0 or not 0.0 < self.gamma_tol < 1.0:
-            raise ParameterError("tolerances must lie in (0, 1)")
-        if self.y_init not in ("zero", "muInvCurlE"):
-            raise ParameterError(f"unknown y_init {self.y_init!r}")
+        if not 0.0 < self.cg_tol < 1.0:
+            raise ParameterError("cg_tol must lie in (0, 1)")
         if self.sweeps < 0:
             raise ParameterError("sweeps must be nonnegative")
         if self.gamma_pieces < 1:
             raise ParameterError("gamma_pieces must be positive")
         self.gamma_bracket = gb
-        self.rho_grid = rg
 
 
 # ---------------------------------------------------------------------------
@@ -164,24 +149,18 @@ def golden_section(fn, lo, hi, tol=1e-3, max_iter=200):
 # gamma = exp(u) of each candidate by math.exp, which numpy's exp need not
 # match to the last bit
 _exp = np.vectorize(math.exp, otypes=[float])
+_RHO_GRID = np.linspace(0.1, 0.9, 9)  # the rho values searched
+_GAMMA_TOL = 1e-3  # the width in log(gamma) at which a gamma search stops
 
 
 def _search_gamma(obj, cfg, rows):
-    """The best gamma of each of `rows` objectives over cfg's bracket or
-    grid, with its value and whether it sits at an end of the bracket or
-    grid, each an array of one entry per objective; ties go to the first
-    candidate of a grid.  obj maps an array of gamma candidates, row i for
-    objective i, to their values; the searches run in lockstep, and a grid
-    is one call."""
-    gb = cfg.gamma_bracket
-    if len(gb) > 2:
-        grid = np.array(gb)
-        values = obj(np.tile(grid, (rows, 1)))
-        best = grid[np.argmin(values, axis=1)]
-        return best, values.min(axis=1), (best == min(gb)) | (best == max(gb))
-    llo, lhi = math.log(gb[0]), math.log(gb[1])
-    x, v = golden_section(lambda u: obj(_exp(u)), np.full(rows, llo), lhi, tol=cfg.gamma_tol)
-    edge = (x - llo <= cfg.gamma_tol) | (lhi - x <= cfg.gamma_tol)
+    """The best gamma of each of `rows` objectives over cfg's bracket, with
+    its value and whether it sits at an end of the bracket, each an array of
+    one entry per objective.  obj maps an array of gamma candidates, row i
+    for objective i, to their values; the searches run in lockstep."""
+    llo, lhi = (math.log(v) for v in cfg.gamma_bracket)
+    x, v = golden_section(lambda u: obj(_exp(u)), np.full(rows, llo), lhi, tol=_GAMMA_TOL)
+    edge = (x - llo <= _GAMMA_TOL) | (lhi - x <= _GAMMA_TOL)
     return _exp(x), v, edge
 
 
@@ -221,15 +200,14 @@ def certify_gamma_rho(p, approx, cfg=None, theorem="T5", zero_variant="z_hat", e
 
 def _search_gamma_rho(s, cfg, zero_variant, grid):
     """optimize_gamma_rho on the NodeSeries s of its Y, which (gamma, rho)
-    do not change: one gamma search per rho, all in one lockstep call."""
-    rhos = np.array(cfg.rho_grid)
+    do not change: one gamma search per rho of _RHO_GRID, in one lockstep call."""
 
     def bound(gam):
-        # row i of the gamma candidates goes with rhos[i]; time is the last axis
-        rho = rhos.reshape(rhos.shape + (1,) * gam.ndim)
+        # row i of the gamma candidates goes with _RHO_GRID[i]; time is the last axis
+        rho = _RHO_GRID.reshape(_RHO_GRID.shape + (1,) * gam.ndim)
         return final_bound(s, rho, gam[..., None], zero_variant, grid.dt)
 
-    gammas, values, edges = _search_gamma(bound, cfg, len(rhos))
+    gammas, values, edges = _search_gamma(bound, cfg, len(_RHO_GRID))
     i = int(np.argmin(values))
     if edges[i]:
         warnings.warn(
@@ -237,7 +215,7 @@ def _search_gamma_rho(s, cfg, zero_variant, grid):
             "the optimum may lie outside",
             RuntimeWarning,
         )
-    gamma, rho, value = float(gammas[i]), float(rhos[i]), float(values[i])
+    gamma, rho, value = float(gammas[i]), float(_RHO_GRID[i]), float(values[i])
     if cfg.gamma_pieces > 1:
         gamma, value = _refine_gamma_pieces(s, rho, gamma, zero_variant, cfg, grid)
     return gamma, rho, value
@@ -247,9 +225,9 @@ def _refine_gamma_pieces(s, rho, gamma0, variant, cfg, grid):
     """Coordinate descent over a piecewise-constant gamma trajectory.
 
     Only meaningful for the theorems that admit time-dependent weights.
-    Each piece is searched over cfg's bracket or grid as the scalar gamma
-    is.  Returns (gamma nodal array, bound value); never worse than the
-    scalar start.
+    Each piece is searched over cfg's bracket as the scalar gamma is.
+    Returns (gamma nodal array, bound value); never worse than the scalar
+    start.
     """
     nt = grid.nt
     pieces = min(cfg.gamma_pieces, nt)
@@ -652,25 +630,19 @@ def optimize_Y(p, approx, gamma, rho, cfg=None, theorem="T5", zero_variant="z_ha
     eigenbasis where its Hessian is block diagonal, one block per time
     eigen-index (_scaled_eigenbasis, _block_hessian); each block runs a
     CG of its own.  A block also stops once b(T) stalls on it (see
-    _STALL_WINDOW), and the solve once every block has stopped.  Returns
-    the optimized FieldTrajectory; pass a dict as `info` to receive the
-    iteration count, the Hessian work in blocks and the relative residual.
+    _STALL_WINDOW), and the solve once every block has stopped.  Y0 None
+    starts at default_Y.  Returns the optimized FieldTrajectory; pass a
+    dict as `info` to receive the iteration count, the Hessian work in
+    blocks and the relative residual.
     """
     cfg = cfg if cfg is not None else OptimizeConfig()
     quad = BoundQuadratic(p, approx, rho, gamma, theorem, zero_variant)
-    Y0 = _start_Y(p, approx, cfg) if Y0 is None else Y0
+    Y0 = default_Y(p, approx) if Y0 is None else Y0
     # one residual assembly of Y0: b(T) from its series, the gradient from it
     s, *held = residual_series(p, approx, Y0, theorem)
     value0 = float(final_bound(s, quad.rho_n, quad.gam_n, zero_variant, p.grid.dt))
     basis = _scaled_eigenbasis(quad, spatial_diagonals(p))
     return _minimize_Y(quad, basis, Y0, value0, cfg, info, held)
-
-
-def _start_Y(p, approx, cfg):
-    """The starting free field that cfg.y_init names."""
-    if cfg.y_init == "zero":
-        return FieldTrajectory.zeros(p.grid, FACE)
-    return default_Y(p, approx)
 
 
 def _minimize_Y(quad, basis, Y0, value0, cfg, info=None, held=None):
@@ -713,7 +685,8 @@ def _minimize_Y(quad, basis, Y0, value0, cfg, info=None, held=None):
 
 def optimize_all(p, approx, cfg=None, theorem="T5", zero_variant="z_hat",
                  rho0=0.5, gamma0=1.0, exact=None):
-    """Alternate Y- and (gamma, rho)-minimization for cfg.sweeps rounds.
+    """Alternate Y- and (gamma, rho)-minimization for cfg.sweeps rounds,
+    from default_Y at (gamma0, rho0).
 
     The objective is the bound itself, and every update is accepted only
     when it does not increase it, so the final bound never exceeds the
@@ -729,7 +702,7 @@ def optimize_all(p, approx, cfg=None, theorem="T5", zero_variant="z_hat",
     gamma, rho = float(gamma0), float(rho0)
     _nodes_in_range(gamma, 1, "gamma", 0.0, np.inf)  # as certify would refuse them
     _nodes_in_range(rho, 1, "rho", 0.0, 1.0)
-    Y = _start_Y(p, approx, cfg)
+    Y = default_Y(p, approx)
     # s is the series of Y, current the bound at (Y, gamma, rho), and held the
     # Residuals of Y until the next Y step's gradient takes them: one residual
     # assembly for every Y the driver visits and keeps

@@ -326,6 +326,23 @@ def test_gronwall_subcommand_detects_injected_violations(tmp_path, capsys):
     assert "FAIL broken" in captured
 
 
+@pytest.mark.parametrize("case", [
+    {"phi": {"value": 800}, "psi": {"value": 1}},
+    {"phi": {"value": 1e300}, "psi": {"value": 1}},
+    {"phi": {"value": 1}, "psi": {"value": 1}, "T": 1e300},
+    {"phi": {"value": 1}, "psi": {"value": 1e308}, "u0": 1e308},
+], ids=["phi-800", "phi-1e300", "T-1e300", "psi-u0-1e308"])
+def test_a_gronwall_case_whose_bound_overflows_fails_and_says_so(tmp_path, capsys, case):
+    # the bound and the oracle solution overflow to inf, so nothing is
+    # compared: the line names what is not finite and prints no nan
+    path = _write(tmp_path, "check.json", {"cases": [case]})
+    capsys.readouterr()
+    assert main(["gronwall", "--config", path]) == EXIT_VERIFY_FAIL
+    out = capsys.readouterr().out
+    assert out.splitlines()[0] == "FAIL unnamed (bound and oracle solution not finite)"
+    assert "nan" not in out
+
+
 _CONSTANT = {"kind": "constant", "value": 1.0}
 
 
@@ -1010,10 +1027,10 @@ def test_full_optimization_from_a_start_whose_bound_overflows(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("mode, gammas, T", [
-    ("params", [700, 800], 1.0), ("params", [1, 1, 1], 1.0), ("full", None, 1e-12),
-], ids=["bracket-end", "one-value-grid", "tiny-T"])
+    ("params", [700, 800], 1.0), ("full", None, 1e-12),
+], ids=["bracket-end", "tiny-T"])
 def test_a_warning_is_one_stderr_line(tmp_path, capsys, mode, gammas, T):
-    # the gamma search warns that it chose an end of its bracket or grid
+    # the gamma search warns that it chose an end of its bracket
     doc = _poly_doc()
     doc["grid"]["T"] = T
     if gammas:
@@ -1023,6 +1040,26 @@ def test_a_warning_is_one_stderr_line(tmp_path, capsys, mode, gammas, T):
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("warning: gamma search selected")
     assert ".py:" not in err
+
+
+@pytest.mark.parametrize("key, value, where", [
+    ("rhoGrid", [0.5], ""), ("yInit", "zero", ""), ("gammaTol", 1e-3, ""),
+    ("gammaBracket", [1, 10, 100], "['gammaBracket']"),
+], ids=["rhoGrid", "yInit", "gammaTol", "three-value-gammaBracket"])
+def test_a_removed_optimize_setting_is_a_config_error(tmp_path, capsys, key, value, where):
+    # the rho grid, the gamma tolerance and the start are fixed, and the
+    # gamma search is always a golden section on a two-value bracket
+    doc = _poly_doc()
+    doc["majorant"]["optimizeConfig"][key] = value
+    cfg = _write(tmp_path, "removed.json", doc)
+    out = tmp_path / "out"
+    for argv in (["solve", "--config", cfg, "--out", str(out)],
+                 ["certify", "--config", cfg, "--snapshot", str(tmp_path / "missing.bin"),
+                  "--out", str(out), "--optimize", "full"]):
+        err = _one_line_error(capsys, argv, EXIT_CONFIG)
+        assert err.startswith(f"config error at $['majorant']['optimizeConfig']{where}: ")
+        assert (key in err) if not where else ("too long" in err)
+    assert not out.exists()
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 1")

@@ -34,7 +34,7 @@ BASE = {
     "majorant": {"theorem": "T5", "rho": 0.5, "gamma": 1.0, "zeroTermVariant": "z_hat",
                  "optimize": "none",
                  "optimizeConfig": {"sweeps": 1, "cgMaxIter": 5, "gammaPieces": 1,
-                                    "rhoGrid": [0.3, 0.6], "gammaBracket": [0.1, 10.0]}},
+                                    "gammaBracket": [0.1, 10.0]}},
 }
 
 # small integers only: a mutated grid size or iteration count stays cheap

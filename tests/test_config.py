@@ -118,9 +118,8 @@ _FULL_CONFIG = {
     "solver": {"method": "leapfrog", "cfl": 0.5},
     "majorant": {"theorem": "T5", "rho": 0.5, "gamma": 1.0, "zeroTermVariant": "z_hat",
                  "optimize": "full",
-                 "optimizeConfig": {"gammaBracket": [0.1, 10.0], "rhoGrid": [0.25, 0.5],
-                                    "cgMaxIter": 50, "cgTol": 1e-8, "yInit": "zero",
-                                    "sweeps": 2, "gammaTol": 1e-3, "gammaPieces": 1}},
+                 "optimizeConfig": {"gammaBracket": [0.1, 10.0], "cgMaxIter": 50,
+                                    "cgTol": 1e-8, "sweeps": 2, "gammaPieces": 1}},
     "verify": {"levels": 2},
 }
 _FULL_SPEC = {

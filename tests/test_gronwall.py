@@ -12,6 +12,7 @@ from maxbound.gronwall import (
     gronwall_differential,
     gronwall_integral,
     gronwall_oracle_check,
+    oracle_report,
 )
 from maxbound.operators import cumulative_trapezoid
 
@@ -201,3 +202,21 @@ def test_an_oracle_grid_too_long_to_index_is_refused_before_any_array(nt):
     # (nt - 1) * 8 + 1 nodes of 8 bytes each overflow an array's byte count
     with pytest.raises(ParameterError, match="too large"):
         gronwall_oracle_check(1.0, 1.0, 0.0, 1.0, nt)
+
+
+@pytest.mark.parametrize("bound_inf, solution_inf, names", [
+    (True, False, ("bound",)), (False, True, ("oracle solution",)),
+    (True, True, ("bound", "oracle solution")),
+], ids=["bound", "solution", "both"])
+def test_an_oracle_report_on_a_non_finite_node_fails_and_names_it(bound_inf, solution_inf,
+                                                                  names):
+    # inf - inf is nan, which no comparison can pass or fail: the report
+    # names what is not finite instead of a violation of 0.0 and a nan gap
+    bound, solution = np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0, 2.0])
+    if bound_inf:
+        bound[1:] = math.inf
+    if solution_inf:
+        solution[2] = math.inf
+    rep = oracle_report(bound, solution, 1e-6)
+    assert not rep.passed and rep.not_finite == names
+    assert oracle_report(np.array([0.0, 1.0]), np.array([0.0, 1.0]), 1e-6).not_finite == ()

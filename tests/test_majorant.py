@@ -133,6 +133,24 @@ def test_bound_dominates_error_for_perturbed_exact_samples():
     assert np.all(rep.bound_B >= rep.trueBigN - 1e-18)
 
 
+@settings(max_examples=60, deadline=None)
+@given(case=st.sampled_from([mb.polynomial_source(), mb.cavity_mode(1, 2)]),
+       key=st.sampled_from(("poly_t2", "static")),
+       delta=st.floats(1e-8, 1.0).flatmap(lambda d: st.sampled_from((d, -d))),
+       n=st.tuples(*[st.integers(2, 6)] * 3), lengths=st.tuples(*[st.floats(0.3, 3.0)] * 3),
+       nt=st.sampled_from((5, 9, 17)), T=st.floats(1e-2, 10.0))
+def test_bound_dominates_error_for_randomly_perturbed_exact_samples(case, key, delta, n,
+                                                                    lengths, nt, T):
+    # a consistent perturbation: E~ moves by delta bump and E~_t by delta bump_dt
+    grid = mb.GridSpec(*n, *lengths, nt, T)
+    p = mb.assemble_problem(grid, case=case)
+    approx = _perturbed_exact(p, mb.project_exact(case, grid), delta, key)
+    reference = mb.exact_reference(case, grid)
+    for theorem in THEOREMS:
+        rep = mb.certify(p, approx, mb.MajorantParams(), theorem=theorem, exact=reference)
+        assert np.all(rep.bound_b >= rep.trueN), theorem
+
+
 @pytest.mark.parametrize("theorem", ["T1", "T5"])
 @pytest.mark.parametrize("case_name", ["cavity_mode", "polynomial_source"])
 def test_node_sampled_reference_gives_the_projected_true_error(case_name, theorem):

@@ -79,6 +79,21 @@ def test_curls_are_mutually_adjoint_for_zero_trace_fields():
         assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs), 1.0)
 
 
+@settings(max_examples=60, deadline=None)
+@given(n=st.tuples(*[st.integers(2, 7)] * 3),
+       lengths=st.tuples(*[st.floats(1e-3, 1e3)] * 3), seed=st.integers(0, 2**32 - 1))
+def test_curls_are_mutually_adjoint_on_any_grid(n, lengths, seed):
+    grid = mb.GridSpec(*n, *lengths, 2, 1.0)
+    rng = np.random.default_rng(seed)
+    e = random_edge_interior(grid, rng)
+    h = random_face(grid, rng)
+    curl_e = curl_edge_to_face(e, grid)
+    lhs = dof_inner(curl_e, h, grid)
+    rhs = dof_inner(e, curl_face_to_edge(h, grid), grid)
+    scale = math.sqrt(dof_inner(curl_e, curl_e, grid) * dof_inner(h, h, grid))
+    assert abs(lhs - rhs) <= 1e-12 * scale
+
+
 def test_curl_face_to_edge_zeroes_boundary_tangential_rows():
     grid = _grid()
     rng = np.random.default_rng(5)

@@ -197,13 +197,10 @@ def test_config_validation():
         mb.OptimizeConfig(gamma_bracket=(2.0, 1.0))
     for bad in (math.inf, math.nan):
         with pytest.raises(ParameterError):
-            mb.OptimizeConfig(gamma_bracket=(1.0, 10.0, bad))
+            mb.OptimizeConfig(gamma_bracket=(1.0, bad))
+    # a bracket is two numbers: there is no explicit gamma grid
     with pytest.raises(ParameterError):
-        mb.OptimizeConfig(rho_grid=(0.5, 0.2))
-    with pytest.raises(ParameterError):
-        mb.OptimizeConfig(rho_grid=(0.0, 0.5))
-    with pytest.raises(ParameterError):
-        mb.OptimizeConfig(y_init="random")
+        mb.OptimizeConfig(gamma_bracket=(1, 10, 100))
     with pytest.raises(ParameterError):
         mb.OptimizeConfig(cg_tol=2.0)
 
@@ -825,20 +822,6 @@ def test_alternating_driver_history_is_monotone_and_bound_still_valid():
     assert 0.0 < params.rho < 1.0 and params.gamma > 0.0
 
 
-def test_alternating_driver_from_the_zero_free_field_lowers_a_valid_bound():
-    p, exact = polynomial_setup(4, 9)
-    approx = _perturbed(p, exact)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        rep, _ = mb.optimize_all(p, approx, mb.OptimizeConfig(y_init="zero", sweeps=2),
-                                 exact=exact)
-    hist = rep.optimize_history
-    zero_start = mb.certify(p, approx, mb.MajorantParams(Y=FieldTrajectory.zeros(p.grid, FACE)))
-    assert hist[0] == zero_start.bound_b[-1]
-    assert hist[-1] <= hist[0]
-    assert np.all(rep.trueN <= rep.bound_b)
-
-
 @pytest.mark.parametrize("theorem", ["T1", "T5"])
 def test_piecewise_gamma_is_refused_before_any_work_for_constant_weights(theorem, monkeypatch):
     p, exact = polynomial_setup(4, 9)
@@ -872,22 +855,6 @@ def test_piecewise_gamma_never_worse_than_scalar_gamma(theorem):
                              theorem=theorem, exact=exact)
             assert rep.bound_b[-1] == pytest.approx(value, rel=1e-12)
             assert np.all(rep.trueN <= rep.bound_b)
-
-
-@pytest.mark.parametrize("theorem", ["T3", "T4"])
-def test_piecewise_gamma_keeps_to_an_unordered_candidate_grid(theorem):
-    p, exact = polynomial_setup(4, 9)
-    approx = _perturbed(p, exact)
-    grid_values = (100.0, 1.0, 10.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        _, _, scalar = mb.optimize_gamma_rho(
-            p, approx, None, mb.OptimizeConfig(gamma_bracket=grid_values), theorem=theorem)
-        gamma, _, value = mb.optimize_gamma_rho(
-            p, approx, None, mb.OptimizeConfig(gamma_bracket=grid_values, gamma_pieces=2),
-            theorem=theorem)
-    assert set(gamma) <= set(grid_values)
-    assert value <= scalar
 
 
 # ---------------------------------------------------------------------------

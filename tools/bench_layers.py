@@ -26,16 +26,24 @@ the tracemalloc peak of one further call:
 - ``hessian_m1`` and ``hessian_mnt``: one product of the Y solve's block
   Hessian on 1 and on all nt eigen-blocks, its buffers made by an
   earlier product, as in the solve's loop;
+- ``gamma_rho_search``: the (gamma, rho) search of optimize_all on the
+  series of its optimized Y;
+- ``curl_edge_to_face``, ``curl_face_to_edge``, ``apply_material_staggered``,
+  ``gram_apply`` and ``trajectory_derivative``: each kernel once on a
+  whole trajectory, Etilde or the face trajectory curl Etilde, the
+  material being the diagonal (1, 2, 3);
 - ``cli_full_T1`` and ``cli_full_T5``: CLI ``certify --optimize full``
   (two sweeps) under T1 and T5, reading the input from a snapshot file and
   writing both reports;
 
-b(T) of certify, of optimize_all and of both CLI runs, which must not move
-with a speed-up; and ``margin``, the minimum over the nodes of b - trueN
-for certify at rho = 0.5, gamma = 1 and for optimize_all, on the same
-input with Etilde_t left exact, so that Etilde_t is not dEtilde/dt.  A
-negative margin is a b below the true error; a bound the program refuses
-is recorded as its error message.
+b(T) of certify, of optimize_all, of the (gamma, rho) search and of both
+CLI runs, which must not move with a speed-up; and ``margin``, the
+minimum over the nodes after node 0 of b - trueN for certify at rho =
+0.5, gamma = 1 and for optimize_all, on the same input with Etilde_t left
+exact, so that Etilde_t is not dEtilde/dt.  Node 0 is left out because
+the bump vanishes there, so that b = trueN = 0 at it.  A negative margin
+is a b below the true error; a bound the program refuses is recorded as
+its error message.
 """
 
 import argparse
@@ -92,14 +100,35 @@ def _measure(fn, repeats):
 
 
 def _margin(run):
-    """min(b - trueN) of the report run() returns, or the refusal's message."""
+    """min(b - trueN) over the nodes after node 0 of the report run()
+    returns, or the refusal's message."""
     from maxbound.errors import MaxboundError
 
     try:
         report = run()
     except MaxboundError as exc:
         return f"refused: {exc}"
-    return float((report.bound_b - report.trueN).min())
+    return float((report.bound_b - report.trueN)[1:].min())
+
+
+def _kernels(p, Etilde, repeats):
+    """The records of the kernels on the whole trajectory Etilde and on the
+    face trajectory of its curl."""
+    import maxbound as mb
+    from maxbound import operators
+
+    g = p.grid
+    material = mb.MaterialField.diagonal(g, 1.0, 2.0, 3.0)
+    face = operators.curl_edge_to_face(Etilde, g)
+    runs = {
+        "curl_edge_to_face": lambda: operators.curl_edge_to_face(Etilde, g),
+        "curl_face_to_edge": lambda: operators.curl_face_to_edge(face, g),
+        "apply_material_staggered": lambda: operators.apply_material_staggered(
+            Etilde, material, g),
+        "gram_apply": lambda: operators.gram_apply(Etilde, material, g),
+        "trajectory_derivative": lambda: operators.trajectory_derivative(Etilde),
+    }
+    return {name: _measure(run, repeats) for name, run in runs.items()}
 
 
 def _cli_full(n, nt, approx, repeats, workdir):
@@ -167,6 +196,14 @@ def measure_size(n, nt, repeats=5):
 
     record["closing_report"] = _measure(closing, repeats)
 
+    def gamma_rho_search():
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            return optimize._search_gamma_rho(s, cfg, "z_hat", p.grid)
+
+    record["gamma_rho_search"] = _measure(gamma_rho_search, repeats)
+    record.update(_kernels(p, approx.Etilde, repeats))
+
     quad = optimize.BoundQuadratic(p, approx, best.rho, best.gamma)
     _, lam, scale = optimize._scaled_eigenbasis(quad, optimize.spatial_diagonals(p))
     w = np.random.default_rng(0).standard_normal(scale.shape)
@@ -181,7 +218,8 @@ def measure_size(n, nt, repeats=5):
     record.update(cli_records)
     record["bound_T"] = dict(
         certify=float(mb.certify(p, approx, params, "T5", exact).bound_b[-1]),
-        optimize_all=float(report.bound_b[-1]), **cli_bounds)
+        optimize_all=float(report.bound_b[-1]), gamma_rho_search=gamma_rho_search()[2],
+        **cli_bounds)
 
     _, independent, _ = _inputs(n, nt, perturb_velocity=False)
     with warnings.catch_warnings():
