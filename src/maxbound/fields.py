@@ -247,10 +247,7 @@ class FieldTrajectory(_Components):
     @classmethod
     def sample(cls, grid, kind, sampler):
         """Build from a callable sampler(t) -> StaggeredField, node by node."""
-        traj = cls.zeros(grid, kind)
-        for k, t in enumerate(grid.times):
-            traj.set_node(k, sampler(t))
-        return traj
+        return NodeSource.sampled(grid, kind, lambda g, t: sampler(t)).load()
 
     def __len__(self):
         return self.grid.nt
@@ -262,6 +259,32 @@ class FieldTrajectory(_Components):
         """Copy the StaggeredField f into node k."""
         for dst, src in zip(self.components(), f.components()):
             dst[k] = src
+
+
+class NodeSource:
+    """A trajectory holding no node: node(k) makes node k, load() all of them."""
+
+    def __init__(self, grid, kind, node):
+        self.grid, self.kind, self.node = grid, kind, node
+
+    @classmethod
+    def sampled(cls, grid, kind, sample):
+        """Node k is sample(grid, t_k)."""
+        times = grid.times
+        return cls(grid, kind, lambda k: sample(grid, times[k]))
+
+    @classmethod
+    def zeros(cls, grid, kind):
+        """Every node is one shared read-only zero field, which holds one float."""
+        zero = StaggeredField(kind, *(np.broadcast_to(0.0, grid.shape(kind, c))
+                                      for c in _COMPONENTS))
+        return cls(grid, kind, lambda k: zero)
+
+    def load(self):
+        traj = FieldTrajectory.zeros(self.grid, self.kind)
+        for k in range(self.grid.nt):
+            traj.set_node(k, self.node(k))
+        return traj
 
 
 @dataclass
@@ -299,7 +322,8 @@ class MaterialField:
 
     @classmethod
     def identity(cls, grid):
-        return cls.scalar(grid, 1.0)
+        """Ones in a read-only broadcast of one float: every path skips them."""
+        return cls("scalar", np.broadcast_to(1.0, (grid.nx, grid.ny, grid.nz)))
 
     @classmethod
     def diagonal(cls, grid, dx, dy, dz):
@@ -308,7 +332,7 @@ class MaterialField:
         return cls("diagonal", v)
 
     def inverse(self):
-        return MaterialField(self.kind, 1.0 / self.values)
+        return MaterialField(self.kind, self.values if self._identity else 1.0 / self.values)
 
     def is_identity(self):
         return self._identity

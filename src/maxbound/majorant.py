@@ -23,6 +23,7 @@ import numpy as np
 from .errors import GridMismatchError, MaxboundError, ParameterError, PreconditionError
 from .fields import EDGE, FACE, FieldTrajectory, StaggeredField
 from .operators import (
+    NodeWindow,
     apply_material_staggered,
     curl_edge_to_face,
     curl_face_to_edge,
@@ -132,7 +133,9 @@ def residuals(p, approx, Y, theorem):
     curl_Y = curl_face_to_edge(Y, g)
     dE = trajectory_derivative(approx.Etilde)
     Et = dE if derived else approx.Etilde_t
-    Kcheck = apply_material_staggered(trajectory_derivative(Et), p.eps, g) + curl_Y - p.K
+    Kcheck = apply_material_staggered(trajectory_derivative(Et), p.eps, g) + curl_Y
+    for k in range(g.nt):  # K is made node by node
+        Kcheck.node(k).apply(np.subtract, p.K.node(k), Kcheck.node(k))
     Rt = mu_inv_curl(p, Et) - trajectory_derivative(Y)
     coupling_curl = None if derived else curl_edge_to_face(Et - dE, g)
     return Residuals(Ktilde, Kcheck, Rt, coupling_curl)
@@ -182,27 +185,6 @@ def zero_term_parts(p, approx, Y, theorem="T5"):
 
 # ---------------------------------------------------------------------------
 # the per-node series, in one pass over the time nodes
-
-
-class _Window:
-    """The fields of the last three nodes, each made on first use.
-
-    Node j is held in slot j % 3 until node j + 3 takes the slot.
-    make(j, out) makes it, out being the field the slot held (None at
-    first): a derived field is written into it, an input node ignores it.
-    """
-
-    def __init__(self, make):
-        self._make = make
-        self._held = [None] * 3
-        self._fields = [None] * 3
-
-    def __call__(self, j):
-        i = j % 3
-        if self._held[i] != j:
-            self._fields[i] = self._make(j, self._fields[i])
-            self._held[i] = j
-        return self._fields[i]
 
 
 @dataclass
@@ -263,9 +245,9 @@ def series(p, approx, Y, theorem, exact=None):
         _check_Y(Y, g)
     nt = g.nt
     work = _Work(g)
-    M = _Window(lambda j, out: mu_inv_curl(p, E(j), out))
-    Yw = M if Y is None else _Window(lambda j, _: Y.node(j))
-    Kt = _Window(lambda j, out: M(j).apply(np.subtract, Yw(j), out))
+    M = NodeWindow(lambda j, out: mu_inv_curl(p, E(j), out))
+    Yw = M if Y is None else NodeWindow(lambda j, _: Y.node(j))
+    Kt = NodeWindow(lambda j, out: M(j).apply(np.subtract, Yw(j), out))
 
     # before the loop: on top of full windows its node fields made the pass's peak
     zp = zero_term_parts(p, approx, Y, theorem)
@@ -298,9 +280,9 @@ def _velocity_windows(approx, theorem, grid):
     """The windows of Etilde, dEtilde/dt and the theorem's Etilde_t, the one
     choice of a node read's velocity: dEtilde/dt for derived_velocity (T1/T3)."""
     derived = _check_theorem(theorem, grid, approx).derived_velocity
-    E = _Window(lambda j, _: approx.Etilde.node(j))
-    dE = _Window(lambda j, out: ddt_node(E, j, grid, out))
-    return E, dE, dE if derived else _Window(lambda j, _: approx.Etilde_t.node(j))
+    E = NodeWindow(lambda j, _: approx.Etilde.node(j))
+    dE = NodeWindow(lambda j, out: ddt_node(E, j, grid, out))
+    return E, dE, dE if derived else NodeWindow(lambda j, _: approx.Etilde_t.node(j))
 
 
 def _error_node(p, exact, E, Et, k, work, error_sq):
@@ -552,8 +534,8 @@ def combined_estimate(p, approx, params, exact=None, theorem="T5"):
     report = certify(p, approx, params, theorem=theorem, exact=exact)
 
     curl_H = curl_face_to_edge(approx.Htilde, g)
-    f_res = p.F - approx.Etilde_t + apply_material_staggered(curl_H, p.eps_inv, g)
-    g_res = p.G - Htilde_t - default_Y(p, approx)
+    f_res = p.F.load() - approx.Etilde_t + apply_material_staggered(curl_H, p.eps_inv, g)
+    g_res = p.G.load() - Htilde_t - default_Y(p, approx)
     f_sq = weighted_norm_sq(f_res, p.eps, g)
     g_sq = weighted_norm_sq(g_res, p.mu, g)
     bound = 3.0 * report.bound_b + 2.0 * f_sq + 2.0 * g_sq

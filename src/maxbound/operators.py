@@ -357,6 +357,27 @@ def exp_weighted_cumulative(f, gamma, dt):
     return gronwall_recursion(0.0, g, half, dt)
 
 
+class NodeWindow:
+    """The fields of the last three nodes, each made on first use.
+
+    Node j is held in slot j % 3 until node j + 3 takes the slot.
+    make(j, out) makes it, out being the field the slot held (None at
+    first): a derived field is written into it, an input node ignores it.
+    """
+
+    def __init__(self, make):
+        self._make = make
+        self._held = [None] * 3
+        self._fields = [None] * 3
+
+    def __call__(self, j):
+        i = j % 3
+        if self._held[i] != j:
+            self._fields[i] = self._make(j, self._fields[i])
+            self._held[i] = j
+        return self._fields[i]
+
+
 def ddt_stencil(nt, dt, k):
     """Row k of the time-derivative matrix as (first node, three weights):
     centered in the interior, second-order one-sided at both ends."""

@@ -18,13 +18,10 @@ from typing import Callable, Dict, Optional
 
 import numpy as np
 
-from .errors import DimensionError, UnsupportedCaseError
-from .fields import EDGE, FACE, FieldTrajectory, GridSpec, MaterialField, StaggeredField
-from .operators import (
-    apply_material_staggered,
-    curl_face_to_edge,
-    trajectory_derivative,
-)
+from .errors import DimensionError, ParameterError, UnsupportedCaseError
+from .fields import (EDGE, FACE, FieldTrajectory, GridSpec, MaterialField, NodeSource,
+                     StaggeredField)
+from .operators import NodeWindow, apply_material_staggered, curl_face_to_edge, ddt_node
 
 
 @dataclass
@@ -45,23 +42,19 @@ class ManufacturedCase:
 
 @dataclass
 class ProblemData:
-    """Grid, materials, sources and the derived second-order data."""
+    """Grid, materials, node sources and the derived second-order data."""
 
     grid: GridSpec
     eps: MaterialField
     mu: MaterialField
     eps_inv: MaterialField = field(repr=False)
     mu_inv: MaterialField = field(repr=False)
-    F: FieldTrajectory = field(repr=False)
-    G: FieldTrajectory = field(repr=False)
+    F: NodeSource = field(repr=False)
+    G: NodeSource = field(repr=False)
     E0: StaggeredField = field(repr=False)
     H0: StaggeredField = field(repr=False)
-    K: FieldTrajectory = field(repr=False)
+    K: NodeSource = field(repr=False)
     E0prime: StaggeredField = field(repr=False)
-
-
-def _zero(grid, kind):
-    return lambda g, t: StaggeredField.zeros(g, kind)
 
 
 def _profile_sampler(profiles):
@@ -202,9 +195,9 @@ def polynomial_source(amplitude=1.0):
         name="polynomial_source",
         parameters={"amplitude": A},
         sample_E=sample_E,
-        sample_H=_zero(None, FACE),
+        sample_H=lambda g, t: StaggeredField.zeros(g, FACE),
         sample_dtE=sample_dtE,
-        sample_dtH=_zero(None, FACE),
+        sample_dtH=lambda g, t: StaggeredField.zeros(g, FACE),
         sample_F=sample_dtE,
         sample_G=sample_G,
     )
@@ -276,39 +269,31 @@ def perturb(traj, delta, bump):
 # problem assembly
 
 
-def _no_source(grid, kind):
-    """All-zero read-only trajectory holding one node of memory (zero stride)."""
-    node = StaggeredField.zeros(grid, kind)
-    return FieldTrajectory(
-        kind, grid, *(np.broadcast_to(a, (grid.nt,) + a.shape) for a in node.components())
-    )
-
-
 def assemble_problem(grid, eps=None, mu=None, case=None, F=None, G=None, E0=None, H0=None):
     """Build ProblemData with the derived second-order source and initial slope.
 
-    K_k = eps * (dF/dt)_k + curl(G_k) on every node and
-    E0' = eps^-1 curl(H0) + F(0); dF/dt uses centered differences with
-    second-order one-sided stencils at the endpoints.  A missing F or G
-    (none passed, or none declared by the case) is a zero-stride zero
-    trajectory, and a source-free problem's K is that same F.
+    F, G and K are NodeSources: F(k) and G(k) are the case's samples or node
+    k of the F and G given, and a missing one (none passed, or none declared
+    by the case) is one read-only zero node.  K(k) = eps (dF/dt)_k + curl G(k)
+    with the operations of row k of the whole-trajectory formula, and
+    E0' = eps^-1 curl(H0) + F(0).  A case sets F, G, E0 and H0 itself, so it
+    is refused together with any of them.
     """
     eps = eps if eps is not None else MaterialField.identity(grid)
     mu = mu if mu is not None else MaterialField.identity(grid)
     if case is not None:
+        if any(f is not None for f in (F, G, E0, H0)):
+            raise ParameterError(f"case {case.name!r} sets F, G, E0 and H0 itself; "
+                                 "pass the case or the fields, not both")
         if case.requires_unit_materials and not (eps.is_identity() and mu.is_identity()):
-            raise UnsupportedCaseError(
-                f"case {case.name!r} requires unit materials"
-            )
-        F = None if case.sample_F is None else FieldTrajectory.sample(
-            grid, EDGE, lambda t: case.sample_F(grid, t))
-        G = None if case.sample_G is None else FieldTrajectory.sample(
-            grid, FACE, lambda t: case.sample_G(grid, t))
+            raise UnsupportedCaseError(f"case {case.name!r} requires unit materials")
+        F = None if case.sample_F is None else NodeSource.sampled(grid, EDGE, case.sample_F)
+        G = None if case.sample_G is None else NodeSource.sampled(grid, FACE, case.sample_G)
         E0 = case.sample_E(grid, 0.0)
         H0 = case.sample_H(grid, 0.0)
     source_free = F is None and G is None
-    F = F if F is not None else _no_source(grid, EDGE)
-    G = G if G is not None else _no_source(grid, FACE)
+    F = NodeSource(grid, F.kind, F.node) if F is not None else NodeSource.zeros(grid, EDGE)
+    G = NodeSource(grid, G.kind, G.node) if G is not None else NodeSource.zeros(grid, FACE)
     E0 = E0 if E0 is not None else StaggeredField.zeros(grid, EDGE)
     H0 = H0 if H0 is not None else StaggeredField.zeros(grid, FACE)
     if F.kind != EDGE or G.kind != FACE or E0.kind != EDGE or H0.kind != FACE:
@@ -318,11 +303,9 @@ def assemble_problem(grid, eps=None, mu=None, case=None, F=None, G=None, E0=None
 
     eps_inv = eps.inverse()
     mu_inv = mu.inverse()
-
-    if source_free:
-        K = F
-    else:
-        K = (apply_material_staggered(trajectory_derivative(F), eps, grid)
-             + curl_face_to_edge(G, grid))
+    Fw = NodeWindow(lambda j, _: F.node(j))  # a pass over k makes each F node once
+    K = NodeSource.zeros(grid, EDGE) if source_free else NodeSource(grid, EDGE, lambda k: (
+        apply_material_staggered(ddt_node(Fw, k, grid), eps, grid)
+        + curl_face_to_edge(G.node(k), grid)))
     E0prime = apply_material_staggered(curl_face_to_edge(H0, grid), eps_inv, grid) + F.node(0)
     return ProblemData(grid, eps, mu, eps_inv, mu_inv, F, G, E0, H0, K, E0prime)

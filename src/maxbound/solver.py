@@ -9,7 +9,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import StabilityError
-from .fields import EDGE, FACE, FieldTrajectory, GridSpec, StaggeredField
+from .fields import EDGE, FACE, FieldTrajectory, NodeSource, StaggeredField
 from .operators import (
     apply_material_staggered,
     curl_edge_to_face,
@@ -159,18 +159,6 @@ def project_exact(case, grid, out=None):
     return out
 
 
-class _NodeSampler:
-    """Stand-in for a trajectory whose node k is sampled at t_k when asked for."""
-
-    def __init__(self, grid, sample):
-        self.grid = grid
-        self._sample = sample
-        self._times = grid.times
-
-    def node(self, k):
-        return self._sample(self.grid, self._times[k])
-
-
 def exact_reference(case, grid):
     """The exact E and dE/dt of a catalog case, sampled node by node on demand.
 
@@ -178,5 +166,5 @@ def exact_reference(case, grid):
     bit.  H and dH/dt are left out: it is the exact reference of certify
     and true_error_norms, whose series pass reads E and dE/dt alone.
     """
-    return SolveOutput(_NodeSampler(grid, case.sample_E), None,
-                       _NodeSampler(grid, case.sample_dtE))
+    return SolveOutput(NodeSource.sampled(grid, EDGE, case.sample_E), None,
+                       NodeSource.sampled(grid, EDGE, case.sample_dtE))

@@ -18,8 +18,8 @@ def record():
 
 
 def test_a_size_record_is_finite_and_carries_certify_s_bound(record):
-    stages = ("certify", "optimize_all", "closing_report", "hessian_m1", "hessian_mnt",
-              "gamma_rho_search", "curl_edge_to_face", "curl_face_to_edge",
+    stages = ("assemble", "certify", "optimize_all", "closing_report", "hessian_m1",
+              "hessian_mnt", "gamma_rho_search", "curl_edge_to_face", "curl_face_to_edge",
               "apply_material_staggered", "gram_apply", "trajectory_derivative",
               "cli_full_T1", "cli_full_T5")
     for stage in stages:

@@ -36,6 +36,7 @@ from maxbound.operators import (
     ddt_stencil,
     dof_inner,
     gram_apply,
+    trajectory_derivative,
     weighted_inner,
     weighted_norm_sq,
     zero_tangential,
@@ -332,7 +333,8 @@ def test_the_in_place_leapfrog_equals_the_allocating_loop_at_every_node(kind, n,
     p = _leapfrog_problem(kind, n, seed)
     assert p.grid.dt <= 0.9 * cfl_limit(p)
     if kind == "polynomial":
-        assert all(np.any(f.x) or np.any(f.y) or np.any(f.z) for f in (p.F, p.G, p.K))
+        assert all(np.any(f.x) or np.any(f.y) or np.any(f.z)
+                   for f in (p.F.load(), p.G.load(), p.K.load()))
     got = mb.leapfrog_solve(p, track_energy=track_energy)
     Es, Hs, Ets, energies = _ref_leapfrog(p)
     for k in range(p.grid.nt):
@@ -343,6 +345,33 @@ def test_the_in_place_leapfrog_equals_the_allocating_loop_at_every_node(kind, n,
         _same(got.energy_trace, energies)
     else:
         assert got.energy_trace is None
+
+
+@settings(max_examples=30, deadline=None)
+@given(material=st.sampled_from(("identity", "scalar", "diagonal", "polynomial_source")),
+       given_sources=st.sampled_from(("FG", "F", "G")), n=st.integers(2, 4),
+       nt=st.integers(3, 9), seed=seeds)
+def test_a_node_of_K_is_the_row_of_the_whole_trajectory_formula(material, given_sources, n,
+                                                                nt, seed):
+    """K(k) against row k of eps D(F) + curl G on whole trajectories."""
+    rng = np.random.default_rng(seed)
+    grid = mb.GridSpec(n, n + 1, n, *rng.uniform(0.5, 1.5, 3), nt, rng.uniform(0.5, 2.0))
+    if material == "polynomial_source":
+        p = mb.assemble_problem(grid, case=mb.polynomial_source(rng.uniform(0.5, 2.0)))
+        F, G = p.F.load(), p.G.load()
+    else:
+        eps = {"identity": MaterialField.identity(grid),
+               "scalar": MaterialField.scalar(grid, rng.uniform(0.5, 2.0)),
+               "diagonal": MaterialField.diagonal(grid, *rng.uniform(0.5, 2.0, 3))}[material]
+        sources = {"F": _traj(grid, EDGE, rng), "G": _traj(grid, FACE, rng)}
+        p = mb.assemble_problem(grid, eps=eps, **{s: sources[s] for s in given_sources})
+        F, G = (sources[s] if s in given_sources else FieldTrajectory.zeros(grid, kind)
+                for s, kind in (("F", EDGE), ("G", FACE)))
+    want = (apply_material_staggered(trajectory_derivative(F), p.eps, grid)
+            + curl_face_to_edge(G, grid))
+    # two passes, then a random order: the window on F is refilled as needed
+    for k in [*range(nt), *range(nt), *rng.permutation(nt)]:
+        _same_field(p.K.node(k), want.node(k))
 
 
 def test_a_sink_receives_fields_the_solver_later_overwrites():

@@ -275,6 +275,18 @@ def test_the_identity_shortcut_equals_the_multiply_by_ones_bit_for_bit(material)
     _same_bits(ones.apply_cells(v), want)
 
 
+def test_the_identity_material_holds_one_float_and_inverts_to_an_identity():
+    grid = _grid(4, 3)
+    ones = mb.MaterialField.identity(grid)
+    for m in (ones, ones.inverse()):
+        assert m.kind == "scalar" and m.is_identity()
+        assert m.values.shape == (grid.nx, grid.ny, grid.nz) and m.values.strides == (0, 0, 0)
+        assert not m.values.flags.writeable and (m.values == 1.0).all()
+    assert mb.MaterialField.diagonal(grid, 1.0, 1.0, 1.0).inverse().is_identity()
+    halves = mb.MaterialField.scalar(grid, 2.0).inverse()
+    assert not halves.is_identity() and (halves.values == 0.5).all()
+
+
 @pytest.mark.parametrize("material", ["scalar", "diagonal"])
 def test_a_spatially_constant_material_is_reproduced_exactly_at_every_dof(material):
     grid = mb.GridSpec(3, 4, 5, 1.0, 1.2, 0.8, 3, 1.0)

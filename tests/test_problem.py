@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import maxbound as mb
-from maxbound.errors import UnsupportedCaseError
+from maxbound.errors import ParameterError, UnsupportedCaseError
 from maxbound.fields import EDGE, FACE, FieldTrajectory
 from maxbound.operators import (
     curl_edge_to_face,
@@ -78,7 +78,7 @@ def test_assembled_second_order_source_matches_direct_construction():
     case = mb.cavity_mode()
     p = mb.assemble_problem(grid, case=case)
     D = ddt_matrix(grid.nt, grid.dt)
-    dF = dense_derivative(p.F, D)
+    dF = dense_derivative(p.F.load(), D)
     for k in (0, 3, grid.nt - 1):
         expect = dF.node(k) + curl_face_to_edge(p.G.node(k), grid)
         got = p.K.node(k)
@@ -88,6 +88,15 @@ def test_assembled_second_order_source_matches_direct_construction():
     expect0 = curl_face_to_edge(p.H0, grid) + p.F.node(0)
     for a, b in zip(p.E0prime.components(), expect0.components()):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("given", ["F", "G", "E0", "H0"])
+def test_a_case_and_fields_of_the_caller_are_refused_together(given):
+    grid = _grid(4, 5)
+    fields = {"F": FieldTrajectory.zeros(grid, EDGE), "G": FieldTrajectory.zeros(grid, FACE),
+              "E0": smooth_edge(grid), "H0": mb.StaggeredField.zeros(grid, FACE)}
+    with pytest.raises(ParameterError, match="not both"):
+        mb.assemble_problem(grid, case=mb.polynomial_source(), **{given: fields[given]})
 
 
 def test_cases_require_unit_materials():
@@ -161,16 +170,20 @@ def _dense_zero_sources_twin(p):
 def test_source_free_problem_stores_one_read_only_node_per_source(build):
     grid = _grid(5, 9)
     p = _SOURCE_FREE[build](grid)
-    for traj in (p.F, p.G, p.K):
-        for c in traj.components():
-            assert c.shape[0] == grid.nt and c.strides[0] == 0
+    for source in (p.F, p.G, p.K):
+        zero = source.node(0)
+        assert all(source.node(k) is zero for k in range(grid.nt))
+        for c in zero.components():
+            # one float, whatever the grid and the node count
+            assert c.strides == (0, 0, 0) and c.base.shape == ()
             assert not c.any()
             with pytest.raises(ValueError):
                 c[1] = 1.0
     dense = _dense_zero_sources_twin(p)
-    assert dense.K.x.strides[0] != 0
-    for a, b in zip(p.K.components(), dense.K.components()):
-        assert np.array_equal(a, b)
+    assert dense.K.node(1).x.strides != (0, 0, 0)
+    for k in range(grid.nt):
+        for a, b in zip(p.K.node(k).components(), dense.K.node(k).components()):
+            assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("build", ["cavity_mode", "initial_data_only"])

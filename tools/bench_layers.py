@@ -18,6 +18,8 @@ derivative to Etilde_t, certified by T5 against the exact projection.
 Per size it records, each as the median wall time over the repeats and
 the tracemalloc peak of one further call:
 
+- ``assemble``: ``problem_from_config`` on the config of the input's
+  problem, the grid and the ``polynomial_source`` case;
 - ``certify``: certify at rho = 0.5, gamma = 1;
 - ``optimize_all``: two sweeps from the default start;
 - ``closing_report``: the report optimize_all closes with, at its
@@ -83,6 +85,13 @@ def _inputs(n, nt, perturb_velocity=True):
     return p, approx, exact
 
 
+def _config(n, nt, **blocks):
+    """The run config of the n^3 x nt polynomial_source input with the blocks given."""
+    return {"grid": {"nx": n, "ny": n, "nz": n, "lx": 1.0, "ly": 1.0, "lz": 1.0,
+                     "nt": nt, "T": 1.0},
+            "case": {"name": "polynomial_source"}, **blocks}
+
+
 def _measure(fn, repeats):
     """Median wall time over the repeats, then the traced peak of one call."""
     times = []
@@ -144,11 +153,8 @@ def _cli_full(n, nt, approx, repeats, workdir):
     for theorem in ("T1", "T5"):
         cfg = os.path.join(workdir, f"{theorem}.json")
         with open(cfg, "w", encoding="utf-8") as fh:
-            json.dump({"grid": {"nx": n, "ny": n, "nz": n, "lx": 1.0, "ly": 1.0, "lz": 1.0,
-                                "nt": nt, "T": 1.0},
-                       "case": {"name": "polynomial_source"},
-                       "majorant": {"theorem": theorem, "optimize": "full",
-                                    "optimizeConfig": {"sweeps": 2}}}, fh)
+            json.dump(_config(n, nt, majorant={"theorem": theorem, "optimize": "full",
+                                               "optimizeConfig": {"sweeps": 2}}), fh)
         out = os.path.join(workdir, theorem)
         argv = ["certify", "--config", cfg, "--snapshot", snap, "--out", out]
 
@@ -174,11 +180,13 @@ def measure_size(n, nt, repeats=5):
     import maxbound as mb
     import maxbound.majorant as majorant
     import maxbound.optimize as optimize
+    from maxbound.config import problem_from_config
 
     p, approx, exact = _inputs(n, nt)
     cfg = mb.OptimizeConfig(sweeps=2)
     params = mb.MajorantParams(rho=0.5, gamma=1.0)
     record = {"size": f"{n}^3 x {nt}"}
+    record["assemble"] = _measure(lambda: problem_from_config(_config(n, nt)), repeats)
     record["certify"] = _measure(lambda: mb.certify(p, approx, params, "T5", exact), repeats)
 
     def optimize_all():
