@@ -31,7 +31,7 @@ from .operators import weighted_norm_sq
 from .optimize import OptimizeConfig, certify_gamma_rho, optimize_all
 from .problem import bump_field, bump_field_dt
 from .snapshot import snapshot_reader, snapshot_writer
-from .solver import SolveOutput, exact_reference, leapfrog_solve, project_exact
+from .solver import exact_reference, leapfrog_solve, project_exact
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -227,10 +227,7 @@ def cmd_certify(args):
         elif mode == "params":
             report, _ = certify_gamma_rho(p, approx, _optimize_config(maj), theorem,
                                           params.zero_variant, exact)
-        else:  # the Y-optimizer works on whole trajectories of E~, and of E~_t for T4/T5
-            Etilde = approx.Etilde.load()
-            Etilde_t = None if THEOREMS[theorem].derived_velocity else approx.Etilde_t.load()
-            approx = SolveOutput(Etilde, None, Etilde_t)
+        else:
             report, _ = optimize_all(p, approx, _optimize_config(maj), theorem=theorem,
                                      zero_variant=params.zero_variant, rho0=params.rho,
                                      gamma0=params.gamma, exact=exact)

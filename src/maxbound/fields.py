@@ -252,6 +252,10 @@ class FieldTrajectory(_Components):
     def __len__(self):
         return self.grid.nt
 
+    def load(self):
+        """The whole trajectory, as NodeSource.load gives it: this one."""
+        return self
+
     def node(self, k):
         return StaggeredField(self.kind, self.x[k], self.y[k], self.z[k])
 
@@ -297,7 +301,6 @@ class MaterialField:
 
     kind: str
     values: np.ndarray
-    lambda_min: float = field(init=False)
     lambda_max: float = field(init=False)
     # whether values are all ones (all identity matrices), set once from values
     _identity: bool = field(init=False, repr=False, compare=False)
@@ -312,7 +315,6 @@ class MaterialField:
         lam_min, lam_max = float(v.min()), float(v.max())
         if not lam_min > 0:  # a NaN coefficient fails too
             raise ParameterError(f"material not positive definite (min eigenvalue {lam_min})")
-        self.lambda_min = lam_min
         self.lambda_max = lam_max
         self._identity = lam_min == lam_max == 1.0
 
@@ -336,12 +338,3 @@ class MaterialField:
 
     def is_identity(self):
         return self._identity
-
-    def apply_cells(self, v, out=None):
-        """Apply the coefficients to a cell-centered vector array of shape
-        (..., 3), into out (v itself, say) when it is given; the identity
-        returns v itself (x * 1.0 == x)."""
-        if self._identity:
-            return v
-        coeff = self.values[..., None] if self.kind == "scalar" else self.values
-        return np.multiply(v, coeff, out=out)

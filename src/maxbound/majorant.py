@@ -34,6 +34,7 @@ from .operators import (
     weighted_inner,
     weighted_norm_sq,
 )
+from .solver import SolveOutput
 
 # The two facts that set a theorem apart: derived_velocity, whether Etilde_t
 # is read as dEtilde/dt (the high-regularity T1/T3, whose coupling
@@ -213,6 +214,8 @@ def _check_theorem(theorem, grid, approx):
     th = THEOREMS[theorem]
     if th.derived_velocity and grid.nt < 5:
         raise PreconditionError(f"{theorem} needs nt >= 5 for second time differences")
+    if grid.nt < 3:
+        raise PreconditionError(f"{theorem} needs nt >= 3 for time differences")
     if not th.derived_velocity and approx.Etilde_t is None:
         raise PreconditionError(f"{theorem} requires the Etilde_t trajectory")
     return th
@@ -283,6 +286,13 @@ def _velocity_windows(approx, theorem, grid):
     E = NodeWindow(lambda j, _: approx.Etilde.node(j))
     dE = NodeWindow(lambda j, out: ddt_node(E, j, grid, out))
     return E, dE, dE if derived else NodeWindow(lambda j, _: approx.Etilde_t.node(j))
+
+
+def loaded(approx, theorem, grid):
+    """approx's Etilde, and its Etilde_t unless the theorem reads dEtilde/dt, as
+    whole trajectories once they meet the theorem: the Y-optimizer's input."""
+    derived = _check_theorem(theorem, grid, approx).derived_velocity
+    return SolveOutput(approx.Etilde.load(), None, None if derived else approx.Etilde_t.load())
 
 
 def _error_node(p, exact, E, Et, k, work, error_sq):

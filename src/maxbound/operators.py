@@ -2,8 +2,8 @@
 
 The two staggered curls are mutually adjoint with respect to the plain
 dof inner product (uniform cell-volume weight) whenever the edge field has
-zero tangential trace; norms used for error reporting average components
-to cell centers first, where the per-cell material coefficients apply,
+zero tangential trace; norms used for error reporting sum each cell's
+dofs per component, weight the sums by the per-cell material coefficients,
 and sum over cells with one quadrature rule.
 """
 
@@ -72,13 +72,12 @@ def _curl_rows(terms, work):
         out -= tmp
 
 
-# The curls, cell_average and gram_apply write into out, a field of the
-# result's kind and type (a cell array for cell_average), when it is given,
-# and into new arrays otherwise: the same code and the same operations
-# either way.  work, a flat float array with at least three times as many
-# elements as the largest component of the result, takes the place of the
-# scratch the curls and gram_apply would otherwise allocate, so that a
-# caller that passes both out and work allocates no array.
+# The curls and gram_apply write into out, a field of the result's kind and
+# type, when it is given, and into new arrays otherwise: the same code and
+# the same operations either way.  work, a flat float array with at least
+# three times as many elements as the largest component of the result,
+# takes the place of the scratch the curls and gram_apply would otherwise
+# allocate, so that a caller that passes both out and work allocates no array.
 
 
 def curl_edge_to_face(e, grid, out=None, work=None):
@@ -162,13 +161,11 @@ def _corner_sum(comp, kind, i, out):
     return out
 
 
-def cell_average(f, grid, out=None):
-    """Average staggered components to cell centers; returns (..., nx, ny, nz, 3)."""
+def cell_average(f, grid):
+    """Average staggered components to cell centers; returns (..., nx, ny, nz, 3).
+    A reference kernel: no pipeline path calls it or its adjoint."""
     f.check_extents(grid)
-    # summing in contiguous memory is faster, so the new array's slots are
-    # planar (see _planar_cells); any layout of out gets the same bits
-    if out is None:
-        out = _planar_cells(f.x.shape[:-3], grid)
+    out = _planar_cells(f.x.shape[:-3], grid)
     weight = 0.25 if f.kind == EDGE else 0.5
     for i, comp in enumerate(f.components()):
         total = _corner_sum(comp, f.kind, i, out[..., i])
@@ -255,15 +252,18 @@ def gram_apply(u, w, grid, out=None, work=None):
     """Euclidean-dof representation of the weighted quadratic form.
 
     Returns g with weighted_norm_sq(u, w) == sum_dofs(u * g); used for
-    gradients of quadratic functionals of staggered fields.  out may be u
-    itself: u is read in full before out is written.
+    gradients of quadratic functionals of staggered fields.  The cell sums
+    are weighted as in _cell_products, then scattered back to the dofs of
+    their cells.  out may be u itself: u is read in full before out is written.
     """
-    ub = cell_average(u, grid, _planar_cells(u.x.shape[:-3], grid, work))
-    if w is not None:
-        ub = w.apply_cells(ub, out=ub)
-    ub *= grid.cell_volume
-    ub *= 0.25 if u.kind == EDGE else 0.5  # cell_average_adjoint, in place
-    return _scatter_to_dofs(ub, grid, u.kind, out)
+    cells = _planar_cells(u.x.shape[:-3], grid, work)
+    coeff = None if w is None or w.is_identity() else w.values
+    for i, comp in enumerate(u.components()):
+        slot = _corner_sum(comp, u.kind, i, cells[..., i])
+        if coeff is not None:
+            slot *= coeff if w.kind == "scalar" else coeff[..., i]
+    cells *= (0.25 if u.kind == EDGE else 0.5) ** 2 * grid.cell_volume
+    return _scatter_to_dofs(cells, grid, u.kind, out)
 
 
 def dof_inner(u, v, grid):
@@ -294,9 +294,10 @@ def apply_material_staggered(f, w, grid, out=None):
         return out
     coeff = w.dof_cache.get(f.kind)
     if coeff is None:
-        ones = np.ones((grid.nx, grid.ny, grid.nz, 3))
-        coeff = cell_average_adjoint(w.apply_cells(ones), grid, f.kind)
-        coeff.apply(np.divide, cell_average_adjoint(ones, grid, f.kind), coeff)
+        cells = (grid.nx, grid.ny, grid.nz, 3)
+        coeff, count = (_scatter_to_dofs(np.broadcast_to(c, cells), grid, f.kind, None)
+                        for c in (w.values[..., None] if w.kind == "scalar" else w.values, 1.0))
+        coeff.apply(np.divide, count, coeff)
         w.dof_cache[f.kind] = coeff
     return f.apply(np.multiply, coeff, out)
 

@@ -31,6 +31,7 @@ from .majorant import (
     error_series,
     final_bound,
     final_bound_weights,
+    loaded,
     report_from_series,
     residual_series,
     residuals,
@@ -353,14 +354,13 @@ class BoundQuadratic:
             )
         g = p.grid
         nt = g.nt
-        _check_theorem(theorem, g, approx)
+        self.rho_n = _nodes_in_range(rho, nt, "rho", 0.0, 1.0)
+        self.gam_n = _nodes_in_range(gamma, nt, "gamma", 0.0, np.inf)
         self.p = p
-        self.approx = approx
+        self.approx = loaded(approx, theorem, g)
         self.grid = g
         self.theorem = theorem
         self.variant = zero_variant
-        self.rho_n = _nodes_in_range(rho, nt, "rho", 0.0, 1.0)
-        self.gam_n = _nodes_in_range(gamma, nt, "gamma", 0.0, np.inf)
 
         # b(T) = sum_k c_k f_k, f's integrand weighted by w_int
         c, w_int = final_bound_weights(self.gam_n, g.dt)
@@ -382,7 +382,7 @@ class BoundQuadratic:
         if zero_variant == "z_hat":
             self.t1[0, 0] += self.Cz
 
-        curl_e0 = curl_edge_to_face(p.E0 - approx.Etilde.node(0), g)
+        curl_e0 = curl_edge_to_face(p.E0 - self.approx.Etilde.node(0), g)
         self.zero_grad = (2.0 * self.Cz) * gram_apply(curl_e0, None, g)
 
     def value(self, Y):
@@ -470,7 +470,7 @@ def _block_hessian(p, lam, scale):
     The product goes into the rows of a buffer of its own, which the next
     product overwrites.  Its edge, face and flat buffers are made here,
     once per solve, for up to nt rows; the flat one also holds gram_apply's
-    cell averages.  The fields over the first m rows are made anew only when
+    cell sums.  The fields over the first m rows are made anew only when
     m differs from the last product's: in a CG solve, whose active rows
     only fall, once for each count of them.  Holding one set alone keeps the
     small objects of every count from piling up in the heap, which raises
@@ -637,6 +637,7 @@ def optimize_Y(p, approx, gamma, rho, cfg=None, theorem="T5", zero_variant="z_ha
     """
     cfg = cfg if cfg is not None else OptimizeConfig()
     quad = BoundQuadratic(p, approx, rho, gamma, theorem, zero_variant)
+    approx = quad.approx
     Y0 = default_Y(p, approx) if Y0 is None else Y0
     # one residual assembly of Y0: b(T) from its series, the gradient from it
     s, *held = residual_series(p, approx, Y0, theorem)
@@ -702,6 +703,7 @@ def optimize_all(p, approx, cfg=None, theorem="T5", zero_variant="z_hat",
     gamma, rho = float(gamma0), float(rho0)
     _nodes_in_range(gamma, 1, "gamma", 0.0, np.inf)  # as certify would refuse them
     _nodes_in_range(rho, 1, "rho", 0.0, 1.0)
+    approx = loaded(approx, theorem, g)
     Y = default_Y(p, approx)
     # s is the series of Y, current the bound at (Y, gamma, rho), and held the
     # Residuals of Y until the next Y step's gradient takes them: one residual

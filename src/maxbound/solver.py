@@ -109,8 +109,10 @@ def leapfrog_solve(p, cfl=0.9, track_energy=False, out=None):
     if track_energy:
         energies.append(_staggered_energy(p, E, p.H0, prev_half))
 
+    F_next = p.F.node(0)  # each F node is sampled once, and kept for the next step
     for k in range(g.nt - 1):
-        p.F.node(k).apply(np.add, p.F.node(k + 1), f_half)
+        F_k, F_next = F_next, p.F.node(k + 1)
+        F_k.apply(np.add, F_next, f_half)
         f_half *= 0.5
         inc = curl_face_to_edge(prev_half, g, e_step)
         apply_material_staggered(inc, p.eps_inv, g, inc)

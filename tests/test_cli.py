@@ -838,6 +838,28 @@ def test_certify_loads_only_the_trajectories_the_optimizer_differentiates(
     assert names == loaded
 
 
+@pytest.mark.parametrize("theorem", ["T4", "T5"])
+@pytest.mark.parametrize("mode", ["none", "params", "full"])
+def test_two_time_nodes_under_a_velocity_theorem_are_an_unmet_precondition(
+        tmp_path, capsys, mode, theorem):
+    # the time derivative of T4/T5 needs three nodes, as T1/T3 need five:
+    # exit 5 before any pass, not a config error raised in the middle of one
+    doc = _cavity_cfg(n=4, nt=2, extra={
+        "solver": {"method": "exact"},
+        "majorant": {"optimize": mode, "theorem": theorem, "optimizeConfig": {"sweeps": 1}}})
+    cfg = _write(tmp_path, "two.json", doc)
+    out = str(tmp_path / "out")
+    assert main(["solve", "--config", cfg, "--out", out]) == EXIT_OK
+    capsys.readouterr()
+    snap = os.path.join(out, "snapshot.bin")
+    assert main(["certify", "--config", cfg, "--snapshot", snap, "--out", out]) == \
+        EXIT_PRECONDITION
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("precondition violated:") and "nt >= 3" in err
+    assert not os.path.exists(os.path.join(out, "report.json"))
+
+
 def test_the_solve_passes_cfl_only_when_the_solver_block_gives_it(tmp_path, capsys,
                                                                   monkeypatch):
     import maxbound.cli as cli

@@ -153,23 +153,27 @@ def _ref_cell_average_adjoint(v, grid, kind):
     return StaggeredField(kind, ox, oy, oz)
 
 
+def _ref_cell_coeff(w):
+    return w.values[..., None] if w.kind == "scalar" else w.values
+
+
 def _ref_gram_apply(u, w, grid):
     ub = _ref_cell_average(u, grid)
     if w is not None:
-        ub = w.apply_cells(ub)
+        ub = ub * _ref_cell_coeff(w)
     return _ref_cell_average_adjoint(ub * grid.cell_volume, grid, u.kind)
 
 
 def _ref_weighted_norm_sq(u, w, grid):
     ub = _ref_cell_average(u, grid)
-    wb = ub if w is None else w.apply_cells(ub)
+    wb = ub if w is None else ub * _ref_cell_coeff(w)
     return float(np.sum(wb * ub) * grid.cell_volume)
 
 
 def _ref_weighted_inner(u, v, w, grid):
     ub, vb = _ref_cell_average(u, grid), _ref_cell_average(v, grid)
     if w is not None:
-        ub = w.apply_cells(ub)
+        ub = ub * _ref_cell_coeff(w)
     return float(np.sum(ub * vb) * grid.cell_volume)
 
 
@@ -230,7 +234,6 @@ def test_kernels_equal_their_allocating_formulas_with_and_without_out(grid, seed
     cells = rng.standard_normal((grid.nx, grid.ny, grid.nz, 3))
     for f in (e, h):
         _same(cell_average(f, grid), _ref_cell_average(f, grid))
-        _same(cell_average(f, grid, cells), _ref_cell_average(f, grid))
         want = _ref_cell_average_adjoint(cells, grid, f.kind)
         _same_field(cell_average_adjoint(cells, grid, f.kind), want)
         other = _field(grid, f.kind, rng)
@@ -388,6 +391,15 @@ def test_a_sink_receives_fields_the_solver_later_overwrites():
     out = mb.leapfrog_solve(p, out=SolveOutput(Keep(), Keep(), Keep()))
     held = {id(f) for f in out.Etilde.fields}
     assert len(held) <= 3 < p.grid.nt
+
+
+def test_the_solve_samples_each_F_node_once():
+    p = _leapfrog_problem("polynomial", 3, 2)
+    sampled = []
+    node = p.F.node
+    p.F.node = lambda k: sampled.append(k) or node(k)
+    mb.leapfrog_solve(p)
+    assert sampled == list(range(p.grid.nt))
 
 
 # ---------------------------------------------------------------------------

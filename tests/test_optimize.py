@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 
 import maxbound as mb
 import maxbound.majorant
+import maxbound.operators
 import maxbound.optimize
-from maxbound.errors import MaxboundError, ParameterError
+from maxbound.errors import MaxboundError, ParameterError, PreconditionError
 from maxbound.fields import EDGE, FACE, FieldTrajectory
 from maxbound.majorant import final_bound
 from maxbound.majorant import series as node_series
@@ -38,6 +39,7 @@ from maxbound.optimize import (
     spatial_diagonals,
 )
 from maxbound.problem import bump_field, bump_field_dt
+from maxbound.snapshot import save_snapshot, snapshot_reader
 from maxbound.solver import SolveOutput
 
 from conftest import cavity_setup, polynomial_setup, random_face, traced_peak
@@ -837,6 +839,88 @@ def test_piecewise_gamma_is_refused_before_any_work_for_constant_weights(theorem
         mb.optimize_gamma_rho(p, approx, None, cfg, theorem=theorem)
     with pytest.raises(ParameterError, match="gamma_pieces"):
         mb.optimize_all(p, approx, cfg, theorem=theorem)
+
+
+@pytest.mark.parametrize("theorem", ["T4", "T5"])
+def test_two_time_nodes_are_refused_before_any_work(theorem, monkeypatch):
+    # T4/T5 differentiate Etilde_t in time, which takes three nodes
+    grid = mb.GridSpec(4, 4, 4, 1.0, 1.0, 1.0, 2, 0.1)
+    case = mb.cavity_mode()
+    p = mb.assemble_problem(grid, case=case)
+    approx = mb.project_exact(case, grid)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work done before the refusal")
+
+    # series refuses at its start, before it reads a node
+    for name in ("residual_series", "residuals", "default_Y"):
+        monkeypatch.setattr(maxbound.optimize, name, no_work)
+    calls = [lambda: mb.certify(p, approx, mb.MajorantParams(), theorem),
+             lambda: mb.certify_gamma_rho(p, approx, theorem=theorem),
+             lambda: mb.optimize_all(p, approx, mb.OptimizeConfig(sweeps=1), theorem),
+             lambda: BoundQuadratic(p, approx, 0.5, 1.0, theorem)]
+    for call in calls:
+        with pytest.raises(PreconditionError, match="nt >= 3"):
+            call()
+
+
+@pytest.mark.parametrize("theorem", ["T1", "T4", "T5"])
+def test_the_optimizer_reads_a_snapshot_as_it_reads_memory(tmp_path, theorem):
+    # optimize_all and optimize_Y load what they differentiate from a
+    # reader's approx, and give the bits of the in-memory one
+    p, exact = polynomial_setup(4, 9)
+    approx = _perturbed(p, exact)
+    path = tmp_path / "approx.bin"
+    save_snapshot(path, p.grid, approx)
+    cfg = mb.OptimizeConfig(sweeps=1)
+    results = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with snapshot_reader(path, p.grid) as (_, stored):
+            for source in (approx, stored):
+                rep, params = mb.optimize_all(p, source, cfg, theorem, exact=exact)
+                Y = mb.optimize_Y(p, source, 2.0, 0.25, cfg, theorem)
+                results.append((rep, params, Y))
+    (rep, params, Y), (rep_s, params_s, Y_s) = results
+    for name in ("bound_b", "bound_B", "f", "trueN", "rho", "gamma"):
+        np.testing.assert_array_equal(getattr(rep_s, name), getattr(rep, name), err_msg=name)
+    assert rep_s.optimize_history == rep.optimize_history
+    for got, want in zip((*params_s.Y.components(), *Y_s.components()),
+                         (*params.Y.components(), *Y.components())):
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("kind", ["scalar", "diagonal"])
+def test_certify_and_the_optimizer_take_no_cell_average(kind, monkeypatch):
+    # the norms, gram_apply and the dof coefficients weight each cell's
+    # corner sums themselves: with cell_average and its adjoint refusing
+    # every call, certify and optimize_all give the same bits on per-cell
+    # materials, built anew for each run so that no dof coefficient is kept
+    def run():
+        rng = np.random.default_rng(5)
+        grid = mb.GridSpec(3, 4, 3, 1.0, 1.2, 0.8, 7, 0.5)
+        shape = (grid.nx, grid.ny, grid.nz) + ((3,) if kind == "diagonal" else ())
+        eps, mu = (mb.MaterialField(kind, rng.uniform(0.5, 4.0, shape)) for _ in range(2))
+        p = mb.assemble_problem(grid, eps=eps, mu=mu)
+        E, Et = (FieldTrajectory.zeros(grid, EDGE) for _ in range(2))
+        for comp in (*E.components(), *Et.components()):
+            comp[...] = rng.standard_normal(comp.shape)
+        approx = SolveOutput(zero_tangential(E), None, zero_tangential(Et))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            cert = mb.certify(p, approx, mb.MajorantParams(rho=0.3, gamma=2.0), "T5")
+            rep, _ = mb.optimize_all(p, approx, mb.OptimizeConfig(sweeps=1), "T5")
+        return cert.bound_b, rep.bound_b, rep.optimize_history
+
+    want = run()
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a cell average was taken")
+
+    for name in ("cell_average", "cell_average_adjoint"):
+        monkeypatch.setattr(maxbound.operators, name, refused)
+    for got, ref in zip(run(), want):
+        np.testing.assert_array_equal(got, ref)
 
 
 @pytest.mark.parametrize("theorem", ["T3", "T4"])
