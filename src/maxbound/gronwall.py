@@ -26,9 +26,9 @@ def _as_nodes(v, nt):
 
 
 def _growth_and_source(phi, psi):
-    nt = len(np.atleast_1d(psi))
+    nt = max(np.size(phi), np.size(psi))  # either may be a scalar
     phi_arr = _as_nodes(phi, nt)
-    if np.any(phi_arr < 0.0):
+    if not np.all(phi_arr >= 0.0):  # nan too
         raise ParameterError("phi must be nonnegative on all nodes")
     return phi_arr, _as_nodes(psi, nt)
 

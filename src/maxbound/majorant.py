@@ -44,6 +44,7 @@ Theorem = namedtuple("Theorem", "derived_velocity nodal_weights")
 THEOREMS = {"T1": Theorem(True, False), "T3": Theorem(True, True),
             "T4": Theorem(False, True), "T5": Theorem(False, False)}
 ZERO_VARIANTS = ("z", "z_tilde", "z_hat")
+_SMOOTH_VARIANTS = ("z", "z_hat")  # those a Y step can differentiate
 
 _EFFICIENCY_FLOOR = 1e3 * np.finfo(float).eps
 
@@ -399,18 +400,18 @@ def true_error_norms(exact, approx, p, params, theorem="T5"):
     weights (T3/T4).  The norms are those certify reports, from the error
     block of its pass alone (error_series).
     """
+    th, rho, gam = _checked_weights(p, approx, params, theorem)
     error_sq = error_series(p, approx, exact, theorem)
-    return _error_norms(error_sq, params, THEOREMS[theorem].nodal_weights, p.grid)
+    return _error_norms(error_sq, rho, gam, th.nodal_weights, p.grid.dt)
 
 
-def _error_norms(error_sq, params, nodal_weights, grid):
+def _error_norms(error_sq, rho, gam, nodal_weights, dt):
     """n = ||e_t||^2_eps + rho ||curl e||^2_{mu^-1} per node from the two
     norms of NodeSeries.error_sq, and N, gamma-weighted for nodal_weights."""
     first_sq, curl_sq = error_sq
-    n = first_sq + params.rho_nodes(grid.nt) * curl_sq
-    gam = params.gamma_nodes(grid.nt)
+    n = first_sq + rho * curl_sq
     weight = gam if nodal_weights else np.ones_like(gam)
-    return n, cumulative_trapezoid(weight * n, grid.dt)
+    return n, cumulative_trapezoid(weight * n, dt)
 
 
 # ---------------------------------------------------------------------------
@@ -462,14 +463,24 @@ def certify(p, approx, params, theorem="T5", exact=None):
     return report_from_series(p, approx, params, theorem, s)
 
 
-def _checked_weights(p, approx, params, theorem):
-    """The Theorem and nodal rho and gamma of a report, once theorem,
-    approx and params meet."""
+def _checked_weights(p, approx, params, theorem, y_step=False, gamma_pieces=1):
+    """The Theorem and nodal rho and gamma of a bound: every entry point's
+    admission, before any pass, load or probe.  In order, it refuses what
+    _check_theorem refuses, nodal weights under T1/T5, rho or gamma out of
+    range, a zero term a due Y step cannot differentiate, and gamma_pieces
+    > 1 without nodal weights (MajorantParams refuses an unknown variant)."""
     g = p.grid
     th = _check_theorem(theorem, g, approx)
     if not th.nodal_weights and not params.is_constant():
         raise PreconditionError(f"{theorem} requires constant rho and gamma")
-    return th, params.rho_nodes(g.nt), params.gamma_nodes(g.nt)
+    rho, gam = params.rho_nodes(g.nt), params.gamma_nodes(g.nt)
+    if y_step and params.zero_variant not in _SMOOTH_VARIANTS:
+        raise ParameterError("Y-optimization needs a smooth zero-term variant, "
+                             f"got {params.zero_variant!r}")
+    if gamma_pieces > 1 and not th.nodal_weights:
+        raise ParameterError(f"gamma_pieces = {gamma_pieces} needs a theorem with "
+                             f"nodal weights (T3, T4); {theorem} takes a constant gamma")
+    return th, rho, gam
 
 
 def report_from_series(p, approx, params, theorem, s):
@@ -499,7 +510,7 @@ def report_from_series(p, approx, params, theorem, s):
         zero_variant=params.zero_variant,
     )
     if s.error_sq is not None:
-        n, N = _error_norms(s.error_sq, params, th.nodal_weights, g)
+        n, N = _error_norms(s.error_sq, rho, gam, th.nodal_weights, g.dt)
         report.trueN = n
         report.trueBigN = N
         scale = max(float(np.max(n)), float(np.max(b)), 1e-300)
@@ -535,7 +546,8 @@ def combined_estimate(p, approx, params, exact=None, theorem="T5"):
     g = p.grid
     if approx.Htilde is None:
         raise PreconditionError("combined estimate requires the magnetic approximation")
-    if theorem not in [name for name, th in THEOREMS.items() if not th.derived_velocity]:
+    th, rho, _ = _checked_weights(p, approx, params, theorem)
+    if th.derived_velocity:
         raise ParameterError("combined estimate uses the weak-regularity bounds (T4/T5)")
     Htilde_t = approx.Htilde_t
     if Htilde_t is None:
@@ -552,7 +564,6 @@ def combined_estimate(p, approx, params, exact=None, theorem="T5"):
 
     true_combined = None
     if exact is not None:
-        rho = params.rho_nodes(g.nt)
         n_e = report.trueN
         h_err = exact.Htilde - approx.Htilde
         exact_Ht = exact.Htilde_t

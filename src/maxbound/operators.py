@@ -351,7 +351,7 @@ def exp_weighted_cumulative(f, gamma, dt):
     with Gamma the trapezoid cumulative integral of gamma > 0."""
     f = np.asarray(f, dtype=float)
     g = np.broadcast_to(np.asarray(gamma, dtype=float), f.shape)
-    if np.any(g <= 0.0):
+    if not np.all(g > 0.0):  # nan too
         raise ParameterError("gamma must be positive on all nodes")
     with np.errstate(over="ignore"):
         half = 0.5 * dt * g * f

@@ -25,8 +25,7 @@ from .errors import MaxboundError, ParameterError
 from .fields import EDGE, FACE, FieldTrajectory, StaggeredField
 from .majorant import (
     MajorantParams,
-    _check_theorem,
-    _nodes_in_range,
+    _checked_weights,
     default_Y,
     error_series,
     final_bound,
@@ -46,7 +45,6 @@ from .operators import (
     zero_tangential,
 )
 
-_SMOOTH_VARIANTS = ("z", "z_hat")
 # A block of the Y solve stops once _STALL_WINDOW of its CG steps together
 # lower b(T) by no more than _Y_STALL_RTOL / nt of its starting value, so
 # all nt blocks by no more than _Y_STALL_RTOL: the residual stalls far
@@ -165,14 +163,6 @@ def _search_gamma(obj, cfg, rows):
     return _exp(x), v, edge
 
 
-def _check_gamma_pieces(p, approx, cfg, theorem):
-    """Refuse a piecewise gamma (cfg.gamma_pieces > 1) for a theorem whose
-    weights are constant in time, before any work."""
-    if cfg.gamma_pieces > 1 and not _check_theorem(theorem, p.grid, approx).nodal_weights:
-        raise ParameterError(f"gamma_pieces = {cfg.gamma_pieces} needs a theorem with "
-                             f"nodal weights (T3, T4); {theorem} takes a constant gamma")
-
-
 def optimize_gamma_rho(p, approx, Y, cfg=None, theorem="T5", zero_variant="z_hat"):
     """Minimize the final-time bound over (gamma, rho) with Y fixed.
 
@@ -182,7 +172,8 @@ def optimize_gamma_rho(p, approx, Y, cfg=None, theorem="T5", zero_variant="z_hat
     value).
     """
     cfg = cfg if cfg is not None else OptimizeConfig()
-    _check_gamma_pieces(p, approx, cfg, theorem)
+    params = MajorantParams(zero_variant=zero_variant)
+    _checked_weights(p, approx, params, theorem, gamma_pieces=cfg.gamma_pieces)
     return _search_gamma_rho(series(p, approx, Y, theorem), cfg, zero_variant, p.grid)
 
 
@@ -192,10 +183,11 @@ def certify_gamma_rho(p, approx, cfg=None, theorem="T5", zero_variant="z_hat", e
     read the same NodeSeries, which (gamma, rho) do not change.  Returns
     the report and its MajorantParams."""
     cfg = cfg if cfg is not None else OptimizeConfig()
-    _check_gamma_pieces(p, approx, cfg, theorem)
+    params = MajorantParams(zero_variant=zero_variant)
+    _checked_weights(p, approx, params, theorem, gamma_pieces=cfg.gamma_pieces)
     s = series(p, approx, None, theorem, exact)
     gamma, rho, _ = _search_gamma_rho(s, cfg, zero_variant, p.grid)
-    params = MajorantParams(rho=rho, gamma=gamma, zero_variant=zero_variant)
+    params = replace(params, rho=rho, gamma=gamma)
     return report_from_series(p, approx, params, theorem, s), params
 
 
@@ -344,18 +336,15 @@ class BoundQuadratic:
     bound's own assembly, so that a Euclidean gradient evaluation is a
     single pass over the trajectory, and into the nt x nt time matrix T1 of
     the Hessian (see spatial_diagonals).  Supports the smooth zero-term
-    variants only (the absolute-valued one is not differentiable).
+    variants only (the absolute-valued one is not differentiable); it admits
+    what certify admits (majorant._checked_weights) before any load.
     """
 
     def __init__(self, p, approx, rho, gamma, theorem="T5", zero_variant="z_hat"):
-        if zero_variant not in _SMOOTH_VARIANTS:
-            raise ParameterError(
-                f"Y-optimization needs a smooth zero-term variant, got {zero_variant!r}"
-            )
+        params = MajorantParams(rho=rho, gamma=gamma, zero_variant=zero_variant)
+        _, self.rho_n, self.gam_n = _checked_weights(p, approx, params, theorem, y_step=True)
         g = p.grid
         nt = g.nt
-        self.rho_n = _nodes_in_range(rho, nt, "rho", 0.0, 1.0)
-        self.gam_n = _nodes_in_range(gamma, nt, "gamma", 0.0, np.inf)
         self.p = p
         self.approx = loaded(approx, theorem, g)
         self.grid = g
@@ -699,13 +688,13 @@ def optimize_all(p, approx, cfg=None, theorem="T5", zero_variant="z_hat",
     """
     cfg = cfg if cfg is not None else OptimizeConfig()
     g = p.grid
-    _check_gamma_pieces(p, approx, cfg, theorem)
-    gamma, rho = float(gamma0), float(rho0)
-    _nodes_in_range(gamma, 1, "gamma", 0.0, np.inf)  # as certify would refuse them
-    _nodes_in_range(rho, 1, "rho", 0.0, 1.0)
+    # the start, admitted where certify admits it; params holds the current point
+    params = MajorantParams(rho=rho0, gamma=gamma0, zero_variant=zero_variant)
+    _, rho, gamma = _checked_weights(p, approx, params, theorem, y_step=cfg.sweeps > 0,
+                                     gamma_pieces=cfg.gamma_pieces)
     approx = loaded(approx, theorem, g)
     Y = default_Y(p, approx)
-    # s is the series of Y, current the bound at (Y, gamma, rho), and held the
+    # s is the series of Y, current the bound at (Y, params), and held the
     # Residuals of Y until the next Y step's gradient takes them: one residual
     # assembly for every Y the driver visits and keeps
     s, *held = residual_series(p, approx, Y, theorem)
@@ -721,7 +710,7 @@ def optimize_all(p, approx, cfg=None, theorem="T5", zero_variant="z_hat",
         if math.isfinite(current):
             diagonals = spatial_diagonals(p) if diagonals is None else diagonals
             try:
-                quad = BoundQuadratic(p, approx, rho, gamma, theorem, zero_variant)
+                quad = BoundQuadratic(p, approx, params.rho, params.gamma, theorem, zero_variant)
                 step = quad, _scaled_eigenbasis(quad, diagonals)
             except _Unformable:
                 pass
@@ -729,7 +718,7 @@ def optimize_all(p, approx, cfg=None, theorem="T5", zero_variant="z_hat",
             info = {}
             Y_new = _minimize_Y(*step, Y, current, cfg, info=info, held=held)
             s_new, *held_new = residual_series(p, approx, Y_new, theorem)
-            v_new = float(final_bound(s_new, rho, gamma, zero_variant, g.dt))
+            v_new = float(final_bound(s_new, quad.rho_n, quad.gam_n, zero_variant, g.dt))
             info["accepted"] = v_new <= current
             if info["accepted"]:
                 Y, s, current, held = Y_new, s_new, v_new, held_new
@@ -737,12 +726,12 @@ def optimize_all(p, approx, cfg=None, theorem="T5", zero_variant="z_hat",
         cg_sweeps.append(info)
         g_new, r_new, v_par = _search_gamma_rho(s, cfg, zero_variant, g)
         if v_par <= current:
-            gamma, rho, current = g_new, r_new, v_par
+            params, current = replace(params, rho=r_new, gamma=g_new), v_par
         history.append(current)
 
     # certify's report at the optimized parameters, from the series of Y
     # held already, which is certify's own bit for bit
-    params = MajorantParams(rho=rho, gamma=gamma, Y=Y, zero_variant=zero_variant)
+    params = replace(params, Y=Y)
     if exact is not None:
         s = replace(s, error_sq=error_series(p, approx, exact, theorem))
     report = report_from_series(p, approx, params, theorem, s)

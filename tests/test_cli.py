@@ -1084,6 +1084,30 @@ def test_a_removed_optimize_setting_is_a_config_error(tmp_path, capsys, key, val
     assert not out.exists()
 
 
+@pytest.mark.parametrize("theorem", list(THEOREMS))
+def test_full_optimization_refuses_z_tilde_before_it_loads_a_trajectory(
+        tmp_path, capsys, monkeypatch, theorem):
+    # |<Ktilde(0), curl e(0)>| has no gradient in Y: with a Y step due the
+    # admission refuses it, before a load and before the output directory;
+    # with no sweep it reports
+    from maxbound import snapshot
+
+    doc = _poly_doc({"theorem": theorem, "zeroTermVariant": "z_tilde"})
+    doc["majorant"]["optimizeConfig"]["sweeps"] = 0
+    code, err, bound = _poly_certify(tmp_path, capsys, doc, "full")
+    assert code == EXIT_OK and bound > 0.0, err
+    doc["majorant"]["optimizeConfig"]["sweeps"] = 1
+    cfg = _write(tmp_path, "z_tilde.json", doc)
+    names = []
+    monkeypatch.setattr(snapshot._Stored, "load", lambda self: names.append(self.name))
+    out = tmp_path / "out"
+    err = _one_line_error(capsys, ["certify", "--config", cfg, "--snapshot",
+                                   str(tmp_path / "full" / "snapshot.bin"), "--out", str(out),
+                                   "--optimize", "full"], EXIT_CONFIG)
+    assert err == "config error: Y-optimization needs a smooth zero-term variant, got 'z_tilde'\n"
+    assert names == [] and not out.exists()
+
+
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
 def test_full_optimization_of_an_independent_velocity_certifies_a_bound_or_refuses(
         tmp_path, capsys):

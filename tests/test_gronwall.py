@@ -79,6 +79,27 @@ def test_negative_growth_coefficient_is_rejected():
         gronwall_integral(np.full(t.size, -1.0), np.ones_like(t), dt)
 
 
+@pytest.mark.parametrize("form", [gronwall_differential, gronwall_integral])
+def test_a_scalar_takes_the_length_of_the_other_coefficient(form):
+    # nt comes from phi and psi together, so either may be the scalar
+    args = (1.0,) if form is gronwall_differential else ()
+    phi, psi = np.array([0.5, 1.0, 1.5]), np.array([0.2, -0.1, 0.4])
+    for scalar_phi, scalar_psi in ((phi, 1.0), (0.7, psi)):
+        got = form(*args, scalar_phi, scalar_psi, 0.1)
+        want = form(*args, np.broadcast_to(scalar_phi, 3), np.broadcast_to(scalar_psi, 3), 0.1)
+        np.testing.assert_array_equal(got, want)
+    with pytest.raises(ParameterError, match="does not match"):
+        form(*args, phi, np.ones(4), 0.1)
+
+
+@pytest.mark.parametrize("form", [gronwall_differential, gronwall_integral])
+def test_a_nan_growth_coefficient_is_refused(form):
+    args = (1.0,) if form is gronwall_differential else ()
+    for phi in (math.nan, np.array([0.5, math.nan, 1.5])):
+        with pytest.raises(ParameterError, match="phi must be nonnegative"):
+            form(*args, phi, np.ones(3), 0.1)
+
+
 def test_bounds_are_monotone_in_psi():
     rng = np.random.default_rng(23)
     t, dt = _nodes(1.0, 201)

@@ -476,6 +476,13 @@ def test_exp_weighted_cumulative_rejects_nonpositive_gamma():
         exp_weighted_cumulative(np.ones(5), 0.0, 0.1)
 
 
+@pytest.mark.parametrize("gamma", [math.nan, [1.0, 1.0, math.nan, 1.0, 1.0]],
+                         ids=["scalar", "nodal"])
+def test_exp_weighted_cumulative_rejects_a_nan_gamma(gamma):
+    with pytest.raises(ParameterError, match="gamma must be positive"):
+        exp_weighted_cumulative(np.ones(5), np.array(gamma), 0.1)
+
+
 @pytest.mark.filterwarnings("error")
 def test_exp_weighted_cumulative_is_exactly_zero_for_zero_input_at_large_gamma():
     got = exp_weighted_cumulative(np.zeros(33), 1000.0, 1.0 / 32)

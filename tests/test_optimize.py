@@ -1,5 +1,6 @@
 """Parameter search, quadratic free-field minimization, alternating driver."""
 
+import functools
 import math
 import tracemalloc
 import warnings
@@ -709,20 +710,150 @@ def test_optimize_all_probes_the_spatial_diagonals_once(monkeypatch, sweeps, pro
     assert len(calls) == probes
 
 
-@pytest.mark.parametrize("rho0, gamma0", [(1.5, 1000.0), (1.5, 1.0), (math.nan, 1.0)])
-def test_optimize_all_refuses_rho0_before_any_work(rho0, gamma0, monkeypatch):
-    # as it refuses gamma0: rho0 is no admissible rho, whether or not gamma0
-    # makes the starting bound +inf
-    p, exact = polynomial_setup(4, 9)
-    approx = _perturbed(p, exact)
+# ---------------------------------------------------------------------------
+# one admission: every entry point refuses what certify refuses, before any pass
+
+
+_NODAL = np.linspace(0.2, 0.8, 9)
+_ADMISSIBLE = dict(theorem="T5", variant="z_hat", rho=0.5, gamma=1.0, pieces=1, nt=9,
+                   velocity=True)
+# each row: what departs from an admissible call, and the refusal that entry
+# points with no certify counterpart (a Y step, a gamma of pieces) give;
+# y_step marks a row only an entry point with a Y step takes
+_REFUSED = {
+    "unknown-theorem": dict(theorem="T2"),
+    "theorem-not-a-name": dict(theorem=5),
+    "unknown-variant": dict(variant="bogus"),
+    "z_tilde-with-a-Y-step": dict(variant="z_tilde", y_step=True, refusal=(
+        ParameterError, "Y-optimization needs a smooth zero-term variant, got 'z_tilde'")),
+    "nodal-rho-under-T1": dict(theorem="T1", rho=_NODAL),
+    "nodal-gamma-under-T5": dict(gamma=_NODAL),
+    "rho-0": dict(rho=0.0),
+    "rho-1-nodal-under-T4": dict(theorem="T4", rho=np.where(_NODAL > 0.7, 1.0, _NODAL)),
+    "rho-1.5": dict(rho=1.5),
+    "rho-1.5-where-the-start-overflows": dict(rho=1.5, gamma=1000.0),
+    "rho-nan": dict(rho=math.nan),
+    "gamma-0": dict(gamma=0.0),
+    "gamma-negative-nodal-under-T4": dict(theorem="T4", gamma=-_NODAL),
+    "gamma-nan": dict(gamma=math.nan),
+    "pieces-under-T1": dict(theorem="T1", pieces=2, refusal=(ParameterError, (
+        "gamma_pieces = 2 needs a theorem with nodal weights (T3, T4); "
+        "T1 takes a constant gamma"))),
+    "pieces-under-T5": dict(pieces=2, refusal=(ParameterError, (
+        "gamma_pieces = 2 needs a theorem with nodal weights (T3, T4); "
+        "T5 takes a constant gamma"))),
+    "two-nodes-under-T4": dict(theorem="T4", nt=2),
+    "two-nodes-under-T5": dict(nt=2),
+    "no-velocity-under-T5": dict(velocity=False),
+}
+
+
+def _params(a):
+    return mb.MajorantParams(rho=a["rho"], gamma=a["gamma"], zero_variant=a["variant"])
+
+
+def _cfg(a):
+    return mb.OptimizeConfig(sweeps=1, gamma_pieces=a["pieces"])
+
+
+# each entry point: the inputs it takes beyond theorem, variant, nt and
+# velocity, and the call
+_ENTRY_POINTS = {
+    "certify": ({"rho", "gamma"}, lambda p, x, a: mb.certify(p, x, _params(a), a["theorem"])),
+    "certify_gamma_rho": ({"pieces"}, lambda p, x, a: mb.certify_gamma_rho(
+        p, x, _cfg(a), a["theorem"], a["variant"])),
+    "optimize_gamma_rho": ({"pieces"}, lambda p, x, a: mb.optimize_gamma_rho(
+        p, x, None, _cfg(a), a["theorem"], a["variant"])),
+    "optimize_all": ({"rho", "gamma", "pieces", "y_step"}, lambda p, x, a: mb.optimize_all(
+        p, x, _cfg(a), a["theorem"], a["variant"], rho0=a["rho"], gamma0=a["gamma"])),
+    "optimize_Y": ({"rho", "gamma", "y_step"}, lambda p, x, a: mb.optimize_Y(
+        p, x, a["gamma"], a["rho"], None, a["theorem"], a["variant"])),
+    "BoundQuadratic": ({"rho", "gamma", "y_step"}, lambda p, x, a: BoundQuadratic(
+        p, x, a["rho"], a["gamma"], a["theorem"], a["variant"])),
+}
+
+
+def _applies(row, entry):
+    """Whether the entry point takes every input the row sets."""
+    shared = {"theorem", "variant", "nt", "velocity", "refusal"}
+    return set(_REFUSED[row]) <= shared | _ENTRY_POINTS[entry][0]
+
+
+@functools.lru_cache(maxsize=None)
+def _table_inputs(nt, velocity):
+    """(problem, approx): the perturbed 4^3 x 9 polynomial, or at nt = 2 the
+    exact cavity mode; approx without Etilde_t unless velocity."""
+    if nt == 2:
+        grid = mb.GridSpec(4, 4, 4, 1.0, 1.0, 1.0, 2, 0.1)
+        case = mb.cavity_mode()
+        p, approx = mb.assemble_problem(grid, case=case), mb.project_exact(case, grid)
+    else:
+        p, exact = polynomial_setup(4, nt)
+        approx = _perturbed(p, exact)
+    if not velocity:
+        approx = SolveOutput(approx.Etilde, approx.Htilde, None)
+    return p, approx
+
+
+def _refusal(call):
+    with pytest.raises(MaxboundError) as caught:
+        call()
+    return type(caught.value), str(caught.value)
+
+
+@pytest.mark.parametrize("row, entry", [
+    (row, entry) for row in _REFUSED for entry in _ENTRY_POINTS if _applies(row, entry)])
+def test_every_entry_point_refuses_what_certify_refuses_before_any_pass(row, entry,
+                                                                        monkeypatch):
+    # one admission (majorant._checked_weights) before any pass, load or
+    # probe: the same error class and message as certify's for the same input
+    a = dict(_ADMISSIBLE, **_REFUSED[row])
+    p, approx = _table_inputs(a["nt"], a["velocity"])
 
     def no_work(*args, **kwargs):
         raise AssertionError("work done before the refusal")
 
-    for name in ("series", "residual_series", "residuals", "default_Y"):
-        monkeypatch.setattr(maxbound.optimize, name, no_work)
-    with pytest.raises(ParameterError, match="rho"):
-        mb.optimize_all(p, approx, mb.OptimizeConfig(sweeps=1), rho0=rho0, gamma0=gamma0)
+    for name in ("series", "residuals", "residual_series", "default_Y", "spatial_diagonals"):
+        for module in (maxbound.majorant, maxbound.optimize):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, no_work)
+    monkeypatch.setattr(FieldTrajectory, "load", no_work)
+    want = a.get("refusal") or _refusal(lambda: _ENTRY_POINTS["certify"][1](p, approx, a))
+    assert _refusal(lambda: _ENTRY_POINTS[entry][1](p, approx, a)) == want
+
+
+def test_a_nodal_start_runs_where_certify_admits_it():
+    # T4 takes nodal weights, so optimize_all starts from them as certify
+    # does: its history starts at certify's b(T), and with no sweep it
+    # reports certify's report at them
+    p, exact = polynomial_setup(4, 9)
+    approx = _perturbed(p, exact)
+    rho, gamma = _NODAL, np.linspace(0.5, 2.0, 9)
+    want = mb.certify(p, approx, mb.MajorantParams(rho=rho, gamma=gamma), "T4")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        rep, _ = mb.optimize_all(p, approx, mb.OptimizeConfig(sweeps=2), "T4",
+                                 rho0=rho, gamma0=gamma)
+    hist = rep.optimize_history
+    assert hist[0] == want.bound_b[-1]
+    assert hist[2] <= hist[1] < hist[0]
+    rep, params = mb.optimize_all(p, approx, mb.OptimizeConfig(sweeps=0), "T4",
+                                  rho0=rho, gamma0=gamma)
+    assert params.rho is rho and params.gamma is gamma
+    for name in ("bound_b", "bound_B", "f", "rho", "gamma"):
+        np.testing.assert_array_equal(getattr(rep, name), getattr(want, name), err_msg=name)
+
+
+@pytest.mark.parametrize("theorem", ["T1", "T5"])
+def test_z_tilde_is_admitted_where_no_y_step_is_due(theorem):
+    # the absolute-valued zero term has no Y gradient, which only a Y step needs
+    p, exact = polynomial_setup(4, 9)
+    approx = _perturbed(p, exact)
+    want = mb.certify(p, approx, mb.MajorantParams(zero_variant="z_tilde"), theorem)
+    rep, _ = mb.optimize_all(p, approx, mb.OptimizeConfig(sweeps=0), theorem, "z_tilde")
+    np.testing.assert_array_equal(rep.bound_b, want.bound_b)
+    rep, _ = mb.certify_gamma_rho(p, approx, None, theorem, "z_tilde")
+    assert rep.zero_variant == "z_tilde" and rep.bound_b[-1] > 0.0
 
 
 @pytest.mark.parametrize("n, nt", [(4, 9), (8, 17)])
@@ -822,46 +953,6 @@ def test_alternating_driver_history_is_monotone_and_bound_still_valid():
     assert rep.bound_b[-1] == pytest.approx(hist[-1], rel=1e-12)
     assert rep.cg_iterations > 0
     assert 0.0 < params.rho < 1.0 and params.gamma > 0.0
-
-
-@pytest.mark.parametrize("theorem", ["T1", "T5"])
-def test_piecewise_gamma_is_refused_before_any_work_for_constant_weights(theorem, monkeypatch):
-    p, exact = polynomial_setup(4, 9)
-    approx = _perturbed(p, exact)
-
-    def no_work(*args, **kwargs):
-        raise AssertionError("work done before the refusal")
-
-    for name in ("series", "residual_series", "default_Y"):
-        monkeypatch.setattr(maxbound.optimize, name, no_work)
-    cfg = mb.OptimizeConfig(gamma_pieces=2)
-    with pytest.raises(ParameterError, match="gamma_pieces"):
-        mb.optimize_gamma_rho(p, approx, None, cfg, theorem=theorem)
-    with pytest.raises(ParameterError, match="gamma_pieces"):
-        mb.optimize_all(p, approx, cfg, theorem=theorem)
-
-
-@pytest.mark.parametrize("theorem", ["T4", "T5"])
-def test_two_time_nodes_are_refused_before_any_work(theorem, monkeypatch):
-    # T4/T5 differentiate Etilde_t in time, which takes three nodes
-    grid = mb.GridSpec(4, 4, 4, 1.0, 1.0, 1.0, 2, 0.1)
-    case = mb.cavity_mode()
-    p = mb.assemble_problem(grid, case=case)
-    approx = mb.project_exact(case, grid)
-
-    def no_work(*args, **kwargs):
-        raise AssertionError("work done before the refusal")
-
-    # series refuses at its start, before it reads a node
-    for name in ("residual_series", "residuals", "default_Y"):
-        monkeypatch.setattr(maxbound.optimize, name, no_work)
-    calls = [lambda: mb.certify(p, approx, mb.MajorantParams(), theorem),
-             lambda: mb.certify_gamma_rho(p, approx, theorem=theorem),
-             lambda: mb.optimize_all(p, approx, mb.OptimizeConfig(sweeps=1), theorem),
-             lambda: BoundQuadratic(p, approx, 0.5, 1.0, theorem)]
-    for call in calls:
-        with pytest.raises(PreconditionError, match="nt >= 3"):
-            call()
 
 
 @pytest.mark.parametrize("theorem", ["T1", "T4", "T5"])
