@@ -15,7 +15,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import __version__
-from .config import CHECK_SPEC_SCHEMA, load_config, problem_from_config
+from .config import CHECK_SPEC_SCHEMA, OPTIMIZE_MODES, load_config, problem_from_config
 from .errors import (
     ConfigError,
     GridMismatchError,
@@ -423,7 +423,7 @@ def build_parser():
         "--snapshot": dict(help="field snapshot archive path"),
         "--out": dict(help="output directory (default: current)"),
         "--theorem": dict(choices=list(THEOREMS), default=None),
-        "--optimize": dict(choices=["none", "params", "full"], default=None),
+        "--optimize": dict(choices=list(OPTIMIZE_MODES), default=None),
     }
     # each subcommand takes only the flags it reads; any other is an unknown flag
     for name, func, reads, text in (
@@ -452,11 +452,10 @@ def _warning_line(message, category, filename, lineno, file=None, line=None):
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
+        if args.command != "gronwall" and not args.config:
+            raise _UsageError("--config is required")
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    if args.command in ("solve", "certify", "verify") and not args.config:
-        print("error: --config is required", file=sys.stderr)
         return EXIT_CONFIG
     try:
         # overflows end in a refused bound or snapshot: one error line, no

@@ -10,8 +10,11 @@ import sys
 
 from .errors import ConfigError
 from .fields import GridSpec, MaterialField
-from .majorant import THEOREMS
+from .majorant import THEOREMS, ZERO_VARIANTS
 from .problem import BUMPS, assemble_problem, get_case
+
+# what certify optimizes: nothing, (gamma, rho), or (gamma, rho) and Y in turn
+OPTIMIZE_MODES = ("none", "params", "full")
 
 _MATERIAL_SCHEMA = {
     "type": "object",
@@ -96,8 +99,8 @@ CONFIG_SCHEMA = {
                 "theorem": {"enum": list(THEOREMS)},
                 "rho": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
                 "gamma": {"type": "number", "exclusiveMinimum": 0},
-                "zeroTermVariant": {"enum": ["z", "z_tilde", "z_hat"]},
-                "optimize": {"enum": ["none", "params", "full"]},
+                "zeroTermVariant": {"enum": list(ZERO_VARIANTS)},
+                "optimize": {"enum": list(OPTIMIZE_MODES)},
                 "optimizeConfig": _OPTIMIZE_CFG_SCHEMA,
             },
         },

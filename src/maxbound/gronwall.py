@@ -13,42 +13,33 @@ import numpy as np
 
 from .errors import ParameterError
 from .fields import MAX_FLOATS
-from .operators import gronwall_recursion
+from .operators import gronwall_recursion, nodes_in_range
 
 
-def _as_nodes(v, nt):
-    arr = np.asarray(v, dtype=float)
-    if arr.ndim == 0:
-        return np.full(nt, float(arr))
-    if arr.shape != (nt,):
-        raise ParameterError(f"trajectory length {arr.shape} does not match nt={nt}")
-    return arr
-
-
-def _growth_and_source(phi, psi):
-    nt = max(np.size(phi), np.size(psi))  # either may be a scalar
-    phi_arr = _as_nodes(phi, nt)
-    if not np.all(phi_arr >= 0.0):  # nan too
-        raise ParameterError("phi must be nonnegative on all nodes")
-    return phi_arr, _as_nodes(psi, nt)
+def _growth_and_source(phi, psi, nt):
+    """phi and psi at nt nodes, a scalar repeated, by the converter of the bound's
+    weights: it refuses a phi < 0, and either one where it is not finite."""
+    return nodes_in_range(phi, nt, "phi", 0.0, lo_closed=True), nodes_in_range(psi, nt, "psi")
 
 
 def gronwall_differential(u0, phi, psi, dt):
     """Bound t -> exp(Phi(t)) (u0 + int_0^t exp(-Phi(s)) psi(s) ds).
 
     Valid for u with u' <= phi u + psi, phi >= 0.  phi and psi may be
-    scalars or nodal trajectories.
+    scalars or nodal trajectories; u0, phi and psi must be finite.
     """
-    phi_arr, psi_arr = _growth_and_source(phi, psi)
+    u0 = nodes_in_range(u0, 1, "u0")[0]
+    phi_arr, psi_arr = _growth_and_source(phi, psi, max(np.size(phi), np.size(psi)))
     return gronwall_recursion(u0, phi_arr, 0.5 * dt * psi_arr, dt)
 
 
 def gronwall_integral(phi, psi, dt):
     """Bound t -> exp(Phi(t)) int_0^t exp(-Phi(s)) phi(s) psi(s) ds + psi(t).
 
-    Valid for u with u(t) <= int_0^t phi u ds + psi(t), phi >= 0.
+    Valid for u with u(t) <= int_0^t phi u ds + psi(t), phi >= 0.  phi and
+    psi must be finite.
     """
-    phi_arr, psi_arr = _growth_and_source(phi, psi)
+    phi_arr, psi_arr = _growth_and_source(phi, psi, max(np.size(phi), np.size(psi)))
     return gronwall_recursion(0.0, phi_arr, 0.5 * dt * phi_arr * psi_arr, dt) + psi_arr
 
 
@@ -90,15 +81,11 @@ def gronwall_oracle_check(phi, psi, u0, T, nt, refine=8, tol=1e-6):
     if (nt - 1) * refine + 1 > MAX_FLOATS:
         raise ParameterError(f"nt={nt} is too large for the refined oracle grid to fit an array")
     t_nodes = np.linspace(0.0, T, nt)
-
-    def fn_and_nodes(v):
-        if callable(v):
-            return v, np.array([v(t) for t in t_nodes])
-        nodes = _as_nodes(v, nt)
-        return (lambda t: np.interp(t, t_nodes, nodes)), nodes
-
-    phi_fn, phi_nodes = fn_and_nodes(phi)
-    psi_fn, psi_nodes = fn_and_nodes(psi)
+    # a callable is sampled at the nodes, an array interpolated between them
+    phi_nodes, psi_nodes = _growth_and_source(
+        *(np.array([v(t) for t in t_nodes]) if callable(v) else v for v in (phi, psi)), nt)
+    phi_fn, psi_fn = (v if callable(v) else (lambda t, nodes=nodes: np.interp(t, t_nodes, nodes))
+                      for v, nodes in ((phi, phi_nodes), (psi, psi_nodes)))
     bound = gronwall_differential(u0, phi_nodes, psi_nodes, T / (nt - 1))
     t_fine = np.linspace(0.0, T, (nt - 1) * refine + 1)
     u_fine = _rk4(u0, lambda t, u: phi_fn(t) * u + psi_fn(t), t_fine)

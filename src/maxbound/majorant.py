@@ -30,6 +30,7 @@ from .operators import (
     cumulative_trapezoid,
     ddt_node,
     exp_weighted_cumulative,
+    nodes_in_range,
     trajectory_derivative,
     weighted_inner,
     weighted_norm_sq,
@@ -68,24 +69,13 @@ class MajorantParams:
             raise ParameterError(f"unknown zero-term variant {self.zero_variant!r}")
 
     def rho_nodes(self, nt):
-        return _nodes_in_range(self.rho, nt, "rho", 0.0, 1.0)
+        return nodes_in_range(self.rho, nt, "rho", 0.0, 1.0)
 
     def gamma_nodes(self, nt):
-        return _nodes_in_range(self.gamma, nt, "gamma", 0.0, np.inf)
+        return nodes_in_range(self.gamma, nt, "gamma", 0.0)
 
     def is_constant(self):
         return np.ndim(self.rho) == 0 and np.ndim(self.gamma) == 0
-
-
-def _nodes_in_range(v, nt, name, lo, hi):
-    arr = np.asarray(v, dtype=float)
-    if arr.ndim == 0:
-        arr = np.full(nt, float(arr))
-    elif arr.shape != (nt,):
-        raise ParameterError(f"{name} trajectory length {arr.shape} != nt = {nt}")
-    if not np.all((arr > lo) & (arr < hi)):  # nan too
-        raise ParameterError(f"{name} must lie in ({lo}, {hi}) on all nodes")
-    return arr
 
 
 @dataclass
@@ -115,7 +105,7 @@ def mu_inv_curl(p, e, out=None):
 
 def default_Y(p, approx):
     """The natural free-field choice mu^-1 curl(Etilde)."""
-    return mu_inv_curl(p, approx.Etilde)
+    return mu_inv_curl(p, approx.Etilde.load())
 
 
 def _check_Y(Y, grid):
@@ -131,6 +121,7 @@ def residuals(p, approx, Y, theorem):
     g = p.grid
     derived = _check_theorem(theorem, g, approx).derived_velocity
     _check_Y(Y, g)
+    approx, Y = loaded(approx, theorem, g), Y.load()
     Ktilde = mu_inv_curl(p, approx.Etilde) - Y
     curl_Y = curl_face_to_edge(Y, g)
     dE = trajectory_derivative(approx.Etilde)
@@ -542,37 +533,35 @@ def combined_estimate(p, approx, params, exact=None, theorem="T5"):
 
     Uses the first-order residuals f = F - Etilde_t + eps^-1 curl Htilde
     and g = G - Htilde_t - mu^-1 curl Etilde on top of the electric bound.
+    An exact reference, when given, must hold Htilde too.
     """
     g = p.grid
     if approx.Htilde is None:
         raise PreconditionError("combined estimate requires the magnetic approximation")
+    if exact is not None and exact.Htilde is None:
+        raise PreconditionError("combined estimate requires the magnetic exact reference")
     th, rho, _ = _checked_weights(p, approx, params, theorem)
     if th.derived_velocity:
         raise ParameterError("combined estimate uses the weak-regularity bounds (T4/T5)")
-    Htilde_t = approx.Htilde_t
-    if Htilde_t is None:
-        Htilde_t = trajectory_derivative(approx.Htilde)
 
     report = certify(p, approx, params, theorem=theorem, exact=exact)
 
-    curl_H = curl_face_to_edge(approx.Htilde, g)
-    f_res = p.F.load() - approx.Etilde_t + apply_material_staggered(curl_H, p.eps_inv, g)
-    g_res = p.G.load() - Htilde_t - default_Y(p, approx)
+    electric = loaded(approx, theorem, g)
+    Htilde, Htilde_t = _magnetic(approx)
+    curl_H = curl_face_to_edge(Htilde, g)
+    f_res = p.F.load() - electric.Etilde_t + apply_material_staggered(curl_H, p.eps_inv, g)
+    g_res = p.G.load() - Htilde_t - default_Y(p, electric)
     f_sq = weighted_norm_sq(f_res, p.eps, g)
     g_sq = weighted_norm_sq(g_res, p.mu, g)
     bound = 3.0 * report.bound_b + 2.0 * f_sq + 2.0 * g_sq
 
     true_combined = None
     if exact is not None:
-        n_e = report.trueN
-        h_err = exact.Htilde - approx.Htilde
-        exact_Ht = exact.Htilde_t
-        if exact_Ht is None:
-            exact_Ht = trajectory_derivative(exact.Htilde)
-        ht_err = exact_Ht - Htilde_t
-        curl_h = curl_face_to_edge(h_err, g)
-        n_h = rho * weighted_norm_sq(ht_err, p.mu, g) + weighted_norm_sq(curl_h, p.eps_inv, g)
-        true_combined = n_e + n_h
+        exact_H, exact_Ht = _magnetic(exact)
+        curl_h = curl_face_to_edge(exact_H - Htilde, g)
+        n_h = (rho * weighted_norm_sq(exact_Ht - Htilde_t, p.mu, g)
+               + weighted_norm_sq(curl_h, p.eps_inv, g))
+        true_combined = report.trueN + n_h
     return CombinedReport(
         times=g.times,
         bound=bound,
@@ -581,3 +570,9 @@ def combined_estimate(p, approx, params, exact=None, theorem="T5"):
         g_res_sq=g_sq,
         true_combined=true_combined,
     )
+
+
+def _magnetic(fields):
+    """fields' whole Htilde and Htilde_t, dHtilde/dt where it holds no Htilde_t."""
+    H = fields.Htilde.load()
+    return H, trajectory_derivative(H) if fields.Htilde_t is None else fields.Htilde_t.load()

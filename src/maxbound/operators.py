@@ -316,6 +316,21 @@ def cumulative_trapezoid(values, dt):
     return out
 
 
+def nodes_in_range(v, nt, name, lo=-math.inf, hi=math.inf, lo_closed=False):
+    """v at nt nodes, a scalar repeated: the converter of every weight and
+    Gronwall coefficient, which refuses a value outside (lo, hi), or
+    [lo, hi) for lo_closed, and so any NaN or +-inf."""
+    arr = np.asarray(v, dtype=float)
+    if arr.ndim == 0:
+        arr = np.full(nt, float(arr))
+    elif arr.shape != (nt,):
+        raise ParameterError(f"{name} trajectory length {arr.shape} does not match nt = {nt}")
+    if not np.all(((arr >= lo) if lo_closed else (arr > lo)) & (arr < hi)):  # nan too
+        raise ParameterError(f"{name} must lie in {'[' if lo_closed else '('}{lo}, {hi}) "
+                             "on all nodes")
+    return arr
+
+
 def gronwall_recursion(u0, rate, half, dt):
     """exp(R(t)) * (u0 + int_0^t exp(-R(s)) g(s) ds) at every node.
 

@@ -627,7 +627,7 @@ def optimize_Y(p, approx, gamma, rho, cfg=None, theorem="T5", zero_variant="z_ha
     cfg = cfg if cfg is not None else OptimizeConfig()
     quad = BoundQuadratic(p, approx, rho, gamma, theorem, zero_variant)
     approx = quad.approx
-    Y0 = default_Y(p, approx) if Y0 is None else Y0
+    Y0 = default_Y(p, approx) if Y0 is None else Y0.load()
     # one residual assembly of Y0: b(T) from its series, the gradient from it
     s, *held = residual_series(p, approx, Y0, theorem)
     value0 = float(final_bound(s, quad.rho_n, quad.gam_n, zero_variant, p.grid.dt))

@@ -208,8 +208,12 @@ def test_exit_codes_for_bad_inputs(tmp_path, capsys):
     cfg = _write(tmp_path, "bad.json", bad)
     assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
 
-    # missing config
-    assert main(["solve"]) == EXIT_CONFIG
+    # missing config: a bad argument, one "usage error:" line, as an unknown
+    # flag is; an "error:" line is kept for exit 1
+    for command in ("solve", "certify", "verify"):
+        capsys.readouterr()
+        assert main([command]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "usage error: --config is required\n"
 
     # unstable time step
     unstable = _cavity_cfg(n=16, nt=5)
@@ -341,6 +345,16 @@ def test_a_gronwall_case_whose_bound_overflows_fails_and_says_so(tmp_path, capsy
     out = capsys.readouterr().out
     assert out.splitlines()[0] == "FAIL unnamed (bound and oracle solution not finite)"
     assert "nan" not in out
+
+
+def test_a_gronwall_coefficient_not_finite_at_a_node_is_a_config_error(tmp_path, capsys):
+    # slope and offset are finite, but phi(1) overflows to inf: the oracle
+    # check refuses it as the Gronwall forms refuse a non-finite phi
+    spec = {"cases": [{"phi": {"kind": "linear", "slope": 1e308, "offset": 1e308},
+                       "psi": {"value": 1.0}}]}
+    path = _write(tmp_path, "check.json", spec)
+    err = _one_line_error(capsys, ["gronwall", "--config", path], EXIT_CONFIG)
+    assert err == "config error: phi must lie in [0.0, inf) on all nodes\n"
 
 
 _CONSTANT = {"kind": "constant", "value": 1.0}

@@ -1,5 +1,6 @@
 """JSON configuration schema validation and object builders."""
 
+import argparse
 import copy
 import dataclasses
 import json
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import maxbound as mb
-from maxbound.cli import _field_name
+from maxbound.cli import _field_name, build_parser
 from maxbound.config import (
     _OPTIMIZE_CFG_SCHEMA,
     CHECK_SPEC_SCHEMA,
@@ -22,6 +23,8 @@ from maxbound.config import (
     problem_from_config,
 )
 from maxbound.errors import ConfigError
+from maxbound.majorant import THEOREMS, ZERO_VARIANTS
+from maxbound.problem import BUMPS
 
 
 def _base_cfg():
@@ -65,6 +68,21 @@ def test_every_optimize_config_key_names_an_optimize_config_field():
     keys = _OPTIMIZE_CFG_SCHEMA["properties"]
     fields = {f.name for f in dataclasses.fields(mb.OptimizeConfig)}
     assert {_field_name(key) for key in keys} == fields
+
+
+def test_each_schema_enum_is_its_source_list():
+    # the schema restates no list: a theorem, variant, bump or optimize
+    # mode added at its source is admitted by the config at once
+    subcommands = next(a for a in build_parser()._actions
+                       if isinstance(a, argparse._SubParsersAction))
+    optimize = next(a for a in subcommands.choices["certify"]._actions
+                    if "--optimize" in a.option_strings)
+    majorant = CONFIG_SCHEMA["properties"]["majorant"]["properties"]
+    bump = CONFIG_SCHEMA["properties"]["perturbation"]["properties"]["bump"]
+    assert majorant["theorem"]["enum"] == list(THEOREMS)
+    assert majorant["zeroTermVariant"]["enum"] == list(ZERO_VARIANTS)
+    assert majorant["optimize"]["enum"] == optimize.choices
+    assert bump["enum"] == list(BUMPS)
 
 
 def test_missing_file_and_invalid_json_are_config_errors(tmp_path):

@@ -14,7 +14,7 @@ from maxbound.gronwall import (
     gronwall_oracle_check,
     oracle_report,
 )
-from maxbound.operators import cumulative_trapezoid
+from maxbound.operators import cumulative_trapezoid, gronwall_recursion
 
 
 def _nodes(T, nt):
@@ -96,7 +96,7 @@ def test_a_scalar_takes_the_length_of_the_other_coefficient(form):
 def test_a_nan_growth_coefficient_is_refused(form):
     args = (1.0,) if form is gronwall_differential else ()
     for phi in (math.nan, np.array([0.5, math.nan, 1.5])):
-        with pytest.raises(ParameterError, match="phi must be nonnegative"):
+        with pytest.raises(ParameterError, match=r"phi must lie in \[0\.0, inf\) on all nodes"):
             form(*args, phi, np.ones(3), 0.1)
 
 
@@ -241,3 +241,61 @@ def test_an_oracle_report_on_a_non_finite_node_fails_and_names_it(bound_inf, sol
     rep = oracle_report(bound, solution, 1e-6)
     assert not rep.passed and rep.not_finite == names
     assert oracle_report(np.array([0.0, 1.0]), np.array([0.0, 1.0]), 1e-6).not_finite == ()
+
+
+# ---------------------------------------------------------------------------
+# the forms' admission: finite coefficients run the recursion, others are refused
+
+
+_FORMS = [gronwall_differential, gronwall_integral]
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _coefficients(draw):
+    """(u0, phi, psi, dt): finite, phi >= 0, each of phi and psi a scalar or
+    nt nodal values for one nt in 2..200."""
+    nt = draw(st.integers(2, 200))
+
+    def scalar_or_nodal(values):
+        return draw(st.one_of(values, st.lists(values, min_size=nt, max_size=nt).map(np.array)))
+
+    phi = scalar_or_nodal(st.floats(min_value=0.0, allow_infinity=False))
+    psi = scalar_or_nodal(_FINITE)
+    return draw(_FINITE), phi, psi, draw(st.floats(1e-3, 1e3)) / (nt - 1)
+
+
+def _form(form, u0, phi, psi, dt):
+    return form(u0, phi, psi, dt) if form is gronwall_differential else form(phi, psi, dt)
+
+
+@settings(max_examples=100, deadline=None)
+@given(form=st.sampled_from(_FORMS), coefficients=_coefficients())
+def test_finite_coefficients_give_the_bits_of_the_recursion(form, coefficients):
+    u0, phi, psi, dt = coefficients
+    nt = max(np.size(phi), np.size(psi))
+    phi_n, psi_n = (np.broadcast_to(np.asarray(v, dtype=float), (nt,)) for v in (phi, psi))
+    with np.errstate(all="ignore"):  # a finite input may still overflow
+        got = _form(form, u0, phi, psi, dt)
+        if form is gronwall_differential:
+            want = gronwall_recursion(u0, phi_n, 0.5 * dt * psi_n, dt)
+        else:
+            want = gronwall_recursion(0.0, phi_n, 0.5 * dt * phi_n * psi_n, dt) + psi_n
+    np.testing.assert_array_equal(got, want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(form=st.sampled_from(_FORMS), coefficients=_coefficients(), data=st.data(),
+       bad=st.sampled_from([math.nan, math.inf, -math.inf]))
+def test_a_coefficient_that_is_not_finite_is_refused(form, coefficients, data, bad):
+    # one entry of u0, phi or psi is nan or +-inf: a ParameterError, never a
+    # non-finite bound
+    args = dict(zip(("u0", "phi", "psi"), coefficients[:3]))
+    name = data.draw(st.sampled_from(["phi", "psi"] + ["u0"] * (form is gronwall_differential)))
+    if np.ndim(args[name]) == 0:
+        args[name] = bad
+    else:
+        args[name] = args[name].copy()
+        args[name][data.draw(st.integers(0, len(args[name]) - 1))] = bad
+    with pytest.raises(ParameterError, match=f"{name} must lie in"):
+        _form(form, args["u0"], args["phi"], args["psi"], coefficients[3])

@@ -1,5 +1,7 @@
 """Parameter search, quadratic free-field minimization, alternating driver."""
 
+import contextlib
+import dataclasses
 import functools
 import math
 import tracemalloc
@@ -15,7 +17,7 @@ import maxbound.majorant
 import maxbound.operators
 import maxbound.optimize
 from maxbound.errors import MaxboundError, ParameterError, PreconditionError
-from maxbound.fields import EDGE, FACE, FieldTrajectory
+from maxbound.fields import EDGE, FACE, FieldTrajectory, NodeSource
 from maxbound.majorant import final_bound
 from maxbound.majorant import series as node_series
 from maxbound.operators import (
@@ -40,7 +42,7 @@ from maxbound.optimize import (
     spatial_diagonals,
 )
 from maxbound.problem import bump_field, bump_field_dt
-from maxbound.snapshot import save_snapshot, snapshot_reader
+from maxbound.snapshot import load_snapshot, save_snapshot, snapshot_reader
 from maxbound.solver import SolveOutput
 
 from conftest import cavity_setup, polynomial_setup, random_face, traced_peak
@@ -854,6 +856,138 @@ def test_z_tilde_is_admitted_where_no_y_step_is_due(theorem):
     np.testing.assert_array_equal(rep.bound_b, want.bound_b)
     rep, _ = mb.certify_gamma_rho(p, approx, None, theorem, "z_tilde")
     assert rep.zero_variant == "z_tilde" and rep.bound_b[-1] > 0.0
+
+
+# ---------------------------------------------------------------------------
+# one reading of a trajectory: every entry point gives the in-memory bits
+# however each trajectory argument is held
+
+
+_HOLDINGS = ("load_snapshot", "snapshot_reader", "NodeSource")
+_TRAJ_PARAMS = dict(rho=0.3, gamma=2.0)
+
+# each entry point: the trajectory arguments it takes, and the call on the
+# approximation x, the free field Y and the exact reference e, under T5
+_TRAJECTORY_ENTRY_POINTS = {
+    "certify": (("x", "Y", "e"), lambda p, x, Y, e: mb.certify(
+        p, x, mb.MajorantParams(Y=Y, **_TRAJ_PARAMS), "T5", e)),
+    "certify_gamma_rho": (("x", "e"), lambda p, x, Y, e: mb.certify_gamma_rho(
+        p, x, None, "T5", exact=e)),
+    "optimize_gamma_rho": (("x", "Y"), lambda p, x, Y, e: mb.optimize_gamma_rho(
+        p, x, Y, None, "T5")),
+    "optimize_all": (("x", "e"), lambda p, x, Y, e: mb.optimize_all(
+        p, x, mb.OptimizeConfig(sweeps=1), "T5", exact=e)),
+    "optimize_Y": (("x", "Y"), lambda p, x, Y, e: mb.optimize_Y(
+        p, x, _TRAJ_PARAMS["gamma"], _TRAJ_PARAMS["rho"], None, "T5", Y0=Y)),
+    "BoundQuadratic.value": (("x", "Y"), lambda p, x, Y, e: BoundQuadratic(
+        p, x, _TRAJ_PARAMS["rho"], _TRAJ_PARAMS["gamma"]).value(Y)),
+    "BoundQuadratic.gradient": (("x", "Y"), lambda p, x, Y, e: BoundQuadratic(
+        p, x, _TRAJ_PARAMS["rho"], _TRAJ_PARAMS["gamma"]).gradient(Y)),
+    "residuals": (("x", "Y"), lambda p, x, Y, e: mb.residuals(p, x, Y, "T5")),
+    "default_Y": (("x",), lambda p, x, Y, e: mb.default_Y(p, x)),
+    "zero_term_parts": (("x", "Y"), lambda p, x, Y, e: mb.zero_term_parts(p, x, Y, "T5")),
+    "true_error_norms": (("x", "e"), lambda p, x, Y, e: mb.true_error_norms(
+        e, x, p, mb.MajorantParams(**_TRAJ_PARAMS), "T5")),
+    "combined_estimate": (("x", "e"), lambda p, x, Y, e: mb.combined_estimate(
+        p, x, mb.MajorantParams(**_TRAJ_PARAMS), e, "T5")),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _trajectory_inputs():
+    """(problem, {x, Y, e}) in memory, each a SolveOutput: the perturbed
+    4^3 x 9 polynomial (no Htilde_t), a free field off the default one in
+    the Htilde slot of x's fields, and the exact projection (with Htilde_t)."""
+    p, exact = polynomial_setup(4, 9)
+    approx = _perturbed(p, exact)
+    Y = 0.99 * mb.default_Y(p, approx)
+    return p, {"x": approx, "Y": SolveOutput(approx.Etilde, Y, approx.Etilde_t), "e": exact}
+
+
+def _argument(name, fields):
+    """The argument an entry point takes from the SolveOutput fields: Y is its Htilde."""
+    return fields.Htilde if name == "Y" else fields
+
+
+def _held(fields, how, path, stack):
+    """fields held as `how` says: read back by load_snapshot, open in
+    snapshot_reader (within stack), or each trajectory a NodeSource that
+    makes a copy of its in-memory node."""
+    if how == "NodeSource":
+        return SolveOutput(*(None if f is None else NodeSource(f.grid, f.kind,
+                                                               lambda k, f=f: f.node(k).copy())
+                             for f in (fields.Etilde, fields.Htilde, fields.Etilde_t,
+                                       fields.Htilde_t)))
+    grid = fields.Etilde.grid
+    save_snapshot(path, grid, fields)
+    if how == "load_snapshot":
+        return load_snapshot(path, grid)[1]
+    return stack.enter_context(snapshot_reader(path, grid))[1]
+
+
+def _entry_result(entry, p, held):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # a gamma at its bracket's end
+        return _TRAJECTORY_ENTRY_POINTS[entry][1](
+            p, *(_argument(name, held[name]) for name in ("x", "Y", "e")))
+
+
+@functools.lru_cache(maxsize=None)
+def _in_memory_result(entry):
+    p, inputs = _trajectory_inputs()
+    return _bits(_entry_result(entry, p, inputs))
+
+
+def _bits(v):
+    """The bytes of every value of a result, in order: a float, an array, a
+    field, or a report, tuple, list or dict of them."""
+    if isinstance(v, (float, np.generic)):
+        return [np.asarray(v).tobytes()]
+    if isinstance(v, np.ndarray):
+        return [repr(v.shape).encode(), v.tobytes()]
+    if isinstance(v, FieldTrajectory):
+        return [b for c in v.components() for b in _bits(c)]
+    if isinstance(v, dict):
+        return [b for k in sorted(v) for b in [k.encode(), *_bits(v[k])]]
+    if dataclasses.is_dataclass(v):
+        return [b for f in dataclasses.fields(v) for b in _bits(getattr(v, f.name))]
+    if isinstance(v, (tuple, list)):
+        return [b for item in v for b in _bits(item)]
+    assert v is None or isinstance(v, (str, int)), type(v)
+    return [repr(v).encode()]
+
+
+@pytest.mark.parametrize("entry, arg, how", [
+    (entry, arg, how) for entry, (args, _) in _TRAJECTORY_ENTRY_POINTS.items()
+    for arg in args for how in _HOLDINGS])
+def test_every_entry_point_reads_a_trajectory_however_it_is_held(entry, arg, how, tmp_path):
+    # a reader's approximation, a NodeSource Y or exact reference: each entry
+    # point loads what it needs whole, streams the rest, and gives the bits
+    # of the in-memory call
+    p, inputs = _trajectory_inputs()
+    with contextlib.ExitStack() as stack:
+        held = dict(inputs, **{arg: _held(inputs[arg], how, tmp_path / "held.bin", stack)})
+        got = _bits(_entry_result(entry, p, held))
+    assert got == _in_memory_result(entry)
+
+
+def test_the_combined_estimate_refuses_an_exact_reference_without_htilde(monkeypatch):
+    # exact_reference holds E and dE/dt alone: refused before any pass,
+    # load or probe, not a TypeError at the magnetic error
+    p, inputs = _trajectory_inputs()
+    exact = mb.exact_reference(mb.polynomial_source(), p.grid)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work done before the refusal")
+
+    for name in ("certify", "series", "error_series", "residuals", "default_Y", "loaded"):
+        monkeypatch.setattr(maxbound.majorant, name, no_work)
+    for cls in (FieldTrajectory, NodeSource):
+        monkeypatch.setattr(cls, "load", no_work)
+    exact.Etilde.node = exact.Etilde_t.node = no_work
+    with pytest.raises(PreconditionError,
+                       match="combined estimate requires the magnetic exact reference"):
+        mb.combined_estimate(p, inputs["x"], mb.MajorantParams(**_TRAJ_PARAMS), exact, "T5")
 
 
 @pytest.mark.parametrize("n, nt", [(4, 9), (8, 17)])
