@@ -37,7 +37,6 @@ _OPTIMIZE_CFG_SCHEMA = {
         "cgMaxIter": {"type": "integer", "minimum": 1},
         "cgTol": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
         "sweeps": {"type": "integer", "minimum": 0},
-        "gammaPieces": {"type": "integer", "minimum": 1},
     },
 }
 

@@ -22,25 +22,35 @@ def _growth_and_source(phi, psi, nt):
     return nodes_in_range(phi, nt, "phi", 0.0, lo_closed=True), nodes_in_range(psi, nt, "psi")
 
 
+def _not_nan(bound, source):
+    """bound, refused where it holds a NaN: the recursion adds the half-step
+    source's +inf and -inf where it overflows with both signs."""
+    if np.isnan(bound).any():
+        raise ParameterError(f"the half-step source {source} overflows with both signs")
+    return bound
+
+
 def gronwall_differential(u0, phi, psi, dt):
     """Bound t -> exp(Phi(t)) (u0 + int_0^t exp(-Phi(s)) psi(s) ds).
 
     Valid for u with u' <= phi u + psi, phi >= 0.  phi and psi may be
-    scalars or nodal trajectories; u0, phi and psi must be finite.
+    scalars or nodal trajectories; u0, phi and psi must be finite, and a
+    bound that holds a NaN is refused.
     """
     u0 = nodes_in_range(u0, 1, "u0")[0]
     phi_arr, psi_arr = _growth_and_source(phi, psi, max(np.size(phi), np.size(psi)))
-    return gronwall_recursion(u0, phi_arr, 0.5 * dt * psi_arr, dt)
+    return _not_nan(gronwall_recursion(u0, phi_arr, 0.5 * dt * psi_arr, dt), "0.5*dt*psi")
 
 
 def gronwall_integral(phi, psi, dt):
     """Bound t -> exp(Phi(t)) int_0^t exp(-Phi(s)) phi(s) psi(s) ds + psi(t).
 
     Valid for u with u(t) <= int_0^t phi u ds + psi(t), phi >= 0.  phi and
-    psi must be finite.
+    psi must be finite, and a bound that holds a NaN is refused.
     """
     phi_arr, psi_arr = _growth_and_source(phi, psi, max(np.size(phi), np.size(psi)))
-    return gronwall_recursion(0.0, phi_arr, 0.5 * dt * phi_arr * psi_arr, dt) + psi_arr
+    bound = gronwall_recursion(0.0, phi_arr, 0.5 * dt * phi_arr * psi_arr, dt) + psi_arr
+    return _not_nan(bound, "0.5*dt*phi*psi")
 
 
 @dataclass

@@ -454,12 +454,12 @@ def certify(p, approx, params, theorem="T5", exact=None):
     return report_from_series(p, approx, params, theorem, s)
 
 
-def _checked_weights(p, approx, params, theorem, y_step=False, gamma_pieces=1):
+def _checked_weights(p, approx, params, theorem, y_step=False):
     """The Theorem and nodal rho and gamma of a bound: every entry point's
     admission, before any pass, load or probe.  In order, it refuses what
     _check_theorem refuses, nodal weights under T1/T5, rho or gamma out of
-    range, a zero term a due Y step cannot differentiate, and gamma_pieces
-    > 1 without nodal weights (MajorantParams refuses an unknown variant)."""
+    range, and a zero term a due Y step cannot differentiate
+    (MajorantParams refuses an unknown variant)."""
     g = p.grid
     th = _check_theorem(theorem, g, approx)
     if not th.nodal_weights and not params.is_constant():
@@ -468,9 +468,6 @@ def _checked_weights(p, approx, params, theorem, y_step=False, gamma_pieces=1):
     if y_step and params.zero_variant not in _SMOOTH_VARIANTS:
         raise ParameterError("Y-optimization needs a smooth zero-term variant, "
                              f"got {params.zero_variant!r}")
-    if gamma_pieces > 1 and not th.nodal_weights:
-        raise ParameterError(f"gamma_pieces = {gamma_pieces} needs a theorem with "
-                             f"nodal weights (T3, T4); {theorem} takes a constant gamma")
     return th, rho, gam
 
 

@@ -64,10 +64,8 @@ class OptimizeConfig:
     """Search controls for the parameter optimization.
 
     gamma_bracket is the golden-section bracket (lo, hi) of the gamma
-    search, on a log scale.  gamma_pieces > 1 searches a piecewise-constant
-    gamma of that many pieces, which only the theorems with nodal weights
-    (T3/T4) admit.  cg_tol bounds the relative residual of each block of a
-    Y solve in the scaled time eigenbasis it runs in; a report's
+    search, on a log scale.  cg_tol bounds the relative residual of each
+    block of a Y solve in the scaled time eigenbasis it runs in; a report's
     cg_sweeps[*].relative_residual gives it over all blocks,
     |r^| / |b^| = sqrt(r.P^-1 r / rhs.P^-1 rhs) (see conjugate_gradient).
     cg_max_iter caps the lockstep steps of a Y solve.
@@ -77,20 +75,17 @@ class OptimizeConfig:
     cg_max_iter: int = 200
     cg_tol: float = 1e-10
     sweeps: int = 3
-    gamma_pieces: int = 1
 
     def __post_init__(self):
         gb = tuple(float(v) for v in self.gamma_bracket)
         if len(gb) != 2 or not 0.0 < gb[0] < gb[1] < math.inf:
             raise ParameterError("gamma bracket must be two finite values 0 < lo < hi")
-        if self.cg_max_iter < 1:
-            raise ParameterError("cg_max_iter must be positive")
+        for name, least in (("cg_max_iter", 1), ("sweeps", 0)):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < least:
+                raise ParameterError(f"{name} must be an integer >= {least}, got {v!r}")
         if not 0.0 < self.cg_tol < 1.0:
             raise ParameterError("cg_tol must lie in (0, 1)")
-        if self.sweeps < 0:
-            raise ParameterError("sweeps must be nonnegative")
-        if self.gamma_pieces < 1:
-            raise ParameterError("gamma_pieces must be positive")
         self.gamma_bracket = gb
 
 
@@ -152,17 +147,6 @@ _RHO_GRID = np.linspace(0.1, 0.9, 9)  # the rho values searched
 _GAMMA_TOL = 1e-3  # the width in log(gamma) at which a gamma search stops
 
 
-def _search_gamma(obj, cfg, rows):
-    """The best gamma of each of `rows` objectives over cfg's bracket, with
-    its value and whether it sits at an end of the bracket, each an array of
-    one entry per objective.  obj maps an array of gamma candidates, row i
-    for objective i, to their values; the searches run in lockstep."""
-    llo, lhi = (math.log(v) for v in cfg.gamma_bracket)
-    x, v = golden_section(lambda u: obj(_exp(u)), np.full(rows, llo), lhi, tol=_GAMMA_TOL)
-    edge = (x - llo <= _GAMMA_TOL) | (lhi - x <= _GAMMA_TOL)
-    return _exp(x), v, edge
-
-
 def optimize_gamma_rho(p, approx, Y, cfg=None, theorem="T5", zero_variant="z_hat"):
     """Minimize the final-time bound over (gamma, rho) with Y fixed.
 
@@ -173,7 +157,7 @@ def optimize_gamma_rho(p, approx, Y, cfg=None, theorem="T5", zero_variant="z_hat
     """
     cfg = cfg if cfg is not None else OptimizeConfig()
     params = MajorantParams(zero_variant=zero_variant)
-    _checked_weights(p, approx, params, theorem, gamma_pieces=cfg.gamma_pieces)
+    _checked_weights(p, approx, params, theorem)
     return _search_gamma_rho(series(p, approx, Y, theorem), cfg, zero_variant, p.grid)
 
 
@@ -184,7 +168,7 @@ def certify_gamma_rho(p, approx, cfg=None, theorem="T5", zero_variant="z_hat", e
     the report and its MajorantParams."""
     cfg = cfg if cfg is not None else OptimizeConfig()
     params = MajorantParams(zero_variant=zero_variant)
-    _checked_weights(p, approx, params, theorem, gamma_pieces=cfg.gamma_pieces)
+    _checked_weights(p, approx, params, theorem)
     s = series(p, approx, None, theorem, exact)
     gamma, rho, _ = _search_gamma_rho(s, cfg, zero_variant, p.grid)
     params = replace(params, rho=rho, gamma=gamma)
@@ -195,51 +179,21 @@ def _search_gamma_rho(s, cfg, zero_variant, grid):
     """optimize_gamma_rho on the NodeSeries s of its Y, which (gamma, rho)
     do not change: one gamma search per rho of _RHO_GRID, in one lockstep call."""
 
-    def bound(gam):
-        # row i of the gamma candidates goes with _RHO_GRID[i]; time is the last axis
-        rho = _RHO_GRID.reshape(_RHO_GRID.shape + (1,) * gam.ndim)
-        return final_bound(s, rho, gam[..., None], zero_variant, grid.dt)
+    def bound(u):
+        # row i of the log(gamma) candidates goes with _RHO_GRID[i]; time is the last axis
+        rho = _RHO_GRID.reshape(_RHO_GRID.shape + (1,) * u.ndim)
+        return final_bound(s, rho, _exp(u)[..., None], zero_variant, grid.dt)
 
-    gammas, values, edges = _search_gamma(bound, cfg, len(_RHO_GRID))
+    llo, lhi = (math.log(v) for v in cfg.gamma_bracket)
+    x, values = golden_section(bound, np.full(len(_RHO_GRID), llo), lhi, tol=_GAMMA_TOL)
     i = int(np.argmin(values))
-    if edges[i]:
+    if x[i] - llo <= _GAMMA_TOL or lhi - x[i] <= _GAMMA_TOL:
         warnings.warn(
             "gamma search selected a bracket endpoint; widen gamma_bracket, "
             "the optimum may lie outside",
             RuntimeWarning,
         )
-    gamma, rho, value = float(gammas[i]), float(_RHO_GRID[i]), float(values[i])
-    if cfg.gamma_pieces > 1:
-        gamma, value = _refine_gamma_pieces(s, rho, gamma, zero_variant, cfg, grid)
-    return gamma, rho, value
-
-
-def _refine_gamma_pieces(s, rho, gamma0, variant, cfg, grid):
-    """Coordinate descent over a piecewise-constant gamma trajectory.
-
-    Only meaningful for the theorems that admit time-dependent weights.
-    Each piece is searched over cfg's bracket as the scalar gamma is.
-    Returns (gamma nodal array, bound value); never worse than the scalar
-    start.
-    """
-    nt = grid.nt
-    pieces = min(cfg.gamma_pieces, nt)
-    edges = np.linspace(0, nt, pieces + 1).astype(int)
-    gam = np.full(nt, float(gamma0))
-    best_val = float(final_bound(s, rho, gam, variant, grid.dt))
-    for _ in range(2):
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            def obj(cand, lo=lo, hi=hi):
-                # gam with the piece set to each candidate
-                trial = np.broadcast_to(gam, cand.shape + (nt,)).copy()
-                trial[..., lo:hi] = cand[..., None]
-                return final_bound(s, rho, trial, variant, grid.dt)
-
-            x, v, _ = _search_gamma(obj, cfg, 1)
-            if v[0] < best_val:
-                gam[lo:hi] = x[0]
-                best_val = float(v[0])
-    return gam, best_val
+    return float(_exp(x[i])), float(_RHO_GRID[i]), float(values[i])
 
 
 # ---------------------------------------------------------------------------
@@ -690,8 +644,7 @@ def optimize_all(p, approx, cfg=None, theorem="T5", zero_variant="z_hat",
     g = p.grid
     # the start, admitted where certify admits it; params holds the current point
     params = MajorantParams(rho=rho0, gamma=gamma0, zero_variant=zero_variant)
-    _, rho, gamma = _checked_weights(p, approx, params, theorem, y_step=cfg.sweeps > 0,
-                                     gamma_pieces=cfg.gamma_pieces)
+    _, rho, gamma = _checked_weights(p, approx, params, theorem, y_step=cfg.sweeps > 0)
     approx = loaded(approx, theorem, g)
     Y = default_Y(p, approx)
     # s is the series of Y, current the bound at (Y, params), and held the

@@ -33,7 +33,7 @@ BASE = {
     "solver": {"method": "leapfrog", "cfl": 0.9},
     "majorant": {"theorem": "T5", "rho": 0.5, "gamma": 1.0, "zeroTermVariant": "z_hat",
                  "optimize": "none",
-                 "optimizeConfig": {"sweeps": 1, "cgMaxIter": 5, "gammaPieces": 1,
+                 "optimizeConfig": {"sweeps": 1, "cgMaxIter": 5,
                                     "gammaBracket": [0.1, 10.0]}},
 }
 

@@ -137,7 +137,7 @@ _FULL_CONFIG = {
     "majorant": {"theorem": "T5", "rho": 0.5, "gamma": 1.0, "zeroTermVariant": "z_hat",
                  "optimize": "full",
                  "optimizeConfig": {"gammaBracket": [0.1, 10.0], "cgMaxIter": 50,
-                                    "cgTol": 1e-8, "sweeps": 2, "gammaPieces": 1}},
+                                    "cgTol": 1e-8, "sweeps": 2}},
     "verify": {"levels": 2},
 }
 _FULL_SPEC = {

@@ -272,16 +272,36 @@ def _form(form, u0, phi, psi, dt):
 @settings(max_examples=100, deadline=None)
 @given(form=st.sampled_from(_FORMS), coefficients=_coefficients())
 def test_finite_coefficients_give_the_bits_of_the_recursion(form, coefficients):
+    # a recursion result without a NaN is returned bit for bit, one with a
+    # NaN is refused
     u0, phi, psi, dt = coefficients
     nt = max(np.size(phi), np.size(psi))
     phi_n, psi_n = (np.broadcast_to(np.asarray(v, dtype=float), (nt,)) for v in (phi, psi))
     with np.errstate(all="ignore"):  # a finite input may still overflow
-        got = _form(form, u0, phi, psi, dt)
         if form is gronwall_differential:
             want = gronwall_recursion(u0, phi_n, 0.5 * dt * psi_n, dt)
         else:
             want = gronwall_recursion(0.0, phi_n, 0.5 * dt * phi_n * psi_n, dt) + psi_n
+        if np.isnan(want).any():
+            with pytest.raises(ParameterError, match="overflows with both signs"):
+                _form(form, u0, phi, psi, dt)
+            return
+        got = _form(form, u0, phi, psi, dt)
     np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("form", _FORMS)
+def test_a_source_that_overflows_with_both_signs_is_refused(form):
+    # 0.5 * dt * psi is +inf at one node and -inf at the next, whose sum the
+    # recursion would return as NaN; overflow of one sign stays +inf
+    with np.errstate(over="ignore"):
+        with pytest.raises(ParameterError, match=r"half-step source 0\.5\*dt\*.*psi overflows "
+                                                 "with both signs"):
+            _form(form, 1.0, 1.0 if form is gronwall_integral else 0.0,
+                  [1e308, -1e308, 1.0], 10.0)
+        if form is gronwall_differential:
+            np.testing.assert_array_equal(form(1.0, 0.0, [1e308, 1e308, 1.0], 10.0),
+                                          [1.0, math.inf, math.inf])
 
 
 @settings(max_examples=100, deadline=None)

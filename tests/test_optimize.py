@@ -210,6 +210,17 @@ def test_config_validation():
         mb.OptimizeConfig(cg_tol=2.0)
 
 
+@pytest.mark.parametrize("field", ["sweeps", "cg_max_iter"])
+@pytest.mark.parametrize("bad", [2.0, True, False, math.nan, math.inf, -math.inf, "2", -1],
+                         ids=["float", "True", "False", "nan", "inf", "-inf", "str", "negative"])
+def test_an_iteration_count_that_is_not_an_integer_is_refused_at_construction(field, bad):
+    # a float count made optimize_all raise TypeError after its residual
+    # assembly, and a nan cg_max_iter ran no CG step at all
+    with pytest.raises(ParameterError, match=f"{field} must be an integer >= "):
+        mb.OptimizeConfig(**{field: bad})
+    assert mb.OptimizeConfig(**{field: np.int64(2)}).__dict__[field] == 2
+
+
 def test_parameter_search_never_worse_than_the_default_point():
     p, exact = polynomial_setup(5, 9)
     approx = _perturbed(p, exact)
@@ -717,11 +728,10 @@ def test_optimize_all_probes_the_spatial_diagonals_once(monkeypatch, sweeps, pro
 
 
 _NODAL = np.linspace(0.2, 0.8, 9)
-_ADMISSIBLE = dict(theorem="T5", variant="z_hat", rho=0.5, gamma=1.0, pieces=1, nt=9,
-                   velocity=True)
+_ADMISSIBLE = dict(theorem="T5", variant="z_hat", rho=0.5, gamma=1.0, nt=9, velocity=True)
 # each row: what departs from an admissible call, and the refusal that entry
-# points with no certify counterpart (a Y step, a gamma of pieces) give;
-# y_step marks a row only an entry point with a Y step takes
+# points with no certify counterpart (a Y step) give; y_step marks a row only
+# an entry point with a Y step takes
 _REFUSED = {
     "unknown-theorem": dict(theorem="T2"),
     "theorem-not-a-name": dict(theorem=5),
@@ -738,12 +748,6 @@ _REFUSED = {
     "gamma-0": dict(gamma=0.0),
     "gamma-negative-nodal-under-T4": dict(theorem="T4", gamma=-_NODAL),
     "gamma-nan": dict(gamma=math.nan),
-    "pieces-under-T1": dict(theorem="T1", pieces=2, refusal=(ParameterError, (
-        "gamma_pieces = 2 needs a theorem with nodal weights (T3, T4); "
-        "T1 takes a constant gamma"))),
-    "pieces-under-T5": dict(pieces=2, refusal=(ParameterError, (
-        "gamma_pieces = 2 needs a theorem with nodal weights (T3, T4); "
-        "T5 takes a constant gamma"))),
     "two-nodes-under-T4": dict(theorem="T4", nt=2),
     "two-nodes-under-T5": dict(nt=2),
     "no-velocity-under-T5": dict(velocity=False),
@@ -755,18 +759,18 @@ def _params(a):
 
 
 def _cfg(a):
-    return mb.OptimizeConfig(sweeps=1, gamma_pieces=a["pieces"])
+    return mb.OptimizeConfig(sweeps=1)
 
 
 # each entry point: the inputs it takes beyond theorem, variant, nt and
 # velocity, and the call
 _ENTRY_POINTS = {
     "certify": ({"rho", "gamma"}, lambda p, x, a: mb.certify(p, x, _params(a), a["theorem"])),
-    "certify_gamma_rho": ({"pieces"}, lambda p, x, a: mb.certify_gamma_rho(
+    "certify_gamma_rho": (set(), lambda p, x, a: mb.certify_gamma_rho(
         p, x, _cfg(a), a["theorem"], a["variant"])),
-    "optimize_gamma_rho": ({"pieces"}, lambda p, x, a: mb.optimize_gamma_rho(
+    "optimize_gamma_rho": (set(), lambda p, x, a: mb.optimize_gamma_rho(
         p, x, None, _cfg(a), a["theorem"], a["variant"])),
-    "optimize_all": ({"rho", "gamma", "pieces", "y_step"}, lambda p, x, a: mb.optimize_all(
+    "optimize_all": ({"rho", "gamma", "y_step"}, lambda p, x, a: mb.optimize_all(
         p, x, _cfg(a), a["theorem"], a["variant"], rho0=a["rho"], gamma0=a["gamma"])),
     "optimize_Y": ({"rho", "gamma", "y_step"}, lambda p, x, a: mb.optimize_Y(
         p, x, a["gamma"], a["rho"], None, a["theorem"], a["variant"])),
@@ -1040,23 +1044,21 @@ def _random_inputs(kind, seed):
 
 @settings(max_examples=16, deadline=None)
 @given(theorem=st.sampled_from(["T1", "T3", "T4", "T5"]), variant=st.sampled_from(["z", "z_hat"]),
-       kind=st.sampled_from(["identity", "scalar", "diagonal"]), pieces=st.sampled_from([1, 2]),
-       with_exact=st.booleans(), seed=st.integers(0, 2**16))
+       kind=st.sampled_from(["identity", "scalar", "diagonal"]), with_exact=st.booleans(),
+       seed=st.integers(0, 2**16))
 def test_the_optimizer_reports_what_certify_reports_at_its_parameters(
-        theorem, variant, kind, pieces, with_exact, seed):
+        theorem, variant, kind, with_exact, seed):
     # the report comes from the series the driver holds, with no pass of
     # its own, and is certify's at the returned parameters bit for bit
-    if pieces > 1 and theorem in ("T1", "T5"):
-        pieces = 1  # a piecewise gamma needs nodal weights
     p, approx, exact = _random_inputs(kind, seed)
     exact = exact if with_exact else None
-    cfg = mb.OptimizeConfig(sweeps=2, gamma_pieces=pieces)
+    cfg = mb.OptimizeConfig(sweeps=2)
     with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         calls = _counted_series(mp)
         rep, params = mb.optimize_all(p, approx, cfg, theorem, variant, exact=exact)
         assert calls == []
-    assert np.ndim(params.gamma) == (pieces > 1)
+    assert np.ndim(params.gamma) == 0
     want = mb.certify(p, approx, params, theorem, exact)
     assert (rep.trueN is None) == (exact is None)
     for name in ("bound_b", "bound_B", "f", "zero_value", "trueN", "trueBigN", "efficiency"):
@@ -1146,24 +1148,6 @@ def test_certify_and_the_optimizer_take_no_cell_average(kind, monkeypatch):
         monkeypatch.setattr(maxbound.operators, name, refused)
     for got, ref in zip(run(), want):
         np.testing.assert_array_equal(got, ref)
-
-
-@pytest.mark.parametrize("theorem", ["T3", "T4"])
-def test_piecewise_gamma_never_worse_than_scalar_gamma(theorem):
-    p, exact = polynomial_setup(4, 9)
-    approx = _perturbed(p, exact)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        _, _, scalar = mb.optimize_gamma_rho(p, approx, None, theorem=theorem)
-        for pieces in (2, 4):
-            cfg = mb.OptimizeConfig(gamma_pieces=pieces)
-            gamma, rho, value = mb.optimize_gamma_rho(p, approx, None, cfg, theorem=theorem)
-            assert np.shape(gamma) == (p.grid.nt,)
-            assert value <= scalar
-            rep = mb.certify(p, approx, mb.MajorantParams(rho=rho, gamma=gamma),
-                             theorem=theorem, exact=exact)
-            assert rep.bound_b[-1] == pytest.approx(value, rel=1e-12)
-            assert np.all(rep.trueN <= rep.bound_b)
 
 
 # ---------------------------------------------------------------------------
