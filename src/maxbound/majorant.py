@@ -14,6 +14,8 @@ for every admissible choice of the tuning variables (Y, gamma, rho).
 
 from __future__ import annotations
 
+import os
+import threading
 from collections import namedtuple
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -48,6 +50,10 @@ ZERO_VARIANTS = ("z", "z_tilde", "z_hat")
 _SMOOTH_VARIANTS = ("z", "z_hat")  # those a Y step can differentiate
 
 _EFFICIENCY_FLOOR = 1e3 * np.finfo(float).eps
+# The fewest cells per node for series' helper thread: below, each numpy call
+# is so short that the GIL handoffs cost more than the overlap saves (certify,
+# T5, 33 nodes, 2 vCPUs: 43 ms inline, 74 threaded at 16^3; 154, 133 at 28^3).
+_HELPER_MIN_CELLS = 1 << 14
 
 
 @dataclass
@@ -214,12 +220,64 @@ def _check_theorem(theorem, grid, approx):
 
 
 class _Work:
-    """The node buffers of one pass: two edge and two face fields, a cell array."""
+    """The node buffers of one pass: an edge and a face field and a cell array,
+    and a second edge and face field for a pass that takes the residuals."""
 
-    def __init__(self, grid):
-        self.edge, self.edge2 = (StaggeredField.zeros(grid, EDGE) for _ in range(2))
-        self.face, self.face2 = (StaggeredField.zeros(grid, FACE) for _ in range(2))
+    def __init__(self, grid, residuals=True):
+        self.edge, self.face = (StaggeredField.zeros(grid, kind) for kind in (EDGE, FACE))
+        if residuals:
+            self.edge2, self.face2 = (StaggeredField.zeros(grid, kind) for kind in (EDGE, FACE))
         self.cells = np.zeros((grid.nx, grid.ny, grid.nz, 3))
+
+
+class _Helper:
+    """One call at a time: on a thread of its own if wanted, grid's nodes
+    have _HELPER_MIN_CELLS cells and the process may use a second CPU, under
+    the caller's np.errstate (numpy 1.x keeps it per thread); else at once.
+    wait returns once the last call has ended, raising what it raised."""
+
+    def __init__(self, grid, wanted):
+        cpus = getattr(os, "sched_getaffinity", lambda _: range(os.cpu_count() or 1))(0)
+        self.threaded = (wanted and len(cpus) > 1
+                         and grid.nx * grid.ny * grid.nz >= _HELPER_MIN_CELLS)
+        self._call = self._error = None
+        if self.threaded:
+            self._todo, self._done = threading.Semaphore(0), threading.Semaphore(0)
+            self._thread = threading.Thread(target=self._serve, args=(np.geterr(),), daemon=True)
+            self._thread.start()
+
+    def _serve(self, errstate):
+        with np.errstate(**errstate):
+            while self._todo.acquire() and self._call is not None:
+                try:
+                    self._call[0](*self._call[1])
+                except BaseException as exc:  # raised by the caller's wait
+                    self._error = exc
+                self._done.release()
+
+    def run(self, fn, *args):
+        if not self.threaded:
+            return fn(*args)
+        self._call = (fn, args)  # the arguments are bound now, not when it runs
+        self._todo.release()
+
+    def wait(self):
+        if self._call is not None:
+            self._done.acquire()
+            self._call, error, self._error = None, self._error, None
+            if error is not None:
+                raise error
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        if self.threaded:
+            if self._call is not None:  # the caller raised while a call ran
+                self._done.acquire()
+            self._call = None
+            self._todo.release()
+            self._thread.join()
 
 
 def series(p, approx, Y, theorem, exact=None):
@@ -232,7 +290,8 @@ def series(p, approx, Y, theorem, exact=None):
     Y None stands for the default free field mu^-1 curl Etilde, built node
     by node; Ktilde is then zero, and kt_sq and the coupling are left at
     0.0 uncomputed, as the coupling of T1/T3 always is.  Given an exact
-    reference, the pass takes the true-error norms of every node too.
+    reference, the pass takes the true-error norms of every node too, with
+    the same bits on a _Helper thread beside the node's residuals as inline.
     """
     g = p.grid
     E, dE, Et = _velocity_windows(approx, theorem, g)
@@ -248,26 +307,29 @@ def series(p, approx, Y, theorem, exact=None):
     zp = zero_term_parts(p, approx, Y, theorem)
     kt_sq, edge_sq, face_sq, coup = (np.zeros(nt) for _ in range(4))
     error_sq = None if exact is None else (np.zeros(nt), np.zeros(nt))
-    for k in range(nt):
-        # the true error first: its node k of Etilde has not yet left the window
-        if exact is not None:
-            _error_node(p, exact, E, Et, k, work, error_sq)
-        if Y is not None:
-            kt_sq[k] = weighted_norm_sq(Kt(k), p.mu, g, work.cells)
-        Yk = Yw(k)  # made before the derivatives below move the Etilde window on
-        edge = ddt_node(Et, k, g, work.edge, work.edge2)
-        apply_material_staggered(edge, p.eps, g, edge)
-        edge += curl_face_to_edge(Yk, g, work.edge2)
-        edge -= p.K.node(k)
-        edge_sq[k] = weighted_norm_sq(edge, p.eps_inv, g, work.cells)
-        dY = ddt_node(Yw, k, g, work.face2, work.face)
-        face = mu_inv_curl(p, Et(k), work.face)
-        face -= dY
-        face_sq[k] = weighted_norm_sq(face, p.mu, g, work.cells)
-        if Y is not None and Et is not dE:  # else the coupling curl is 0
-            diff = Et(k).apply(np.subtract, dE(k), work.edge)
-            coupling_curl = curl_edge_to_face(diff, g, work.face)
-            coup[k] = weighted_inner(Kt(k), coupling_curl, None, g, work.cells)
+    with _Helper(g, exact is not None) as helper:
+        error_work = _Work(g, residuals=False) if helper.threaded else work
+        for k in range(nt):
+            if exact is not None:
+                helper.wait()  # node k-1's block reads fields that node k may rewrite
+                helper.run(_error_node, p, exact, E(k), Et(k), k, error_work, error_sq)
+            if Y is not None:
+                kt_sq[k] = weighted_norm_sq(Kt(k), p.mu, g, work.cells)
+            Yk = Yw(k)  # made before the derivatives below move the Etilde window on
+            edge = ddt_node(Et, k, g, work.edge, work.edge2)
+            apply_material_staggered(edge, p.eps, g, edge)
+            edge += curl_face_to_edge(Yk, g, work.edge2)
+            edge -= p.K.node(k)
+            edge_sq[k] = weighted_norm_sq(edge, p.eps_inv, g, work.cells)
+            dY = ddt_node(Yw, k, g, work.face2, work.face)
+            face = mu_inv_curl(p, Et(k), work.face)
+            face -= dY
+            face_sq[k] = weighted_norm_sq(face, p.mu, g, work.cells)
+            if Y is not None and Et is not dE:  # else the coupling curl is 0
+                diff = Et(k).apply(np.subtract, dE(k), work.edge)
+                coupling_curl = curl_edge_to_face(diff, g, work.face)
+                coup[k] = weighted_inner(Kt(k), coupling_curl, None, g, work.cells)
+        helper.wait()
     return NodeSeries(kt_sq, edge_sq, face_sq, coup, zp, error_sq)
 
 
@@ -287,14 +349,14 @@ def loaded(approx, theorem, grid):
     return SolveOutput(approx.Etilde.load(), None, None if derived else approx.Etilde_t.load())
 
 
-def _error_node(p, exact, E, Et, k, work, error_sq):
+def _error_node(p, exact, Ek, Etk, k, work, error_sq):
     """Node k of the true-error norms ||e_t||^2_eps and ||curl e||^2_{mu^-1}
-    into the two arrays error_sq, from the windows E and Et, through the
-    buffers of work."""
+    into the two arrays error_sq, from node k's fields Ek of Etilde and Etk
+    of the theorem's Etilde_t, through the buffers of work."""
     g = p.grid
-    first = exact.Etilde_t.node(k).apply(np.subtract, Et(k), work.edge)
+    first = exact.Etilde_t.node(k).apply(np.subtract, Etk, work.edge)
     error_sq[0][k] = weighted_norm_sq(first, p.eps, g, work.cells)
-    diff = exact.Etilde.node(k).apply(np.subtract, E(k), work.edge)
+    diff = exact.Etilde.node(k).apply(np.subtract, Ek, work.edge)
     curl_err = curl_edge_to_face(diff, g, work.face)
     error_sq[1][k] = weighted_norm_sq(curl_err, p.mu_inv, g, work.cells)
 
@@ -305,10 +367,10 @@ def error_series(p, approx, exact, theorem):
     series, node by node, in the same windows."""
     g = p.grid
     E, _, Et = _velocity_windows(approx, theorem, g)
-    work = _Work(g)
+    work = _Work(g, residuals=False)
     error_sq = (np.zeros(g.nt), np.zeros(g.nt))
     for k in range(g.nt):
-        _error_node(p, exact, E, Et, k, work, error_sq)
+        _error_node(p, exact, E(k), Et(k), k, work, error_sq)
     return error_sq
 
 

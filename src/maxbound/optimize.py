@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -77,16 +78,20 @@ class OptimizeConfig:
     sweeps: int = 3
 
     def __post_init__(self):
-        gb = tuple(float(v) for v in self.gamma_bracket)
-        if len(gb) != 2 or not 0.0 < gb[0] < gb[1] < math.inf:
-            raise ParameterError("gamma bracket must be two finite values 0 < lo < hi")
+        def real(v):  # a bool is no real number here
+            return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+        gb = self.gamma_bracket
+        if (isinstance(gb, str) or not isinstance(gb, (Sequence, np.ndarray)) or len(gb) != 2
+                or not all(map(real, gb)) or not 0.0 < gb[0] < gb[1] < math.inf):
+            raise ParameterError(f"gamma bracket must be two finite reals 0 < lo < hi, got {gb!r}")
         for name, least in (("cg_max_iter", 1), ("sweeps", 0)):
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < least:
                 raise ParameterError(f"{name} must be an integer >= {least}, got {v!r}")
-        if not 0.0 < self.cg_tol < 1.0:
-            raise ParameterError("cg_tol must lie in (0, 1)")
-        self.gamma_bracket = gb
+        if not (real(self.cg_tol) and 0.0 < self.cg_tol < 1.0):
+            raise ParameterError(f"cg_tol must be a number in (0, 1), got {self.cg_tol!r}")
+        self.gamma_bracket = tuple(map(float, gb))
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ import contextlib
 import json
 import os
 import struct
+import threading
 
 import numpy as np
 
@@ -43,18 +44,21 @@ def _header(grid, names):
 
 
 class _Stored:
-    """One archived trajectory: node k of each component at offset + k * node bytes."""
+    """One archived trajectory: node k of each component at offset + k * node bytes.
+    A file's trajectories share its position, so a seek and its io hold the file's lock."""
 
-    def __init__(self, fh, grid, name, kind, offset):
+    def __init__(self, fh, lock, grid, name, kind, offset):
         self.grid, self.name, self.kind, self._fh, self.written = grid, name, kind, fh, set()
+        self._lock = lock
         self._shapes = [grid.shape(kind, comp) for comp in _COMPONENTS]
         self._node_bytes = [8 * int(np.prod(shape)) for shape in self._shapes]
         self._offsets = [offset + grid.nt * sum(self._node_bytes[:i]) for i in range(3)]
         self.end = offset + grid.nt * sum(self._node_bytes)
 
-    def _seek(self, i, k):
-        self._fh.seek(self._offsets[i] + k * self._node_bytes[i])
-        return self._shapes[i]
+    def _at(self, i, k, io, arr):  # io(arr) at node k of component i
+        with self._lock:
+            self._fh.seek(self._offsets[i] + k * self._node_bytes[i])
+            return io(arr)
 
     def set_node(self, k, f):
         """Write node k; a non-finite value is refused, as the reader would."""
@@ -63,13 +67,12 @@ class _Stored:
                 raise GridMismatchError(f"node {k} of {self.name}.{comp} holds non-finite "
                                         "values; no snapshot written")
         for i, arr in enumerate(f.components()):
-            self._seek(i, k)
-            self._fh.write(np.ascontiguousarray(arr, dtype="<f8"))
+            self._at(i, k, self._fh.write, np.ascontiguousarray(arr, dtype="<f8"))
         self.written.add(k)
 
     def _read(self, i, k, count):
-        arr = np.empty((count,) + self._seek(i, k), dtype="<f8")
-        if self._fh.readinto(arr) != arr.nbytes:
+        arr = np.empty((count,) + self._shapes[i], dtype="<f8")
+        if self._at(i, k, self._fh.readinto, arr) != arr.nbytes:
             raise GridMismatchError(f"{self._fh.name}: snapshot shrank while it was read")
         return arr
 
@@ -83,10 +86,10 @@ class _Stored:
 
 def _layout(fh, grid, names, base):
     """{field: _Stored} of the named fields laid out from byte base, and the end."""
-    stored = {}
+    stored, lock = {}, threading.Lock()
     for name, kind in _FIELDS:
         if name in names:
-            stored[name] = _Stored(fh, grid, name, kind, base)
+            stored[name] = _Stored(fh, lock, grid, name, kind, base)
             base = stored[name].end
     return stored, base
 

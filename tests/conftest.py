@@ -6,14 +6,35 @@ trajectory builds a fresh object from arithmetic on the cached ones.
 """
 
 import functools
+import threading
 import tracemalloc
 
 import numpy as np
+import pytest
 
 import maxbound as mb
 from maxbound.errors import ParameterError
 from maxbound.fields import FieldTrajectory
 from maxbound.operators import ddt_stencil, weighted_inner
+
+@pytest.fixture
+def helper_thread(monkeypatch):
+    """majorant.series takes the true error on its helper thread at every
+    size, on a machine of any CPU count; returns a list that tells, for each
+    true-error node in turn, whether a thread other than the main one ran it."""
+    from maxbound import majorant
+
+    monkeypatch.setattr(majorant, "_HELPER_MIN_CELLS", 0)
+    monkeypatch.setattr(majorant.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    threads = []
+    error_node = majorant._error_node
+
+    def recorded(*args):
+        threads.append(threading.current_thread() is not threading.main_thread())
+        return error_node(*args)
+
+    monkeypatch.setattr(majorant, "_error_node", recorded)
+    return threads
 
 
 def traced_peak(fn):

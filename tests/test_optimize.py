@@ -221,6 +221,28 @@ def test_an_iteration_count_that_is_not_an_integer_is_refused_at_construction(fi
     assert mb.OptimizeConfig(**{field: np.int64(2)}).__dict__[field] == 2
 
 
+@pytest.mark.parametrize("field, bad", [
+    ("gamma_bracket", (True, 10)), ("gamma_bracket", (1e-3, False)),
+    ("gamma_bracket", (np.True_, 10)), ("gamma_bracket", ("1", 10)),
+    ("gamma_bracket", "ab"), ("gamma_bracket", 5.0), ("gamma_bracket", {1e-3, 1e3}),
+    ("gamma_bracket", None), ("cg_tol", "0.5"), ("cg_tol", True), ("cg_tol", None),
+    ("cg_tol", (0.5,))], ids=str)
+def test_a_float_field_that_is_not_a_real_number_is_refused_at_construction(field, bad):
+    # (True, 10) was taken as (1.0, 10.0), "0.5" raised TypeError and "ab"
+    # ValueError
+    with pytest.raises(ParameterError, match="gamma bracket must be" if field == "gamma_bracket"
+                       else "cg_tol must be"):
+        mb.OptimizeConfig(**{field: bad})
+
+
+@pytest.mark.parametrize("bracket", [[0.5, 2], (np.float32(0.5), np.int64(2)),
+                                     np.array([0.5, 2.0])], ids=["list", "numpy", "array"])
+def test_a_bracket_of_two_real_numbers_is_taken_as_floats(bracket):
+    cfg = mb.OptimizeConfig(gamma_bracket=bracket, cg_tol=np.float64(1e-8))
+    assert cfg.gamma_bracket == (0.5, 2.0)
+    assert all(type(v) is float for v in cfg.gamma_bracket)
+
+
 def test_parameter_search_never_worse_than_the_default_point():
     p, exact = polynomial_setup(5, 9)
     approx = _perturbed(p, exact)

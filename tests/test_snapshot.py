@@ -2,6 +2,9 @@
 
 import json
 import os
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -12,7 +15,7 @@ from maxbound.config import load_config, problem_from_config
 from maxbound.errors import GridMismatchError, MaxboundError
 from maxbound.fields import EDGE, FieldTrajectory
 from maxbound.problem import bump_field, bump_field_dt
-from maxbound.snapshot import load_snapshot, save_snapshot, snapshot_writer
+from maxbound.snapshot import load_snapshot, save_snapshot, snapshot_reader, snapshot_writer
 from maxbound.solver import SolveOutput
 
 from conftest import cavity_setup
@@ -33,6 +36,69 @@ def test_round_trip_is_bit_exact(tmp_path):
                 continue
             for ca, cb in zip(a.components(), b.components()):
                 assert np.array_equal(ca, cb)
+
+
+class _YieldingFile:
+    """A file whose seek lets the other threads run before the read at it."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def seek(self, pos):
+        self._fh.seek(pos)
+        time.sleep(1e-4)
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+
+def test_threads_reading_one_open_archive_each_read_their_own_node(tmp_path, helper_thread,
+                                                                  monkeypatch):
+    # certify's helper thread reads the exact reference while the caller
+    # reads the approximation: here both from one open file, whose position
+    # the other thread may move between a seek and the read at it
+    p, approx, _ = cavity_setup(8, 33)
+    path = tmp_path / "snapshot.bin"
+    save_snapshot(path, p.grid, approx)
+    with snapshot_reader(path, p.grid) as (_, held):
+        shared = _YieldingFile(held.Etilde._fh)
+        for name in ("Etilde", "Htilde", "Etilde_t"):
+            monkeypatch.setattr(getattr(held, name), "_fh", shared)
+        for _ in range(20):
+            report = mb.certify(p, held, mb.MajorantParams(), "T5", exact=held)
+            assert np.array_equal(report.trueN, np.zeros(p.grid.nt))
+    assert helper_thread and all(helper_thread)
+
+
+def test_more_threads_than_cores_each_read_their_own_node(tmp_path, monkeypatch):
+    p, approx, _ = cavity_setup(6, 13)
+    path = tmp_path / "snapshot.bin"
+    save_snapshot(path, p.grid, approx)
+    names = ("Etilde", "Htilde", "Etilde_t") * 2
+    wrong = []
+    with snapshot_reader(path, p.grid) as (_, held):
+        shared = _YieldingFile(held.Etilde._fh)
+        for name in set(names):
+            monkeypatch.setattr(getattr(held, name), "_fh", shared)
+
+        def read(name):
+            for k in list(range(p.grid.nt)) * 3:
+                got, want = getattr(held, name).node(k), getattr(approx, name).node(k)
+                if not all(map(np.array_equal, got.components(), want.components())):
+                    wrong.append((name, k))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read, args=(name,)) for name in names]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
 
 
 def test_round_trip_without_the_optional_magnetic_derivative(tmp_path):

@@ -7,7 +7,10 @@ for bit, and check that certify's working memory does not grow with the
 number of time nodes.
 """
 
+import contextlib
+import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import maxbound as mb
-from maxbound.fields import EDGE, FACE, FieldTrajectory, MaterialField, StaggeredField
+from maxbound import majorant
+from maxbound.fields import EDGE, FACE, FieldTrajectory, MaterialField, NodeSource, StaggeredField
 from maxbound.majorant import THEOREMS, ZeroTermParts, residual_series, series
 from maxbound.operators import (
     curl_edge_to_face,
@@ -24,6 +28,7 @@ from maxbound.operators import (
     weighted_norm_sq,
 )
 from maxbound.optimize import BoundQuadratic
+from maxbound.snapshot import save_snapshot, snapshot_reader
 from maxbound.solver import SolveOutput
 
 from conftest import cavity_setup, inner_trajectory
@@ -228,3 +233,101 @@ def test_certify_working_memory_does_not_grow_with_the_time_nodes(theorem):
     grid = cavity_setup(8, 129)[0].grid
     edge_trajectory = 8 * grid.nt * sum(int(np.prod(grid.shape(EDGE, c))) for c in "xyz")
     assert long_ - short < edge_trajectory / 4
+
+
+# ---------------------------------------------------------------------------
+# the true error on the helper thread, beside the residuals
+
+
+def _exact_held(how, exact, grid, tmp_path, stack):
+    """exact in memory, open in snapshot_reader, or as a NodeSource per field."""
+    if how == "memory":
+        return exact
+    if how == "reader":
+        path = tmp_path / "exact.bin"
+        save_snapshot(path, grid, exact)
+        return stack.enter_context(snapshot_reader(path, grid))[1]
+    return SolveOutput(NodeSource(grid, EDGE, exact.Etilde.node), None,
+                       NodeSource(grid, EDGE, exact.Etilde_t.node))
+
+
+@pytest.mark.parametrize("how", ["memory", "reader", "NodeSource"])
+@pytest.mark.parametrize("explicit_Y", [False, True])
+@pytest.mark.parametrize("theorem", ["T1", "T3", "T4", "T5"])
+def test_the_helper_thread_keeps_every_bit(theorem, explicit_Y, how, helper_thread,
+                                           monkeypatch, tmp_path):
+    rng = np.random.default_rng(7)
+    grid = mb.GridSpec(3, 2, 3, 1.0, 0.7, 1.3, 9, 0.8)
+    p, approx = _random_inputs(grid, rng, True)
+    exact = SolveOutput(*(_random_traj(grid, kind, rng) for kind in (EDGE, FACE, EDGE)))
+    Y = _random_traj(grid, FACE, rng) if explicit_Y else None
+    with contextlib.ExitStack() as stack:
+        held = _exact_held(how, exact, grid, tmp_path, stack)
+        monkeypatch.setattr(majorant, "_HELPER_MIN_CELLS", grid.nx * grid.ny * grid.nz + 1)
+        want = series(p, approx, Y, theorem, held)
+        monkeypatch.setattr(majorant, "_HELPER_MIN_CELLS", grid.nx * grid.ny * grid.nz)
+        got = series(p, approx, Y, theorem, held)
+    assert helper_thread == [False] * grid.nt + [True] * grid.nt
+    for name in ("kt_sq", "edge_sq", "face_sq", "coup"):
+        _same(getattr(got, name), getattr(want, name))
+    assert got.zp == want.zp
+    for got_sq, want_sq in zip(got.error_sq, want.error_sq):
+        _same(got_sq, want_sq)
+    assert np.all(want.error_sq[0] > 0.0) and np.all(want.error_sq[1] > 0.0)
+
+
+class _Boom(Exception):
+    pass
+
+
+@pytest.mark.parametrize("raiser", ["exact", "approx"])
+def test_an_error_on_either_thread_leaves_certify_as_itself_and_no_thread(raiser,
+                                                                         helper_thread):
+    # the exact reference is read on the helper, the approximation on the caller
+    p, approx, exact = cavity_setup(4, 17)
+    boom = _Boom("node 3")
+
+    def raising(traj):
+        return NodeSource(p.grid, EDGE, lambda k: _raise(boom) if k == 3 else traj.node(k))
+
+    if raiser == "exact":
+        exact = SolveOutput(exact.Etilde, None, raising(exact.Etilde_t))
+    else:
+        approx = SolveOutput(raising(approx.Etilde), approx.Htilde, approx.Etilde_t)
+    threads = threading.active_count()
+    with pytest.raises(_Boom) as info:
+        mb.certify(p, approx, mb.MajorantParams(), "T5", exact)
+    assert info.value is boom
+    assert threading.active_count() == threads
+    assert helper_thread and all(helper_thread)
+
+
+def _raise(exc):
+    raise exc
+
+
+def test_the_helper_thread_runs_under_the_caller_s_errstate(helper_thread):
+    p, approx, exact = cavity_setup(4, 17)
+    huge = SolveOutput(exact.Etilde * 1e200, None, exact.Etilde_t * 1e200)
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        series(p, approx, None, "T5", huge)
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = series(p, approx, None, "T5", huge)
+    assert np.all(np.isinf(s.error_sq[0][1:]))
+    assert helper_thread and all(helper_thread)
+
+
+@pytest.mark.parametrize("asked, cpus, n, threaded", [
+    (True, 2, 25, False), (True, 2, 26, True), (True, 1, 26, False), (True, 4, 40, True),
+    (False, 2, 40, False)])
+def test_the_helper_thread_runs_from_its_least_node_size_on_more_than_one_cpu(
+        asked, cpus, n, threaded, monkeypatch):
+    # 25^3 cells are below 2^14, 26^3 above
+    monkeypatch.setattr(majorant.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
+    before = threading.active_count()
+    with majorant._Helper(mb.GridSpec(n, n, n, 1.0, 1.0, 1.0, 9, 1.0), asked) as helper:
+        assert helper.threaded is threaded
+        assert threading.active_count() == before + threaded
+    assert threading.active_count() == before
