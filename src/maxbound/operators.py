@@ -56,20 +56,91 @@ def _corners(a, axes):
     return views
 
 
-def _curl_rows(terms, work):
-    """out = diff(a)/ha - diff(b)/hb along the given axes for each
-    (out, a, axis_a, ha, b, axis_b, hb); the subtrahends share one scratch,
-    work when it is given."""
+# The curls and the cell sums of the norms take a fast path: one contiguous
+# pass per shifted difference or corner sum over a flat component array, at
+# a fixed offset, into a scratch in the component's shape.  Its rows at the
+# upper end of a shifted axis pair dofs across rows and are never read; the
+# view without them holds every element of the strided formula, each made
+# by the same operations in the same order.  Those extra pairs may overflow
+# where the strided formula does not, so the pass records floating-point
+# errors instead of reporting them, and when it has recorded any, the
+# strided formula makes the result again under the caller's np.errstate,
+# with its warnings and errors.  A pass that records none has made every
+# element as the strided formula does, which then reports nothing either.
+# The strided formula alone runs while underflow is not ignored, and on
+# arrays that are not C-contiguous or have fewer than _FLAT_MIN elements,
+# where the set-up costs more than the pass saves.
+_FLAT_MIN = 1 << 14
+
+
+def _flat_size(*fields):
+    """The scratch the fast path over the components of these fields takes,
+    the size of the first field's largest component; 0 where the strided
+    formula runs."""
+    if fields[0].x.size < _FLAT_MIN or np.geterr()["under"] != "ignore" or not all(
+            a.flags.c_contiguous for f in fields for a in f.components()):
+        return 0
+    return max(a.size for a in fields[0].components())
+
+
+def _clean(fast, *args):
+    """Whether fast(*args) ran with no floating-point error: underflow is
+    ignored, the others are recorded, not reported."""
+    errors = []
+    with np.errstate(call=lambda kind, flag: errors.append(kind), divide="call",
+                     over="call", invalid="call", under="ignore"):
+        fast(*args)
+    return not errors
+
+
+def _scaling(h):
+    """(op, s) with op(x, s) == x / h for every double x, bits and
+    floating-point flags alike: x * (1/h) when h is a power of two whose
+    reciprocal is finite, x / h and x * (1/h) then being one real number
+    rounded once; x / h otherwise."""
+    r = 1.0 / h
+    return (np.multiply, r) if math.frexp(h)[0] == 0.5 and math.isfinite(r) else (np.divide, h)
+
+
+def _difference(a, pre, axis, h, buf):
+    """diff(a[pre]) / h along a spatial axis, as a view of buf: a shifted by
+    one along the axis minus a, in one pass over flat a into buf, scaled
+    there; in a's shape, its rows at the upper end of the axis pair dofs
+    across rows, and the view leaves them out."""
+    flat = a.reshape(-1)
+    n = flat.size
+    part = buf[: n - a.strides[axis] // a.itemsize]
+    np.subtract(flat[n - part.size:], flat[: part.size], out=part)
+    op, s = _scaling(h)
+    op(part, s, out=part)
+    return buf[:n].reshape(a.shape)[pre][_LOWER_UPPER[axis][0]]
+
+
+def _curl_rows(f, terms, work):
+    """out = diff(a[pre_a])/ha - diff(b[pre_b])/hb along the given axes for
+    each (out, a, pre_a, axis_a, ha, b, pre_b, axis_b, hb), a and b being
+    components of the field f; through the scratch work when it is given."""
+    size = _flat_size(f)
+    if size and _clean(_flat_curl_rows, terms, np.empty(size) if work is None else work):
+        return
     scratch = np.empty(max(t[0].size for t in terms)) if work is None else work
-    for out, a, axis_a, ha, b, axis_b, hb in terms:
+    for out, a, pre_a, axis_a, ha, b, pre_b, axis_b, hb in terms:
         tmp = scratch[: out.size].reshape(out.shape)
-        lo, hi = _lower_upper(a, axis_a)
+        lo, hi = _lower_upper(a[pre_a], axis_a)
         np.subtract(hi, lo, out=out)
         out /= ha
-        lo, hi = _lower_upper(b, axis_b)
+        lo, hi = _lower_upper(b[pre_b], axis_b)
         np.subtract(hi, lo, out=tmp)
         tmp /= hb
         out -= tmp
+
+
+def _flat_curl_rows(terms, buf):
+    """_curl_rows' fast path: each difference made in buf, the first copied
+    into out and the second subtracted from it."""
+    for out, a, pre_a, axis_a, ha, b, pre_b, axis_b, hb in terms:
+        np.copyto(out, _difference(a, pre_a, axis_a, ha, buf))
+        out -= _difference(b, pre_b, axis_b, hb, buf)
 
 
 # The curls and gram_apply write into out, a field of the result's kind and
@@ -77,7 +148,9 @@ def _curl_rows(terms, work):
 # the same operations either way.  work, a flat float array with at least
 # three times as many elements as the largest component of the result,
 # takes the place of the scratch the curls and gram_apply would otherwise
-# allocate, so that a caller that passes both out and work allocates no array.
+# allocate, so that a caller that passes both out and work allocates no
+# array.  That size holds any component of a curl's argument too, which is
+# all the fast path's scratch.
 
 
 def curl_edge_to_face(e, grid, out=None, work=None):
@@ -90,10 +163,10 @@ def curl_edge_to_face(e, grid, out=None, work=None):
     if out is None:
         out = _field(grid, FACE, [np.empty(ex.shape[:-3] + grid.shape(FACE, c))
                                   for c in _COMPONENTS])
-    _curl_rows([
-        (out.x, ez, -2, hy, ey, -1, hz),
-        (out.y, ex, -1, hz, ez, -3, hx),
-        (out.z, ey, -3, hx, ex, -2, hy),
+    _curl_rows(e, [
+        (out.x, ez, ..., -2, hy, ey, ..., -1, hz),
+        (out.y, ex, ..., -1, hz, ez, ..., -3, hx),
+        (out.z, ey, ..., -3, hx, ex, ..., -2, hy),
     ], work)
     return out
 
@@ -112,13 +185,19 @@ def curl_face_to_edge(h, grid, out=None, work=None):
     if out is None:
         out = _field(grid, EDGE, [np.empty(hxc.shape[:-3] + grid.shape(EDGE, c))
                                   for c in _COMPONENTS])
-    _curl_rows([
-        (out.x[..., 1:-1, 1:-1], hzc[..., 1:-1], -2, hy, hyc[..., 1:-1, :], -1, hz),
-        (out.y[..., 1:-1, :, 1:-1], hxc[..., 1:-1, :, :], -1, hz, hzc[..., 1:-1], -3, hx),
-        (out.z[..., 1:-1, 1:-1, :], hyc[..., 1:-1, :], -3, hx, hxc[..., 1:-1, :, :], -2, hy),
+    # the rows left out below are exactly the tangential boundary values
+    zero_tangential(out)
+    inner_x, inner_y, inner_z = _INNER
+    _curl_rows(h, [
+        (out.x[..., 1:-1, 1:-1], hzc, inner_z, -2, hy, hyc, inner_y, -1, hz),
+        (out.y[..., 1:-1, :, 1:-1], hxc, inner_x, -1, hz, hzc, inner_z, -3, hx),
+        (out.z[..., 1:-1, 1:-1, :], hyc, inner_y, -3, hx, hxc, inner_x, -2, hy),
     ], work)
-    # the rows left out above are exactly the tangential boundary values
-    return zero_tangential(out)
+    return out
+
+
+# a field's interior rows along x, y and z
+_INNER = tuple((...,) + (slice(1, -1),) + (slice(None),) * (2 - d) for d in range(3))
 
 
 def gradient_node_to_edge(phi, grid):
@@ -159,6 +238,27 @@ def _corner_sum(comp, kind, i, out):
     for term in terms[2:]:
         out += term
     return out
+
+
+def _flat_corner_sum(comp, kind, i, buf):
+    """_corner_sum's sums of comp, in one pass per corner over flat comp into
+    buf (see _difference), viewed as the cells."""
+    flat = comp.reshape(-1)
+    offsets = [0]
+    for d in nodal_axes(kind, i):
+        offsets += [o + comp.strides[d - 3] // comp.itemsize for o in offsets]
+    n = flat.size - offsets[-1]
+    part = buf[:n]
+    np.add(flat[:n], flat[offsets[1]: offsets[1] + n], out=part)
+    for o in offsets[2:]:
+        part += flat[o: o + n]
+    return buf[: flat.size].reshape(comp.shape)[_CELL_CORNER[kind, i]]
+
+
+# per field kind and component, the index of each cell's first corner
+_CELL_CORNER = {(kind, i): (...,) + tuple(slice(None, -1) if d in nodal_axes(kind, i)
+                                          else slice(None) for d in range(3))
+                for kind in (EDGE, FACE) for i in range(3)}
 
 
 def cell_average(f, grid):
@@ -229,23 +329,32 @@ def _cell_products(u, v, w, grid, out):
     u.check_extents(grid)
     v.check_extents(grid)
     cells = np.empty(u.x.shape[:-3] + (grid.nx, grid.ny, grid.nz, 3)) if out is None else out
-    su = np.empty(cells.shape[:-1])
-    sv = su if v is u else np.empty_like(su)
+    # a face's corner sums, one add each, gain nothing from the fast path
+    size = u.kind == EDGE and _flat_size(u, v)
+    if not (size and _clean(_fill_cells, u, v, w, cells, _flat_corner_sum, size)):
+        _fill_cells(u, v, w, cells, _corner_sum, cells.shape[:-1])
+    weight = 0.25 if u.kind == EDGE else 0.5
+    if cells.ndim == 4:
+        return float(np.sum(cells) * (weight * weight) * grid.cell_volume)
+    return cells.reshape(len(cells), -1).sum(axis=1) * (weight * weight) * grid.cell_volume
+
+
+def _fill_cells(u, v, w, cells, corner_sum, shape):
+    """The cell products of _cell_products into cells, each component's sums
+    made by corner_sum(comp, kind, i, buf) in a new array of the given shape,
+    one for u and one for v."""
     coeff = None if w is None or w.is_identity() else w.values
+    su_buf = np.empty(shape)
+    sv_buf = su_buf if v is u else np.empty(shape)
     for i, (a, b) in enumerate(zip(u.components(), v.components())):
-        _corner_sum(a, u.kind, i, su)
-        if v is not u:
-            _corner_sum(b, u.kind, i, sv)
+        su = corner_sum(a, u.kind, i, su_buf)
+        sv = su if v is u else corner_sum(b, u.kind, i, sv_buf)
         slot = cells[..., i]
         if coeff is None:
             np.multiply(su, sv, out=slot)
         else:
             np.multiply(su, coeff if w.kind == "scalar" else coeff[..., i], out=slot)
             slot *= sv
-    weight = 0.25 if u.kind == EDGE else 0.5
-    if cells.ndim == 4:
-        return float(np.sum(cells) * (weight * weight) * grid.cell_volume)
-    return cells.reshape(len(cells), -1).sum(axis=1) * (weight * weight) * grid.cell_volume
 
 
 def gram_apply(u, w, grid, out=None, work=None):

@@ -21,7 +21,8 @@ def test_a_size_record_is_finite_and_carries_certify_s_bound(record):
     stages = ("assemble", "certify", "optimize_all", "closing_report", "hessian_m1",
               "hessian_mnt", "gamma_rho_search", "curl_edge_to_face", "curl_face_to_edge",
               "apply_material_staggered", "gram_apply", "trajectory_derivative",
-              "cli_full_T1", "cli_full_T5")
+              "node_curl_edge_to_face", "node_curl_face_to_edge", "node_weighted_norm_sq_edge",
+              "node_weighted_norm_sq_face", "cli_full_T1", "cli_full_T5")
     for stage in stages:
         assert set(record[stage]) == {"wall_s", "peak_mb"}
         assert all(math.isfinite(v) and v >= 0.0 for v in record[stage].values()), stage
@@ -49,3 +50,17 @@ def test_the_margin_is_min_b_minus_true_n_on_an_independent_velocity(record):
     optimized = record["margin"]["optimize_all"]
     assert math.isfinite(optimized) if isinstance(optimized, float) else (
         optimized.startswith("refused: "))
+
+
+def test_records_of_several_processes_take_the_median_of_each_time(record):
+    slower = {name: ({"wall_s": 2.0 * row["wall_s"], "peak_mb": row["peak_mb"]}
+                     if isinstance(row, dict) and "wall_s" in row else row)
+              for name, row in record.items()}
+    combined = bench_layers._median_record([record, slower, slower])
+    assert combined["certify"]["wall_s"] == 2.0 * record["certify"]["wall_s"]
+    assert combined["certify"]["wall_s_each"] == [record["certify"]["wall_s"]] + [
+        2.0 * record["certify"]["wall_s"]] * 2
+    assert combined["bound_T"] == record["bound_T"]
+    moved = dict(record, bound_T=dict(record["bound_T"], certify=0.0))
+    assert "error" in bench_layers._median_record([record, moved])
+    assert bench_layers._median_record([record, {"error": "exit 9"}]) == {"error": "exit 9"}

@@ -6,7 +6,12 @@ formulas and loops written out with a new array for every operation;
 each in-place pass must give the same bits, signed zeros included.
 """
 
+import contextlib
+import itertools
+import json
 import math
+import os
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +20,7 @@ from hypothesis import strategies as st
 
 import maxbound as mb
 import maxbound.snapshot as snapshot
+from maxbound import cli, majorant, operators, optimize, problem, solver
 from maxbound.cli import main
 from maxbound.fields import EDGE, FACE, FieldTrajectory, MaterialField, StaggeredField
 from maxbound.majorant import (
@@ -94,7 +100,7 @@ def _ref_curl_edge_to_face(e, grid):
 def _ref_curl_face_to_edge(h, grid):
     hx, hy, hz = grid.hx, grid.hy, grid.hz
     hxc, hyc, hzc = h.x, h.y, h.z
-    ox, oy, oz = (np.zeros(grid.shape(EDGE, c)) for c in "xyz")
+    ox, oy, oz = (np.zeros(hxc.shape[:-3] + grid.shape(EDGE, c)) for c in "xyz")
     ox[..., 1:-1, 1:-1] = (
         (hzc[..., 1:, 1:-1] - hzc[..., :-1, 1:-1]) / hy
         - (hyc[..., 1:-1, 1:] - hyc[..., 1:-1, :-1]) / hz
@@ -153,28 +159,70 @@ def _ref_cell_average_adjoint(v, grid, kind):
     return StaggeredField(kind, ox, oy, oz)
 
 
-def _ref_cell_coeff(w):
-    return w.values[..., None] if w.kind == "scalar" else w.values
+# The norms and gram_apply in the kernels' own order of operations, node
+# fields and trajectories alike: per component, the cell sums of the dofs
+# (the first nodal axis fastest), the material, the product; the squared
+# averaging weight and the cell volume once, at the end.  Averaging first
+# gives the same bits except where a quarter or a half of a dof underflows,
+# as it does for subnormal dofs.  Every operation that may raise a
+# floating-point error comes in the kernels' order, so these raise and
+# warn as the kernels do.
 
 
-def _ref_gram_apply(u, w, grid):
-    ub = _ref_cell_average(u, grid)
-    if w is not None:
-        ub = ub * _ref_cell_coeff(w)
-    return _ref_cell_average_adjoint(ub * grid.cell_volume, grid, u.kind)
+def _ref_cell_sums(f, i):
+    c = f.components()[i]
+    if f.kind == FACE:
+        lo, hi = ([slice(None)] * 3 for _ in range(2))
+        lo[i], hi[i] = slice(None, -1), slice(1, None)
+        return c[(...,) + tuple(lo)] + c[(...,) + tuple(hi)]
+    if i == 0:
+        return c[..., :-1, :-1] + c[..., 1:, :-1] + c[..., :-1, 1:] + c[..., 1:, 1:]
+    if i == 1:
+        return (c[..., :-1, :, :-1] + c[..., 1:, :, :-1] + c[..., :-1, :, 1:]
+                + c[..., 1:, :, 1:])
+    return c[..., :-1, :-1, :] + c[..., 1:, :-1, :] + c[..., :-1, 1:, :] + c[..., 1:, 1:, :]
 
 
-def _ref_weighted_norm_sq(u, w, grid):
-    ub = _ref_cell_average(u, grid)
-    wb = ub if w is None else ub * _ref_cell_coeff(w)
-    return float(np.sum(wb * ub) * grid.cell_volume)
+def _ref_coeff(w, i):
+    return None if w is None or w.is_identity() else (
+        w.values if w.kind == "scalar" else w.values[..., i])
 
 
 def _ref_weighted_inner(u, v, w, grid):
-    ub, vb = _ref_cell_average(u, grid), _ref_cell_average(v, grid)
-    if w is not None:
-        ub = ub * _ref_cell_coeff(w)
-    return float(np.sum(ub * vb) * grid.cell_volume)
+    cells = np.empty(u.x.shape[:-3] + (grid.nx, grid.ny, grid.nz, 3))
+    for i in range(3):
+        su = _ref_cell_sums(u, i)
+        sv = su if v is u else _ref_cell_sums(v, i)
+        c = _ref_coeff(w, i)
+        cells[..., i] = su * sv if c is None else su * c * sv
+    scale = (0.25 if u.kind == EDGE else 0.5) ** 2
+    if cells.ndim == 4:
+        return float(np.sum(cells) * scale * grid.cell_volume)
+    return cells.reshape(len(cells), -1).sum(axis=1) * scale * grid.cell_volume
+
+
+def _ref_weighted_norm_sq(u, w, grid):
+    return _ref_weighted_inner(u, u, w, grid)
+
+
+def _ref_gram_apply(u, w, grid):
+    sums = []
+    for i in range(3):
+        s = _ref_cell_sums(u, i)
+        c = _ref_coeff(w, i)
+        sums.append(s if c is None else s * c)
+    cells = np.stack(sums) * ((0.25 if u.kind == EDGE else 0.5) ** 2 * grid.cell_volume)
+    comps = []
+    for i, c in enumerate("xyz"):
+        out = np.zeros(u.x.shape[:-3] + grid.shape(u.kind, c))
+        nodal = [d for d in range(3) if (d == i) == (u.kind == FACE)]
+        for corner in itertools.product((0, 1), repeat=len(nodal)):
+            index = [slice(None)] * 3
+            for d, a in zip(nodal, corner):
+                index[d] = slice(a, a + (grid.nx, grid.ny, grid.nz)[d])
+            out[(...,) + tuple(index)] += cells[i]
+        comps.append(out)
+    return StaggeredField(u.kind, *comps)
 
 
 def _ref_material(f, w, grid):
@@ -200,9 +248,33 @@ def _ref_ddt_node(node, k, grid):
 # ---------------------------------------------------------------------------
 # kernels with and without out=
 
-grids = st.builds(mb.GridSpec, nx=st.integers(2, 5), ny=st.integers(2, 5), nz=st.integers(2, 5),
-                  lx=st.floats(0.5, 2.0), ly=st.floats(0.5, 2.0), lz=st.floats(0.5, 2.0),
-                  nt=st.integers(3, 6), T=st.floats(0.5, 2.0))
+@st.composite
+def _grids(draw):
+    """2 to 5 cells per axis, each spacing a power of two (2**-3 to 2**3,
+    which the curls scale by its reciprocal) or any in between."""
+    cells = [draw(st.integers(2, 5)) for _ in range(3)]
+    lengths = [draw(st.one_of(st.floats(0.5, 2.0),
+                              st.integers(-3, 3).map(lambda j, n=n: n * 2.0**j)))
+               for n in cells]
+    return mb.GridSpec(*cells, *lengths, draw(st.integers(3, 6)), draw(st.floats(0.5, 2.0)))
+
+
+grids = _grids()
+
+# the least component size from which the kernels take their fast path:
+# every size, and none
+FLAT_MINS = (0, math.inf)
+
+
+@contextlib.contextmanager
+def _flat_from(size):
+    """The kernels take their fast path on components of size elements or more."""
+    saved = operators._FLAT_MIN
+    operators._FLAT_MIN = size
+    try:
+        yield
+    finally:
+        operators._FLAT_MIN = saved
 
 
 def _materials(grid, rng):
@@ -215,7 +287,12 @@ def _materials(grid, rng):
 @settings(max_examples=40, deadline=None)
 @given(grid=grids, seed=seeds)
 def test_kernels_equal_their_allocating_formulas_with_and_without_out(grid, seed):
-    rng = np.random.default_rng(seed)
+    for flat_min in FLAT_MINS:
+        with _flat_from(flat_min):
+            _kernels_against_formulas(grid, np.random.default_rng(seed))
+
+
+def _kernels_against_formulas(grid, rng):
     e, h = _field(grid, EDGE, rng), _field(grid, FACE, rng)
     garbage = lambda kind: _field(grid, kind, rng)  # out= must not read its old values
 
@@ -261,6 +338,220 @@ def test_kernels_equal_their_allocating_formulas_with_and_without_out(grid, seed
         want = _ref_ddt_node(traj.node, k, grid)
         _same_field(ddt_node(traj.node, k, grid), want)
         _same_field(ddt_node(traj.node, k, grid, garbage(EDGE), garbage(EDGE)), want)
+
+
+# ---------------------------------------------------------------------------
+# floating-point errors: the fast path raises and warns as the strided formula
+
+_SPECIALS = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2e-308,
+                      1e308, -1e308])
+# under="ignore" lets the fast path run; the others send every call to the
+# strided formula
+ERRSTATES = (dict(all="raise", under="ignore"), dict(all="warn", under="ignore"),
+             dict(all="ignore"), dict(all="raise"), dict(all="warn"))
+
+
+def _special_values(rng, shape, share):
+    """Random values, about a share of them drawn from _SPECIALS."""
+    v = rng.standard_normal(shape)
+    picks = rng.random(shape) < share
+    v[picks] = rng.choice(_SPECIALS, int(picks.sum()))
+    return v
+
+
+def _outcome(fn, errstate):
+    """What fn() does under the errstate: ("ok", result) or ("raised", message),
+    and the messages of the warnings it gave."""
+    with warnings.catch_warnings(record=True) as caught, np.errstate(**errstate):
+        warnings.simplefilter("always")
+        try:
+            result = ("ok", fn())
+        except FloatingPointError as exc:
+            result = ("raised", str(exc))
+    return result, [str(w.message) for w in caught]
+
+
+def _same_outcome(got, want):
+    (got_kind, got_value), got_warnings = got
+    (want_kind, want_value), want_warnings = want
+    assert (got_kind, got_warnings) == (want_kind, want_warnings)
+    if got_kind == "raised":
+        assert got_value == want_value
+    elif isinstance(want_value, (StaggeredField, FieldTrajectory)):
+        _same_field(got_value, want_value)
+    else:
+        _same(got_value, want_value)
+
+
+@settings(max_examples=40, deadline=None)
+@given(grid=grids, seed=seeds, whole=st.booleans(), share=st.sampled_from((0.0, 0.02, 0.3)))
+def test_kernels_raise_and_warn_exactly_as_their_strided_formulas(grid, seed, whole, share):
+    """Node fields or whole trajectories holding signed zeros, infinities,
+    NaN, subnormals and +-1e308: under every errstate, on either path, each
+    kernel raises when its formula raises, with its message, gives the same
+    warnings, and else returns the formula's bits."""
+    rng = np.random.default_rng(seed)
+    lead = (grid.nt,) if whole else ()
+
+    def field(kind):
+        comps = (_special_values(rng, lead + grid.shape(kind, c), share) for c in "xyz")
+        return FieldTrajectory(kind, grid, *comps) if whole else StaggeredField(kind, *comps)
+
+    e, h = field(EDGE), field(FACE)
+    w = _materials(grid, rng)[int(rng.integers(0, 4))]
+    work = np.empty(3 * max(a.size for a in e.components() + h.components()))
+    cases = [(lambda: curl_edge_to_face(e, grid), lambda: _ref_curl_edge_to_face(e, grid)),
+             (lambda: curl_edge_to_face(e, grid, _traj_or_field(grid, FACE, lead), work),
+              lambda: _ref_curl_edge_to_face(e, grid)),
+             (lambda: curl_face_to_edge(h, grid), lambda: _ref_curl_face_to_edge(h, grid)),
+             (lambda: curl_face_to_edge(h, grid, _traj_or_field(grid, EDGE, lead), work),
+              lambda: _ref_curl_face_to_edge(h, grid))]
+    for f in (e, h):
+        other = field(f.kind)
+        cells = np.empty(lead + (grid.nx, grid.ny, grid.nz, 3))
+        cases += [(lambda f=f: weighted_norm_sq(f, w, grid),
+                   lambda f=f: _ref_weighted_norm_sq(f, w, grid)),
+                  (lambda f=f, o=other: weighted_inner(f, o, w, grid, cells),
+                   lambda f=f, o=other: _ref_weighted_inner(f, o, w, grid)),
+                  (lambda f=f: gram_apply(f, w, grid), lambda f=f: _ref_gram_apply(f, w, grid))]
+    for errstate in ERRSTATES:
+        for kernel, formula in cases:
+            want = _outcome(formula, errstate)
+            for flat_min in FLAT_MINS:
+                with _flat_from(flat_min):
+                    _same_outcome(_outcome(kernel, errstate), want)
+
+
+def _traj_or_field(grid, kind, lead):
+    """An out= of garbage: a trajectory for a leading time axis, else a node field."""
+    comps = [np.full(lead + grid.shape(kind, c), np.nan) for c in "xyz"]
+    return FieldTrajectory(kind, grid, *comps) if lead else StaggeredField(kind, *comps)
+
+
+@pytest.mark.parametrize("errstate", ERRSTATES)
+@pytest.mark.parametrize("flat_min", FLAT_MINS)
+def test_row_end_pairs_that_overflow_leave_the_curl_as_the_strided_formula_makes_it(
+        flat_min, errstate):
+    """e.y alternates +-1e308 from row to row: every difference the curl takes
+    is 0, but a flat pass along z pairs the end of one row with the start of
+    the next, and that difference overflows."""
+    grid = mb.GridSpec(4, 4, 4, 1.0, 1.0, 1.0, 3, 1.0)
+    e = StaggeredField.zeros(grid, EDGE)
+    for j in range(grid.ny):
+        e.y[:, j, :] = (-1) ** j * 1e308
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+        operators._difference(e.y, ..., -1, grid.hz, np.empty(e.y.size))
+    want = _outcome(lambda: _ref_curl_edge_to_face(e, grid), errstate)
+    assert want == (("ok", want[0][1]), [])
+    with _flat_from(flat_min):
+        got = _outcome(lambda: curl_edge_to_face(e, grid), errstate)
+    _same_outcome(got, want)
+    assert not any(np.any(c) for c in got[0][1].components())
+
+
+def _kernel_calls(grid, rng):
+    """Both curls and gram_apply, each given out= and work=."""
+    e, h = _field(grid, EDGE, rng), _field(grid, FACE, rng)
+    face, edge = StaggeredField.zeros(grid, FACE), StaggeredField.zeros(grid, EDGE)
+    work = np.empty(3 * max(a.size for a in e.components() + h.components()))
+    w = MaterialField.diagonal(grid, 1.0, 2.0, 3.0)
+    return {"curl_edge_to_face": lambda: curl_edge_to_face(e, grid, face, work),
+            "curl_face_to_edge": lambda: curl_face_to_edge(h, grid, edge, work),
+            "gram_apply": lambda: gram_apply(e, w, grid, edge, work)}
+
+
+@pytest.mark.parametrize("flat_min", FLAT_MINS)
+def test_a_caller_that_gives_out_and_work_allocates_no_array(flat_min, monkeypatch):
+    grid = mb.GridSpec(6, 5, 4, 1.0, 1.0, 1.0, 3, 1.0)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a kernel given out= and work= allocated an array")
+
+    calls = _kernel_calls(grid, np.random.default_rng(4))
+    with _flat_from(flat_min):
+        for name in ("empty", "zeros", "empty_like", "zeros_like", "full"):
+            monkeypatch.setattr(np, name, refused)
+        for call in calls.values():
+            call()
+
+
+# ---------------------------------------------------------------------------
+# end to end: the CLI's reports with the kernels and with their formulas
+
+
+def _as_result(got, like, out):
+    """The formula's field got as the kernel returns it: in out when given,
+    else a trajectory on like's grid for a leading time axis."""
+    if out is not None:
+        for o, g in zip(out.components(), got.components()):
+            np.copyto(o, g)
+        return out
+    if isinstance(like, FieldTrajectory):
+        return FieldTrajectory(got.kind, like.grid, *got.components())
+    return got
+
+
+FORMULAS = {
+    "curl_edge_to_face": lambda e, grid, out=None, work=None: _as_result(
+        _ref_curl_edge_to_face(e, grid), e, out),
+    "curl_face_to_edge": lambda h, grid, out=None, work=None: _as_result(
+        _ref_curl_face_to_edge(h, grid), h, out),
+    "weighted_norm_sq": lambda u, w, grid, out=None: _ref_weighted_norm_sq(u, w, grid),
+    "weighted_inner": lambda u, v, w, grid, out=None: _ref_weighted_inner(u, v, w, grid),
+    "gram_apply": lambda u, w, grid, out=None, work=None: _as_result(
+        _ref_gram_apply(u, w, grid), u, out),
+}
+
+
+def _cli_outputs(tmp_path, name, cfg, runs):
+    """The bytes of the snapshot of CLI solve and of the reports of each CLI
+    certify in runs (a list of extra arguments)."""
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(cfg))
+    out = str(tmp_path / name)
+    assert main(["solve", "--config", str(path), "--out", out]) == 0
+    snap = os.path.join(out, "snapshot.bin")
+    with open(snap, "rb") as fh:
+        outputs = {"snapshot": fh.read()}
+    for i, extra in enumerate(runs):
+        report = os.path.join(out, str(i))
+        assert main(["certify", "--config", str(path), "--snapshot", snap, "--out", report,
+                     *extra]) == 0
+        for file in ("report.json", "report.csv"):
+            with open(os.path.join(report, file), "rb") as fh:
+                outputs[i, file] = fh.read()
+    return outputs
+
+
+def _cli_case(n, nt, **blocks):
+    return {"grid": {"nx": n, "ny": n, "nz": n, "lx": 1.0, "ly": 1.0, "lz": 1.0, "nt": nt,
+                     "T": 1.0 if blocks else 0.25}, **blocks}
+
+
+@pytest.mark.parametrize("case", ["cavity16", "cavity12", "poly4"])
+def test_cli_reports_equal_those_of_the_formulas(case, tmp_path, monkeypatch, capsys):
+    """The fast kernels, taken at every size, against their formulas in every
+    module that imports them: the snapshot and both reports byte for byte.
+    h = 1/16 scales by the reciprocal, h = 1/12 divides."""
+    if case == "poly4":
+        cfg = _cli_case(4, 9, case={"name": "polynomial_source"}, solver={"method": "exact"},
+                        perturbation={"bump": "poly_t2", "delta": 0.01},
+                        majorant={"theorem": "T5", "optimizeConfig": {"sweeps": 2}})
+        runs = [["--optimize", "full"]]
+    else:
+        cfg = dict(_cli_case(16 if case == "cavity16" else 12, 17), case={"name": "cavity_mode"})
+        runs = [["--theorem", t, "--optimize", o] for t in ("T1", "T5") for o in ("none", "params")]
+    monkeypatch.setattr(operators, "_FLAT_MIN", 0)
+    fast = _cli_outputs(tmp_path, "fast", cfg, runs)
+    for module in (operators, majorant, solver, optimize, problem, cli):
+        for name, formula in FORMULAS.items():
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, formula)
+    formulas = _cli_outputs(tmp_path, "formulas", cfg, runs)
+    capsys.readouterr()
+    assert fast.keys() == formulas.keys()
+    for key in fast:
+        assert fast[key] == formulas[key], key
 
 
 # ---------------------------------------------------------------------------

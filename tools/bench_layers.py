@@ -2,14 +2,20 @@
 the optimizer and CLI certify, size by size, each size in a process of its
 own.
 
-    python3 tools/bench_layers.py --src SRC --label NAME --out BENCH.json
-        [--sizes 8x33 16x65] [--repeats 5]
+    python3 tools/bench_layers.py --src SRC... --label NAME... --out BENCH.json
+        [--sizes 8x33 16x65] [--repeats 5] [--processes 1]
 
-SRC is the ``src`` directory of the checkout to measure (this one by
-default), so that two checkouts can be measured into one file under two
-labels; the file keeps the labels it already holds.  Every size runs in a
-fresh process with one BLAS thread, so an out-of-memory kill loses that
-size alone.
+SRC is the ``src`` directory of a checkout to measure (this one by
+default), and NAME the key of its run in the file, which keeps the labels
+it already holds; two checkouts go into one file under two labels.  Every
+size runs in a fresh process with one BLAS thread, so an out-of-memory
+kill loses that size alone.  With ``--processes N`` each size runs in N
+such processes per checkout, the checkouts taking turns process by
+process, so that the host's drift falls on all of them alike; each wall
+time and peak is then the median over a checkout's N processes (the speed
+of a whole process varies from one to the next on a small shared
+machine), ``wall_s_each`` keeps each process's own, and every b(T) and
+margin must agree across them.
 
 The input of size n x nt is of the poly-optimize benchmark's kind: the exact
 projection of ``polynomial_source`` on the n^3 unit cube with nt time
@@ -34,6 +40,11 @@ the tracemalloc peak of one further call:
   ``gram_apply`` and ``trajectory_derivative``: each kernel once on a
   whole trajectory, Etilde or the face trajectory curl Etilde, the
   material being the diagonal (1, 2, 3);
+- ``node_curl_edge_to_face``, ``node_curl_face_to_edge``,
+  ``node_weighted_norm_sq_edge`` and ``node_weighted_norm_sq_face``: the
+  same on one node of those trajectories, each given its out= as
+  ``series`` and ``leapfrog_solve`` give it, the norms weighted by the
+  problem's eps and mu;
 - ``cli_full_T1`` and ``cli_full_T5``: CLI ``certify --optimize full``
   (two sweeps) under T1 and T5, reading the input from a snapshot file and
   writing both reports;
@@ -122,7 +133,9 @@ def _margin(run):
 
 def _kernels(p, Etilde, repeats):
     """The records of the kernels on the whole trajectory Etilde and on the
-    face trajectory of its curl."""
+    face trajectory of its curl, and on one node of each."""
+    import numpy as np
+
     import maxbound as mb
     from maxbound import operators
 
@@ -137,7 +150,20 @@ def _kernels(p, Etilde, repeats):
         "gram_apply": lambda: operators.gram_apply(Etilde, material, g),
         "trajectory_derivative": lambda: operators.trajectory_derivative(Etilde),
     }
-    return {name: _measure(run, repeats) for name, run in runs.items()}
+    records = {name: _measure(run, repeats) for name, run in runs.items()}
+    k = g.nt // 2
+    e, h = Etilde.node(k), face.node(k)
+    e_out, h_out = (mb.StaggeredField.zeros(g, kind) for kind in (mb.EDGE, mb.FACE))
+    cells = np.zeros((g.nx, g.ny, g.nz, 3))
+    nodes = {
+        "node_curl_edge_to_face": lambda: operators.curl_edge_to_face(e, g, h_out),
+        "node_curl_face_to_edge": lambda: operators.curl_face_to_edge(h, g, e_out),
+        "node_weighted_norm_sq_edge": lambda: operators.weighted_norm_sq(e, p.eps, g, cells),
+        "node_weighted_norm_sq_face": lambda: operators.weighted_norm_sq(h, p.mu, g, cells),
+    }
+    # a node takes microseconds: the median is over ten times the repeats
+    records.update((name, _measure(run, 10 * repeats)) for name, run in nodes.items())
+    return records
 
 
 def _cli_full(n, nt, approx, repeats, workdir):
@@ -241,49 +267,84 @@ def measure_size(n, nt, repeats=5):
 
 
 def _child(args):
-    sys.path.insert(0, args.src)
+    sys.path.insert(0, args.src[0])
     n, nt = (int(v) for v in args.size.split("x"))
     print(json.dumps(measure_size(n, nt, args.repeats)))
 
 
+def _median_record(records):
+    """One size's record from those of several processes: each wall time and
+    peak the median over them, each process's wall time in wall_s_each; an
+    error if any process failed or the processes disagree on a bound."""
+    failed = [r["error"] for r in records if "error" in r]
+    if failed:
+        return {"error": failed[0]}
+    first = records[0]
+    if any((r["bound_T"], r["margin"]) != (first["bound_T"], first["margin"]) for r in records):
+        return {"error": "the processes disagree on b(T) or a margin",
+                "bound_T_each": [r["bound_T"] for r in records]}
+    combined = dict(first)
+    for name, row in first.items():
+        if isinstance(row, dict) and "wall_s" in row:
+            walls = [r[name]["wall_s"] for r in records]
+            combined[name] = {"wall_s": statistics.median(walls),
+                              "peak_mb": statistics.median(r[name]["peak_mb"] for r in records),
+                              "wall_s_each": walls}
+    return combined
+
+
+def _size_record(src, size, repeats, env):
+    """The record of one size in a fresh process on the checkout src."""
+    done = subprocess.run([sys.executable, os.path.abspath(__file__), "--src", src,
+                           "--size", size, "--repeats", str(repeats)],
+                          capture_output=True, text=True, env=env)
+    if done.returncode != 0:
+        return {"error": f"exit {done.returncode}: {done.stderr.strip()[-500:]}"}
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--src", default=DEFAULT_SRC, help="the src directory to measure")
-    ap.add_argument("--label", default="change", help="the key of this run in --out")
-    ap.add_argument("--out", help="the JSON file to merge the run into; stdout if not given")
+    ap.add_argument("--src", nargs="+", default=[DEFAULT_SRC],
+                    help="the src directories to measure")
+    ap.add_argument("--label", nargs="+", default=["change"],
+                    help="the key of each src's run in --out")
+    ap.add_argument("--out", help="the JSON file to merge the runs into; stdout if not given")
     ap.add_argument("--sizes", nargs="+", default=["8x33", "16x65"], help="n x nt")
     ap.add_argument("--repeats", type=int, default=5)
+    ap.add_argument("--processes", type=int, default=1,
+                    help="fresh processes per size and src; each time is their median")
     ap.add_argument("--size", help=argparse.SUPPRESS)  # one size, in a child process
     args = ap.parse_args()
     if args.size:
         return _child(args)
+    if len(args.label) != len(args.src):
+        ap.error("give one --label per --src")
 
-    src = os.path.abspath(args.src)
     env = dict(os.environ, **BLAS_ENV)
-    sizes = {}
+    records = {label: {size: [] for size in args.sizes} for label in args.label}
     for size in args.sizes:
-        done = subprocess.run([sys.executable, os.path.abspath(__file__), "--src", src,
-                               "--size", size, "--repeats", str(args.repeats)],
-                              capture_output=True, text=True, env=env)
-        if done.returncode != 0:
-            sizes[size] = {"error": f"exit {done.returncode}: {done.stderr.strip()[-500:]}"}
-        else:
-            sizes[size] = json.loads(done.stdout.strip().splitlines()[-1])
+        for _ in range(args.processes):
+            for src, label in zip(args.src, args.label):
+                records[label][size].append(
+                    _size_record(os.path.abspath(src), size, args.repeats, env))
     import numpy as np
 
-    run = {"python": platform.python_version(), "numpy": np.__version__,
-           "machine": platform.machine(), "cpus": os.cpu_count(), "blas_threads": 1,
-           "sizes": sizes}
-    if args.out is None:
-        print(json.dumps(run, indent=1))
-        return
     doc = {}
-    if os.path.exists(args.out):
+    if args.out is not None and os.path.exists(args.out):
         with open(args.out, encoding="utf-8") as fh:
             doc = json.load(fh)
-    doc[args.label] = run
+    for label in args.label:
+        sizes = {size: _median_record(runs) for size, runs in records[label].items()}
+        doc[label] = {"python": platform.python_version(), "numpy": np.__version__,
+                      "machine": platform.machine(), "cpus": os.cpu_count(), "blas_threads": 1,
+                      "processes": args.processes, "repeats": args.repeats, "sizes": sizes}
+    text = json.dumps(doc, indent=1, sort_keys=True) + "\n"
+    if args.out is None:
+        print(text, end="")
+        return
     with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+        fh.write(text)
 
 
 if __name__ == "__main__":
