@@ -14,8 +14,9 @@ for every admissible choice of the tuning variables (Y, gamma, rho).
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import os
-import threading
 from collections import namedtuple
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -50,9 +51,11 @@ ZERO_VARIANTS = ("z", "z_tilde", "z_hat")
 _SMOOTH_VARIANTS = ("z", "z_hat")  # those a Y step can differentiate
 
 _EFFICIENCY_FLOOR = 1e3 * np.finfo(float).eps
-# The fewest cells per node for series' helper thread: below, each numpy call
+# The fewest cells per node for series' helper pool: below, each numpy call
 # is so short that the GIL handoffs cost more than the overlap saves (certify,
-# T5, 33 nodes, 2 vCPUs: 43 ms inline, 74 threaded at 16^3; 154, 133 at 28^3).
+# T5, 33 nodes, 2 vCPUs, ms inline -> pool, medians of 15 alternating calls in
+# each of three runs: 24^3 92 -> 91, 94 -> 100, 70 -> 75; 26^3 86 -> 93,
+# 113 -> 102, 109 -> 103; 32^3 136 -> 137, 138 -> 139, 154 -> 111).
 _HELPER_MIN_CELLS = 1 << 14
 
 
@@ -230,54 +233,17 @@ class _Work:
         self.cells = np.zeros((grid.nx, grid.ny, grid.nz, 3))
 
 
-class _Helper:
-    """One call at a time: on a thread of its own if wanted, grid's nodes
-    have _HELPER_MIN_CELLS cells and the process may use a second CPU, under
-    the caller's np.errstate (numpy 1.x keeps it per thread); else at once.
-    wait returns once the last call has ended, raising what it raised."""
+def _helper_pool(grid, wanted):
+    """A one-worker pool for series' true-error blocks if wanted, grid's nodes
+    have _HELPER_MIN_CELLS cells and the process may use a second CPU, its
+    worker under the caller's np.errstate (a new thread starts with numpy's
+    defaults); else None, for the blocks to run inline."""
+    cpus = getattr(os, "sched_getaffinity", lambda _: range(os.cpu_count() or 1))(0)
+    if not (wanted and len(cpus) > 1 and grid.nx * grid.ny * grid.nz >= _HELPER_MIN_CELLS):
+        return None
+    from concurrent.futures import ThreadPoolExecutor  # 5-10 ms to import: only for a pool
 
-    def __init__(self, grid, wanted):
-        cpus = getattr(os, "sched_getaffinity", lambda _: range(os.cpu_count() or 1))(0)
-        self.threaded = (wanted and len(cpus) > 1
-                         and grid.nx * grid.ny * grid.nz >= _HELPER_MIN_CELLS)
-        self._call = self._error = None
-        if self.threaded:
-            self._todo, self._done = threading.Semaphore(0), threading.Semaphore(0)
-            self._thread = threading.Thread(target=self._serve, args=(np.geterr(),), daemon=True)
-            self._thread.start()
-
-    def _serve(self, errstate):
-        with np.errstate(**errstate):
-            while self._todo.acquire() and self._call is not None:
-                try:
-                    self._call[0](*self._call[1])
-                except BaseException as exc:  # raised by the caller's wait
-                    self._error = exc
-                self._done.release()
-
-    def run(self, fn, *args):
-        if not self.threaded:
-            return fn(*args)
-        self._call = (fn, args)  # the arguments are bound now, not when it runs
-        self._todo.release()
-
-    def wait(self):
-        if self._call is not None:
-            self._done.acquire()
-            self._call, error, self._error = None, self._error, None
-            if error is not None:
-                raise error
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        if self.threaded:
-            if self._call is not None:  # the caller raised while a call ran
-                self._done.acquire()
-            self._call = None
-            self._todo.release()
-            self._thread.join()
+    return ThreadPoolExecutor(1, initializer=functools.partial(np.seterr, **np.geterr()))
 
 
 def series(p, approx, Y, theorem, exact=None):
@@ -291,7 +257,7 @@ def series(p, approx, Y, theorem, exact=None):
     by node; Ktilde is then zero, and kt_sq and the coupling are left at
     0.0 uncomputed, as the coupling of T1/T3 always is.  Given an exact
     reference, the pass takes the true-error norms of every node too, with
-    the same bits on a _Helper thread beside the node's residuals as inline.
+    the same bits on a _helper_pool worker, beside the residuals, as inline.
     """
     g = p.grid
     E, dE, Et = _velocity_windows(approx, theorem, g)
@@ -307,12 +273,14 @@ def series(p, approx, Y, theorem, exact=None):
     zp = zero_term_parts(p, approx, Y, theorem)
     kt_sq, edge_sq, face_sq, coup = (np.zeros(nt) for _ in range(4))
     error_sq = None if exact is None else (np.zeros(nt), np.zeros(nt))
-    with _Helper(g, exact is not None) as helper:
-        error_work = _Work(g, residuals=False) if helper.threaded else work
+    pool = _helper_pool(g, exact is not None)
+    error_work = work if pool is None else _Work(g, residuals=False)
+    block = None  # node k's error block: a Future on the pool, None inline
+    with pool or contextlib.nullcontext():
         for k in range(nt):
             if exact is not None:
-                helper.wait()  # node k-1's block reads fields that node k may rewrite
-                helper.run(_error_node, p, exact, E(k), Et(k), k, error_work, error_sq)
+                args = (p, exact, E(k), Et(k), k, error_work, error_sq)
+                block = _error_node(*args) if pool is None else pool.submit(_error_node, *args)
             if Y is not None:
                 kt_sq[k] = weighted_norm_sq(Kt(k), p.mu, g, work.cells)
             Yk = Yw(k)  # made before the derivatives below move the Etilde window on
@@ -329,7 +297,8 @@ def series(p, approx, Y, theorem, exact=None):
                 diff = Et(k).apply(np.subtract, dE(k), work.edge)
                 coupling_curl = curl_edge_to_face(diff, g, work.face)
                 coup[k] = weighted_inner(Kt(k), coupling_curl, None, g, work.cells)
-        helper.wait()
+            if block is not None:
+                block.result()  # node k's block reads fields that node k+1 may rewrite
     return NodeSeries(kt_sq, edge_sq, face_sq, coup, zp, error_sq)
 
 

@@ -618,15 +618,26 @@ def test_an_overflowing_number_is_a_config_error_before_any_snapshot(tmp_path, c
     assert not out.exists()
 
 
-def test_cli_start_up_imports_no_schema_validator():
+def _start_up_modules(*packages):
+    """The modules of packages that `import maxbound, maxbound.cli` loads in a
+    fresh interpreter, sorted."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(mb.__file__)))
     code = ("import sys, maxbound, maxbound.cli; print(sorted(m for m in sys.modules if "
-            "m.split('.')[0] in ('jsonschema', 'referencing', 'rpds', "
-            "'jsonschema_specifications')))")
+            f"m.split('.')[0] in {packages!r}))")
     done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip()
+
+
+def test_cli_start_up_imports_no_schema_validator():
+    assert _start_up_modules("jsonschema", "referencing", "rpds",
+                             "jsonschema_specifications") == "[]"
+
+
+def test_cli_start_up_imports_no_thread_pool():
+    # certify's helper pool imports concurrent.futures (5-10 ms) when it is made
+    assert _start_up_modules("concurrent") == "[]"
 
 
 def test_unknown_case_parameter_is_a_config_error(tmp_path, capsys):

@@ -280,12 +280,14 @@ class _Boom(Exception):
     pass
 
 
-@pytest.mark.parametrize("raiser", ["exact", "approx"])
-def test_an_error_on_either_thread_leaves_certify_as_itself_and_no_thread(raiser,
+@pytest.mark.parametrize("raiser, error", [
+    pytest.param("exact", _Boom, id="exact"), pytest.param("approx", _Boom, id="approx"),
+    ("exact", KeyboardInterrupt), ("approx", KeyboardInterrupt)])
+def test_an_error_on_either_thread_leaves_certify_as_itself_and_no_thread(raiser, error,
                                                                          helper_thread):
     # the exact reference is read on the helper, the approximation on the caller
     p, approx, exact = cavity_setup(4, 17)
-    boom = _Boom("node 3")
+    boom = error("node 3")
 
     def raising(traj):
         return NodeSource(p.grid, EDGE, lambda k: _raise(boom) if k == 3 else traj.node(k))
@@ -295,7 +297,7 @@ def test_an_error_on_either_thread_leaves_certify_as_itself_and_no_thread(raiser
     else:
         approx = SolveOutput(raising(approx.Etilde), approx.Htilde, approx.Etilde_t)
     threads = threading.active_count()
-    with pytest.raises(_Boom) as info:
+    with pytest.raises(error) as info:
         mb.certify(p, approx, mb.MajorantParams(), "T5", exact)
     assert info.value is boom
     assert threading.active_count() == threads
@@ -323,11 +325,14 @@ def test_the_helper_thread_runs_under_the_caller_s_errstate(helper_thread):
     (False, 2, 40, False)])
 def test_the_helper_thread_runs_from_its_least_node_size_on_more_than_one_cpu(
         asked, cpus, n, threaded, monkeypatch):
-    # 25^3 cells are below 2^14, 26^3 above
+    # 25^3 cells are below 2^14, 26^3 above; a pool starts its worker at the first submit
     monkeypatch.setattr(majorant.os, "sched_getaffinity", lambda pid: set(range(cpus)),
                         raising=False)
     before = threading.active_count()
-    with majorant._Helper(mb.GridSpec(n, n, n, 1.0, 1.0, 1.0, 9, 1.0), asked) as helper:
-        assert helper.threaded is threaded
+    pool = majorant._helper_pool(mb.GridSpec(n, n, n, 1.0, 1.0, 1.0, 9, 1.0), asked)
+    assert (pool is not None) is threaded
+    with pool or contextlib.nullcontext():
+        if threaded:
+            pool.submit(lambda: None).result()
         assert threading.active_count() == before + threaded
     assert threading.active_count() == before
